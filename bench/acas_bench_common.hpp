@@ -30,7 +30,7 @@ struct AcasSystem {
 /// Assemble the registered "acasxu" scenario's closed loop — loading (or
 /// training once and caching) the 5 advisory networks with the paper's
 /// parameters (T = 1 s). The NN query cache defaults to the `NNCS_NN_CACHE`
-/// environment policy (memo when unset); pass an explicit config to pin a
+/// environment policy (off when unset); pass an explicit config to pin a
 /// mode (the nn_cache bench sweeps them).
 AcasSystem make_acas_system(NnDomain domain = NnDomain::kSymbolic,
                             const NnCacheConfig& nn_cache = nn_cache_config_from_env());

@@ -76,9 +76,6 @@ int main(int argc, char** argv) {
   obs::set_scenario(scen.name(), scenario::fingerprint(scen, partition));
 
   scenario::SystemConfig system_config;
-  // Memo replays exact-match queries only, so results (and the canonical
-  // counters) are identical to an uncached run.
-  system_config.nn_cache.mode = NnCacheMode::kMemo;
   if (!nets_dir.empty()) {
     system_config.nets_dir = nets_dir;
   }

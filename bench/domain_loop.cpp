@@ -84,9 +84,6 @@ DomainResult run_workload(const Workload& w, LoopDomain domain, std::size_t nn_b
   const scenario::Partition partition = scenario::resolve(scen, w.partition);
 
   scenario::SystemConfig system_config;
-  // Memo replays exact-match queries only, so results are identical to an
-  // uncached run in either domain (the zonotope path bypasses it anyway).
-  system_config.nn_cache.mode = NnCacheMode::kMemo;
   system_config.domain = NnDomain::kSymbolic;
   if (!nets_dir.empty()) {
     system_config.nets_dir = nets_dir;

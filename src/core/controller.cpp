@@ -8,6 +8,7 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 
 #include "interval/rounding.hpp"
 #include "nn/argmin_analysis.hpp"
@@ -24,18 +25,24 @@ namespace {
 /// that hull.
 constexpr NnQueryCache::DomainTag kRelationalTag = 0x80;
 
-/// Post# sanity checks shared by the scalar/relational/batched steps.
-void validate_commands(const AbstractControlStep& result, std::size_t command_count,
-                       const char* who) {
+/// Post# sanity checks.
+void validate_commands(const AbstractControlStep& result, std::size_t command_count) {
   if (result.commands.empty()) {
-    throw std::logic_error(std::string(who) +
-                           ": Post# returned no commands (unsound abstract post-processor)");
+    throw std::logic_error(
+        "NeuralController: Post# returned no commands (unsound abstract post-processor)");
   }
   for (const std::size_t c : result.commands) {
     if (c >= command_count) {
-      throw std::logic_error(std::string(who) + ": Post# returned out-of-range command");
+      throw std::logic_error("NeuralController: Post# returned out-of-range command");
     }
   }
+}
+
+/// Post# on one transformer result, timed as the argmin layer.
+template <class Bounds>
+std::vector<std::size_t> prune(const Postprocessor& post, const Bounds& bounds) {
+  NNCS_SPAN("nn.argmin");
+  return post.eval_abstract(bounds);
 }
 
 /// True when the affine forms represent exactly their hull box: at most one
@@ -248,166 +255,71 @@ std::size_t NeuralController::step(const Vec& state, std::size_t previous_comman
 }
 
 void NeuralController::configure_cache(const NnCacheConfig& cache) {
-  cache_ = cache.enabled() ? std::make_shared<NnQueryCache>(cache) : nullptr;
-}
-
-bool NeuralController::step_from_cache(std::size_t net_id, AbstractControlStep& result) const {
-  const auto domain_tag = static_cast<NnQueryCache::DomainTag>(domain_);
-  if (auto hit = cache_->find_exact(net_id, domain_tag, result.network_input)) {
-    // Exact match replays the propagation's own result, so memo mode keeps
-    // canonical reports byte-identical to cacheless runs.
-    result.commands = std::move(hit->commands);
-    result.network_output = std::move(hit->output_box);
-    cache_->count_hit(/*containment=*/false);
-    return true;
-  }
-  if (cache_->mode() != NnCacheMode::kContainment) {
-    cache_->count_miss(/*after_reuse_attempt=*/false);
-    return false;
-  }
-  if (domain_ == NnDomain::kSymbolic) {
-    // Containment reuse: affine bounds valid on a covering box B stay valid
-    // on the query box B' ⊆ B; re-concretizing them on B' (output box and
-    // the argmin's symbolic differences) yields a sound — if wider —
-    // enclosure.
-    const std::shared_ptr<const SymbolicBounds> base =
-        cache_->find_containing(net_id, domain_tag, result.network_input);
-    if (!base) {
-      cache_->count_miss(/*after_reuse_attempt=*/false);
-      return false;
-    }
-    auto reused = std::make_shared<SymbolicBounds>();
-    reused->input = result.network_input;
-    reused->outputs = base->outputs;
-    reused->output_box = concretize_output_box(reused->outputs, reused->input);
-    std::vector<std::size_t> commands;
-    {
-      NNCS_SPAN("nn.argmin");
-      commands = post_->eval_abstract(*reused);
-    }
-    if (commands.size() >= commands_.size()) {
-      // The widened bounds pruned nothing: propagate from scratch instead of
-      // accepting a worthless (though sound) full command set.
-      cache_->count_miss(/*after_reuse_attempt=*/true);
-      return false;
-    }
-    result.commands = std::move(commands);
-    result.network_output = reused->output_box;
-    cache_->count_hit(/*containment=*/true);
-    cache_->insert(net_id, domain_tag, result.network_input,
-                   NnQueryCache::Result{result.commands, result.network_output, std::move(reused)});
-    return true;
-  }
-  if (domain_ == NnDomain::kAffine) {
-    // Zonotope-domain containment reuse: a cached box-valid propagation
-    // covering the query box is restricted to the query's noise-symbol
-    // sub-ranges (see restrict_affine_reuse) and re-pruned by Post#.
-    const std::shared_ptr<const AffineReuse> base =
-        cache_->find_containing_affine(net_id, domain_tag, result.network_input);
-    if (!base) {
-      cache_->count_miss(/*after_reuse_attempt=*/false);
-      return false;
-    }
-    const std::optional<ZonotopeBounds> restricted =
-        restrict_affine_reuse(*base, result.network_input);
-    if (!restricted) {
-      cache_->count_miss(/*after_reuse_attempt=*/false);
-      return false;
-    }
-    std::vector<std::size_t> commands;
-    {
-      NNCS_SPAN("nn.argmin");
-      commands = post_->eval_abstract(*restricted);
-    }
-    if (commands.size() >= commands_.size()) {
-      cache_->count_miss(/*after_reuse_attempt=*/true);
-      return false;
-    }
-    result.commands = std::move(commands);
-    result.network_output = restricted->output_box;
-    cache_->count_hit(/*containment=*/true);
-    // The new entry shares the covering payload: restriction re-derives
-    // everything from the payload and the key box, so it stays valid for
-    // any future query this (tighter) key box contains.
-    cache_->insert(net_id, domain_tag, result.network_input,
-                   NnQueryCache::Result{result.commands, result.network_output, nullptr, base});
-    return true;
-  }
-  cache_->count_miss(/*after_reuse_attempt=*/false);
-  return false;
+  cache_ = cache.enabled() ? std::make_unique<NnQueryCache>(cache) : nullptr;
 }
 
 AbstractControlStep NeuralController::step_abstract(const Box& state,
                                                     std::size_t previous_command) const {
-  if (previous_command >= commands_.size()) {
-    throw std::out_of_range("NeuralController::step_abstract: bad previous command index");
-  }
-  const std::size_t net_id = selector_[previous_command];
-  const Network& net = networks_[net_id];
-  AbstractControlStep result;
-  result.network_input = pre_->eval_abstract(state);
-  if (!cache_ || !step_from_cache(net_id, result)) {
-    if (domain_ == NnDomain::kSymbolic) {
-      auto bounds = std::make_shared<SymbolicBounds>(symbolic_propagate(net, result.network_input));
-      result.network_output = bounds->output_box;
-      {
-        NNCS_SPAN("nn.argmin");
-        result.commands = post_->eval_abstract(*bounds);
-      }
-      if (cache_) {
-        cache_->insert(net_id, static_cast<NnQueryCache::DomainTag>(domain_),
-                       result.network_input,
-                       NnQueryCache::Result{result.commands, result.network_output,
-                                            std::move(bounds)});
-      }
-    } else if (domain_ == NnDomain::kAffine) {
-      // Lift the box explicitly (the exact sequence the boxed
-      // zonotope_propagate overload runs) so containment mode can cache the
-      // input parameterization alongside the output forms.
-      NoiseSource source;
-      std::vector<Affine> lifted;
-      lifted.reserve(result.network_input.dim());
-      for (std::size_t i = 0; i < result.network_input.dim(); ++i) {
-        lifted.push_back(Affine::variable(result.network_input[i].lo(),
-                                          result.network_input[i].hi(), source));
-      }
-      std::shared_ptr<const AffineReuse> payload;
-      ZonotopeBounds bounds;
-      if (cache_ && cache_->mode() == NnCacheMode::kContainment) {
-        auto reuse = std::make_shared<AffineReuse>();
-        reuse->inputs = lifted;  // fresh lift: box-valid by construction
-        bounds = zonotope_propagate(net, std::move(lifted), source);
-        reuse->outputs = bounds.outputs;
-        payload = std::move(reuse);
-      } else {
-        bounds = zonotope_propagate(net, std::move(lifted), source);
-      }
-      result.network_output = bounds.output_box;
-      {
-        NNCS_SPAN("nn.argmin");
-        result.commands = post_->eval_abstract(bounds);
-      }
-      if (cache_) {
-        cache_->insert(net_id, static_cast<NnQueryCache::DomainTag>(domain_),
-                       result.network_input,
-                       NnQueryCache::Result{result.commands, result.network_output, nullptr,
-                                            std::move(payload)});
-      }
-    } else {
-      result.network_output = interval_propagate(net, result.network_input);
-      {
-        NNCS_SPAN("nn.argmin");
-        result.commands = post_->eval_abstract(result.network_output);
-      }
-      if (cache_) {
-        cache_->insert(net_id, static_cast<NnQueryCache::DomainTag>(domain_),
-                       result.network_input,
-                       NnQueryCache::Result{result.commands, result.network_output, nullptr});
-      }
+  return std::move(step_abstract_batch({AbstractState{state}}, {previous_command}).front());
+}
+
+AbstractControlStep NeuralController::step_abstract_relational(
+    const AffineSet& state, std::size_t previous_command) const {
+  const AbstractState query{state.concretize(), std::make_shared<const AffineSet>(state)};
+  return std::move(step_abstract_batch({query}, {previous_command}).front());
+}
+
+bool NeuralController::reuse_cached(std::size_t net_id, NnQueryCache::DomainTag tag,
+                                    AbstractControlStep& result) const {
+  const Box& input = result.network_input;
+  if (tag != kRelationalTag) {
+    if (auto hit = cache_->find_exact(net_id, tag, input)) {
+      // Exact match replays the propagation's own result.
+      result.commands = std::move(hit->commands);
+      result.network_output = std::move(hit->output_box);
+      cache_->count_hit(/*containment=*/false);
+      return true;
     }
   }
-  validate_commands(result, commands_.size(), "NeuralController::step_abstract");
-  return result;
+  // Containment reuse: bounds valid on a covering box stay valid on the
+  // query box — for a relational query, on every zonotope inside its hull,
+  // whose own correlations simply go unused. Symbolic bounds are
+  // re-concretized on the query box (output box and the argmin's symbolic
+  // differences); a box-valid affine propagation is restricted to the
+  // query's noise-symbol sub-ranges (see restrict_affine_reuse).
+  const NnQueryCache::Reuse reuse = cache_->find_containing(net_id, tag, input);
+  bool attempted = false;
+  std::vector<std::size_t> commands;
+  Box output;
+  if (const auto* symbolic = std::get_if<std::shared_ptr<const SymbolicBounds>>(&reuse)) {
+    const SymbolicBounds reused{input, (*symbolic)->outputs,
+                                concretize_output_box((*symbolic)->outputs, input)};
+    commands = prune(*post_, reused);
+    output = reused.output_box;
+    attempted = true;
+  } else if (const auto* affine = std::get_if<std::shared_ptr<const AffineReuse>>(&reuse)) {
+    if (const std::optional<ZonotopeBounds> restricted =
+            restrict_affine_reuse(**affine, input)) {
+      commands = prune(*post_, *restricted);
+      output = restricted->output_box;
+      attempted = true;
+    }
+  }
+  if (!attempted || commands.size() >= commands_.size()) {
+    // Nothing to reuse, or the widened bounds pruned nothing: propagate from
+    // scratch instead of accepting a worthless (though sound) full set.
+    cache_->count_miss(/*after_reuse_attempt=*/attempted);
+    return false;
+  }
+  result.commands = commands;
+  result.network_output = output;
+  cache_->count_hit(/*containment=*/true);
+  // The new entry shares the covering payload: reuse re-derives everything
+  // from the payload and the key box, so it stays valid for any later query
+  // this tighter box contains.
+  cache_->insert(net_id, tag, input,
+                 NnQueryCache::Result{std::move(commands), std::move(output), reuse});
+  return true;
 }
 
 std::vector<AbstractControlStep> NeuralController::step_abstract_batch(
@@ -417,247 +329,150 @@ std::vector<AbstractControlStep> NeuralController::step_abstract_batch(
     throw std::invalid_argument(
         "NeuralController::step_abstract_batch: states/commands size mismatch");
   }
-  if (cache_ && cache_->mode() == NnCacheMode::kContainment) {
-    // Containment reuse is query-order-dependent — every hit inserts an
-    // entry later queries may cover — so only the scalar loop replays it.
-    return Controller::step_abstract_batch(states, previous_commands);
-  }
+  /// A query the cache did not answer. Its tag (relational, or the NN
+  /// domain for box states) also selects the transformer.
+  struct Miss {
+    std::size_t index;
+    std::size_t net_id;
+    NnQueryCache::DomainTag tag;
+  };
   const std::size_t n = states.size();
   std::vector<AbstractControlStep> results(n);
-  // Phase 1: Pre# and the cache consult, per state in scalar order.
-  // Relational states keep their affine pre-image for phase 2 and bypass
-  // the memo cache entirely (box keys cannot distinguish two zonotopes
-  // with the same hull), exactly like the scalar relational step.
   std::vector<std::optional<AffineSet>> pre_images(n);
-  std::vector<std::size_t> miss_index;
-  std::vector<std::size_t> miss_net;
-  miss_index.reserve(n);
-  miss_net.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (previous_commands[i] >= commands_.size()) {
-      throw std::out_of_range("NeuralController::step_abstract_batch: bad previous command index");
+  std::vector<Miss> misses;
+  // Containment reuse is query-order-dependent — a step may insert the
+  // entry a later query reuses — so with a cache the states run one at a
+  // time.
+  const std::size_t chunk = cache_ ? 1 : n;
+  for (std::size_t begin = 0; begin < n; begin += chunk) {
+    // Pre# and the cache consult, per state in order.
+    misses.clear();
+    for (std::size_t i = begin; i < std::min(n, begin + chunk); ++i) {
+      if (previous_commands[i] >= commands_.size()) {
+        throw std::out_of_range("NeuralController: bad previous command index");
+      }
+      const std::size_t net_id = selector_[previous_commands[i]];
+      auto tag = static_cast<NnQueryCache::DomainTag>(domain_);
+      if (states[i].has_relational()) {
+        pre_images[i].emplace(pre_->eval_abstract(*states[i].relational()));
+        results[i].network_input = pre_images[i]->concretize();
+        tag = kRelationalTag;
+      } else {
+        results[i].network_input = pre_->eval_abstract(states[i].box());
+      }
+      if (!cache_ || !reuse_cached(net_id, tag, results[i])) {
+        misses.push_back(Miss{i, net_id, tag});
+      }
     }
-    const std::size_t net_id = selector_[previous_commands[i]];
-    if (states[i].has_relational()) {
-      pre_images[i].emplace(pre_->eval_abstract(*states[i].relational()));
-      results[i].network_input = pre_images[i]->concretize();
-      miss_index.push_back(i);
-      miss_net.push_back(net_id);
-      continue;
-    }
-    results[i].network_input = pre_->eval_abstract(states[i].box());
-    if (cache_ && step_from_cache(net_id, results[i])) {
-      continue;
-    }
-    miss_index.push_back(i);
-    miss_net.push_back(net_id);
-  }
-  // Phase 2: per selected network (first-appearance order). Box misses are
-  // deduplicated on input-box equality — the scalar loop would have turned
-  // the repeats into memo hits replaying the first propagation. Relational
-  // misses are never deduplicated (equal hulls do not imply equal
-  // zonotopes) and always go through the batched zonotope transformer,
-  // matching the scalar `step_abstract_relational` regardless of domain.
-  std::vector<bool> handled(miss_index.size(), false);
-  for (std::size_t m0 = 0; m0 < miss_index.size(); ++m0) {
-    if (handled[m0]) {
-      continue;
-    }
-    const std::size_t net_id = miss_net[m0];
-    std::vector<std::size_t> relational_miss;          // positions into miss_index
-    std::vector<std::size_t> unique_miss;              // positions into miss_index
-    std::vector<std::vector<std::size_t>> duplicates;  // extra positions per unique
-    for (std::size_t m = m0; m < miss_index.size(); ++m) {
-      if (handled[m] || miss_net[m] != net_id) {
+    // One batched transformer call per (network, tag) group, in order of
+    // first appearance.
+    std::vector<bool> grouped(misses.size(), false);
+    for (std::size_t m0 = 0; m0 < misses.size(); ++m0) {
+      if (grouped[m0]) {
         continue;
       }
-      handled[m] = true;
-      if (pre_images[miss_index[m]].has_value()) {
-        relational_miss.push_back(m);
-        continue;
-      }
-      const Box& box = results[miss_index[m]].network_input;
-      bool duplicate = false;
-      for (std::size_t u = 0; u < unique_miss.size(); ++u) {
-        if (results[miss_index[unique_miss[u]]].network_input == box) {
-          duplicates[u].push_back(m);
-          duplicate = true;
-          break;
+      const std::size_t net_id = misses[m0].net_id;
+      const NnQueryCache::DomainTag tag = misses[m0].tag;
+      std::vector<std::size_t> lanes;                          // state propagated per lane
+      std::vector<std::pair<std::size_t, std::size_t>> twins;  // (state, lane state it copies)
+      for (std::size_t m = m0; m < misses.size(); ++m) {
+        if (grouped[m] || misses[m].net_id != net_id || misses[m].tag != tag) {
+          continue;
+        }
+        grouped[m] = true;
+        const std::size_t i = misses[m].index;
+        // Equal box inputs share one propagation. Relational pre-images
+        // never do: equal hulls do not imply equal zonotopes.
+        const auto twin =
+            tag == kRelationalTag
+                ? lanes.end()
+                : std::find_if(lanes.begin(), lanes.end(), [&](std::size_t k) {
+                    return results[k].network_input == results[i].network_input;
+                  });
+        if (twin == lanes.end()) {
+          lanes.push_back(i);
+        } else {
+          twins.emplace_back(i, *twin);
         }
       }
-      if (!duplicate) {
-        unique_miss.push_back(m);
-        duplicates.emplace_back();
-      }
-    }
-    const Network& net = networks_[net_id];
-    const auto domain_tag = static_cast<NnQueryCache::DomainTag>(domain_);
-    if (!relational_miss.empty()) {
-      std::vector<const AffineSet*> affine_inputs;
-      affine_inputs.reserve(relational_miss.size());
-      for (const std::size_t m : relational_miss) {
-        affine_inputs.push_back(&*pre_images[miss_index[m]]);
-      }
-      std::vector<ZonotopeBounds> all;
-      {
-        NNCS_SPAN("nn.zonotope");
-        all = zonotope_propagate_batch(net, affine_inputs);
-      }
-      for (std::size_t k = 0; k < relational_miss.size(); ++k) {
-        NNCS_COUNT("nn.relational_steps", 1);
-        AbstractControlStep& result = results[miss_index[relational_miss[k]]];
-        result.network_output = all[k].output_box;
+      const Network& net = networks_[net_id];
+      std::vector<NnQueryCache::Reuse> reuse(lanes.size());
+      if (tag == kRelationalTag || domain_ == NnDomain::kAffine) {
+        // Box lanes are lifted with the fresh-symbol sequence the boxed
+        // scalar transformer runs, so their bounds are bit-identical to it.
+        std::vector<const AffineSet*> inputs;
+        inputs.reserve(lanes.size());
+        for (const std::size_t i : lanes) {
+          if (!pre_images[i]) {
+            pre_images[i].emplace(AffineSet::from_box(results[i].network_input));
+          }
+          inputs.push_back(&*pre_images[i]);
+        }
+        std::vector<ZonotopeBounds> all;
         {
-          NNCS_SPAN("nn.argmin");
-          result.commands = post_->eval_abstract(all[k]);
+          NNCS_SPAN("nn.zonotope");
+          all = zonotope_propagate_batch(net, inputs);
+        }
+        if (tag == kRelationalTag) {
+          NNCS_COUNT("nn.relational_steps", lanes.size());
+        }
+        for (std::size_t k = 0; k < lanes.size(); ++k) {
+          AbstractControlStep& result = results[lanes[k]];
+          result.commands = prune(*post_, all[k]);
+          result.network_output = std::move(all[k].output_box);
+          // Only box-valid inputs are reusable (see AffineReuse): a general
+          // zonotope's hull admits points the propagation never covered.
+          if (cache_ && box_valid_inputs(inputs[k]->components())) {
+            reuse[k] = std::make_shared<const AffineReuse>(
+                AffineReuse{inputs[k]->components(), std::move(all[k].outputs)});
+          }
+        }
+      } else {
+        std::vector<Box> inputs;
+        inputs.reserve(lanes.size());
+        for (const std::size_t i : lanes) {
+          inputs.push_back(results[i].network_input);
+        }
+        if (domain_ == NnDomain::kSymbolic) {
+          std::vector<SymbolicBounds> all = symbolic_propagate_batch(net, inputs);
+          for (std::size_t k = 0; k < lanes.size(); ++k) {
+            AbstractControlStep& result = results[lanes[k]];
+            result.commands = prune(*post_, all[k]);
+            result.network_output = all[k].output_box;
+            if (cache_) {
+              reuse[k] = std::make_shared<const SymbolicBounds>(std::move(all[k]));
+            }
+          }
+        } else {
+          std::vector<Box> all = interval_propagate_batch(net, inputs);
+          for (std::size_t k = 0; k < lanes.size(); ++k) {
+            AbstractControlStep& result = results[lanes[k]];
+            result.commands = prune(*post_, all[k]);
+            result.network_output = std::move(all[k]);
+          }
         }
       }
-    }
-    if (unique_miss.empty()) {
-      continue;
-    }
-    std::vector<Box> inputs;
-    inputs.reserve(unique_miss.size());
-    for (const std::size_t u : unique_miss) {
-      inputs.push_back(results[miss_index[u]].network_input);
-    }
-    if (domain_ == NnDomain::kSymbolic) {
-      std::vector<SymbolicBounds> all = symbolic_propagate_batch(net, inputs);
-      for (std::size_t u = 0; u < unique_miss.size(); ++u) {
-        auto bounds = std::make_shared<SymbolicBounds>(std::move(all[u]));
-        AbstractControlStep& result = results[miss_index[unique_miss[u]]];
-        result.network_output = bounds->output_box;
-        {
-          NNCS_SPAN("nn.argmin");
-          result.commands = post_->eval_abstract(*bounds);
-        }
-        for (const std::size_t d : duplicates[u]) {
-          AbstractControlStep& dup = results[miss_index[d]];
-          dup.commands = result.commands;
-          dup.network_output = result.network_output;
-        }
-        if (cache_) {
-          cache_->insert(net_id, domain_tag, result.network_input,
+      for (std::size_t k = 0; k < lanes.size(); ++k) {
+        const AbstractControlStep& result = results[lanes[k]];
+        // A relational entry without a payload could only serve exact
+        // replay, which relational queries never use.
+        const bool payload = !std::holds_alternative<std::monostate>(reuse[k]);
+        if (cache_ && (payload || tag != kRelationalTag)) {
+          cache_->insert(net_id, tag, result.network_input,
                          NnQueryCache::Result{result.commands, result.network_output,
-                                              std::move(bounds)});
+                                              std::move(reuse[k])});
         }
       }
-    } else if (domain_ == NnDomain::kAffine) {
-      std::vector<ZonotopeBounds> all = zonotope_propagate_batch(net, inputs);
-      for (std::size_t u = 0; u < unique_miss.size(); ++u) {
-        AbstractControlStep& result = results[miss_index[unique_miss[u]]];
-        result.network_output = all[u].output_box;
-        {
-          NNCS_SPAN("nn.argmin");
-          result.commands = post_->eval_abstract(all[u]);
-        }
-        for (const std::size_t d : duplicates[u]) {
-          AbstractControlStep& dup = results[miss_index[d]];
-          dup.commands = result.commands;
-          dup.network_output = result.network_output;
-        }
-        if (cache_) {
-          cache_->insert(net_id, domain_tag, result.network_input,
-                         NnQueryCache::Result{result.commands, result.network_output, nullptr});
-        }
-      }
-    } else {
-      std::vector<Box> outputs = interval_propagate_batch(net, inputs);
-      for (std::size_t u = 0; u < unique_miss.size(); ++u) {
-        AbstractControlStep& result = results[miss_index[unique_miss[u]]];
-        result.network_output = std::move(outputs[u]);
-        {
-          NNCS_SPAN("nn.argmin");
-          result.commands = post_->eval_abstract(result.network_output);
-        }
-        for (const std::size_t d : duplicates[u]) {
-          AbstractControlStep& dup = results[miss_index[d]];
-          dup.commands = result.commands;
-          dup.network_output = result.network_output;
-        }
-        if (cache_) {
-          cache_->insert(net_id, domain_tag, result.network_input,
-                         NnQueryCache::Result{result.commands, result.network_output, nullptr});
-        }
+      for (const auto& [i, lane] : twins) {
+        results[i].commands = results[lane].commands;
+        results[i].network_output = results[lane].network_output;
       }
     }
   }
   for (const AbstractControlStep& result : results) {
-    validate_commands(result, commands_.size(), "NeuralController::step_abstract_batch");
+    validate_commands(result, commands_.size());
   }
   return results;
-}
-
-AbstractControlStep NeuralController::step_abstract_relational(
-    const AffineSet& state, std::size_t previous_command) const {
-  if (previous_command >= commands_.size()) {
-    throw std::out_of_range(
-        "NeuralController::step_abstract_relational: bad previous command index");
-  }
-  const std::size_t net_id = selector_[previous_command];
-  const Network& net = networks_[net_id];
-  AffineSet pre_image = pre_->eval_abstract(state);
-  AbstractControlStep result;
-  result.network_input = pre_image.concretize();
-  const bool containment = cache_ && cache_->mode() == NnCacheMode::kContainment;
-  if (containment) {
-    // Containment reuse on the concretized hull: bounds sound for a
-    // covering box-valid propagation are sound for every zonotope inside
-    // that box, in particular this query (whose own correlations simply go
-    // unused — hence the no-pruning fallback below).
-    bool attempted = false;
-    if (const std::shared_ptr<const AffineReuse> base =
-            cache_->find_containing_affine(net_id, kRelationalTag, result.network_input)) {
-      if (const std::optional<ZonotopeBounds> restricted =
-              restrict_affine_reuse(*base, result.network_input)) {
-        attempted = true;
-        std::vector<std::size_t> commands;
-        {
-          NNCS_SPAN("nn.argmin");
-          commands = post_->eval_abstract(*restricted);
-        }
-        if (commands.size() < commands_.size()) {
-          result.commands = std::move(commands);
-          result.network_output = restricted->output_box;
-          cache_->count_hit(/*containment=*/true);
-          cache_->insert(net_id, kRelationalTag, result.network_input,
-                         NnQueryCache::Result{result.commands, result.network_output, nullptr,
-                                              base});
-          validate_commands(result, commands_.size(),
-                            "NeuralController::step_abstract_relational");
-          return result;
-        }
-      }
-    }
-    cache_->count_miss(/*after_reuse_attempt=*/attempted);
-  }
-  // ReLU relaxations allocate fresh symbols from a *copy* of the set's
-  // source: the network-side symbols stay local to this query and can
-  // never collide with symbols the caller keeps threading.
-  NoiseSource scratch = pre_image.noise();
-  ZonotopeBounds bounds;
-  {
-    NNCS_SPAN("nn.zonotope");
-    bounds = zonotope_propagate(net, pre_image.components(), scratch);
-  }
-  NNCS_COUNT("nn.relational_steps", 1);
-  result.network_output = bounds.output_box;
-  {
-    NNCS_SPAN("nn.argmin");
-    result.commands = post_->eval_abstract(bounds);
-  }
-  if (containment && box_valid_inputs(pre_image.components())) {
-    // Only box-valid pre-images are reusable (see AffineReuse); a general
-    // zonotope's hull admits points the propagation never covered.
-    auto reuse = std::make_shared<AffineReuse>();
-    reuse->inputs = pre_image.components();
-    reuse->outputs = bounds.outputs;
-    cache_->insert(net_id, kRelationalTag, result.network_input,
-                   NnQueryCache::Result{result.commands, result.network_output, nullptr,
-                                        std::move(reuse)});
-  }
-  validate_commands(result, commands_.size(), "NeuralController::step_abstract_relational");
-  return result;
 }
 
 }  // namespace nncs

@@ -139,8 +139,9 @@ class Controller {
   /// result must equal `step_abstract_relational(states[i].lift(), ...)`
   /// when `states[i].has_relational()` and `step_abstract(states[i].box(),
   /// ...)` otherwise. The default loops the scalar steps; `NeuralController`
-  /// overrides it to send sibling cells through one SoA kernel sweep per
-  /// network (`nn/kernels.hpp`).
+  /// implements it once, sending sibling cells through one SoA kernel sweep
+  /// per network (`nn/kernels.hpp`), and makes its scalar steps batches of
+  /// one.
   [[nodiscard]] virtual std::vector<AbstractControlStep> step_abstract_batch(
       const std::vector<AbstractState>& states,
       const std::vector<std::size_t>& previous_commands) const;
@@ -171,12 +172,6 @@ class NeuralController final : public Controller {
   /// starts. `NnCacheMode::kOff` removes the cache entirely.
   void configure_cache(const NnCacheConfig& cache);
 
-  /// Share an existing cache instance (e.g. one cache across the
-  /// controllers of several domains — entries are domain-keyed, so mixed
-  /// queries cannot cross-contaminate). Same thread-safety caveat as
-  /// `configure_cache`. Null detaches the cache.
-  void adopt_cache(std::shared_ptr<NnQueryCache> cache) { cache_ = std::move(cache); }
-
   /// The active cache, or nullptr when mode is off.
   [[nodiscard]] const NnQueryCache* query_cache() const { return cache_.get(); }
 
@@ -184,45 +179,40 @@ class NeuralController final : public Controller {
   /// (u_{j+1} = Post(F_{λ(u_j)}(Pre(s_j)))).
   [[nodiscard]] std::size_t step(const Vec& state, std::size_t previous_command) const override;
 
-  /// Abstract control step: sound over-approximation of every command the
-  /// controller can produce from any state in the box.
+  /// Batch of one through `step_abstract_batch`.
   [[nodiscard]] AbstractControlStep step_abstract(const Box& state,
                                                   std::size_t previous_command) const override;
 
-  /// Relational step Pre# ∘ F# ∘ Post# over an affine set: the pre-image
-  /// keeps the state's noise symbols, the zonotope transformer consumes the
-  /// affine forms directly and the argmin post-processor prunes on the
-  /// relational output differences. Never uses exact-match cache replay —
-  /// cache entries are keyed by input *box*, which cannot distinguish two
-  /// zonotopes with the same hull. In containment mode it may soundly reuse
-  /// a cached box-valid propagation covering the pre-image's concretized
-  /// hull (restricted to the hull's symbol sub-ranges), falling back to full
-  /// propagation when the reused bounds prune nothing.
+  /// Batch of one through `step_abstract_batch`: the pre-image keeps the
+  /// state's noise symbols, the zonotope transformer consumes the affine
+  /// forms directly and the argmin post-processor prunes on the relational
+  /// output differences.
   [[nodiscard]] AbstractControlStep step_abstract_relational(
       const AffineSet& state, std::size_t previous_command) const override;
 
-  /// Batched abstract step: Pre# and the cache consult run per state in
-  /// scalar order; remaining misses are grouped by selected network and
-  /// propagated through one batched SoA sweep per network. Box-state misses
-  /// are deduplicated under the cache key's equality; relational states are
-  /// never deduplicated (two zonotopes can share one hull) and always route
-  /// through the batched zonotope transformer regardless of the NN domain,
-  /// exactly like the scalar `step_abstract_relational`. Bit-identical to
-  /// looping the scalar steps — the batched transformers replicate the
-  /// scalar rounding sequence per lane, and a within-batch duplicate replays
-  /// the first propagation just as the memo hit would have in the scalar
-  /// loop (only the informational hit/miss counters can differ).
-  /// Containment-mode caching falls back to the scalar loop: its reuse is
-  /// query-order-dependent (every hit inserts an entry later queries may
-  /// cover), so a batched sweep could not replay the scalar results.
+  /// The one implementation of Pre# → F#_λ(u) → Post#. Pre# runs per state
+  /// (on the affine pre-image for relational states), then the cache is
+  /// consulted per state. Remaining misses are grouped by selected network
+  /// and transformer, equal box inputs are propagated once, and each group
+  /// gets one batched transformer call followed by Post# (and, with a
+  /// cache, the insert). Relational states, and box states under
+  /// `NnDomain::kAffine` (lifted with `AffineSet::from_box`), go through the
+  /// zonotope transformer; other boxes through the symbolic or interval one.
+  /// The batched transformers replicate the scalar rounding sequence per
+  /// lane, so every result is bit-identical to the scalar transformer's.
+  /// Containment reuse is query-order-dependent (a step may insert the
+  /// entry a later query reuses), so with a cache the states run through
+  /// this body one at a time.
   [[nodiscard]] std::vector<AbstractControlStep> step_abstract_batch(
       const std::vector<AbstractState>& states,
       const std::vector<std::size_t>& previous_commands) const override;
 
  private:
-  /// Cache consult: fills commands/network_output on a hit (exact match, or
-  /// — in containment mode — sound reuse of covering symbolic bounds).
-  [[nodiscard]] bool step_from_cache(std::size_t net_id, AbstractControlStep& result) const;
+  /// Containment-mode consult for one query under `tag`: exact replay (box
+  /// queries only), else reuse of a covering entry's payload when it still
+  /// prunes a command. Fills commands/network_output on a hit.
+  [[nodiscard]] bool reuse_cached(std::size_t net_id, NnQueryCache::DomainTag tag,
+                                  AbstractControlStep& result) const;
 
   CommandSet commands_;
   std::vector<Network> networks_;
@@ -231,8 +221,8 @@ class NeuralController final : public Controller {
   std::unique_ptr<Postprocessor> post_;
   NnDomain domain_;
   /// Shared across the analysis threads of a run; mutated from const
-  /// step_abstract (the cache is internally synchronized).
-  std::shared_ptr<NnQueryCache> cache_;
+  /// step_abstract_batch (the cache is internally synchronized).
+  std::unique_ptr<NnQueryCache> cache_;
 };
 
 }  // namespace nncs

@@ -36,18 +36,19 @@ std::size_t entry_bytes(const Box& input, const NnQueryCache::Result& result) {
   std::size_t bytes = 2 * input.dim() * sizeof(Interval);  // entry key + index key
   bytes += result.commands.size() * sizeof(std::size_t);
   bytes += result.output_box.dim() * sizeof(Interval);
-  if (result.symbolic) {
-    const SymbolicBounds& sb = *result.symbolic;
+  if (const auto* symbolic =
+          std::get_if<std::shared_ptr<const SymbolicBounds>>(&result.reuse)) {
+    const SymbolicBounds& sb = **symbolic;
     bytes += sizeof(SymbolicBounds);
     bytes += (sb.input.dim() + sb.output_box.dim()) * sizeof(Interval);
     for (const NeuronBounds& nb : sb.outputs) {
       bytes += sizeof(NeuronBounds);
       bytes += (nb.lower.coeffs.size() + nb.upper.coeffs.size()) * sizeof(double);
     }
-  }
-  if (result.affine) {
+  } else if (const auto* affine =
+                 std::get_if<std::shared_ptr<const AffineReuse>>(&result.reuse)) {
     bytes += sizeof(AffineReuse);
-    for (const auto* forms : {&result.affine->inputs, &result.affine->outputs}) {
+    for (const auto* forms : {&(*affine)->inputs, &(*affine)->outputs}) {
       for (const Affine& form : *forms) {
         bytes += sizeof(Affine) + form.terms().size() * sizeof(form.terms().front());
       }
@@ -62,8 +63,6 @@ const char* to_string(NnCacheMode mode) {
   switch (mode) {
     case NnCacheMode::kOff:
       return "off";
-    case NnCacheMode::kMemo:
-      return "memo";
     case NnCacheMode::kContainment:
       return "containment";
   }
@@ -73,9 +72,6 @@ const char* to_string(NnCacheMode mode) {
 std::optional<NnCacheMode> parse_nn_cache_mode(std::string_view text) {
   if (text == "off") {
     return NnCacheMode::kOff;
-  }
-  if (text == "memo") {
-    return NnCacheMode::kMemo;
   }
   if (text == "containment") {
     return NnCacheMode::kContainment;
@@ -90,8 +86,8 @@ NnCacheConfig nn_cache_config_from_env() {
     if (const auto mode = parse_nn_cache_mode(value)) {
       config.mode = *mode;
     }
-    // Unparsable values keep the memo default — same forgiving handling as
-    // the other NNCS_* environment knobs.
+    // Unparsable values keep the default (off) — same forgiving handling
+    // as the other NNCS_* environment knobs.
   }
   return config;
 }
@@ -135,60 +131,31 @@ std::optional<NnQueryCache::Result> NnQueryCache::find_exact(std::size_t net_id,
   return it->second->result;
 }
 
-std::shared_ptr<const SymbolicBounds> NnQueryCache::find_containing(std::size_t net_id,
-                                                                    DomainTag domain,
-                                                                    const Box& input) {
+NnQueryCache::Reuse NnQueryCache::find_containing(std::size_t net_id, DomainTag domain,
+                                                  const Box& input) {
   NNCS_SPAN("nn.cache.lookup");
   // Containment is not a hash lookup: scan the shard's MRU window for the
   // tightest covering box. Shards are per-key, so a parent's entry lives in
   // a different shard than its child's exact slot would — scan them all.
-  std::shared_ptr<const SymbolicBounds> best;
+  Reuse best;
   double best_volume = 0.0;
   for (Shard& shard : shards_) {
     std::lock_guard lock(shard.mu);
     std::size_t scanned = 0;
     for (const Entry& entry : shard.lru) {
-      if (++scanned > config_.containment_scan) {
+      if (++scanned > kContainmentWindow) {
         break;
       }
-      if (entry.key.net_id != net_id || entry.key.domain != domain || !entry.result.symbolic) {
+      if (entry.key.net_id != net_id || entry.key.domain != domain ||
+          std::holds_alternative<std::monostate>(entry.result.reuse)) {
         continue;
       }
       if (!entry.key.input.contains(input)) {
         continue;
       }
       const double volume = entry.key.input.volume();
-      if (!best || volume < best_volume) {
-        best = entry.result.symbolic;
-        best_volume = volume;
-      }
-    }
-  }
-  return best;
-}
-
-std::shared_ptr<const AffineReuse> NnQueryCache::find_containing_affine(std::size_t net_id,
-                                                                        DomainTag domain,
-                                                                        const Box& input) {
-  NNCS_SPAN("nn.cache.lookup");
-  std::shared_ptr<const AffineReuse> best;
-  double best_volume = 0.0;
-  for (Shard& shard : shards_) {
-    std::lock_guard lock(shard.mu);
-    std::size_t scanned = 0;
-    for (const Entry& entry : shard.lru) {
-      if (++scanned > config_.containment_scan) {
-        break;
-      }
-      if (entry.key.net_id != net_id || entry.key.domain != domain || !entry.result.affine) {
-        continue;
-      }
-      if (!entry.key.input.contains(input)) {
-        continue;
-      }
-      const double volume = entry.key.input.volume();
-      if (!best || volume < best_volume) {
-        best = entry.result.affine;
+      if (std::holds_alternative<std::monostate>(best) || volume < best_volume) {
+        best = entry.result.reuse;
         best_volume = volume;
       }
     }

@@ -10,6 +10,7 @@
 #include <optional>
 #include <string_view>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "interval/affine.hpp"
@@ -23,39 +24,27 @@ namespace nncs {
 enum class NnCacheMode {
   /// No cache: every abstract controller step propagates from scratch.
   kOff,
-  /// Exact-match memoization on (network id, input box). A hit replays the
-  /// result a cacheless run would have computed bit-for-bit, so canonical
-  /// (`strip_timing`) verification reports stay byte-identical to
-  /// `kOff` runs. Within one engine run exact repeats are rare (sibling
-  /// cells query *different* networks through the selector, and bisection
-  /// produces fresh boxes); memo pays off when the same partition is
-  /// analyzed repeatedly in one process (resume, re-verification, benches).
-  kMemo,
-  /// Memo plus containment reuse: a cached entry whose input box contains
-  /// the query box is re-concretized on the tighter query box. For the
-  /// symbolic domain the cached `SymbolicBounds` are re-evaluated on the
-  /// query box; for the affine/zonotope domain a cached box-valid
-  /// propagation (`AffineReuse`) is restricted to the query box's
-  /// noise-symbol sub-ranges. Sound — bounds valid on B ⊇ B' are valid on
-  /// B' — but wider than fresh propagation, so enclosures (and therefore
-  /// reports) may differ from `kOff`.
+  /// Exact-match replay on (network id, input box) plus containment reuse:
+  /// a cached entry whose input box contains the query box is
+  /// re-concretized on the tighter query box. For the symbolic domain the
+  /// cached `SymbolicBounds` are re-evaluated on the query box; for the
+  /// affine/zonotope domain a cached box-valid propagation (`AffineReuse`)
+  /// is restricted to the query box's noise-symbol sub-ranges. Sound —
+  /// bounds valid on B ⊇ B' are valid on B' — but wider than fresh
+  /// propagation, so enclosures (and therefore reports) may differ from
+  /// `kOff`.
   kContainment,
 };
 
 [[nodiscard]] const char* to_string(NnCacheMode mode);
 
-/// Parse "off" / "memo" / "containment"; nullopt on anything else.
+/// Parse "off" / "containment"; nullopt on anything else.
 [[nodiscard]] std::optional<NnCacheMode> parse_nn_cache_mode(std::string_view text);
 
 struct NnCacheConfig {
-  NnCacheMode mode = NnCacheMode::kMemo;
+  NnCacheMode mode = NnCacheMode::kOff;
   /// LRU bound on the total number of cached queries (split across shards).
   std::size_t max_entries = std::size_t{1} << 16;
-  /// Most-recently-used entries examined per containment lookup. Bounds the
-  /// linear scan — containment is a range query an exact-match hash map
-  /// cannot answer, and recency correlates with containment (children are
-  /// analyzed soon after the parent whose box covers theirs).
-  std::size_t containment_scan = 64;
 
   [[nodiscard]] bool enabled() const {
     return mode != NnCacheMode::kOff && max_entries > 0;
@@ -63,7 +52,7 @@ struct NnCacheConfig {
 };
 
 /// Cache config from the `NNCS_NN_CACHE` environment variable
-/// ("off" / "memo" / "containment"; unset or unparsable → memo default).
+/// ("off" / "containment"; unset or unparsable → off).
 [[nodiscard]] NnCacheConfig nn_cache_config_from_env();
 
 /// Cached affine-arithmetic propagation, retained so containment mode can
@@ -81,19 +70,18 @@ struct AffineReuse {
   std::vector<Affine> outputs;
 };
 
-/// Sharded, thread-safe, LRU-bounded memo of abstract NN controller-step
-/// results, keyed by (network id, abstract domain, pre-processed input
-/// box). One instance is shared by every thread analyzing cells of one
-/// verification run (it hangs off the `NeuralController`), so reuse crosses
-/// cell and thread boundaries. The domain tag keeps mixed-domain sharing
-/// sound: an interval-domain result replayed for a symbolic-domain query
-/// (or vice versa) would silently substitute one transformer's enclosure
-/// for another's. Relational (affine-input) queries never use exact-match
-/// replay — a box key cannot distinguish two zonotopes with the same hull —
-/// and their entries live under a dedicated domain tag so box queries can
-/// never replay them either; in containment mode they participate through
-/// `find_containing_affine` on the concretized hull, which is sound because
-/// the query zonotope is contained in its hull.
+/// Sharded, thread-safe, LRU-bounded store of abstract NN controller-step
+/// results, keyed by (network id, domain tag, pre-processed input box). One
+/// instance is shared by every thread analyzing cells of one verification
+/// run (it hangs off the `NeuralController`), so reuse crosses cell and
+/// thread boundaries. The domain tag keeps entries of different transformers
+/// apart: an interval-domain result replayed for a symbolic-domain query (or
+/// vice versa) would silently substitute one transformer's enclosure for
+/// another's. Relational (affine-input) queries live under a dedicated tag
+/// and never use exact-match replay — a box key cannot distinguish two
+/// zonotopes with the same hull — but reuse covering entries through
+/// `find_containing` on the concretized hull, which is sound because the
+/// query zonotope is contained in its hull.
 ///
 /// Box keys hash their bounds' bit patterns with -0.0 canonicalized to 0.0,
 /// matching `Box::operator==` (which compares doubles, so -0.0 == 0.0).
@@ -102,17 +90,17 @@ class NnQueryCache {
   /// Opaque domain tag mixed into the key (callers pass their NnDomain
   /// enumerator value; the cache only needs distinctness).
   using DomainTag = std::uint8_t;
+  /// What containment reuse re-concretizes on a tighter box: the affine
+  /// bounds of a symbolic-domain propagation or a box-valid zonotope
+  /// propagation. Empty for entries only exact replay can use.
+  using Reuse = std::variant<std::monostate, std::shared_ptr<const SymbolicBounds>,
+                             std::shared_ptr<const AffineReuse>>;
   /// One cached abstract step: the pruned command set and output enclosure,
-  /// plus — for symbolic-domain entries — the affine bounds themselves so
-  /// containment mode can re-concretize them on tighter boxes.
+  /// plus the reuse payload.
   struct Result {
     std::vector<std::size_t> commands;
     Box output_box;
-    std::shared_ptr<const SymbolicBounds> symbolic;
-    /// Box-valid affine propagation for zonotope-domain containment reuse;
-    /// null outside containment mode (or when the inputs were not
-    /// box-valid).
-    std::shared_ptr<const AffineReuse> affine;
+    Reuse reuse;
   };
 
   struct Stats {
@@ -131,6 +119,13 @@ class NnQueryCache {
     }
   };
 
+  /// Most-recently-used entries of each shard examined per containment
+  /// lookup. Bounds the linear scan — containment is a range query an
+  /// exact-match hash map cannot answer, and recency correlates with
+  /// containment (children are analyzed soon after the parent whose box
+  /// covers theirs).
+  static constexpr std::size_t kContainmentWindow = 64;
+
   explicit NnQueryCache(NnCacheConfig config = {});
   ~NnQueryCache();
 
@@ -146,21 +141,13 @@ class NnQueryCache {
   [[nodiscard]] std::optional<Result> find_exact(std::size_t net_id, DomainTag domain,
                                                  const Box& input);
 
-  /// Tightest cached entry of the same domain carrying symbolic bounds
-  /// (within the containment_scan MRU window of each shard) whose input box
-  /// contains `input`; null when none.
-  [[nodiscard]] std::shared_ptr<const SymbolicBounds> find_containing(std::size_t net_id,
-                                                                      DomainTag domain,
-                                                                      const Box& input);
-
-  /// Affine-domain analogue of `find_containing`: tightest cached entry of
-  /// the same domain carrying an `AffineReuse` payload whose input box
-  /// contains `input`. The caller still has to verify the payload's
-  /// *represented* set covers the query (the key box is the outward-rounded
-  /// hull, which can be strictly wider) before restricting it.
-  [[nodiscard]] std::shared_ptr<const AffineReuse> find_containing_affine(std::size_t net_id,
-                                                                          DomainTag domain,
-                                                                          const Box& input);
+  /// Reuse payload of the tightest cached entry of the same network and
+  /// domain (within the kContainmentWindow MRU window of each shard) whose
+  /// input box contains `input`; empty when none carries one. For an
+  /// `AffineReuse` the caller still has to verify the payload's represented
+  /// set covers the query (the key box is the outward-rounded hull, which
+  /// can be strictly wider) before restricting it.
+  [[nodiscard]] Reuse find_containing(std::size_t net_id, DomainTag domain, const Box& input);
 
   /// Insert (or refresh) an entry; evicts least-recently-used entries past
   /// `max_entries`.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -171,13 +172,12 @@ void relu_stage(kern::AffineFormBatch& cur, std::vector<LaneSymbols>& lanes_sym)
   }
 }
 
-/// Propagate one chunk (<= kern::kMaxLanes lanes). `lane_forms[l]` are lane
-/// l's input forms, `lane_counts[l]` its NoiseSource position.
+/// Propagate one chunk (<= kern::kMaxLanes lanes): lane l starts from
+/// `sets[l]`'s forms at its NoiseSource position.
 std::vector<ZonotopeBounds> propagate_chunk(const Network& net,
-                                            const std::vector<std::vector<Affine>>& lane_forms,
-                                            const std::vector<std::uint32_t>& lane_counts,
+                                            std::span<const AffineSet* const> sets,
                                             kern::Isa isa) {
-  const std::size_t lanes = lane_forms.size();
+  const std::size_t lanes = sets.size();
   const std::size_t in_dim = net.input_dim();
   NNCS_SPAN_TAGGED("nn.zonotope_prop", "lanes", static_cast<std::int64_t>(lanes));
 
@@ -186,7 +186,7 @@ std::vector<ZonotopeBounds> propagate_chunk(const Network& net,
   std::size_t n_slots = 0;
   for (std::size_t l = 0; l < lanes; ++l) {
     std::vector<std::uint32_t> ids;
-    for (const Affine& form : lane_forms[l]) {
+    for (const Affine& form : sets[l]->components()) {
       for (const auto& term : form.terms()) {
         ids.push_back(term.first);
       }
@@ -194,7 +194,7 @@ std::vector<ZonotopeBounds> propagate_chunk(const Network& net,
     std::sort(ids.begin(), ids.end());
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
     lanes_sym[l].slot_ids = std::move(ids);
-    lanes_sym[l].next_fresh = lane_counts[l];
+    lanes_sym[l].next_fresh = sets[l]->noise().count();
     n_slots = std::max(n_slots, lanes_sym[l].slot_ids.size());
   }
   for (auto& lane : lanes_sym) {
@@ -221,7 +221,7 @@ std::vector<ZonotopeBounds> propagate_chunk(const Network& net,
   cur.n_slots = n_slots;
   for (std::size_t l = 0; l < lanes; ++l) {
     for (std::size_t d = 0; d < in_dim; ++d) {
-      scatter_lane(cur, d, l, lanes_sym[l], lane_forms[l][d]);
+      scatter_lane(cur, d, l, lanes_sym[l], (*sets[l])[d]);
     }
   }
 
@@ -250,83 +250,35 @@ std::vector<ZonotopeBounds> propagate_chunk(const Network& net,
   return results;
 }
 
-std::vector<ZonotopeBounds> propagate_batch_impl(
-    const Network& net, std::vector<std::vector<Affine>> lane_forms,
-    std::vector<std::uint32_t> lane_counts, kern::Isa isa) {
-  if (lane_forms.size() == 1) {
+}  // namespace
+
+std::vector<ZonotopeBounds> zonotope_propagate_batch(
+    const Network& net, const std::vector<const AffineSet*>& inputs, kern::Isa isa) {
+  for (const AffineSet* set : inputs) {
+    if (set == nullptr || set->dim() != net.input_dim()) {
+      throw std::invalid_argument("zonotope_propagate: input dimension mismatch");
+    }
+  }
+  std::vector<ZonotopeBounds> results;
+  results.reserve(inputs.size());
+  if (inputs.size() == 1) {
     // Single-lane batches skip the SoA pack/extract entirely: the batched
     // kernels execute the exact scalar op sequence per lane, so the scalar
     // transformer returns bit-identical bounds and the bypass is purely a
     // perf fix for width-1 net groups (e.g. ACAS Xu's per-advisory nets,
     // where a symbolic set rarely holds same-net siblings).
-    NoiseSource source(lane_counts[0]);
-    std::vector<ZonotopeBounds> results;
-    results.push_back(zonotope_propagate(net, std::move(lane_forms[0]), source));
+    NoiseSource source = inputs.front()->noise();
+    results.push_back(zonotope_propagate(net, inputs.front()->components(), source));
     return results;
   }
-  std::vector<ZonotopeBounds> results;
-  results.reserve(lane_forms.size());
-  for (std::size_t begin = 0; begin < lane_forms.size(); begin += kern::kMaxLanes) {
-    const std::size_t end = std::min(begin + kern::kMaxLanes, lane_forms.size());
-    const std::vector<std::vector<Affine>> chunk_forms(
-        std::make_move_iterator(lane_forms.begin() + static_cast<std::ptrdiff_t>(begin)),
-        std::make_move_iterator(lane_forms.begin() + static_cast<std::ptrdiff_t>(end)));
-    const std::vector<std::uint32_t> chunk_counts(
-        lane_counts.begin() + static_cast<std::ptrdiff_t>(begin),
-        lane_counts.begin() + static_cast<std::ptrdiff_t>(end));
-    auto chunk = propagate_chunk(net, chunk_forms, chunk_counts, isa);
-    for (auto& b : chunk) {
-      results.push_back(std::move(b));
+  const std::span<const AffineSet* const> sets(inputs);
+  for (std::size_t begin = 0; begin < sets.size(); begin += kern::kMaxLanes) {
+    const std::size_t lanes = std::min(kern::kMaxLanes, sets.size() - begin);
+    for (ZonotopeBounds& bounds : propagate_chunk(net, sets.subspan(begin, lanes), isa)) {
+      results.push_back(std::move(bounds));
     }
   }
   return results;
-}
-
-}  // namespace
-
-std::vector<ZonotopeBounds> zonotope_propagate_batch(const Network& net,
-                                                     const std::vector<Box>& inputs,
-                                                     kern::Isa isa) {
-  std::vector<std::vector<Affine>> lane_forms;
-  lane_forms.reserve(inputs.size());
-  std::vector<std::uint32_t> lane_counts;
-  lane_counts.reserve(inputs.size());
-  for (const Box& input : inputs) {
-    if (input.dim() != net.input_dim()) {
-      throw std::invalid_argument("zonotope_propagate: input dimension mismatch");
-    }
-    // Exactly the scalar boxed overload's lifting (same code, same source).
-    NoiseSource source;
-    std::vector<Affine> forms;
-    forms.reserve(input.dim());
-    for (std::size_t i = 0; i < input.dim(); ++i) {
-      forms.push_back(Affine::variable(input[i].lo(), input[i].hi(), source));
-    }
-    lane_forms.push_back(std::move(forms));
-    lane_counts.push_back(source.count());
-  }
-  return propagate_batch_impl(net, std::move(lane_forms), std::move(lane_counts), isa);
-}
-
-std::vector<ZonotopeBounds> zonotope_propagate_batch(const Network& net,
-                                                     const std::vector<Box>& inputs) {
-  return zonotope_propagate_batch(net, inputs, kern::active_isa());
-}
-
-std::vector<ZonotopeBounds> zonotope_propagate_batch(
-    const Network& net, const std::vector<const AffineSet*>& inputs, kern::Isa isa) {
-  std::vector<std::vector<Affine>> lane_forms;
-  lane_forms.reserve(inputs.size());
-  std::vector<std::uint32_t> lane_counts;
-  lane_counts.reserve(inputs.size());
-  for (const AffineSet* set : inputs) {
-    if (set == nullptr || set->dim() != net.input_dim()) {
-      throw std::invalid_argument("zonotope_propagate: input dimension mismatch");
-    }
-    lane_forms.push_back(set->components());
-    lane_counts.push_back(set->noise().count());
-  }
-  return propagate_batch_impl(net, std::move(lane_forms), std::move(lane_counts), isa);
 }
 
 std::vector<ZonotopeBounds> zonotope_propagate_batch(

@@ -36,27 +36,22 @@ ZonotopeBounds zonotope_propagate(const Network& net, const Box& input);
 ZonotopeBounds zonotope_propagate(const Network& net, std::vector<Affine> inputs,
                                   NoiseSource& source);
 
-/// Batched boxed transformer: propagate several cells' input boxes through
-/// one lane-minor SoA layer sweep (`kern::AffineFormBatch`). Result i is
-/// bit-identical to `zonotope_propagate(net, inputs[i])` — centers,
-/// coefficients, error terms, noise-symbol ids, and output box alike —
-/// because each lane executes the scalar affine-arithmetic operation
-/// sequence in the scalar order (see `kern::affine_form_layer`), input
-/// lifting and ReLU go through the scalar `Affine` routines per lane, and
-/// per-lane noise-symbol allocation replays the scalar `NoiseSource`.
-/// Batches larger than `kern::kMaxLanes` are chunked internally.
-std::vector<ZonotopeBounds> zonotope_propagate_batch(const Network& net,
-                                                     const std::vector<Box>& inputs);
-std::vector<ZonotopeBounds> zonotope_propagate_batch(const Network& net,
-                                                     const std::vector<Box>& inputs,
-                                                     kern::Isa isa);
-
-/// Batched relational transformer: lane i propagates `inputs[i]`'s affine
-/// forms (preserving their correlations), bit-identical to
+/// Batched transformer: propagate several affine sets through one
+/// lane-minor SoA layer sweep (`kern::AffineFormBatch`). Lane i propagates
+/// `inputs[i]`'s affine forms (preserving their correlations), bit-identical
+/// to
 ///   NoiseSource scratch = inputs[i]->noise();
 ///   zonotope_propagate(net, inputs[i]->components(), scratch)
-/// per lane. Lanes are fully independent — each keeps its own slot -> symbol
-/// map — so sets with different symbol universes batch together.
+/// — centers, coefficients, error terms, noise-symbol ids, and output box
+/// alike — because each lane executes the scalar affine-arithmetic
+/// operation sequence in the scalar order (see `kern::affine_form_layer`),
+/// ReLU goes through the scalar `Affine` routine per lane, and per-lane
+/// noise-symbol allocation replays the scalar `NoiseSource`. A box lifted
+/// with `AffineSet::from_box` therefore gets exactly the boxed
+/// `zonotope_propagate`'s bounds. Lanes are fully independent — each keeps
+/// its own slot -> symbol map — so sets with different symbol universes
+/// batch together. Batches larger than `kern::kMaxLanes` are chunked
+/// internally.
 std::vector<ZonotopeBounds> zonotope_propagate_batch(const Network& net,
                                                      const std::vector<const AffineSet*>& inputs);
 std::vector<ZonotopeBounds> zonotope_propagate_batch(const Network& net,

@@ -303,6 +303,11 @@ struct OpCase {
   bool positive_rhs;  // restrict second operand to positive values
 };
 
+// Without a printer gtest dumps the raw bytes of the parameter, name pointer
+// and padding included, into the listed test name, so the ctest name would
+// change from run to run. Print the case name instead.
+void PrintTo(const OpCase& c, std::ostream* os) { *os << c.name; }
+
 class IntervalContainment : public ::testing::TestWithParam<OpCase> {};
 
 TEST_P(IntervalContainment, RandomSamplesStayInside) {

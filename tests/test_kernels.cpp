@@ -1,8 +1,11 @@
 // Tests for the batched SoA propagation kernels (nn/kernels.hpp): the
 // rounding primitives against their libm references, ISA dispatch parsing,
-// and — the load-bearing property — bit-identity of the batched interval
-// and symbolic transformers against the scalar reference transformers on
-// fuzzed networks, for every compiled back end.
+// and — the load-bearing property — bit-identity of the batched interval,
+// symbolic and zonotope transformers against the scalar reference
+// transformers on fuzzed networks, for every compiled back end. The
+// controller's one batched Pre# → F# → Post# body is checked against an
+// oracle assembled from those scalar transformers, and in containment
+// mode against a loop of single-state calls.
 
 #include <gtest/gtest.h>
 
@@ -284,7 +287,16 @@ TEST(Kernels, ZonotopeBoxBatchBitwiseEqualsScalar) {
       }
       // A within-batch duplicate must not perturb its neighbours' lanes.
       inputs.push_back(inputs.front());
-      const std::vector<ZonotopeBounds> batched = zonotope_propagate_batch(net, inputs, isa);
+      // Boxes enter the batch as `AffineSet::from_box` lifts, which must
+      // reproduce the boxed scalar transformer's own lift exactly.
+      std::vector<AffineSet> lifts;
+      lifts.reserve(inputs.size());
+      std::vector<const AffineSet*> ptrs;
+      for (const Box& input : inputs) {
+        lifts.push_back(AffineSet::from_box(input));
+        ptrs.push_back(&lifts.back());
+      }
+      const std::vector<ZonotopeBounds> batched = zonotope_propagate_batch(net, ptrs, isa);
       ASSERT_EQ(batched.size(), inputs.size());
       for (std::size_t i = 0; i < inputs.size(); ++i) {
         const ZonotopeBounds scalar = zonotope_propagate(net, inputs[i]);
@@ -307,7 +319,8 @@ TEST(Kernels, ZonotopeRelationalBatchBitwiseEqualsScalar) {
       Rng rng(800 + s);
       const std::size_t dim = net.input_dim();
       std::vector<AffineSet> sets;
-      for (int k = 0; k < 15; ++k) {
+      // More sets than kern::kMaxLanes, so the batch spans two chunks.
+      for (std::size_t k = 0; k < kern::kMaxLanes + 6; ++k) {
         // Correlated inputs: lift a box, then mix the dimensions through a
         // random interval linear image so the forms share noise symbols
         // (the shape the integrator hands the controller).
@@ -341,129 +354,251 @@ TEST(Kernels, ZonotopeRelationalBatchBitwiseEqualsScalar) {
 }
 
 // ---------------------------------------------------------------------------
-// Controller-level identity: step_abstract_batch vs a scalar step loop.
+// Controller level: step_abstract_batch against an oracle built from the
+// scalar reference transformers, independent of the controller's own body.
+
+constexpr std::size_t kStateDim = 3;
+constexpr std::size_t kNumCommands = 4;
+// Two networks so the selector actually routes different batch members to
+// different nets (commands 0/1 -> net 0, commands 2/3 -> net 1).
+const std::vector<std::size_t> kSelector = {0, 0, 1, 1};
 
 NeuralController make_controller(NnDomain domain, NnCacheMode cache_mode, std::uint64_t seed) {
-  constexpr std::size_t kStateDim = 3;
-  constexpr std::size_t kNumCommands = 4;
   std::vector<Vec> command_vectors;
   for (std::size_t c = 0; c < kNumCommands; ++c) {
     command_vectors.push_back(Vec{static_cast<double>(c)});
   }
-  // Two networks so the selector actually routes different batch members to
-  // different nets (commands 0/1 -> net 0, commands 2/3 -> net 1).
   std::vector<Network> nets;
   nets.push_back(random_network(seed, {kStateDim, 8, kNumCommands}));
   nets.push_back(random_network(seed + 1, {kStateDim, 8, kNumCommands}));
-  std::vector<std::size_t> selector = {0, 0, 1, 1};
   NnCacheConfig cache;
   cache.mode = cache_mode;
-  return NeuralController(CommandSet{command_vectors}, std::move(nets), std::move(selector),
+  return NeuralController(CommandSet{command_vectors}, std::move(nets), kSelector,
                           std::make_unique<IdentityPre>(kStateDim),
                           std::make_unique<ArgminPost>(), domain, cache);
 }
 
-void expect_batch_matches_scalar(NnDomain domain, NnCacheMode cache_mode) {
-  // Two independent controllers so the scalar loop's cache state cannot
-  // leak into the batched run (and vice versa).
-  const NeuralController scalar_ctrl = make_controller(domain, cache_mode, 900);
-  const NeuralController batch_ctrl = make_controller(domain, cache_mode, 900);
+/// Pre# → F# → Post# for one state from the scalar transformers: the
+/// zonotope transformer on the relational pre-image (with a copied noise
+/// source) or on the `from_box` lift, else the symbolic or interval one.
+AbstractControlStep oracle_step(const NeuralController& ctrl, const AbstractState& state,
+                                std::size_t previous_command) {
+  const IdentityPre pre(kStateDim);
+  const ArgminPost post;
+  const Network& net = ctrl.networks()[kSelector[previous_command]];
+  AbstractControlStep step;
+  const auto zonotope = [&](const AffineSet& input) {
+    NoiseSource scratch = input.noise();
+    const ZonotopeBounds bounds = zonotope_propagate(net, input.components(), scratch);
+    step.commands = post.eval_abstract(bounds);
+    step.network_output = bounds.output_box;
+  };
+  if (state.has_relational()) {
+    const AffineSet image = pre.eval_abstract(*state.relational());
+    step.network_input = image.concretize();
+    zonotope(image);
+    return step;
+  }
+  step.network_input = pre.eval_abstract(state.box());
+  switch (ctrl.domain()) {
+    case NnDomain::kAffine:
+      zonotope(AffineSet::from_box(step.network_input));
+      break;
+    case NnDomain::kSymbolic: {
+      const SymbolicBounds bounds = symbolic_propagate(net, step.network_input);
+      step.commands = post.eval_abstract(bounds);
+      step.network_output = bounds.output_box;
+      break;
+    }
+    case NnDomain::kInterval:
+      step.network_output = interval_propagate(net, step.network_input);
+      step.commands = post.eval_abstract(step.network_output);
+      break;
+  }
+  return step;
+}
+
+::testing::AssertionResult steps_bitwise_eq(const AbstractControlStep& a,
+                                            const AbstractControlStep& b) {
+  if (a.commands != b.commands) {
+    return ::testing::AssertionFailure() << "command sets differ";
+  }
+  if (auto eq = boxes_bitwise_eq(a.network_input, b.network_input); !eq) {
+    return ::testing::AssertionFailure() << "network input: " << eq.message();
+  }
+  if (auto eq = boxes_bitwise_eq(a.network_output, b.network_output); !eq) {
+    return ::testing::AssertionFailure() << "network output: " << eq.message();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// A correlated relational state: a lifted box mixed through a random
+/// linear image, so the forms share noise symbols (the shape the
+/// integrator hands the controller).
+AbstractState correlated_state(Rng& rng, const Box& box) {
+  IntervalMatrix m(kStateDim, kStateDim);
+  for (std::size_t r = 0; r < kStateDim; ++r) {
+    for (std::size_t c = 0; c < kStateDim; ++c) {
+      m.at(r, c) = Interval{r == c ? 1.0 : rng.uniform(-0.3, 0.3)};
+    }
+  }
+  auto set = std::make_shared<const AffineSet>(AffineSet::from_box(box).linear_image(m));
+  return AbstractState{set->concretize(), set};
+}
+
+/// A box-valid relational state: the plain lift of `box`.
+AbstractState lifted_state(const Box& box) {
+  return AbstractState{box, std::make_shared<const AffineSet>(AffineSet::from_box(box))};
+}
+
+void expect_batch_matches_oracle(NnDomain domain) {
+  const NeuralController ctrl = make_controller(domain, NnCacheMode::kOff, 900);
   Rng rng(901);
-  std::vector<Box> states;
+  std::vector<AbstractState> states;
   std::vector<std::size_t> commands;
   for (int k = 0; k < 13; ++k) {
-    states.push_back(random_box(rng, 3));
+    const Box box = random_box(rng, kStateDim);
+    states.push_back(k % 3 == 2 ? correlated_state(rng, box) : AbstractState{box});
     commands.push_back(static_cast<std::size_t>(rng.uniform_int(0, 3)));
   }
-  // Duplicate state under the same previous command: the scalar loop's memo
-  // hit and the batch's dedup must replay the same result.
+  // Duplicates: a box under the same command (propagated once), the same
+  // box under the other network (never shared across networks), and a
+  // repeated relational state (never deduplicated).
+  states.push_back(states[0]);
+  commands.push_back(commands[0]);
+  states.push_back(states[0]);
+  commands.push_back((commands[0] + 2) % kNumCommands);
   states.push_back(states[2]);
   commands.push_back(commands[2]);
-  const std::vector<AbstractState> abstract_states(states.begin(), states.end());
-  const std::vector<AbstractControlStep> batched =
-      batch_ctrl.step_abstract_batch(abstract_states, commands);
+
+  const std::vector<AbstractControlStep> batched = ctrl.step_abstract_batch(states, commands);
   ASSERT_EQ(batched.size(), states.size());
   for (std::size_t i = 0; i < states.size(); ++i) {
-    const AbstractControlStep scalar = scalar_ctrl.step_abstract(states[i], commands[i]);
-    EXPECT_EQ(batched[i].commands, scalar.commands) << "state " << i;
-    EXPECT_TRUE(boxes_bitwise_eq(batched[i].network_input, scalar.network_input)) << i;
-    EXPECT_TRUE(boxes_bitwise_eq(batched[i].network_output, scalar.network_output)) << i;
+    const AbstractControlStep expected = oracle_step(ctrl, states[i], commands[i]);
+    EXPECT_TRUE(steps_bitwise_eq(batched[i], expected)) << "state " << i;
+    // The scalar entry points are batches of one through the same body.
+    const AbstractControlStep single =
+        states[i].has_relational()
+            ? ctrl.step_abstract_relational(*states[i].relational(), commands[i])
+            : ctrl.step_abstract(states[i].box(), commands[i]);
+    EXPECT_TRUE(steps_bitwise_eq(single, expected)) << "single state " << i;
   }
 }
 
 TEST(ControllerBatch, SymbolicNoCache) {
-  expect_batch_matches_scalar(NnDomain::kSymbolic, NnCacheMode::kOff);
+  // Box states batch through the symbolic SoA kernel.
+  expect_batch_matches_oracle(NnDomain::kSymbolic);
 }
 
-TEST(ControllerBatch, SymbolicMemoCache) {
-  expect_batch_matches_scalar(NnDomain::kSymbolic, NnCacheMode::kMemo);
-}
-
-TEST(ControllerBatch, SymbolicContainmentCacheFallsBackToScalarLoop) {
-  // Containment mode routes through the scalar loop inside the batch call;
-  // results must still match a plain scalar loop on a fresh controller.
-  expect_batch_matches_scalar(NnDomain::kSymbolic, NnCacheMode::kContainment);
-}
-
-TEST(ControllerBatch, IntervalMemoCache) {
-  expect_batch_matches_scalar(NnDomain::kInterval, NnCacheMode::kMemo);
+TEST(ControllerBatch, IntervalNoCache) {
+  // Box states batch through the interval SoA kernel.
+  expect_batch_matches_oracle(NnDomain::kInterval);
 }
 
 TEST(ControllerBatch, AffineDomainNoCache) {
-  // Box states in the affine domain batch through the zonotope SoA kernel
-  // (no scalar fallback remains for this domain).
-  expect_batch_matches_scalar(NnDomain::kAffine, NnCacheMode::kOff);
-}
-
-TEST(ControllerBatch, AffineDomainMemoCache) {
-  expect_batch_matches_scalar(NnDomain::kAffine, NnCacheMode::kMemo);
+  // Box states in the affine domain are lifted and batch through the
+  // zonotope SoA kernel.
+  expect_batch_matches_oracle(NnDomain::kAffine);
 }
 
 TEST(ControllerBatch, RelationalStatesMatchScalarRelationalStep) {
-  // Abstract states carrying relational parts must batch bit-identically to
-  // the scalar relational step — for every NN domain, since relational
-  // queries always route through the zonotope transformer.
+  // Relational states route through the zonotope transformer whatever the
+  // NN domain, next to box states of the domain's own transformer.
   for (const NnDomain domain : {NnDomain::kSymbolic, NnDomain::kAffine, NnDomain::kInterval}) {
-    const NeuralController scalar_ctrl = make_controller(domain, NnCacheMode::kMemo, 920);
-    const NeuralController batch_ctrl = make_controller(domain, NnCacheMode::kMemo, 920);
+    const NeuralController ctrl = make_controller(domain, NnCacheMode::kOff, 920);
     Rng rng(921);
     std::vector<AbstractState> states;
-    std::vector<std::shared_ptr<const AffineSet>> sets;
     std::vector<std::size_t> commands;
     for (int k = 0; k < 9; ++k) {
-      const Box box = random_box(rng, 3);
-      AffineSet set = AffineSet::from_box(box);
-      if (k % 2 == 0) {
-        // Half the states carry genuine correlations (non-diagonal image).
-        IntervalMatrix m(3, 3);
-        for (std::size_t r = 0; r < 3; ++r) {
-          for (std::size_t c = 0; c < 3; ++c) {
-            m.at(r, c) = Interval{r == c ? 1.0 : rng.uniform(-0.3, 0.3)};
-          }
-        }
-        set = set.linear_image(m);
-      }
-      auto shared = std::make_shared<const AffineSet>(std::move(set));
-      states.emplace_back(shared->concretize(), shared);
-      sets.push_back(shared);
+      const Box box = random_box(rng, kStateDim);
+      // Half the states carry genuine correlations, half are plain lifts.
+      states.push_back(k % 2 == 0 ? correlated_state(rng, box) : lifted_state(box));
       commands.push_back(static_cast<std::size_t>(rng.uniform_int(0, 3)));
     }
-    // Interleave a box-only state: mixed batches must keep both paths apart.
-    states.emplace_back(random_box(rng, 3));
-    sets.push_back(nullptr);
+    states.emplace_back(random_box(rng, kStateDim));
     commands.push_back(static_cast<std::size_t>(rng.uniform_int(0, 3)));
-    const std::vector<AbstractControlStep> batched =
-        batch_ctrl.step_abstract_batch(states, commands);
+    const std::vector<AbstractControlStep> batched = ctrl.step_abstract_batch(states, commands);
     ASSERT_EQ(batched.size(), states.size());
     for (std::size_t i = 0; i < states.size(); ++i) {
-      const AbstractControlStep scalar =
-          sets[i] ? scalar_ctrl.step_abstract_relational(*sets[i], commands[i])
-                  : scalar_ctrl.step_abstract(states[i].box(), commands[i]);
-      EXPECT_EQ(batched[i].commands, scalar.commands) << "state " << i;
-      EXPECT_TRUE(boxes_bitwise_eq(batched[i].network_input, scalar.network_input)) << i;
-      EXPECT_TRUE(boxes_bitwise_eq(batched[i].network_output, scalar.network_output)) << i;
+      EXPECT_TRUE(steps_bitwise_eq(batched[i], oracle_step(ctrl, states[i], commands[i])))
+          << "domain " << static_cast<int>(domain) << " state " << i;
     }
   }
+}
+
+/// A random box inside `outer`.
+Box random_sub_box(Rng& rng, const Box& outer) {
+  std::vector<Interval> dims;
+  for (std::size_t d = 0; d < outer.dim(); ++d) {
+    const double a = rng.uniform(outer[d].lo(), outer[d].hi());
+    const double b = rng.uniform(outer[d].lo(), outer[d].hi());
+    dims.emplace_back(std::min(a, b), std::max(a, b));
+  }
+  return Box{std::move(dims)};
+}
+
+/// Containment mode runs the body one state at a time, so a batch must
+/// replay a loop of single-state calls on a fresh controller exactly:
+/// results and cache statistics alike.
+void expect_containment_batch_matches_loop(NnDomain domain) {
+  const NeuralController batch_ctrl = make_controller(domain, NnCacheMode::kContainment, 930);
+  const NeuralController loop_ctrl = make_controller(domain, NnCacheMode::kContainment, 930);
+  Rng rng(931);
+  std::vector<AbstractState> states;
+  std::vector<std::size_t> commands;
+  const auto add = [&](AbstractState state, std::size_t command) {
+    states.push_back(std::move(state));
+    commands.push_back(command);
+  };
+  for (int k = 0; k < 4; ++k) {
+    // A parent as a box and as a box-valid relational state, children of
+    // both kinds (containment reuse or its fallback), and an exact repeat.
+    const Box parent = random_box(rng, kStateDim);
+    const auto command = static_cast<std::size_t>(rng.uniform_int(0, 3));
+    add(AbstractState{parent}, command);
+    add(lifted_state(parent), command);
+    for (int c = 0; c < 3; ++c) {
+      const Box child = random_sub_box(rng, parent);
+      add(AbstractState{child}, command);
+      add(lifted_state(child), command);
+    }
+    add(correlated_state(rng, random_sub_box(rng, parent)), command);
+    add(AbstractState{parent}, command);
+  }
+  const std::vector<AbstractControlStep> batched =
+      batch_ctrl.step_abstract_batch(states, commands);
+  ASSERT_EQ(batched.size(), states.size());
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    const AbstractControlStep single =
+        states[i].has_relational()
+            ? loop_ctrl.step_abstract_relational(*states[i].relational(), commands[i])
+            : loop_ctrl.step_abstract(states[i].box(), commands[i]);
+    EXPECT_TRUE(steps_bitwise_eq(batched[i], single)) << "state " << i;
+  }
+  ASSERT_NE(batch_ctrl.query_cache(), nullptr);
+  ASSERT_NE(loop_ctrl.query_cache(), nullptr);
+  const NnQueryCache::Stats batch = batch_ctrl.query_cache()->stats();
+  const NnQueryCache::Stats loop = loop_ctrl.query_cache()->stats();
+  EXPECT_EQ(batch.hits, loop.hits);
+  EXPECT_EQ(batch.misses, loop.misses);
+  EXPECT_EQ(batch.containment_hits, loop.containment_hits);
+  EXPECT_EQ(batch.reuse_fallbacks, loop.reuse_fallbacks);
+  EXPECT_EQ(batch.lookups(), states.size());
+  EXPECT_GT(batch.hits - batch.containment_hits, 0U) << "exact repeats must replay";
+  EXPECT_GT(batch.containment_hits + batch.reuse_fallbacks, 0U)
+      << "relational children must attempt reuse of their lifted parents";
+}
+
+TEST(ControllerBatch, SymbolicContainmentCacheFallsBackToScalarLoop) {
+  expect_containment_batch_matches_loop(NnDomain::kSymbolic);
+}
+
+TEST(ControllerBatch, AffineContainmentCacheMatchesSingleStateLoop) {
+  expect_containment_batch_matches_loop(NnDomain::kAffine);
+}
+
+TEST(ControllerBatch, IntervalContainmentCacheMatchesSingleStateLoop) {
+  expect_containment_batch_matches_loop(NnDomain::kInterval);
 }
 
 TEST(ControllerBatch, BaseDefaultLoopsScalarStep) {
@@ -472,7 +607,7 @@ TEST(ControllerBatch, BaseDefaultLoopsScalarStep) {
   std::vector<Box> states;
   std::vector<std::size_t> commands;
   for (int k = 0; k < 5; ++k) {
-    states.push_back(random_box(rng, 3));
+    states.push_back(random_box(rng, kStateDim));
     commands.push_back(static_cast<std::size_t>(rng.uniform_int(0, 3)));
   }
   // Call the base-class default explicitly through a Controller reference

@@ -198,6 +198,10 @@ struct SoundnessCase {
   int field;                  // 0=decay 1=osc 2=dblint 3=sine
 };
 
+// Printed as the case name so the listed test name holds no pointer bytes
+// (see PrintTo(OpCase) in test_interval.cpp).
+void PrintTo(const SoundnessCase& c, std::ostream* os) { *os << c.name; }
+
 class FlowpipeSoundness : public ::testing::TestWithParam<SoundnessCase> {};
 
 TEST_P(FlowpipeSoundness, ConcreteTrajectoriesStayInside) {

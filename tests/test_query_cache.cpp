@@ -1,20 +1,19 @@
-// Tests for the NN query cache: exact-match memoization (replay-identical
-// results, LRU bounds, -0.0/0.0 key canonicalization), containment reuse
-// soundness, cache statistics, thread-safety under a concurrent hammer, and
-// the end-to-end guarantee that memo mode leaves canonical verification
-// reports byte-identical to cacheless runs.
+// Tests for the NN query cache: exact-match replay (replay-identical
+// results, LRU bounds, -0.0/0.0 key canonicalization), the containment scan
+// over both reuse payloads, containment reuse soundness, cache statistics,
+// thread-safety under a concurrent hammer, and containment-mode engine runs
+// that stay sound.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <sstream>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "closed_loop_fixtures.hpp"
 #include "core/engine.hpp"
-#include "core/report_io.hpp"
 #include "interval/affine_set.hpp"
 #include "nn/query_cache.hpp"
 #include "util/rng.hpp"
@@ -26,17 +25,19 @@ using testing_fixtures::braking_plant;
 using testing_fixtures::threshold_controller;
 
 NnQueryCache::Result make_result(std::vector<std::size_t> commands, const Box& output,
-                                 std::shared_ptr<const SymbolicBounds> symbolic = nullptr) {
-  return NnQueryCache::Result{std::move(commands), output, std::move(symbolic)};
+                                 NnQueryCache::Reuse reuse = {}) {
+  return NnQueryCache::Result{std::move(commands), output, std::move(reuse)};
 }
 
 TEST(QueryCache, ModeNamesRoundTrip) {
-  for (const NnCacheMode mode :
-       {NnCacheMode::kOff, NnCacheMode::kMemo, NnCacheMode::kContainment}) {
+  for (const NnCacheMode mode : {NnCacheMode::kOff, NnCacheMode::kContainment}) {
     EXPECT_EQ(parse_nn_cache_mode(to_string(mode)), mode);
   }
   EXPECT_FALSE(parse_nn_cache_mode("bogus").has_value());
   EXPECT_FALSE(parse_nn_cache_mode("").has_value());
+  // The retired exact-match-only mode is an unknown value like any other.
+  EXPECT_FALSE(parse_nn_cache_mode("memo").has_value());
+  EXPECT_EQ(NnCacheConfig{}.mode, NnCacheMode::kOff);
 }
 
 TEST(QueryCache, ExactFindReturnsInsertedResult) {
@@ -105,7 +106,7 @@ TEST(QueryCache, FindContainingPrefersTightestCoveringBox) {
   const auto bounds_for = [](const Box& box) {
     auto sb = std::make_shared<SymbolicBounds>();
     sb->input = box;
-    return sb;
+    return NnQueryCache::Reuse{std::shared_ptr<const SymbolicBounds>(std::move(sb))};
   };
   const Box wide{Interval{-10.0, 10.0}};
   const Box tight{Interval{-1.0, 1.0}};
@@ -113,18 +114,36 @@ TEST(QueryCache, FindContainingPrefersTightestCoveringBox) {
   cache.insert(0, 0, wide, make_result({0}, Box{Interval{0.0}}, bounds_for(wide)));
   cache.insert(0, 0, tight, make_result({0}, Box{Interval{0.0}}, bounds_for(tight)));
   cache.insert(0, 0, disjoint, make_result({0}, Box{Interval{0.0}}, bounds_for(disjoint)));
-  // Interval/zonotope entries (no symbolic payload) must never be reused.
+  // Entries without a reuse payload (interval domain) are never reused.
   cache.insert(0, 0, Box{Interval{-20.0, 20.0}}, make_result({0}, Box{Interval{0.0}}));
 
-  const auto found = cache.find_containing(0, 0, Box{Interval{-0.5, 0.5}});
-  ASSERT_NE(found, nullptr);
-  EXPECT_EQ(found->input, tight);
+  const Box query{Interval{-0.5, 0.5}};
+  const auto found = cache.find_containing(0, 0, query);
+  const auto* symbolic = std::get_if<std::shared_ptr<const SymbolicBounds>>(&found);
+  ASSERT_NE(symbolic, nullptr);
+  EXPECT_EQ((*symbolic)->input, tight);
+  const auto none = [](const NnQueryCache::Reuse& reuse) {
+    return std::holds_alternative<std::monostate>(reuse);
+  };
   // Other network id: nothing to reuse.
-  EXPECT_EQ(cache.find_containing(1, 0, Box{Interval{-0.5, 0.5}}), nullptr);
+  EXPECT_TRUE(none(cache.find_containing(1, 0, query)));
   // Other domain tag: a covering symbolic entry of domain 0 must not leak.
-  EXPECT_EQ(cache.find_containing(0, 1, Box{Interval{-0.5, 0.5}}), nullptr);
+  EXPECT_TRUE(none(cache.find_containing(0, 1, query)));
   // Query not covered by any entry: no reuse.
-  EXPECT_EQ(cache.find_containing(0, 0, Box{Interval{9.0, 11.0}}), nullptr);
+  EXPECT_TRUE(none(cache.find_containing(0, 0, Box{Interval{9.0, 11.0}})));
+
+  // The same scan serves affine payloads: the tightest covering one wins.
+  const auto affine_for = [](double marker) {
+    auto reuse = std::make_shared<AffineReuse>();
+    reuse->outputs.emplace_back(marker);
+    return NnQueryCache::Reuse{std::shared_ptr<const AffineReuse>(std::move(reuse))};
+  };
+  cache.insert(0, 2, wide, make_result({0}, Box{Interval{0.0}}, affine_for(1.0)));
+  cache.insert(0, 2, tight, make_result({0}, Box{Interval{0.0}}, affine_for(2.0)));
+  const auto found_affine = cache.find_containing(0, 2, query);
+  const auto* affine = std::get_if<std::shared_ptr<const AffineReuse>>(&found_affine);
+  ASSERT_NE(affine, nullptr);
+  EXPECT_EQ((*affine)->outputs.front().center(), 2.0);
 }
 
 TEST(QueryCache, StatsCountHitsMissesAndKinds) {
@@ -162,7 +181,7 @@ TEST(QueryCache, ConcurrentHammerIsConsistent) {
         if (rng.chance(0.5)) {
           // The written payload encodes (net, domain); a hit that crossed
           // either boundary would fail the assertions below.
-          cache.insert(net, tag, box, NnQueryCache::Result{{net * 4 + tag}, box, nullptr});
+          cache.insert(net, tag, box, NnQueryCache::Result{{net * 4 + tag}, box, {}});
         } else if (const auto hit = cache.find_exact(net, tag, box)) {
           observed_hits.fetch_add(1);
           ASSERT_EQ(hit->commands, std::vector<std::size_t>{net * 4 + tag});
@@ -211,24 +230,12 @@ struct CacheLoopSetup {
     }
     return set;
   }
-
-  std::string canonical_run(NnCacheMode mode) const {
-    NnCacheConfig cache;
-    cache.mode = mode;
-    ctrl->configure_cache(cache);
-    const VerificationEngine engine(system, error, target);
-    VerifyReport report = engine.run(cells(), config()).report;
-    strip_timing(report);
-    std::ostringstream os;
-    save_report(report, os);
-    return os.str();
-  }
 };
 
-TEST(QueryCache, MemoModeStepAbstractReplaysExactResult) {
+TEST(QueryCache, ContainmentModeStepAbstractReplaysExactResult) {
   const auto ctrl = threshold_controller(5.0, -8.0);
   NnCacheConfig cache;
-  cache.mode = NnCacheMode::kMemo;
+  cache.mode = NnCacheMode::kContainment;
   ctrl->configure_cache(cache);
   const Box state{Interval{0.0, 1.0}, Interval{-1.0, 1.0}};
   const AbstractControlStep first = ctrl->step_abstract(state, 0);
@@ -238,9 +245,10 @@ TEST(QueryCache, MemoModeStepAbstractReplaysExactResult) {
   ASSERT_NE(ctrl->query_cache(), nullptr);
   const auto stats = ctrl->query_cache()->stats();
   EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.containment_hits, 0u) << "an equal box replays, it is not re-concretized";
   EXPECT_EQ(stats.misses, 1u);
 
-  // And the memo result matches what a cacheless controller computes.
+  // And the replayed result matches what a cacheless controller computes.
   const auto bare = threshold_controller(5.0, -8.0);
   bare->configure_cache(NnCacheConfig{NnCacheMode::kOff});
   const AbstractControlStep fresh = bare->step_abstract(state, 0);
@@ -367,57 +375,12 @@ TEST(QueryCache, ContainmentRelationalReuseNeverOverPrunes) {
   }
 }
 
-TEST(QueryCache, MixedDomainControllersSharingOneCacheStayIsolated) {
-  // Two controllers over the same networks but different abstract domains
-  // share a single cache via adopt_cache. Domain-keyed entries must keep
-  // each controller's replayed results identical to what a cacheless
-  // controller of the same domain computes — a cross-domain hit would
-  // substitute the interval transformer's enclosure for the symbolic one.
-  const auto symbolic = threshold_controller(5.0, -8.0, NnDomain::kSymbolic);
-  const auto interval = threshold_controller(5.0, -8.0, NnDomain::kInterval);
-  auto shared = std::make_shared<NnQueryCache>(NnCacheConfig{NnCacheMode::kMemo});
-  symbolic->adopt_cache(shared);
-  interval->adopt_cache(shared);
-
-  const auto ref_symbolic = threshold_controller(5.0, -8.0, NnDomain::kSymbolic);
-  const auto ref_interval = threshold_controller(5.0, -8.0, NnDomain::kInterval);
-  ref_symbolic->configure_cache(NnCacheConfig{NnCacheMode::kOff});
-  ref_interval->configure_cache(NnCacheConfig{NnCacheMode::kOff});
-
-  Rng rng(7);
-  for (int i = 0; i < 50; ++i) {
-    const double lo = rng.uniform(0.0, 8.0);
-    const Box state{Interval{lo, lo + rng.uniform(0.1, 2.0)},
-                    Interval{-1.0, rng.uniform(0.0, 1.0)}};
-    // Interleave so each box is queried under both domains, cold and warm.
-    for (int round = 0; round < 2; ++round) {
-      const AbstractControlStep s = symbolic->step_abstract(state, 0);
-      const AbstractControlStep v = interval->step_abstract(state, 0);
-      const AbstractControlStep rs = ref_symbolic->step_abstract(state, 0);
-      const AbstractControlStep rv = ref_interval->step_abstract(state, 0);
-      ASSERT_EQ(s.commands, rs.commands);
-      ASSERT_TRUE(s.network_output == rs.network_output);
-      ASSERT_EQ(v.commands, rv.commands);
-      ASSERT_TRUE(v.network_output == rv.network_output);
-    }
-  }
-  const auto stats = shared->stats();
-  EXPECT_GT(stats.hits, 0u) << "warm rounds should replay from the shared cache";
-}
-
 TEST(QueryCache, OffModeDisablesCacheEntirely) {
   const auto ctrl = threshold_controller(5.0, -8.0);
   ctrl->configure_cache(NnCacheConfig{NnCacheMode::kOff});
   EXPECT_EQ(ctrl->query_cache(), nullptr);
   const Box state{Interval{0.0, 1.0}, Interval{-1.0, 1.0}};
   (void)ctrl->step_abstract(state, 0);  // must not crash without a cache
-}
-
-TEST(QueryCache, MemoEngineRunIsByteIdenticalToOff) {
-  CacheLoopSetup s;
-  const std::string off = s.canonical_run(NnCacheMode::kOff);
-  const std::string memo = s.canonical_run(NnCacheMode::kMemo);
-  EXPECT_EQ(off, memo);
 }
 
 TEST(QueryCache, ContainmentEngineRunKeepsLeafVerdictsSound) {

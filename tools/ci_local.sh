@@ -9,7 +9,8 @@
 # Stages (each skippable):
 #   build-test    Release configure/build + full ctest          (always)
 #   sanitizers    tools/run_sanitizers.sh asan + tsan           (--skip-sanitizers)
-#   perf-gate     bench_canonical vs bench/baselines            (--skip-bench)
+#   perf-gate     bench_canonical vs bench/baselines and        (--skip-bench)
+#                 python3 perfbench/run.py --test
 #   format        clang-format --dry-run on the CI-pinned list  (--skip-format)
 #
 # Stages whose tools are missing (clang-format, sanitizer-capable compiler)
@@ -20,7 +21,7 @@ set -uo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//'
   exit 0
 }
 
@@ -81,6 +82,15 @@ if [ "$run_bench" -eq 1 ]; then
     note "perf-gate OK"
   else
     stage_fail "perf-gate"
+  fi
+  # The end-to-end benchmark's own tests, same command as the CI
+  # perfbench-tests job (builds into .bench_build/ on first use).
+  if ! command -v python3 >/dev/null 2>&1; then
+    note "perf-gate(perfbench tests) SKIPPED (python3 not installed)"
+  elif python3 perfbench/run.py --test; then
+    note "perf-gate(perfbench tests) OK"
+  else
+    stage_fail "perf-gate(perfbench tests)"
   fi
 else
   note "perf-gate SKIPPED (flag)"

@@ -14,8 +14,8 @@
 ///     --m N            validated integration steps M
 ///     --order N        Taylor order of the integrator
 ///     --domain D       nn domain: interval | symbolic | affine (default symbolic)
-///     --nn-cache M     NN query cache: off | memo | containment
-///                      (default from NNCS_NN_CACHE, else memo)
+///     --nn-cache M     NN query cache: off | containment
+///                      (default from NNCS_NN_CACHE, else off)
 ///     --strategy S     refinement: all | widest
 ///     --threads N      worker threads                        (default: hw)
 ///     --nets DIR       network cache directory     (scenario default)

@@ -2,11 +2,13 @@
 # `cmake -P` script (see tools/CMakeLists.txt):
 #
 #   1. --nn-cache off reference run (--canonical-report)
-#   2. --nn-cache memo: exact-match memoization only replays identical
-#      queries, so the canonical report must stay byte-identical; the stats
-#      line must show nonzero lookups (8x4 is the smallest partition whose
-#      cells survive the t=0 error check long enough to query the NN)
-#   3. --nn-cache containment on the larger 8x4 --depth 1 partition:
+#   2. default run (no --nn-cache): the default is off, so the canonical
+#      report must be byte-identical to the reference; the phases line must
+#      show controller time (8x4 is the smallest partition whose cells
+#      survive the t=0 error check long enough to query the NN)
+#   3. --nn-cache memo (the retired exact-match-only mode) is rejected as an
+#      unknown value with the usage exit code 2
+#   4. --nn-cache containment on the larger 8x4 --depth 1 partition:
 #      refinement children are subsets of their parents' boxes, so
 #      containment reuse must actually fire (reuse only counts as a hit when
 #      the re-concretized bounds prune a command) — the stats line on stdout
@@ -41,23 +43,29 @@ if(off_stdout MATCHES "nn-cache")
 endif()
 message(STATUS "off run prints no cache stats line (cache disabled), as expected")
 
-run_cli(0 "nn-cache memo run" memo_stdout ${COMMON} --arcs 8 --headings 4 --depth 0
-  --nn-cache memo --report ${OUT}/memo.csv)
-if(NOT memo_stdout MATCHES "nn-cache \\(memo\\): [0-9]+ hits / ([0-9]+) lookups")
-  message(FATAL_ERROR "memo run printed no cache stats line:\n${memo_stdout}")
+run_cli(0 "nn-cache default run" default_stdout ${COMMON} --arcs 8 --headings 4 --depth 0
+  --report ${OUT}/default.csv)
+if(default_stdout MATCHES "nn-cache")
+  message(FATAL_ERROR "default run printed a cache stats line:\n${default_stdout}")
 endif()
-if(CMAKE_MATCH_1 EQUAL 0)
-  message(FATAL_ERROR "memo run recorded zero cache lookups — the partition "
-                      "never queried the NN, the byte-compare is vacuous:\n${memo_stdout}")
+if(NOT default_stdout MATCHES "phases: [^\n]*controller ([0-9.]+) s")
+  message(FATAL_ERROR "default run printed no phases line:\n${default_stdout}")
 endif()
-message(STATUS "memo run exercised the cache: ${CMAKE_MATCH_1} lookups")
+if(CMAKE_MATCH_1 STREQUAL "0.00")
+  message(FATAL_ERROR "default run spent no time in the controller — the partition "
+                      "never queried the NN, the byte-compare is vacuous:\n${default_stdout}")
+endif()
+message(STATUS "default run queried the NN: controller ${CMAKE_MATCH_1} s")
 
 execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-  ${OUT}/off.csv ${OUT}/memo.csv RESULT_VARIABLE same)
+  ${OUT}/off.csv ${OUT}/default.csv RESULT_VARIABLE same)
 if(NOT same EQUAL 0)
-  message(FATAL_ERROR "canonical report differs between --nn-cache off and memo")
+  message(FATAL_ERROR "canonical report differs between --nn-cache off and the default")
 endif()
-message(STATUS "off vs memo: canonical reports byte-identical")
+message(STATUS "off vs default: canonical reports byte-identical")
+
+run_cli(2 "retired --nn-cache memo is rejected" memo_stdout ${COMMON} --arcs 8 --headings 4
+  --depth 0 --nn-cache memo)
 
 run_cli(0 "nn-cache containment run" cont_stdout ${COMMON} --arcs 8 --headings 4
   --depth 1 --nn-cache containment --report ${OUT}/containment.csv)

@@ -45,7 +45,7 @@ void handle_sigint(int) {
                "usage: %s%s [--arcs N] [--headings N] [--depth N] [--gamma N] [--steps N]\n"
                "          [--m N] [--order N]\n"
                "          [--domain interval|symbolic|affine|box|zonotope]\n"
-               "          [--nn-cache off|memo|containment] [--nn-batch N]\n"
+               "          [--nn-cache off|containment] [--nn-batch N]\n"
                "          [--strategy all|widest] [--threads N] [--nets DIR]\n"
                "          [--report FILE] [--canonical-report] [--time-budget SEC]\n"
                "          [--stop-on-violation] [--checkpoint FILE] [--resume FILE]\n"
