@@ -35,7 +35,6 @@ constexpr int kControlSteps = 10;
 constexpr int kIntegrationSteps = 4;
 constexpr std::size_t kGamma = 5;
 constexpr std::size_t kThreads = 2;
-constexpr std::size_t kNnBatch = 8;
 
 }  // namespace
 
@@ -100,9 +99,6 @@ int main(int argc, char** argv) {
   engine_config.verify.reach.gamma = kGamma;
   engine_config.verify.reach.integrator = &integrator;
   engine_config.verify.reach.nn_cache = system_config.nn_cache;
-  // Pinned (not NNCS_NN_BATCH-derived): batching is bit-identical to scalar
-  // stepping, so this only fixes the performance shape of the workload.
-  engine_config.verify.reach.nn_batch = kNnBatch;
   engine_config.verify.reach.domain = loop_domain;
   engine_config.verify.max_refinement_depth = kDepth;
   engine_config.verify.threads = kThreads;

@@ -16,12 +16,6 @@
 //    that the zonotope path never *adds* refinement work on the original
 //    benchmark (its coverage gains show up at larger scales).
 //
-// Each zonotope workload additionally runs with --nn-batch 1 (scalar
-// relational stepping); its wall rows land under `<scenario>.zonotope_scalar`
-// so the artifact carries the batched-vs-scalar controller-phase delta, and
-// its canonical numbers are asserted equal to the batched leg's (batching is
-// bit-identical, split counts included).
-//
 // Flags: --acas-nets DIR / --pendulum-nets DIR (network cache directories,
 // default the scenarios' relative paths), --artifact-dir DIR.
 
@@ -44,10 +38,9 @@ namespace {
 
 using namespace nncs;
 
-// Single-threaded on purpose: the artifact's wall rows carry the per-phase
-// batched-vs-scalar comparison, and multi-threaded phase attribution sums
-// contended per-cell laps, burying the controller-phase delta in scheduler
-// noise.
+// Single-threaded on purpose: the artifact's wall rows carry per-phase
+// times, and multi-threaded phase attribution sums contended per-cell laps,
+// burying the controller phase in scheduler noise.
 constexpr std::size_t kThreads = 1;
 // Wall rows take the minimum over this many runs of each leg (canonical
 // numbers are asserted identical across them) — min-of-N is the standard
@@ -78,7 +71,7 @@ struct DomainResult {
   double controller_seconds = 0.0;
 };
 
-DomainResult run_workload(const Workload& w, LoopDomain domain, std::size_t nn_batch,
+DomainResult run_workload(const Workload& w, LoopDomain domain,
                           const std::filesystem::path& nets_dir) {
   const scenario::Scenario& scen = scenario::Registry::global().at(w.scenario);
   const scenario::Partition partition = scenario::resolve(scen, w.partition);
@@ -99,7 +92,6 @@ DomainResult run_workload(const Workload& w, LoopDomain domain, std::size_t nn_b
   engine_config.verify.reach.integrator = &integrator;
   engine_config.verify.reach.nn_cache = system_config.nn_cache;
   engine_config.verify.reach.domain = domain;
-  engine_config.verify.reach.nn_batch = nn_batch;
   if (w.control_steps > 0) {
     engine_config.verify.reach.control_steps = w.control_steps;
   }
@@ -136,11 +128,11 @@ const char* to_name(LoopDomain domain) {
 
 /// One artifact leg: kWallReps runs, canonical numbers asserted identical
 /// across them (they are deterministic), wall rows the minimum lap.
-DomainResult run_leg(const Workload& w, LoopDomain domain, std::size_t nn_batch,
+DomainResult run_leg(const Workload& w, LoopDomain domain,
                      const std::filesystem::path& nets_dir) {
-  DomainResult best = run_workload(w, domain, nn_batch, nets_dir);
+  DomainResult best = run_workload(w, domain, nets_dir);
   for (int rep = 1; rep < kWallReps; ++rep) {
-    const DomainResult again = run_workload(w, domain, nn_batch, nets_dir);
+    const DomainResult again = run_workload(w, domain, nets_dir);
     if (again.proved != best.proved || again.leaves != best.leaves ||
         again.coverage_percent != best.coverage_percent ||
         again.cells_refined != best.cells_refined) {
@@ -185,15 +177,12 @@ int main(int argc, char** argv) {
   }
 
   double total_seconds = 0.0;
-  const auto record = [&](const Workload& w, const char* leg, const DomainResult& result,
-                          bool canonical) {
+  const auto record = [&](const Workload& w, const char* leg, const DomainResult& result) {
     const std::string prefix = std::string(w.scenario) + "." + leg + ".";
-    if (canonical) {
-      artifact.canonical_results[prefix + "proved"] = static_cast<double>(result.proved);
-      artifact.canonical_results[prefix + "leaves"] = static_cast<double>(result.leaves);
-      artifact.canonical_results[prefix + "coverage_percent"] = result.coverage_percent;
-      artifact.canonical_counters[prefix + "engine.cells_refined"] = result.cells_refined;
-    }
+    artifact.canonical_results[prefix + "proved"] = static_cast<double>(result.proved);
+    artifact.canonical_results[prefix + "leaves"] = static_cast<double>(result.leaves);
+    artifact.canonical_results[prefix + "coverage_percent"] = result.coverage_percent;
+    artifact.canonical_counters[prefix + "engine.cells_refined"] = result.cells_refined;
     artifact.wall_results[prefix + "seconds"] = result.seconds;
     artifact.wall_results[prefix + "controller_s"] = result.controller_seconds;
     total_seconds += result.seconds;
@@ -203,45 +192,17 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(result.cells_refined), result.seconds,
                 result.controller_seconds);
   };
-  constexpr std::size_t kNnBatch = 8;
   for (const Workload& w : kWorkloads) {
     for (const LoopDomain domain : {LoopDomain::kBox, LoopDomain::kZonotope}) {
       DomainResult result;
       try {
-        result = run_leg(w, domain, kNnBatch, nets_dirs[w.scenario]);
+        result = run_leg(w, domain, nets_dirs[w.scenario]);
       } catch (const std::exception& e) {
         std::fprintf(stderr, "[bench-domain] %s/%s failed: %s\n", w.scenario, to_name(domain),
                      e.what());
         return 1;
       }
-      record(w, to_name(domain), result, /*canonical=*/true);
-      if (domain == LoopDomain::kZonotope) {
-        // Scalar relational stepping (--nn-batch 1): the reference the SoA
-        // zonotope kernels are measured against. Wall rows only — batching
-        // is bit-identical, so its canonical numbers must equal the batched
-        // leg's, which is enforced right here rather than duplicated into
-        // the artifact.
-        DomainResult scalar;
-        try {
-          scalar = run_leg(w, domain, 1, nets_dirs[w.scenario]);
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "[bench-domain] %s/zonotope-scalar failed: %s\n", w.scenario,
-                       e.what());
-          return 1;
-        }
-        if (scalar.proved != result.proved || scalar.leaves != result.leaves ||
-            scalar.coverage_percent != result.coverage_percent ||
-            scalar.cells_refined != result.cells_refined) {
-          std::fprintf(stderr,
-                       "[bench-domain] %s: batched zonotope run diverged from scalar "
-                       "(proved %zu vs %zu, leaves %zu vs %zu, splits %llu vs %llu)\n",
-                       w.scenario, result.proved, scalar.proved, result.leaves, scalar.leaves,
-                       static_cast<unsigned long long>(result.cells_refined),
-                       static_cast<unsigned long long>(scalar.cells_refined));
-          return 1;
-        }
-        record(w, "zonotope_scalar", scalar, /*canonical=*/false);
-      }
+      record(w, to_name(domain), result);
     }
   }
   artifact.wall_seconds = total_seconds;

@@ -3,8 +3,7 @@
 /// reachability analysis per cell with split refinement, and print the
 /// safe / not-proved map plus the coverage metric. The workload comes from
 /// the registered "acasxu" scenario (src/scenario/acasxu_scenario.cpp); the
-/// full-featured driver for the same runs is `nncs_verify --scenario acasxu`
-/// (or its alias `nncs_acasxu_cli`).
+/// full-featured driver for the same runs is `nncs_verify --scenario acasxu`.
 ///
 /// Usage: acasxu_verify [num_arcs] [num_headings] [max_depth]
 /// The 5 advisory networks are trained on first use and cached in

@@ -86,87 +86,6 @@ void validate(const ClosedLoop& system, const SymbolicSet& initial, const ReachC
   }
 }
 
-/// One state's image over a control period: the boxed flowpipe view (what
-/// error checks and recordings consume in either domain), the abstract
-/// state the controller samples at t = jT, and the abstract state the
-/// successors carry to step j+1. `query`/`successor` are the only values
-/// that differ between loop domains — the unified step body treats them
-/// opaquely.
-struct StepImage {
-  Flowpipe pipe;
-  AbstractState query;
-  AbstractState successor;  ///< meaningful only when pipe.ok
-};
-
-/// Loop-domain policy: the single place the box and zonotope pipelines
-/// differ. One policy is instantiated per analysis, *before* the step loop;
-/// the per-step body itself is domain-free, so every counter, early-return
-/// point and successor ordering is defined exactly once.
-class DomainPolicy {
- public:
-  DomainPolicy(const ClosedLoop& system, const ReachConfig& config)
-      : system_(system), config_(config) {}
-  virtual ~DomainPolicy() = default;
-  [[nodiscard]] virtual StepImage propagate(const SymbolicState& state) const = 0;
-
- protected:
-  const ClosedLoop& system_;
-  const ReachConfig& config_;
-};
-
-/// Boxes everywhere (the paper's Algorithm 3): the controller samples the
-/// interval hull, correlations die at every hand-off.
-class BoxPolicy final : public DomainPolicy {
- public:
-  using DomainPolicy::DomainPolicy;
-
-  [[nodiscard]] StepImage propagate(const SymbolicState& state) const override {
-    StepImage image;
-    image.pipe = simulate(*system_.plant, *config_.integrator, state.box(),
-                          system_.controller->commands()[state.command], system_.period,
-                          config_.integration_steps);
-    image.query = state.abstract;
-    if (image.pipe.ok) {
-      image.successor = AbstractState{image.pipe.end};
-    }
-    return image;
-  }
-};
-
-/// Affine sets end to end: the sampled state is lifted once (reusing the
-/// relational part a previous step threaded through, else re-lifting the
-/// box), the integrator's affine image keeps the step's noise symbols
-/// alive, the controller samples the same lift, and the post-image seeds
-/// the next step alongside its (possibly tighter) boxed view.
-class ZonotopePolicy final : public DomainPolicy {
- public:
-  using DomainPolicy::DomainPolicy;
-
-  [[nodiscard]] StepImage propagate(const SymbolicState& state) const override {
-    StepImage image;
-    auto lift = std::make_shared<AffineSet>(state.abstract.lift());
-    AffineFlowpipe affine_pipe = simulate_affine(
-        *system_.plant, *config_.integrator, *lift,
-        system_.controller->commands()[state.command], system_.period, config_.integration_steps);
-    image.pipe.segments = std::move(affine_pipe.segments);
-    image.pipe.end = affine_pipe.end_box;
-    image.pipe.ok = affine_pipe.ok;
-    image.query = AbstractState{state.box(), std::move(lift)};
-    if (image.pipe.ok) {
-      image.successor = AbstractState{image.pipe.end,
-                                      std::make_shared<AffineSet>(std::move(affine_pipe.end))};
-    }
-    return image;
-  }
-};
-
-std::unique_ptr<DomainPolicy> make_policy(const ClosedLoop& system, const ReachConfig& config) {
-  if (config.domain == LoopDomain::kZonotope) {
-    return std::make_unique<ZonotopePolicy>(system, config);
-  }
-  return std::make_unique<BoxPolicy>(system, config);
-}
-
 }  // namespace
 
 ReachResult reach_analyze(const ClosedLoop& system, const SymbolicSet& initial,
@@ -178,10 +97,7 @@ ReachResult reach_analyze(const ClosedLoop& system, const SymbolicSet& initial,
   ReachResult result;
   PhaseBreakdown& phases = result.stats.phases;
 
-  // The only domain dispatch of the analysis: everything below runs the
-  // same batched three-sweep body through this policy.
-  const std::unique_ptr<DomainPolicy> policy = make_policy(system, config);
-  const std::size_t nn_batch = std::max<std::size_t>(std::size_t{1}, config.nn_batch);
+  const bool zonotope = config.domain == LoopDomain::kZonotope;
 
   SymbolicSet current = initial;
   bool terminated = false;
@@ -221,17 +137,18 @@ ReachResult reach_analyze(const ClosedLoop& system, const SymbolicSet& initial,
     SymbolicSet next;
     std::vector<Flowpipe> step_pipes;
 
-    // The unified per-step body: three ordered sweeps, domain-free (the
-    // policy supplied all domain behavior up front). Sibling cells reach
-    // the controller together so the NN transformer amortizes one SoA
-    // kernel sweep over the batch; every per-state check, counter and
-    // early return fires at the same point in state order as a scalar
+    // One per-step body for both domains: three ordered sweeps. Sibling
+    // cells reach the controller together so the NN transformer amortizes
+    // one SoA kernel sweep over the batch; every per-state check, counter
+    // and early return fires at the same point in state order as a scalar
     // loop would, and the batched controller step is bit-identical to
     // scalar stepping, so results cannot differ.
 
     // Sweep 1: discrete-instant check + validated simulation per state.
-    std::vector<StepImage> images;
-    images.reserve(active.size());
+    std::vector<Flowpipe> pipes;
+    std::vector<AbstractState> queries;
+    pipes.reserve(active.size());
+    queries.reserve(active.size());
     for (const auto& state : active) {
       // Unsound discrete-instant baseline: check E only at t = jT.
       phase_watch.reset();
@@ -246,13 +163,28 @@ ReachResult reach_analyze(const ClosedLoop& system, const SymbolicSet& initial,
         return result;
       }
       phases.check_seconds += phase_watch.lap();
-      // Algorithm 1: validated simulation over one control period. The
-      // boxed flowpipe view is what the error checks and recordings
-      // consume in either domain.
-      StepImage image = policy->propagate(state);
+      // Algorithm 1: validated simulation over one control period, from
+      // the state the controller samples at t = jT. The zonotope domain
+      // lifts it once (reusing the relational part a previous step threaded
+      // through, else re-lifting the box) and simulates that lift, so the
+      // integrator's affine image keeps the step's noise symbols alive. The
+      // boxed flowpipe view is what the error checks and recordings consume
+      // in either domain.
+      const Vec& command = system.controller->commands()[state.command];
+      AbstractState query;
+      Flowpipe pipe;
+      if (zonotope) {
+        query = AbstractState{state.box(), std::make_shared<AffineSet>(state.abstract.lift())};
+        pipe = simulate(*system.plant, *config.integrator, *query.relational(), command,
+                        system.period, config.integration_steps);
+      } else {
+        query = state.abstract;
+        pipe = simulate(*system.plant, *config.integrator, query.box(), command, system.period,
+                        config.integration_steps);
+      }
       phases.simulate_seconds += phase_watch.lap();
       ++result.stats.total_simulations;
-      if (!image.pipe.ok) {
+      if (!pipe.ok) {
         result.outcome = ReachOutcome::kEnclosureFailure;
         result.offending = state;
         result.offending_step = j;
@@ -263,7 +195,7 @@ ReachResult reach_analyze(const ClosedLoop& system, const SymbolicSet& initial,
       // Check every intermediate enclosure against E (the sound mode; this
       // is what makes the analysis valid for all t, not just t = jT).
       if (config.check_intermediate) {
-        for (const Box& segment : image.pipe.segments) {
+        for (const Box& segment : pipe.segments) {
           if (error.possibly_intersects(segment, state.command)) {
             phases.check_seconds += phase_watch.lap();
             result.outcome = ReachOutcome::kErrorReachable;
@@ -276,7 +208,8 @@ ReachResult reach_analyze(const ClosedLoop& system, const SymbolicSet& initial,
         }
       }
       phases.check_seconds += phase_watch.lap();
-      images.push_back(std::move(image));
+      pipes.push_back(std::move(pipe));
+      queries.push_back(std::move(query));
     }
 
     // Sweep 2: abstract controller execution on the *sampled* states at
@@ -289,12 +222,12 @@ ReachResult reach_analyze(const ClosedLoop& system, const SymbolicSet& initial,
     ctrl_steps.reserve(active.size());
     std::vector<AbstractState> batch_states;
     std::vector<std::size_t> batch_commands;
-    for (std::size_t begin = 0; begin < active.size(); begin += nn_batch) {
-      const std::size_t end = std::min(active.size(), begin + nn_batch);
+    for (std::size_t begin = 0; begin < active.size(); begin += ReachConfig::nn_batch) {
+      const std::size_t end = std::min(active.size(), begin + ReachConfig::nn_batch);
       batch_states.clear();
       batch_commands.clear();
       for (std::size_t k = begin; k < end; ++k) {
-        batch_states.push_back(images[k].query);
+        batch_states.push_back(std::move(queries[k]));
         batch_commands.push_back(active[k].command);
       }
       std::vector<AbstractControlStep> chunk =
@@ -305,13 +238,16 @@ ReachResult reach_analyze(const ClosedLoop& system, const SymbolicSet& initial,
     }
     phases.controller_seconds += phase_watch.lap();
 
-    // Sweep 3: successor states and flowpipe recording, in state order.
+    // Sweep 3: successor states and flowpipe recording, in state order. A
+    // zonotope successor carries the post-image alongside its (possibly
+    // tighter) boxed view.
     for (std::size_t k = 0; k < active.size(); ++k) {
+      const AbstractState successor{pipes[k].end, pipes[k].affine_end};
       for (const std::size_t cmd : ctrl_steps[k].commands) {
-        next.push_back(SymbolicState{images[k].successor, cmd});
+        next.push_back(SymbolicState{successor, cmd});
       }
       if (config.record_flowpipes) {
-        step_pipes.push_back(std::move(images[k].pipe));
+        step_pipes.push_back(std::move(pipes[k]));
       }
     }
     if (config.record_flowpipes) {

@@ -70,12 +70,10 @@ struct ReachConfig {
   bool record_flowpipes = false;
   /// Abstract controller steps per batched call, in both loop domains: up
   /// to this many sibling states go to `Controller::step_abstract_batch` in
-  /// one SoA kernel sweep (results are bit-identical to scalar stepping —
-  /// see `NeuralController::step_abstract_batch`; this includes relational
-  /// zonotope queries, which batch through `zonotope_propagate_batch`).
-  /// 1 degenerates to single-state batches; values beyond
-  /// `kern::kMaxLanes` are chunked by the transformers.
-  std::size_t nn_batch = 8;
+  /// one SoA kernel sweep. Results are bit-identical at any width (see
+  /// `NeuralController::step_abstract_batch`), so the width only sets speed;
+  /// on ACAS Xu zonotope runs 8 beat passing the whole active set at once.
+  static constexpr std::size_t nn_batch = 8;
   /// Set representation threaded between integrator and controller.
   /// `kBox` reproduces the original pipeline bit for bit; `kZonotope`
   /// carries affine sets across the loop.

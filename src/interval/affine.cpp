@@ -1,16 +1,14 @@
 #include "interval/affine.hpp"
 
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace nncs {
 
 namespace {
 
-/// Relative slack folded into the error term per coefficient operation
-/// (a few ulps; the term-count scaling happens at the call sites).
-constexpr double kSlack = 4.0 * std::numeric_limits<double>::epsilon();
+// The term-count scaling of the slack happens at the call sites.
+using rnd::kCoeffSlack;
 
 /// Merge two sorted term lists with per-term combiner ka*a + kb*b,
 /// accumulating |result| into `abs_sum` for the rounding slack.
@@ -59,7 +57,7 @@ Affine Affine::variable(double lo, double hi, NoiseSource& source) {
     x.terms_.emplace_back(source.fresh(), rad);
   }
   // Cover the rounding of center/radius: the true interval must stay inside.
-  x.err_ = kSlack * (std::fabs(x.center_) + rad);
+  x.err_ = kCoeffSlack * (std::fabs(x.center_) + rad);
   return x;
 }
 
@@ -78,7 +76,7 @@ double Affine::radius() const {
     r += std::fabs(coeff);
   }
   // One more outward nudge to absorb the summation rounding.
-  return r * (1.0 + kSlack * static_cast<double>(terms_.size() + 1));
+  return r * (1.0 + kCoeffSlack * static_cast<double>(terms_.size() + 1));
 }
 
 Interval Affine::range() const {
@@ -119,7 +117,7 @@ Affine operator+(const Affine& a, const Affine& b) {
   out.center_ = a.center_ + b.center_;
   double abs_sum = std::fabs(out.center_);
   out.terms_ = merge_terms(a.terms_, 1.0, b.terms_, 1.0, abs_sum);
-  out.err_ = a.err_ + b.err_ + kSlack * abs_sum;
+  out.err_ = a.err_ + b.err_ + kCoeffSlack * abs_sum;
   return out;
 }
 
@@ -128,7 +126,7 @@ Affine operator-(const Affine& a, const Affine& b) {
   out.center_ = a.center_ - b.center_;
   double abs_sum = std::fabs(out.center_);
   out.terms_ = merge_terms(a.terms_, 1.0, b.terms_, -1.0, abs_sum);
-  out.err_ = a.err_ + b.err_ + kSlack * abs_sum;
+  out.err_ = a.err_ + b.err_ + kCoeffSlack * abs_sum;
   return out;
 }
 
@@ -147,7 +145,7 @@ Affine operator*(const Affine& a, const Affine& b) {
   const double rad_a = a.radius();
   const double rad_b = b.radius();
   out.err_ = std::fabs(a.center_) * b.err_ + std::fabs(b.center_) * a.err_ +
-             rad_a * rad_b + kSlack * (abs_sum + rad_a * rad_b);
+             rad_a * rad_b + kCoeffSlack * (abs_sum + rad_a * rad_b);
   return out;
 }
 
@@ -163,7 +161,7 @@ Affine operator*(double k, const Affine& a) {
       out.terms_.emplace_back(id, v);
     }
   }
-  out.err_ = std::fabs(k) * a.err_ + kSlack * abs_sum;
+  out.err_ = std::fabs(k) * a.err_ + kCoeffSlack * abs_sum;
   return out;
 }
 
@@ -189,7 +187,7 @@ Affine Affine::relu(NoiseSource& source) const {
   Affine out = lambda * *this;
   out.center_ += mu / 2.0;
   out.terms_.emplace_back(source.fresh(), mu / 2.0);
-  out.err_ += kSlack * (std::fabs(out.center_) + mu);
+  out.err_ += kCoeffSlack * (std::fabs(out.center_) + mu);
   return out;
 }
 

@@ -15,16 +15,6 @@ using rnd::kLibmUlps;
 using rnd::step_down;
 using rnd::step_up;
 
-/// Corner product following the interval-arithmetic convention 0 * inf = 0
-/// (a zero factor annihilates regardless of the other bound).
-double corner_mul(double a, double b) {
-  const double p = a * b;
-  if (std::isnan(p)) {
-    return 0.0;
-  }
-  return p;
-}
-
 /// True if some point `offset + k*period` (k integer) may lie within
 /// [lo - margin, hi + margin]. Used to test whether sin/cos attain an
 /// extremum inside the argument interval; `margin` absorbs the rounding of

@@ -1,6 +1,5 @@
 #include "nn/kernels.hpp"
 
-#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -60,33 +59,6 @@ Isa resolve_isa(const char* env_value, bool cpu_avx2) {
 Isa active_isa() {
   static const Isa isa = resolve_isa(std::getenv("NNCS_NN_SIMD"), cpu_supports_avx2());
   return isa;
-}
-
-double next_up(double x) {
-  // Exact clone of std::nextafter(x, +inf) for non-NaN x: step the
-  // sign-magnitude integer representation by one, with ±0 landing on the
-  // smallest positive subnormal and +inf staying put.
-  if (x == 0.0) {
-    return std::bit_cast<double>(std::uint64_t{1});
-  }
-  const auto bits = std::bit_cast<std::uint64_t>(x);
-  if (bits == 0x7ff0000000000000ULL) {  // +inf
-    return x;
-  }
-  const std::uint64_t stepped = (bits >> 63) == 0 ? bits + 1 : bits - 1;
-  return std::bit_cast<double>(stepped);
-}
-
-double next_down(double x) {
-  if (x == 0.0) {
-    return std::bit_cast<double>(std::uint64_t{0x8000000000000001ULL});
-  }
-  const auto bits = std::bit_cast<std::uint64_t>(x);
-  if (bits == 0xfff0000000000000ULL) {  // -inf
-    return x;
-  }
-  const std::uint64_t stepped = (bits >> 63) == 0 ? bits - 1 : bits + 1;
-  return std::bit_cast<double>(stepped);
 }
 
 void IntervalBatch::resize(std::size_t new_width, std::size_t new_lanes) {

@@ -55,14 +55,6 @@ enum class Isa {
 /// cpu_supports_avx2())`, resolved once on first use.
 [[nodiscard]] Isa active_isa();
 
-/// Exact clones of `std::nextafter(x, +inf)` / `std::nextafter(x, -inf)`
-/// for non-NaN `x` (the Interval invariant excludes NaN bounds), written as
-/// sign-magnitude integer steps so the AVX2 kernels can apply the one-ulp
-/// outward rounding of `rnd::` in vector registers. Fuzzed bit-for-bit
-/// against libm in test_kernels.cpp.
-[[nodiscard]] double next_up(double x);
-[[nodiscard]] double next_down(double x);
-
 /// A batch of interval activation vectors, SoA over the lanes:
 /// `lo[i * lanes + l]` is neuron i's lower bound in cell l.
 struct IntervalBatch {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -13,8 +12,7 @@ namespace nncs {
 
 namespace {
 
-/// A few ulps per coefficient operation, folded into the form's error term.
-constexpr double kCoeffSlack = 4.0 * std::numeric_limits<double>::epsilon();
+using rnd::kCoeffSlack;
 
 /// result += k * form (component-wise on coefficients and constant), with
 /// the rounding of each fused update bounded into result.err.

@@ -1,6 +1,7 @@
 #include "ode/validated_integrator.hpp"
 
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -325,67 +326,71 @@ Box Flowpipe::hull_box() const {
   return acc;
 }
 
-Flowpipe simulate(const Dynamics& f, const ValidatedIntegrator& integrator, const Box& s0,
-                  const Vec& u, double period, int steps) {
+namespace {
+
+/// Algorithm 1's sub-step loop for either start set. `advance(pipe, h)` takes
+/// one validated step of size h from the pipe's current end, appends its
+/// flow segment and moves the end forward; it returns false when the
+/// integrator rejects the step.
+template <class Advance>
+Flowpipe run_substeps(Flowpipe pipe, double period, int steps, Advance advance) {
   if (steps < 1 || period <= 0.0) {
     throw std::invalid_argument("simulate: need steps >= 1 and period > 0");
   }
-  Flowpipe pipe;
   pipe.segments.reserve(static_cast<std::size_t>(steps));
-  Box current = s0;
   // Sub-step boundaries are period*i/steps; consecutive differences are used
   // as step sizes so the durations telescope to `period` up to sub-ulp
   // slack (absorbed into the plant model; see DESIGN.md).
   double t_prev = 0.0;
   for (int i = 1; i <= steps; ++i) {
     const double t_next = i == steps ? period : period * static_cast<double>(i) / steps;
-    const double h = t_next - t_prev;
-    const auto step = integrator.step(f, current, u, h);
+    const bool stepped = advance(pipe, t_next - t_prev);
     NNCS_COUNT("ode.substeps", 1);
-    if (!step) {
+    if (!stepped) {
       // Step-size rejection: no enclosure at this h, the flowpipe aborts.
       NNCS_COUNT("ode.step_rejections", 1);
       pipe.ok = false;
-      pipe.end = current;
       return pipe;
     }
-    pipe.segments.push_back(step->flow);
-    current = step->end;
     t_prev = t_next;
   }
-  pipe.end = current;
   return pipe;
 }
 
-AffineFlowpipe simulate_affine(const Dynamics& f, const ValidatedIntegrator& integrator,
-                               const AffineSet& s0, const Vec& u, double period, int steps) {
-  if (steps < 1 || period <= 0.0) {
-    throw std::invalid_argument("simulate_affine: need steps >= 1 and period > 0");
-  }
-  AffineFlowpipe pipe;
-  pipe.segments.reserve(static_cast<std::size_t>(steps));
-  AffineSet current = s0;
-  // Same sub-step schedule as the boxed `simulate`, but the end set is
-  // threaded through as an affine form — no re-boxing between sub-steps.
-  double t_prev = 0.0;
-  for (int i = 1; i <= steps; ++i) {
-    const double t_next = i == steps ? period : period * static_cast<double>(i) / steps;
-    const double h = t_next - t_prev;
-    auto step = integrator.step_affine(f, current, u, h);
-    NNCS_COUNT("ode.substeps", 1);
+}  // namespace
+
+Flowpipe simulate(const Dynamics& f, const ValidatedIntegrator& integrator, const Box& s0,
+                  const Vec& u, double period, int steps) {
+  Flowpipe start;
+  start.end = s0;
+  return run_substeps(std::move(start), period, steps, [&](Flowpipe& pipe, double h) {
+    auto step = integrator.step(f, pipe.end, u, h);
     if (!step) {
-      NNCS_COUNT("ode.step_rejections", 1);
-      pipe.ok = false;
-      pipe.end = std::move(current);
-      pipe.end_box = pipe.end.concretize();
-      return pipe;
+      return false;
     }
     pipe.segments.push_back(std::move(step->flow));
-    current = std::move(step->end);
-    pipe.end_box = std::move(step->end_box);
-    t_prev = t_next;
-  }
-  pipe.end = std::move(current);
+    pipe.end = std::move(step->end);
+    return true;
+  });
+}
+
+Flowpipe simulate(const Dynamics& f, const ValidatedIntegrator& integrator, const AffineSet& s0,
+                  const Vec& u, double period, int steps) {
+  AffineSet current = s0;
+  Flowpipe start;
+  start.end = s0.concretize();
+  Flowpipe pipe =
+      run_substeps(std::move(start), period, steps, [&](Flowpipe& out, double h) {
+        auto step = integrator.step_affine(f, current, u, h);
+        if (!step) {
+          return false;
+        }
+        out.segments.push_back(std::move(step->flow));
+        out.end = std::move(step->end_box);
+        current = std::move(step->end);
+        return true;
+      });
+  pipe.affine_end = std::make_shared<const AffineSet>(std::move(current));
   return pipe;
 }
 

@@ -125,13 +125,18 @@ class EulerIntegrator final : public ValidatedIntegrator {
 };
 
 /// Flowpipe over one controller period: the output of Algorithm 1
-/// (SIMULATE) — M per-step enclosures plus the end-of-period box.
+/// (SIMULATE) — M per-step enclosures plus the end-of-period set.
 struct Flowpipe {
   /// Per-sub-step boxes: segments[i] encloses s(t) for
   /// t in [i·T/M, (i+1)·T/M].
   std::vector<Box> segments;
-  /// Box enclosing s(T).
+  /// Box enclosing s(T). From an affine start this is the componentwise
+  /// tightened `AffineValidatedStep::end_box` (⊆ the affine end's range).
   Box end;
+  /// Affine set enclosing s(T), threaded from an affine start through every
+  /// sub-step without re-boxing; null for a box start. Shared so the loop
+  /// can hand it to successor states without copying.
+  std::shared_ptr<const AffineSet> affine_end;
   /// False when some validated step failed; the partial flowpipe is then
   /// meaningless for proving safety.
   bool ok = true;
@@ -140,25 +145,14 @@ struct Flowpipe {
   [[nodiscard]] Box hull_box() const;
 };
 
-/// Algorithm 1: propagate the box s0 under constant command u for duration
-/// `period` using M successive validated steps.
+/// Algorithm 1: propagate s0 under constant command u for duration `period`
+/// using M successive validated steps. A box start takes the integrator's
+/// boxed `step`; an affine start takes `step_affine`, so the end set never
+/// re-boxes between sub-steps — this is where the wrapping effect of the
+/// boxed loop dies. Both run the same sub-step schedule and rejection path.
 Flowpipe simulate(const Dynamics& f, const ValidatedIntegrator& integrator, const Box& s0,
                   const Vec& u, double period, int steps);
-
-/// Relational flowpipe: boxed per-sub-step enclosures (for error checks)
-/// plus the affine-form end-of-period set.
-struct AffineFlowpipe {
-  std::vector<Box> segments;
-  AffineSet end;
-  /// Componentwise-tightened box enclosing s(T) (⊆ end.concretize()).
-  Box end_box;
-  bool ok = true;
-};
-
-/// Algorithm 1 over the affine domain: chain M affine validated steps so
-/// the end set never re-boxes between sub-steps — this is where the
-/// wrapping effect of the boxed loop dies.
-AffineFlowpipe simulate_affine(const Dynamics& f, const ValidatedIntegrator& integrator,
-                               const AffineSet& s0, const Vec& u, double period, int steps);
+Flowpipe simulate(const Dynamics& f, const ValidatedIntegrator& integrator, const AffineSet& s0,
+                  const Vec& u, double period, int steps);
 
 }  // namespace nncs

@@ -11,8 +11,8 @@ namespace nncs::scenario {
 /// the collision cylinder until it escapes sensor range. Partition axes are
 /// (bearing arcs, headings per arc); the bin axis is the intruder bearing,
 /// which keeps the figure-bench binning of `acasxu::InitialCell`.
-/// Defaults mirror the historical `nncs_acasxu_cli` flags (32x8 cells,
-/// q=20, M=10, Γ=5, depth 1, split x/y/ψ, nets in ./acasxu_nets_cache).
+/// Defaults: 32x8 cells, q=20, M=10, Γ=5, depth 1, split x/y/ψ, nets in
+/// ./acasxu_nets_cache.
 std::unique_ptr<Scenario> make_acasxu_scenario();
 
 }  // namespace nncs::scenario

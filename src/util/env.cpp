@@ -59,23 +59,6 @@ std::string env_path(const char* name) {
   return raw == nullptr ? std::string{} : std::string{raw};
 }
 
-std::size_t env_nn_batch(std::size_t default_value) {
-  const char* raw = std::getenv("NNCS_NN_BATCH");
-  if (raw == nullptr || raw[0] == '\0') {
-    return default_value;
-  }
-  try {
-    const long v = std::stol(raw);
-    if (v >= 1) {
-      // 64 mirrors kern::kMaxLanes (util cannot include nn/ headers).
-      return std::min<std::size_t>(static_cast<std::size_t>(v), 64);
-    }
-  } catch (const std::exception&) {
-    // fall through to the default
-  }
-  return default_value;
-}
-
 double env_seconds(const char* name, double default_value) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || raw[0] == '\0') {

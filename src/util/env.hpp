@@ -29,10 +29,4 @@ std::string env_path(const char* name);
 /// forgiving handling as env_scale().
 double env_seconds(const char* name, double default_value = 0.0);
 
-/// Abstract-controller batch width from `NNCS_NN_BATCH` (clamped to
-/// [1, 64] — the kernel lane bound): how many sibling cells go through one
-/// SoA NN propagation sweep per control step. 1 disables batching; unset,
-/// empty or unparsable values fall back to `default_value`.
-std::size_t env_nn_batch(std::size_t default_value = 8);
-
 }  // namespace nncs

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <vector>
 
 #include "interval/interval.hpp"
 #include "util/rng.hpp"
@@ -37,6 +41,32 @@ TEST(Interval, RejectsNaNBounds) {
   const double nan = std::nan("");
   EXPECT_THROW(Interval(nan, 1.0), std::invalid_argument);
   EXPECT_THROW(Interval(0.0, nan), std::invalid_argument);
+}
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// The outward-rounding steps work on the bit pattern; they must equal libm's
+// nextafter bit for bit, and NaN must pass through as NaN.
+TEST(Rounding, NextUpDownMatchNextafter) {
+  Rng rng(7);
+  std::vector<double> samples = {0.0,     -0.0,     DBL_MIN,      -DBL_MIN,
+                                 DBL_MAX, -DBL_MAX, DBL_TRUE_MIN, -DBL_TRUE_MIN,
+                                 1.0,     -1.0,     rnd::kInf,    -rnd::kInf};
+  for (int i = 0; i < 5000; ++i) {
+    samples.push_back(rng.uniform(-1e9, 1e9) * std::pow(10.0, rng.uniform_int(-30, 30)));
+  }
+  for (const double x : samples) {
+    EXPECT_EQ(bits_of(rnd::next_up(x)), bits_of(std::nextafter(x, rnd::kInf))) << x;
+    EXPECT_EQ(bits_of(rnd::next_down(x)), bits_of(std::nextafter(x, -rnd::kInf))) << x;
+  }
+  // Without the NaN guard, next_up's integer step would turn the first NaN
+  // into -0.0 and the second into -inf.
+  for (const std::uint64_t nan_bits :
+       {0x7fffffffffffffffULL, 0xfff0000000000001ULL, 0x7ff8000000000000ULL}) {
+    const double nan = std::bit_cast<double>(nan_bits);
+    EXPECT_TRUE(std::isnan(rnd::next_up(nan))) << std::hex << nan_bits;
+    EXPECT_TRUE(std::isnan(rnd::next_down(nan))) << std::hex << nan_bits;
+  }
 }
 
 TEST(Interval, EntireContainsEverything) {

@@ -1,6 +1,5 @@
 // Tests for the batched SoA propagation kernels (nn/kernels.hpp): the
-// rounding primitives against their libm references, ISA dispatch parsing,
-// and — the load-bearing property — bit-identity of the batched interval,
+// ISA dispatch parsing and — the load-bearing property — bit-identity of the batched interval,
 // symbolic and zonotope transformers against the scalar reference
 // transformers on fuzzed networks, for every compiled back end. The
 // controller's one batched Pre# → F# → Post# body is checked against an
@@ -10,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -101,31 +99,6 @@ std::vector<kern::Isa> compiled_isas() {
     isas.push_back(kern::Isa::kAvx2);
   }
   return isas;
-}
-
-TEST(Kernels, NextUpDownMatchNextafter) {
-  Rng rng(7);
-  std::vector<double> samples = {0.0,
-                                 -0.0,
-                                 DBL_MIN,
-                                 -DBL_MIN,
-                                 DBL_MAX,
-                                 -DBL_MAX,
-                                 DBL_TRUE_MIN,
-                                 -DBL_TRUE_MIN,
-                                 1.0,
-                                 -1.0,
-                                 std::numeric_limits<double>::infinity(),
-                                 -std::numeric_limits<double>::infinity()};
-  for (int i = 0; i < 5000; ++i) {
-    samples.push_back(rng.uniform(-1e9, 1e9) * std::pow(10.0, rng.uniform_int(-30, 30)));
-  }
-  for (const double x : samples) {
-    const double up = std::nextafter(x, std::numeric_limits<double>::infinity());
-    const double down = std::nextafter(x, -std::numeric_limits<double>::infinity());
-    EXPECT_TRUE(bits_eq(kern::next_up(x), up)) << "next_up(" << x << ")";
-    EXPECT_TRUE(bits_eq(kern::next_down(x), down)) << "next_down(" << x << ")";
-  }
 }
 
 TEST(Kernels, ResolveIsaParsesEnvValues) {

@@ -7,9 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <optional>
+#include <utility>
 
 #include "ode/concrete_integrator.hpp"
 #include "ode/dynamics.hpp"
+#include "obs/metrics.hpp"
 #include "ode/validated_integrator.hpp"
 #include "util/rng.hpp"
 
@@ -166,6 +170,57 @@ TEST(Simulate, InvalidArgumentsThrow) {
                std::invalid_argument);
   EXPECT_THROW(simulate(*f, integrator, Box{Interval{1.0}}, Vec{0.0}, -1.0, 4),
                std::invalid_argument);
+  const AffineSet a0 = AffineSet::from_box(Box{Interval{1.0}});
+  EXPECT_THROW(simulate(*f, integrator, a0, Vec{0.0}, 1.0, 0), std::invalid_argument);
+  EXPECT_THROW(simulate(*f, integrator, a0, Vec{0.0}, -1.0, 4), std::invalid_argument);
+}
+
+/// Taylor steps that stop enclosing after `accepted` calls. The base
+/// class's `step_affine` goes through `step`, so both simulate overloads
+/// see the same rejection.
+class RejectingIntegrator final : public ValidatedIntegrator {
+ public:
+  explicit RejectingIntegrator(int accepted) : accepted_(accepted) {}
+
+  [[nodiscard]] std::optional<ValidatedStep> step(const Dynamics& f, const Box& s0, const Vec& u,
+                                                  double h) const override {
+    if (calls_++ >= accepted_) {
+      return std::nullopt;
+    }
+    return inner_.step(f, s0, u, h);
+  }
+
+ private:
+  TaylorIntegrator inner_;
+  int accepted_;
+  mutable int calls_ = 0;
+};
+
+TEST(Simulate, RejectedStepAbortsEitherStart) {
+  const auto f = make_dynamics(1, 1, DecayField{});
+  const Box s0{Interval{1.0, 1.1}};
+  const auto counts = [] {
+    const obs::MetricsSnapshot snap = obs::Registry::instance().snapshot();
+    return std::pair{snap.counter("ode.substeps"), snap.counter("ode.step_rejections")};
+  };
+  obs::set_enabled(true);
+  const auto before = counts();
+  const Flowpipe boxed = simulate(*f, RejectingIntegrator{1}, s0, Vec{0.0}, 1.0, 4);
+  const auto between = counts();
+  const Flowpipe affine =
+      simulate(*f, RejectingIntegrator{1}, AffineSet::from_box(s0), Vec{0.0}, 1.0, 4);
+  const auto after = counts();
+  obs::set_enabled(false);
+
+  // One accepted sub-step, then the rejected one aborts the pipe.
+  for (const Flowpipe* pipe : {&boxed, &affine}) {
+    EXPECT_FALSE(pipe->ok);
+    EXPECT_EQ(pipe->segments.size(), 1u);
+  }
+  EXPECT_EQ(between.first - before.first, std::uint64_t{2});
+  EXPECT_EQ(between.second - before.second, std::uint64_t{1});
+  EXPECT_EQ(after.first - between.first, std::uint64_t{2});
+  EXPECT_EQ(after.second - between.second, std::uint64_t{1});
 }
 
 TEST(Rk4, MatchesClosedFormDecay) {
@@ -369,23 +424,24 @@ TEST(SimulateAffine, RotationStaysTightWhereBoxingWraps) {
   const int steps = 10;
   const double period = 1.2;
   const Flowpipe boxed = simulate(*f, integrator, s0, u, period, steps);
-  const AffineFlowpipe affine =
-      simulate_affine(*f, integrator, AffineSet::from_box(s0), u, period, steps);
+  const Flowpipe affine = simulate(*f, integrator, AffineSet::from_box(s0), u, period, steps);
   ASSERT_TRUE(boxed.ok);
   ASSERT_TRUE(affine.ok);
+  EXPECT_EQ(boxed.affine_end, nullptr);
+  ASSERT_NE(affine.affine_end, nullptr);
   // Rotation is an isometry: the affine end set keeps widths ~0.2 while the
   // boxed pipeline compounds a wrapping factor every sub-step.
   for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_LE(affine.end_box[i].width(), boxed.end[i].width());
-    EXPECT_LT(affine.end_box[i].width(), 0.3);
+    EXPECT_LE(affine.end[i].width(), boxed.end[i].width());
+    EXPECT_LT(affine.end[i].width(), 0.3);
   }
-  EXPECT_GT(boxed.end[0].width(), affine.end_box[0].width() * 1.5);
+  EXPECT_GT(boxed.end[0].width(), affine.end[0].width() * 1.5);
   // And it is still sound: concrete endpoints stay inside.
   Rng rng(47);
   for (int trial = 0; trial < 30; ++trial) {
     Vec s{rng.uniform(s0[0].lo(), s0[0].hi()), rng.uniform(s0[1].lo(), s0[1].hi())};
     s = rk4_integrate(*f, s, u, period, 256);
-    EXPECT_TRUE(affine.end_box.contains(s)) << "trial " << trial;
+    EXPECT_TRUE(affine.end.contains(s)) << "trial " << trial;
   }
 }
 

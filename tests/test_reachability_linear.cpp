@@ -38,6 +38,10 @@ struct LinearCase {
   double u;
 };
 
+// Printed as the case name so the listed test name holds no pointer bytes
+// (see PrintTo(OpCase) in test_interval.cpp).
+void PrintTo(const LinearCase& c, std::ostream* os) { *os << c.name; }
+
 class LinearFlowContainment : public ::testing::TestWithParam<LinearCase> {};
 
 /// Reference flow via very fine RK4 (error ~ 1e-12, far below enclosure

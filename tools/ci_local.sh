@@ -9,8 +9,8 @@
 # Stages (each skippable):
 #   build-test    Release configure/build + full ctest          (always)
 #   sanitizers    tools/run_sanitizers.sh asan + tsan           (--skip-sanitizers)
-#   perf-gate     bench_canonical vs bench/baselines and        (--skip-bench)
-#                 python3 perfbench/run.py --test
+#   perf-gate     bench_canonical and domain_loop vs            (--skip-bench)
+#                 bench/baselines, python3 perfbench/run.py --test
 #   format        clang-format --dry-run on the CI-pinned list  (--skip-format)
 #
 # Stages whose tools are missing (clang-format, sanitizer-capable compiler)
@@ -78,7 +78,10 @@ if [ "$run_bench" -eq 1 ]; then
           --nets acasxu_nets_cache --artifact-dir build-ci/bench-out \
       && build-ci/tools/nncs_bench_compare --max-regress 300 \
           bench/baselines/BENCH_canonical_acasxu_zonotope.json \
-          build-ci/bench-out/BENCH_canonical_acasxu_zonotope.json; then
+          build-ci/bench-out/BENCH_canonical_acasxu_zonotope.json \
+      && build-ci/bench/domain_loop --artifact-dir build-ci/bench-out \
+      && build-ci/tools/nncs_bench_compare --max-regress 300 \
+          bench/baselines/BENCH_domain.json build-ci/bench-out/BENCH_domain.json; then
     note "perf-gate OK"
   else
     stage_fail "perf-gate"

@@ -39,8 +39,7 @@
 ///     --quiet          suppress the per-bin summary
 ///
 /// Analysis knobs not given on the command line use the selected scenario's
-/// defaults, so `nncs_verify --scenario acasxu` reproduces
-/// `nncs_acasxu_cli` exactly (byte-identical canonical reports).
+/// defaults.
 ///
 /// Exit codes: 0 run complete (or stopped by --stop-on-violation); 3
 /// interrupted by budget/SIGINT (checkpoint written if --checkpoint was
@@ -49,8 +48,4 @@
 
 #include "verify_driver.hpp"
 
-int main(int argc, char** argv) {
-  nncs::tools::DriverOptions options;
-  options.program = "nncs_verify";
-  return nncs::tools::verify_driver_main(argc, argv, options);
-}
+int main(int argc, char** argv) { return nncs::tools::verify_driver_main(argc, argv); }

@@ -1,17 +1,9 @@
-# End-to-end smoke for the batched NN-propagation path (`--nn-batch`,
-# `NNCS_NN_BATCH`, `NNCS_NN_SIMD`), run as a ctest `cmake -P` script (see
-# tools/CMakeLists.txt):
-#
-#   1. `--nn-batch 1` (scalar stepping) and `--nn-batch 8` (batched SoA
-#      kernel sweeps) produce byte-identical canonical reports — the
-#      tentpole's bit-exactness contract, checked on the real pipeline
-#   2. the default run (no flag) matches both: batching is on by default
-#      and must not perturb results
-#   3. `NNCS_NN_SIMD=portable` forces the non-AVX2 back end and still
-#      byte-matches — lane arithmetic is identical across ISAs
-#   4. `NNCS_NN_BATCH=4` (env knob) also byte-matches the flagged runs
-#   5. `--domain zonotope` batched runs byte-match scalar relational
-#      stepping, on the dispatched and the portable ISA back end
+# End-to-end smoke for the batched NN-propagation kernels' back ends
+# (`NNCS_NN_SIMD`), run as a ctest `cmake -P` script (see
+# tools/CMakeLists.txt): `NNCS_NN_SIMD=portable` forces the non-AVX2 back
+# end and must still byte-match the default run's canonical report — lane
+# arithmetic is identical across ISAs — in the box loop domain and, through
+# the zonotope SoA kernels, in `--domain zonotope`.
 #
 # Required -D variables: VERIFY (binary), NETS (acasxu network cache dir),
 # OUT (scratch directory).
@@ -46,48 +38,11 @@ endfunction()
 set(FLAGS --scenario acasxu --arcs 4 --headings 4 --depth 1 --steps 10
     --m 4 --order 3 --nets ${NETS} --threads 2 --quiet --canonical-report)
 
-# 1. Scalar vs batched stepping.
-run_cli("scalar stepping (--nn-batch 1)" ${VERIFY} ${FLAGS} --nn-batch 1
-  --report ${OUT}/batch1.csv)
-run_cli("batched stepping (--nn-batch 8)" ${VERIFY} ${FLAGS} --nn-batch 8
-  --report ${OUT}/batch8.csv)
-expect_identical("--nn-batch 1 vs --nn-batch 8" ${OUT}/batch1.csv ${OUT}/batch8.csv)
-
-# 2. The default run batches and must match the explicit runs.
-run_cli("default batching" ${VERIFY} ${FLAGS} --report ${OUT}/default.csv)
-expect_identical("default vs --nn-batch 1" ${OUT}/default.csv ${OUT}/batch1.csv)
-
-# 3. Portable (non-AVX2) kernels produce the same bits as the dispatched ISA.
-execute_process(COMMAND ${CMAKE_COMMAND} -E env NNCS_NN_SIMD=portable
-  ${VERIFY} ${FLAGS} --nn-batch 8 --report ${OUT}/portable.csv
-  RESULT_VARIABLE code OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr)
-if(NOT code EQUAL 0)
-  message(FATAL_ERROR "portable back end run failed (${code}):\n${stdout}\n${stderr}")
-endif()
-expect_identical("avx2/auto vs portable back end" ${OUT}/batch8.csv ${OUT}/portable.csv)
-
-# 4. The env knob routes to the same machinery as the flag.
-execute_process(COMMAND ${CMAKE_COMMAND} -E env NNCS_NN_BATCH=4
-  ${VERIFY} ${FLAGS} --report ${OUT}/env4.csv
-  RESULT_VARIABLE code OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr)
-if(NOT code EQUAL 0)
-  message(FATAL_ERROR "NNCS_NN_BATCH=4 run failed (${code}):\n${stdout}\n${stderr}")
-endif()
-expect_identical("NNCS_NN_BATCH=4 vs --nn-batch 1" ${OUT}/env4.csv ${OUT}/batch1.csv)
-
-# 5. Zonotope loop domain: batched relational queries go through the SoA
-#    zonotope transformer and must byte-match scalar relational stepping,
-#    on both ISA back ends (the same contract as legs 1/3, on the
-#    relational path).
-run_cli("zonotope scalar (--domain zonotope --nn-batch 1)" ${VERIFY} ${FLAGS}
-  --domain zonotope --nn-batch 1 --report ${OUT}/zono1.csv)
-run_cli("zonotope batched (--domain zonotope --nn-batch 8)" ${VERIFY} ${FLAGS}
-  --domain zonotope --nn-batch 8 --report ${OUT}/zono8.csv)
-expect_identical("zonotope --nn-batch 1 vs 8" ${OUT}/zono1.csv ${OUT}/zono8.csv)
-execute_process(COMMAND ${CMAKE_COMMAND} -E env NNCS_NN_SIMD=portable
-  ${VERIFY} ${FLAGS} --domain zonotope --nn-batch 8 --report ${OUT}/zono_portable.csv
-  RESULT_VARIABLE code OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr)
-if(NOT code EQUAL 0)
-  message(FATAL_ERROR "zonotope portable run failed (${code}):\n${stdout}\n${stderr}")
-endif()
-expect_identical("zonotope avx2/auto vs portable" ${OUT}/zono8.csv ${OUT}/zono_portable.csv)
+foreach(domain box zonotope)
+  run_cli("${domain}: dispatched back end" ${VERIFY} ${FLAGS} --domain ${domain}
+    --report ${OUT}/${domain}_default.csv)
+  run_cli("${domain}: portable back end" ${CMAKE_COMMAND} -E env NNCS_NN_SIMD=portable
+    ${VERIFY} ${FLAGS} --domain ${domain} --report ${OUT}/${domain}_portable.csv)
+  expect_identical("${domain}: dispatched vs portable back end"
+    ${OUT}/${domain}_default.csv ${OUT}/${domain}_portable.csv)
+endforeach()

@@ -1,5 +1,5 @@
-# End-to-end NN query cache smoke for nncs_acasxu_cli, run as a ctest
-# `cmake -P` script (see tools/CMakeLists.txt):
+# End-to-end NN query cache smoke for `nncs_verify --scenario acasxu`, run
+# as a ctest `cmake -P` script (see tools/CMakeLists.txt):
 #
 #   1. --nn-cache off reference run (--canonical-report)
 #   2. default run (no --nn-cache): the default is off, so the canonical
@@ -14,15 +14,15 @@
 #      the re-concretized bounds prune a command) — the stats line on stdout
 #      must report a nonzero hit count
 #
-# Required -D variables: CLI (binary), NETS (network cache dir), OUT (scratch
-# directory for the generated files).
+# Required -D variables: CLI (the nncs_verify binary), NETS (network cache
+# dir), OUT (scratch directory for the generated files).
 
 if(NOT DEFINED CLI OR NOT DEFINED NETS OR NOT DEFINED OUT)
   message(FATAL_ERROR "smoke_cli_nn_cache: pass -DCLI=... -DNETS=... -DOUT=...")
 endif()
 
 file(MAKE_DIRECTORY ${OUT})
-set(COMMON --steps 10 --m 4 --order 3 --threads 4
+set(COMMON --scenario acasxu --steps 10 --m 4 --order 3 --threads 4
     --nets ${NETS} --quiet --canonical-report)
 
 function(run_cli expected_code log out_var)

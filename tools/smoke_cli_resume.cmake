@@ -1,5 +1,5 @@
-# End-to-end checkpoint/resume smoke for nncs_acasxu_cli, run as a ctest
-# `cmake -P` script (see tools/CMakeLists.txt):
+# End-to-end checkpoint/resume smoke for `nncs_verify --scenario acasxu`,
+# run as a ctest `cmake -P` script (see tools/CMakeLists.txt):
 #
 #   1. reference run  (--threads 1, --canonical-report)
 #   2. same run at --threads 8: the canonical report CSV must be
@@ -9,16 +9,16 @@
 #   4. --resume from that checkpoint: must exit 0 and reproduce the
 #      reference report byte-for-byte
 #
-# Required -D variables: CLI (binary), NETS (network cache dir), OUT (scratch
-# directory for the generated files).
+# Required -D variables: CLI (the nncs_verify binary), NETS (network cache
+# dir), OUT (scratch directory for the generated files).
 
 if(NOT DEFINED CLI OR NOT DEFINED NETS OR NOT DEFINED OUT)
   message(FATAL_ERROR "smoke_cli_resume: pass -DCLI=... -DNETS=... -DOUT=...")
 endif()
 
 file(MAKE_DIRECTORY ${OUT})
-set(COMMON --arcs 4 --headings 4 --depth 0 --steps 10 --m 4 --order 3
-    --nets ${NETS} --quiet --canonical-report)
+set(COMMON --scenario acasxu --arcs 4 --headings 4 --depth 0 --steps 10 --m 4
+    --order 3 --nets ${NETS} --quiet --canonical-report)
 
 function(run_cli expected_code log)
   execute_process(COMMAND ${CLI} ${ARGN}

@@ -3,15 +3,13 @@
 #
 #   1. --list-scenarios names all built-in scenarios
 #   2. a shallow cruise_control run exits 0
-#   3. the acasxu canonical report from nncs_verify is byte-identical to
-#      the one from the nncs_acasxu_cli compatibility wrapper
-#   4. resuming an acasxu run from a cruise_control checkpoint is refused
+#   3. resuming an acasxu run from a cruise_control checkpoint is refused
 #      with the dedicated exit code 4
 #
-# Required -D variables: VERIFY and ACAS_CLI (binaries), ACAS_NETS and
-# CRUISE_NETS (network cache dirs), OUT (scratch directory).
+# Required -D variables: VERIFY (binary), ACAS_NETS and CRUISE_NETS (network
+# cache dirs), OUT (scratch directory).
 
-foreach(var VERIFY ACAS_CLI ACAS_NETS CRUISE_NETS OUT)
+foreach(var VERIFY ACAS_NETS CRUISE_NETS OUT)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "smoke_cli_scenario: pass -D${var}=...")
   endif()
@@ -44,22 +42,7 @@ run_cli(0 "cruise_control shallow run" ${VERIFY} --scenario cruise_control
   --arcs 4 --headings 3 --depth 0 --steps 8 --m 2 --order 3
   --nets ${CRUISE_NETS} --threads 4 --quiet)
 
-# 3. Generic driver vs compatibility wrapper: canonical acasxu reports must
-#    be byte-identical.
-set(ACAS_FLAGS --arcs 4 --headings 4 --depth 0 --steps 10 --m 4 --order 3
-    --nets ${ACAS_NETS} --threads 4 --quiet --canonical-report)
-run_cli(0 "acasxu via nncs_verify" ${VERIFY} --scenario acasxu ${ACAS_FLAGS}
-  --report ${OUT}/acas_generic.csv)
-run_cli(0 "acasxu via nncs_acasxu_cli" ${ACAS_CLI} ${ACAS_FLAGS}
-  --report ${OUT}/acas_wrapper.csv)
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-  ${OUT}/acas_generic.csv ${OUT}/acas_wrapper.csv RESULT_VARIABLE same)
-if(NOT same EQUAL 0)
-  message(FATAL_ERROR "canonical acasxu report differs between nncs_verify and nncs_acasxu_cli")
-endif()
-message(STATUS "nncs_verify and nncs_acasxu_cli canonical reports byte-identical")
-
-# 4. A checkpoint from one scenario must not resume another (exit 4). The
+# 3. A checkpoint from one scenario must not resume another (exit 4). The
 #    microscopic budget interrupts the cruise run immediately (exit 3).
 run_cli(3 "budget-interrupted cruise run" ${VERIFY} --scenario cruise_control
   --arcs 4 --headings 3 --depth 0 --steps 8 --m 2 --order 3
@@ -68,6 +51,7 @@ run_cli(3 "budget-interrupted cruise run" ${VERIFY} --scenario cruise_control
 if(NOT EXISTS ${OUT}/cruise_checkpoint.csv)
   message(FATAL_ERROR "interrupted cruise run left no checkpoint file")
 endif()
-run_cli(4 "cross-scenario resume refused" ${VERIFY} --scenario acasxu ${ACAS_FLAGS}
+run_cli(4 "cross-scenario resume refused" ${VERIFY} --scenario acasxu --arcs 4 --headings 4
+  --depth 0 --steps 10 --m 4 --order 3 --nets ${ACAS_NETS} --threads 4 --quiet
   --resume ${OUT}/cruise_checkpoint.csv)
 message(STATUS "cross-scenario resume refused with exit code 4")

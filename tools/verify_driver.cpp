@@ -40,20 +40,19 @@ void handle_sigint(int) {
   std::signal(SIGINT, SIG_DFL);
 }
 
-[[noreturn]] void usage(const char* argv0, const DriverOptions& options) {
+[[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s%s [--arcs N] [--headings N] [--depth N] [--gamma N] [--steps N]\n"
-               "          [--m N] [--order N]\n"
+               "usage: %s [--scenario NAME] [--list-scenarios] [--arcs N] [--headings N]\n"
+               "          [--depth N] [--gamma N] [--steps N] [--m N] [--order N]\n"
                "          [--domain interval|symbolic|affine|box|zonotope]\n"
-               "          [--nn-cache off|containment] [--nn-batch N]\n"
+               "          [--nn-cache off|containment]\n"
                "          [--strategy all|widest] [--threads N] [--nets DIR]\n"
                "          [--report FILE] [--canonical-report] [--time-budget SEC]\n"
                "          [--stop-on-violation] [--checkpoint FILE] [--resume FILE]\n"
                "          [--progress] [--progress-json FILE] [--profile-out FILE]\n"
                "          [--trace-out FILE] [--metrics-out FILE] [--artifact-dir DIR]\n"
                "          [--quiet]\n",
-               argv0,
-               options.forced_scenario ? "" : " [--scenario NAME] [--list-scenarios]");
+               argv0);
   std::exit(2);
 }
 
@@ -177,28 +176,25 @@ class HeartbeatSink {
 
 }  // namespace
 
-int verify_driver_main(int argc, char** argv, const DriverOptions& options) {
+int verify_driver_main(int argc, char** argv) {
   const scenario::Registry& registry = scenario::Registry::global();
 
   // Pass 1: resolve the scenario (its defaults seed every other flag).
-  std::string scenario_name =
-      options.forced_scenario ? options.forced_scenario : "";
-  if (!options.forced_scenario) {
-    for (int i = 1; i < argc; ++i) {
-      if (!std::strcmp(argv[i], "--list-scenarios")) {
-        list_scenarios(registry);
-      } else if (!std::strcmp(argv[i], "--scenario")) {
-        if (i + 1 >= argc) {
-          usage(argv[0], options);
-        }
-        scenario_name = argv[i + 1];
+  std::string scenario_name;
+  for (int i = 1; i < argc; ++i) {
+    if (!std::strcmp(argv[i], "--list-scenarios")) {
+      list_scenarios(registry);
+    } else if (!std::strcmp(argv[i], "--scenario")) {
+      if (i + 1 >= argc) {
+        usage(argv[0]);
       }
+      scenario_name = argv[i + 1];
     }
-    if (scenario_name.empty()) {
-      std::fprintf(stderr, "%s: --scenario is required (registered: %s)\n", argv[0],
-                   registry.names().c_str());
-      return 2;
-    }
+  }
+  if (scenario_name.empty()) {
+    std::fprintf(stderr, "%s: --scenario is required (registered: %s)\n", argv[0],
+                 registry.names().c_str());
+    return 2;
   }
   const scenario::Scenario* scen = registry.find(scenario_name);
   if (!scen) {
@@ -216,7 +212,6 @@ int verify_driver_main(int argc, char** argv, const DriverOptions& options) {
   int taylor_order = scen->default_taylor_order();
   scenario::SystemConfig system_config;
   system_config.nn_cache = nn_cache_config_from_env();
-  config.reach.nn_batch = env_nn_batch(config.reach.nn_batch);
   std::string report_path;
   std::string checkpoint_path = env_path("NNCS_CHECKPOINT");
   std::string resume_path;
@@ -231,13 +226,13 @@ int verify_driver_main(int argc, char** argv, const DriverOptions& options) {
 
   auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
-      usage(argv[0], options);
+      usage(argv[0]);
     }
     return argv[++i];
   };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (!options.forced_scenario && !std::strcmp(arg, "--scenario")) {
+    if (!std::strcmp(arg, "--scenario")) {
       need_value(i);  // consumed in pass 1
     } else if (!std::strcmp(arg, "--arcs")) {
       partition.axis0 =
@@ -273,17 +268,14 @@ int verify_driver_main(int argc, char** argv, const DriverOptions& options) {
         // only matter for the boxed loop.
         config.reach.domain = *loop;
       } else {
-        usage(argv[0], options);
+        usage(argv[0]);
       }
     } else if (!std::strcmp(arg, "--nn-cache")) {
       const auto mode = parse_nn_cache_mode(need_value(i));
       if (!mode) {
-        usage(argv[0], options);
+        usage(argv[0]);
       }
       system_config.nn_cache.mode = *mode;
-    } else if (!std::strcmp(arg, "--nn-batch")) {
-      config.reach.nn_batch =
-          static_cast<std::size_t>(parse_int(argv[0], arg, need_value(i), 1, 64));
     } else if (!std::strcmp(arg, "--strategy")) {
       const std::string v = need_value(i);
       if (v == "all") {
@@ -291,7 +283,7 @@ int verify_driver_main(int argc, char** argv, const DriverOptions& options) {
       } else if (v == "widest") {
         config.split_strategy = SplitStrategy::kWidestDim;
       } else {
-        usage(argv[0], options);
+        usage(argv[0]);
       }
     } else if (!std::strcmp(arg, "--threads")) {
       config.threads =
@@ -325,7 +317,7 @@ int verify_driver_main(int argc, char** argv, const DriverOptions& options) {
     } else if (!std::strcmp(arg, "--quiet")) {
       quiet = true;
     } else {
-      usage(argv[0], options);
+      usage(argv[0]);
     }
   }
 
@@ -426,13 +418,12 @@ int verify_driver_main(int argc, char** argv, const DriverOptions& options) {
     obs::TraceRecorder::instance().start();
   }
 
-  if (!options.forced_scenario) {
-    std::printf("scenario %s: %s\n", scen->name().c_str(), scen->description().c_str());
-  }
-  std::printf("%s: %zux%zu cells, depth %d, gamma %zu, q=%d, M=%d, order %d, domain %s\n",
-              options.program, partition.axis0, partition.axis1,
-              config.max_refinement_depth, config.reach.gamma, config.reach.control_steps,
-              config.reach.integration_steps, taylor_order, to_string(config.reach.domain));
+  std::printf("scenario %s: %s\n", scen->name().c_str(), scen->description().c_str());
+  std::printf("nncs_verify: %zux%zu cells, depth %d, gamma %zu, q=%d, M=%d, order %d, "
+              "domain %s\n",
+              partition.axis0, partition.axis1, config.max_refinement_depth, config.reach.gamma,
+              config.reach.control_steps, config.reach.integration_steps, taylor_order,
+              to_string(config.reach.domain));
   if (!resume_path.empty()) {
     std::printf("resuming from %s: %zu leaves done, %zu cells pending\n", resume_path.c_str(),
                 resume_checkpoint.leaves.size(), resume_checkpoint.frontier.size());
@@ -650,7 +641,7 @@ int verify_driver_main(int argc, char** argv, const DriverOptions& options) {
       meta.name = scen->name();
       meta.fingerprint = run_fingerprint;
       meta.parameters = scen->parameters();
-      write_run_report(std::filesystem::path{metrics_path}, options.program, report, config,
+      write_run_report(std::filesystem::path{metrics_path}, "nncs_verify", report, config,
                        &meta);
       std::printf("run report written to %s\n", metrics_path.c_str());
     });

@@ -1,21 +1,9 @@
 #pragma once
 
-/// Shared implementation behind the verification CLIs. `nncs_verify` is the
-/// generic driver (any registered scenario, selected with --scenario);
-/// `nncs_acasxu_cli` pins the scenario to "acasxu" for backward
-/// compatibility and produces byte-identical canonical reports.
+/// Implementation of the `nncs_verify` command-line driver; see
+/// tools/nncs_verify.cpp for the option reference.
 
 namespace nncs::tools {
-
-struct DriverOptions {
-  /// Program label used in the banner and the run-report label (argv[0] is
-  /// still used for error messages so shell output points at the real
-  /// binary).
-  const char* program = "nncs_verify";
-  /// When non-null the scenario is fixed and --scenario/--list-scenarios
-  /// are not accepted (compatibility-wrapper mode).
-  const char* forced_scenario = nullptr;
-};
 
 /// Full CLI main: parse flags, assemble the scenario's closed loop, run the
 /// verification engine, emit reports/checkpoints/telemetry. Exit codes:
@@ -24,6 +12,6 @@ struct DriverOptions {
 ///   4  --resume refused: checkpoint from a different scenario or partition
 ///   1  output write failure
 ///   2  usage error
-int verify_driver_main(int argc, char** argv, const DriverOptions& options);
+int verify_driver_main(int argc, char** argv);
 
 }  // namespace nncs::tools
