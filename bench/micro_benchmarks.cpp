@@ -40,16 +40,18 @@ void BM_IntervalArithmetic(benchmark::State& state) {
 }
 BENCHMARK(BM_IntervalArithmetic);
 
+/// One validated ACAS Xu step at Taylor order state.range(0).
 void BM_TaylorStepAcas(benchmark::State& state) {
   const auto plant = ax::make_dynamics();
-  const TaylorIntegrator integrator;
+  const TaylorIntegrator integrator(
+      TaylorIntegrator::Config{static_cast<int>(state.range(0)), {}});
   const Vec command{ax::turn_rate(ax::kWL)};
   for (auto _ : state) {
     auto step = integrator.step(*plant, acas_cell(), command, 0.1);
     benchmark::DoNotOptimize(step);
   }
 }
-BENCHMARK(BM_TaylorStepAcas);
+BENCHMARK(BM_TaylorStepAcas)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(15);
 
 void BM_Rk4StepAcas(benchmark::State& state) {
   const auto plant = ax::make_dynamics();

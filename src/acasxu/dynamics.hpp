@@ -34,8 +34,7 @@ inline constexpr std::size_t kCommandDim = 1;
 struct KinematicsField {
   template <class S>
   void operator()(std::span<const S> s, std::span<const S> u, std::span<S> out) const {
-    const S sp = sin(s[kIdxPsi]);
-    const S cp = cos(s[kIdxPsi]);
+    const auto [sp, cp] = sincos(s[kIdxPsi]);
     out[kIdxX] = s[kIdxVint] * (-sp) + u[0] * s[kIdxY];
     out[kIdxY] = s[kIdxVint] * cp - s[kIdxVown] - u[0] * s[kIdxX];
     out[kIdxPsi] = -u[0];
@@ -57,8 +56,7 @@ std::unique_ptr<Dynamics> make_dynamics();
 struct DualKinematicsField {
   template <class S>
   void operator()(std::span<const S> s, std::span<const S> u, std::span<S> out) const {
-    const S sp = sin(s[kIdxPsi]);
-    const S cp = cos(s[kIdxPsi]);
+    const auto [sp, cp] = sincos(s[kIdxPsi]);
     out[kIdxX] = s[kIdxVint] * (-sp) + u[0] * s[kIdxY];
     out[kIdxY] = s[kIdxVint] * cp - s[kIdxVown] - u[0] * s[kIdxX];
     out[kIdxPsi] = u[1] - u[0];

@@ -267,6 +267,8 @@ Interval cos(const Interval& x) {
       x, +[](double v) { return std::cos(v); }, 0.0, -kPi);
 }
 
+std::pair<Interval, Interval> sincos(const Interval& x) { return {sin(x), cos(x)}; }
+
 Interval atan(const Interval& x) {
   // atan ranges over (-pi/2, pi/2), so clamp to a tight outward-rounded
   // pi/2 enclosure: pi_interval().hi() >= pi and halving is exact in

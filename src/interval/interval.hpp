@@ -4,6 +4,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "interval/rounding.hpp"
 
@@ -139,6 +140,9 @@ Interval log(const Interval& x);
 Interval sin(const Interval& x);
 /// Sound cosine enclosure (same domain note as `sin`).
 Interval cos(const Interval& x);
+/// {sin(x), cos(x)}, bit for bit the two separate calls: one call site for
+/// plant fields that need both of one angle.
+std::pair<Interval, Interval> sincos(const Interval& x);
 /// Monotone arctangent enclosure.
 Interval atan(const Interval& x);
 /// Sound atan2 over an (y, x) box. Returns [-pi, pi] when the box contains

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cmath>
+#include <utility>
 
 #include "interval/interval.hpp"
 
@@ -11,10 +12,12 @@ namespace nncs {
 ///
 ///   template <class S> void f(std::span<const S> s, ..., std::span<S> out);
 ///
-/// Inside such a functor, unqualified calls to `sin`, `cos`, `sqr`, ... pick
-/// the right overload via ADL for `double`, `Interval` and `TaylorSeries`.
+/// Inside such a functor, unqualified calls to `sin`, `cos`, `sincos`, `sqr`,
+/// ... pick the right overload via ADL for `double`, `Interval` and
+/// `TaylorSeries`.
 inline double sin(double x) { return std::sin(x); }
 inline double cos(double x) { return std::cos(x); }
+inline std::pair<double, double> sincos(double x) { return {std::sin(x), std::cos(x)}; }
 inline double sqrt(double x) { return std::sqrt(x); }
 inline double exp(double x) { return std::exp(x); }
 inline double log(double x) { return std::log(x); }

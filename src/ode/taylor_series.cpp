@@ -1,6 +1,7 @@
 #include "ode/taylor_series.hpp"
 
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 namespace nncs {
@@ -15,22 +16,29 @@ void check_same_order(const TaylorSeries& a, const TaylorSeries& b) {
 
 }  // namespace
 
-TaylorSeries::TaylorSeries(std::size_t order) : coeffs_(order + 1, Interval{}) {}
+TaylorSeries::TaylorSeries(std::size_t order) : size_(order + 1) {
+  if (order > kMaxOrder) {
+    throw std::invalid_argument("TaylorSeries: order above kMaxOrder");
+  }
+}
 
-TaylorSeries::TaylorSeries(std::size_t order, const Interval& value)
-    : coeffs_(order + 1, Interval{}) {
+TaylorSeries::TaylorSeries(std::size_t order, const Interval& value) : TaylorSeries(order) {
   coeffs_[0] = value;
 }
 
-Interval TaylorSeries::eval(const Interval& t) const { return eval_prefix(t, order()); }
+void TaylorSeries::push_back(const Interval& c) {
+  if (size_ == coeffs_.size()) {
+    throw std::invalid_argument("TaylorSeries: order above kMaxOrder");
+  }
+  coeffs_[size_++] = c;
+}
 
-Interval TaylorSeries::eval_prefix(const Interval& t, std::size_t k_max) const {
-  if (coeffs_.empty()) {
+Interval TaylorSeries::eval(const Interval& t) const {
+  if (size_ == 0) {
     return Interval{};
   }
-  const std::size_t last = std::min(k_max, order());
-  Interval acc = coeffs_[last];
-  for (std::size_t k = last; k-- > 0;) {
+  Interval acc = coeffs_[size_ - 1];
+  for (std::size_t k = size_ - 1; k-- > 0;) {
     acc = coeffs_[k] + t * acc;
   }
   return acc;
@@ -38,7 +46,7 @@ Interval TaylorSeries::eval_prefix(const Interval& t, std::size_t k_max) const {
 
 TaylorSeries& TaylorSeries::operator+=(const TaylorSeries& rhs) {
   check_same_order(*this, rhs);
-  for (std::size_t k = 0; k < coeffs_.size(); ++k) {
+  for (std::size_t k = 0; k < size_; ++k) {
     coeffs_[k] += rhs.coeffs_[k];
   }
   return *this;
@@ -46,7 +54,7 @@ TaylorSeries& TaylorSeries::operator+=(const TaylorSeries& rhs) {
 
 TaylorSeries& TaylorSeries::operator-=(const TaylorSeries& rhs) {
   check_same_order(*this, rhs);
-  for (std::size_t k = 0; k < coeffs_.size(); ++k) {
+  for (std::size_t k = 0; k < size_; ++k) {
     coeffs_[k] -= rhs.coeffs_[k];
   }
   return *this;
@@ -115,8 +123,7 @@ std::pair<TaylorSeries, TaylorSeries> sincos(const TaylorSeries& u) {
   const std::size_t order = u.order();
   TaylorSeries s(order);
   TaylorSeries c(order);
-  s[0] = sin(u[0]);
-  c[0] = cos(u[0]);
+  std::tie(s[0], c[0]) = sincos(u[0]);
   for (std::size_t k = 1; k <= order; ++k) {
     Interval s_acc{};
     Interval c_acc{};

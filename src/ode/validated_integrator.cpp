@@ -90,33 +90,40 @@ TaylorIntegrator::TaylorIntegrator(Config config) : config_(std::move(config)) {
   if (config_.order < 1) {
     throw std::invalid_argument("TaylorIntegrator: order must be >= 1");
   }
+  if (static_cast<std::size_t>(config_.order) > TaylorSeries::kMaxOrder) {
+    throw std::invalid_argument("TaylorIntegrator: order above TaylorSeries::kMaxOrder");
+  }
 }
 
 namespace {
 
-/// Taylor coefficients 0..K of the ODE solution seeded at `seed`:
-/// s_0 = seed, s_{k+1} = (f(s))_k / (k+1)   (Picard/Moore recurrence).
-std::vector<TaylorSeries> solution_coefficients(const Dynamics& f, const Box& seed, const Vec& u,
-                                                std::size_t order) {
-  const std::size_t dim = f.state_dim();
-  std::vector<TaylorSeries> s(dim, TaylorSeries(order));
-  for (std::size_t i = 0; i < dim; ++i) {
-    s[i][0] = seed[i];
+/// Taylor coefficients 0..last of the ODE solution seeded at `seed`, left in
+/// `s` as order-`last` series: s_0 = seed, s_{k+1} = (f(s))_k / (k+1)
+/// (Picard/Moore recurrence). Pass k evaluates f over order-k series, state
+/// and command alike: coefficient k of f(s) depends only on coefficients
+/// 0..k of s, so a higher order would only compute terms the pass discards.
+/// `u_series` and `fs` are scratch buffers sized to the command and state.
+void solution_coefficients(const Dynamics& f, const Box& seed, const Vec& u, std::size_t last,
+                           std::vector<TaylorSeries>& s, std::vector<TaylorSeries>& u_series,
+                           std::vector<TaylorSeries>& fs) {
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    s[i] = TaylorSeries(0, seed[i]);
   }
-  std::vector<TaylorSeries> u_series;
-  u_series.reserve(u.size());
-  for (const double uc : u) {
-    u_series.emplace_back(order, Interval{uc});
+  for (std::size_t j = 0; j < u_series.size(); ++j) {
+    u_series[j] = TaylorSeries(0, Interval{u[j]});
   }
-  std::vector<TaylorSeries> fs(dim, TaylorSeries(order));
-  for (std::size_t k = 0; k + 1 <= order; ++k) {
+  for (std::size_t k = 0; k < last; ++k) {
     f.eval(s, u_series, fs);
     const Interval divisor{static_cast<double>(k + 1)};
-    for (std::size_t i = 0; i < dim; ++i) {
-      s[i][k + 1] = fs[i][k] / divisor;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      s[i].push_back(fs[i][k] / divisor);
+    }
+    // The command series keeps its zero coefficients: adding [0, 0] still
+    // rounds outward, so dropping them would change bits.
+    for (TaylorSeries& uc : u_series) {
+      uc.push_back(Interval{});
     }
   }
-  return s;
 }
 
 }  // namespace
@@ -130,14 +137,18 @@ std::optional<ValidatedStep> TaylorIntegrator::step(const Dynamics& f, const Box
   NNCS_SPAN("taylor_tighten");
   const Box& b = *apriori;
   const std::size_t order = static_cast<std::size_t>(config_.order);
-  // Prefix coefficients seeded at the tight initial box; the order-K
+  const std::size_t dim = f.state_dim();
+  std::vector<TaylorSeries> prefix(dim);
+  std::vector<TaylorSeries> remainder(dim);
+  std::vector<TaylorSeries> u_series(u.size());
+  std::vector<TaylorSeries> fs(dim);
+  // Prefix coefficients 0..K-1 seeded at the tight initial box; the order-K
   // coefficient seeded at the a-priori enclosure bounds the Lagrange
   // remainder (the K-th solution coefficient along the whole step stays
   // inside the coefficient computed over B).
-  const auto prefix = solution_coefficients(f, s0, u, order);
-  const auto remainder = solution_coefficients(f, b, u, order);
+  solution_coefficients(f, s0, u, order - 1, prefix, u_series, fs);
+  solution_coefficients(f, b, u, order, remainder, u_series, fs);
 
-  const std::size_t dim = f.state_dim();
   const Interval t_end{h};
   const Interval t_flow{0.0, h};
   std::vector<Interval> end_dims;
@@ -146,8 +157,8 @@ std::optional<ValidatedStep> TaylorIntegrator::step(const Dynamics& f, const Box
   flow_dims.reserve(dim);
   for (std::size_t i = 0; i < dim; ++i) {
     const Interval rem = remainder[i][order];
-    Interval end_i = prefix[i].eval_prefix(t_end, order - 1) + rem * pow(t_end, config_.order);
-    Interval flow_i = prefix[i].eval_prefix(t_flow, order - 1) + rem * pow(t_flow, config_.order);
+    Interval end_i = prefix[i].eval(t_end) + rem * pow(t_end, config_.order);
+    Interval flow_i = prefix[i].eval(t_flow) + rem * pow(t_flow, config_.order);
     // Both the Taylor form and the a-priori enclosure are sound, so their
     // intersection is too (and is never empty: both contain the true set).
     if (auto tight = intersect(flow_i, b[i])) {

@@ -74,12 +74,14 @@ std::optional<Box> picard_enclosure(const Dynamics& f, const Box& s0, const Vec&
 /// validated-simulation engine of §6.2):
 ///  1. find the a-priori enclosure B over [0, h] (Banach fixed point),
 ///  2. tighten with the order-K Taylor expansion whose prefix coefficients
-///     are seeded at s0 and whose remainder coefficient is evaluated on B.
+///     are seeded at s0 and whose remainder coefficient is evaluated on B,
+///     computing only those coefficients (the prefix stops at order K-1).
 class TaylorIntegrator final : public ValidatedIntegrator {
  public:
   struct Config {
     /// Taylor order K (local truncation error O(h^{K+1}) inside the
-    /// remainder coefficient; K >= 1).
+    /// remainder coefficient; 1 <= K <= TaylorSeries::kMaxOrder, else the
+    /// constructor throws std::invalid_argument).
     int order = 4;
     PicardConfig picard;
   };

@@ -48,13 +48,17 @@ class AcasxuScenario final : public Scenario {
     return {"bearing", "bearing_mid_rad"};
   }
 
+  [[nodiscard]] std::unique_ptr<Dynamics> make_plant() const override {
+    return acasxu::make_dynamics();
+  }
+
   [[nodiscard]] System make_system(const SystemConfig& config) const override {
     const acasxu::TrainingConfig training;
     const auto nets_dir =
         config.nets_dir.empty() ? std::filesystem::path{"acasxu_nets_cache"} : config.nets_dir;
     auto networks = acasxu::ensure_networks(nets_dir, training);
     System system;
-    system.plant = acasxu::make_dynamics();
+    system.plant = make_plant();
     system.controller = acasxu::make_controller(std::move(networks), config.domain);
     system.controller->configure_cache(config.nn_cache);
     system.loop = ClosedLoop{system.plant.get(), system.controller.get(), 1.0};

@@ -103,6 +103,10 @@ class CruiseControlScenario final : public Scenario {
     return {"gap", "gap_mid_m"};
   }
 
+  [[nodiscard]] std::unique_ptr<Dynamics> make_plant() const override {
+    return make_dynamics(2, 1, AccField{});
+  }
+
   [[nodiscard]] System make_system(const SystemConfig& config) const override {
     const auto nets_dir = config.nets_dir.empty()
                               ? std::filesystem::path{"cruise_control_nets_cache"}
@@ -118,7 +122,7 @@ class CruiseControlScenario final : public Scenario {
     }
     std::vector<std::size_t> selector(commands.size(), 0);  // one shared network
     System system;
-    system.plant = make_dynamics(2, 1, AccField{});
+    system.plant = make_plant();
     system.controller = std::make_unique<NeuralController>(
         CommandSet{std::move(commands)}, std::move(networks), std::move(selector),
         std::make_unique<AccPre>(), std::make_unique<ArgminPost>(), config.domain);

@@ -180,6 +180,10 @@ class PendulumScenario final : public Scenario {
     return {"theta", "theta_mid_rad"};
   }
 
+  [[nodiscard]] std::unique_ptr<Dynamics> make_plant() const override {
+    return make_dynamics(2, 1, PendulumField{}, pendulum_linear_part());
+  }
+
   [[nodiscard]] System make_system(const SystemConfig& config) const override {
     const auto nets_dir =
         config.nets_dir.empty() ? std::filesystem::path{"pendulum_nets_cache"} : config.nets_dir;
@@ -194,7 +198,7 @@ class PendulumScenario final : public Scenario {
     }
     std::vector<std::size_t> selector(commands.size(), 0);  // one shared network
     System system;
-    system.plant = make_dynamics(2, 1, PendulumField{}, pendulum_linear_part());
+    system.plant = make_plant();
     system.controller = std::make_unique<NeuralController>(
         CommandSet{std::move(commands)}, std::move(networks), std::move(selector),
         std::make_unique<TiltPre>(), std::make_unique<ArgminPost>(), config.domain);

@@ -110,6 +110,9 @@ class Scenario {
   /// {"bearing", "bearing_mid_rad"}.
   [[nodiscard]] virtual std::pair<std::string, std::string> bin_axis() const = 0;
 
+  /// The plant dynamics alone, as `make_system` installs them; loads no
+  /// networks.
+  [[nodiscard]] virtual std::unique_ptr<Dynamics> make_plant() const = 0;
   /// Assemble the closed loop (training or loading cached networks).
   [[nodiscard]] virtual System make_system(const SystemConfig& config) const = 0;
   /// The erroneous set E.

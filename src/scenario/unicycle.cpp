@@ -33,14 +33,16 @@ const Vec& turn_rates() {
 struct UnicycleField {
   template <class S>
   void operator()(std::span<const S> s, std::span<const S> u, std::span<S> out) const {
-    out[0] = Interval{kSpeed} * cos(s[2]) + 0.0 * s[0];  // x' = v·cos ψ
-    out[1] = Interval{kSpeed} * sin(s[2]) + 0.0 * s[1];  // y' = v·sin ψ
-    out[2] = u[0] + 0.0 * s[2];                          // ψ' = u
+    const auto [sp, cp] = sincos(s[2]);
+    out[0] = Interval{kSpeed} * cp + 0.0 * s[0];  // x' = v·cos ψ
+    out[1] = Interval{kSpeed} * sp + 0.0 * s[1];  // y' = v·sin ψ
+    out[2] = u[0] + 0.0 * s[2];                   // ψ' = u
   }
   void operator()(std::span<const double> s, std::span<const double> u,
                   std::span<double> out) const {
-    out[0] = kSpeed * std::cos(s[2]);
-    out[1] = kSpeed * std::sin(s[2]);
+    const auto [sp, cp] = sincos(s[2]);
+    out[0] = kSpeed * cp;
+    out[1] = kSpeed * sp;
     out[2] = u[0];
   }
 };
@@ -137,6 +139,10 @@ class UnicycleScenario final : public Scenario {
     return {"offset", "offset_mid_m"};
   }
 
+  [[nodiscard]] std::unique_ptr<Dynamics> make_plant() const override {
+    return make_dynamics(3, 1, UnicycleField{});
+  }
+
   [[nodiscard]] System make_system(const SystemConfig& config) const override {
     const auto nets_dir =
         config.nets_dir.empty() ? std::filesystem::path{"unicycle_nets_cache"} : config.nets_dir;
@@ -151,7 +157,7 @@ class UnicycleScenario final : public Scenario {
     }
     std::vector<std::size_t> selector(commands.size(), 0);  // one shared network
     System system;
-    system.plant = make_dynamics(3, 1, UnicycleField{});
+    system.plant = make_plant();
     system.controller = std::make_unique<NeuralController>(
         CommandSet{std::move(commands)}, std::move(networks), std::move(selector),
         std::make_unique<SteerPre>(), std::make_unique<ArgminPost>(), config.domain);

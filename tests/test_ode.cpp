@@ -1,20 +1,29 @@
 // Tests for the validated ODE machinery: Picard a-priori enclosures, the
-// interval Taylor-series integrator, the Euler baseline, Algorithm 1
+// interval Taylor-series integrator (bit for bit against the full-order
+// recurrence it replaced), the Euler baseline, Algorithm 1
 // (simulate) and the RK4 reference — including the soundness property that
 // every concretely integrated trajectory stays inside the validated
 // enclosures.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <numbers>
 #include <optional>
+#include <string>
 #include <utility>
+#include <vector>
 
+#include "acasxu/dynamics.hpp"
 #include "ode/concrete_integrator.hpp"
 #include "ode/dynamics.hpp"
 #include "obs/metrics.hpp"
 #include "ode/validated_integrator.hpp"
+#include "scenario/scenario.hpp"
 #include "util/rng.hpp"
 
 namespace nncs {
@@ -85,6 +94,13 @@ TEST(TaylorIntegrator, RejectsOrderZero) {
   TaylorIntegrator::Config config;
   config.order = 0;
   EXPECT_THROW(TaylorIntegrator{config}, std::invalid_argument);
+}
+
+TEST(TaylorIntegrator, RejectsOrderAboveCap) {
+  EXPECT_THROW(TaylorIntegrator(TaylorIntegrator::Config{16, {}}), std::invalid_argument);
+  const TaylorIntegrator top(TaylorIntegrator::Config{15, {}});
+  const auto f = make_dynamics(1, 1, SineField{});
+  EXPECT_TRUE(top.step(*f, Box{Interval{0.4, 0.5}}, Vec{0.1}, 0.2).has_value());
 }
 
 TEST(TaylorIntegrator, DecayStepEnclosesClosedForm) {
@@ -455,6 +471,310 @@ INSTANTIATE_TEST_SUITE_P(
         SoundnessCase{"sine", 1, 1.0, 10, 0.3, 0.0, 0.5, 0, 0, 3},
         SoundnessCase{"sine_negative", 1, 0.5, 5, -0.5, -1.0, -0.5, 0, 0, 3}),
     [](const auto& param_info) { return param_info.param.name; });
+
+// ---------------------------------------------------------------------------
+// Truncated recurrence passes and fused sin/cos must not change a bit: the
+// integrator's step against the full-order recurrence it replaced, on every
+// registered scenario's plant plus dual ACAS Xu, and the fused fields
+// against unfused copies for all three scalar types.
+// ---------------------------------------------------------------------------
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_bits(const Interval& a, const Interval& b) {
+  return same_bits(a.lo(), b.lo()) && same_bits(a.hi(), b.hi());
+}
+
+bool same_bits(const Box& a, const Box& b) {
+  if (a.dim() != b.dim()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.dim(); ++i) {
+    if (!same_bits(a[i], b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool same_bits(const TaylorSeries& a, const TaylorSeries& b) {
+  if (a.order() != b.order()) {
+    return false;
+  }
+  for (std::size_t k = 0; k <= a.order(); ++k) {
+    if (!same_bits(a[k], b[k])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Reference recurrence: every pass evaluates f over full order-K series
+/// and the series keeps all K+1 coefficients.
+std::vector<TaylorSeries> full_order_coefficients(const Dynamics& f, const Box& seed,
+                                                  const Vec& u, std::size_t order) {
+  std::vector<TaylorSeries> s(f.state_dim(), TaylorSeries(order));
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    s[i][0] = seed[i];
+  }
+  std::vector<TaylorSeries> u_series;
+  for (const double uc : u) {
+    u_series.emplace_back(order, Interval{uc});
+  }
+  std::vector<TaylorSeries> fs(f.state_dim(), TaylorSeries(order));
+  for (std::size_t k = 0; k < order; ++k) {
+    f.eval(s, u_series, fs);
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      s[i][k + 1] = fs[i][k] / Interval{static_cast<double>(k + 1)};
+    }
+  }
+  return s;
+}
+
+/// Reference step: the full-order prefix seeded at s0, evaluated through
+/// coefficient K-1, plus the order-K coefficient seeded at the a-priori box.
+std::optional<ValidatedStep> full_order_step(const Dynamics& f, const Box& s0, const Vec& u,
+                                             double h, int order) {
+  const auto apriori = picard_enclosure(f, s0, u, h);
+  if (!apriori) {
+    return std::nullopt;
+  }
+  const Box& b = *apriori;
+  const auto k_max = static_cast<std::size_t>(order);
+  const auto prefix = full_order_coefficients(f, s0, u, k_max);
+  const auto remainder = full_order_coefficients(f, b, u, k_max);
+  std::vector<Interval> end_dims;
+  std::vector<Interval> flow_dims;
+  for (std::size_t i = 0; i < f.state_dim(); ++i) {
+    const auto horner = [&](const Interval& t) {
+      Interval acc = prefix[i][k_max - 1];
+      for (std::size_t k = k_max - 1; k-- > 0;) {
+        acc = prefix[i][k] + t * acc;
+      }
+      return acc;
+    };
+    const Interval rem = remainder[i][k_max];
+    Interval end_i = horner(Interval{h}) + rem * pow(Interval{h}, order);
+    Interval flow_i = horner(Interval{0.0, h}) + rem * pow(Interval{0.0, h}, order);
+    if (auto tight = intersect(flow_i, b[i])) {
+      flow_i = *tight;
+    }
+    if (auto tight = intersect(end_i, flow_i)) {
+      end_i = *tight;
+    }
+    end_dims.push_back(end_i);
+    flow_dims.push_back(flow_i);
+  }
+  return ValidatedStep{Box{std::move(flow_dims)}, Box{std::move(end_dims)}};
+}
+
+/// Angles at which sin or cos attains an extremum.
+constexpr double kTrigExtrema[] = {-std::numbers::pi, -std::numbers::pi / 2.0, 0.0,
+                                   std::numbers::pi / 2.0, std::numbers::pi};
+
+/// `box` with dimension `d` replaced by `value`.
+Box with_dim(const Box& box, std::size_t d, const Interval& value) {
+  std::vector<Interval> dims(box.intervals().begin(), box.intervals().end());
+  dims[d] = value;
+  return Box{std::move(dims)};
+}
+
+struct StepPlant {
+  std::string name;
+  std::unique_ptr<Dynamics> f;
+  std::vector<Box> boxes;
+};
+
+/// Every registered scenario's plant plus dual ACAS Xu, each with seeded
+/// start boxes: the scenario's initial cells, their midpoints as point
+/// boxes, random sub-boxes, and the angle dimension (if any) straddling
+/// each sin/cos extremum.
+std::vector<StepPlant> step_plants() {
+  const std::map<std::string, std::size_t> angle_dim{{"acasxu", acasxu::kIdxPsi},
+                                                     {"acasxu_dual", acasxu::kIdxPsi},
+                                                     {"pendulum", 0},
+                                                     {"unicycle", 2}};
+  std::vector<StepPlant> plants;
+  for (const scenario::Scenario* scen : scenario::Registry::global().all()) {
+    StepPlant p{scen->name(), scen->make_plant(), {}};
+    for (const scenario::Cell& cell : scen->make_cells(scenario::Partition{2, 2})) {
+      p.boxes.push_back(cell.state.box());
+    }
+    plants.push_back(std::move(p));
+  }
+  StepPlant dual{"acasxu_dual", acasxu::make_dual_dynamics(), {}};
+  for (const StepPlant& p : plants) {
+    if (p.name == "acasxu") {
+      dual.boxes = p.boxes;
+    }
+  }
+  plants.push_back(std::move(dual));
+
+  Rng rng(1717);
+  for (StepPlant& p : plants) {
+    const std::vector<Box> cells = p.boxes;
+    for (const Box& cell : cells) {
+      std::vector<Interval> mid;
+      std::vector<Interval> sub;
+      for (const Interval& iv : cell.intervals()) {
+        mid.emplace_back(iv.mid());
+        const double a = rng.uniform(iv.lo(), iv.hi());
+        const double b = rng.uniform(iv.lo(), iv.hi());
+        sub.emplace_back(std::min(a, b), std::max(a, b));
+      }
+      p.boxes.emplace_back(std::move(mid));
+      p.boxes.emplace_back(std::move(sub));
+    }
+    const auto angle = angle_dim.find(p.name);
+    if (angle != angle_dim.end()) {
+      for (const double e : kTrigExtrema) {
+        for (const double w : {1e-3, 0.3}) {
+          p.boxes.push_back(with_dim(cells.front(), angle->second, Interval{e - w, e + w}));
+        }
+        p.boxes.push_back(with_dim(cells.back(), angle->second, Interval{e}));
+      }
+    }
+  }
+  return plants;
+}
+
+TEST(TaylorIntegrator, StepMatchesFullOrderReferenceBitForBit) {
+  Rng rng(4711);
+  for (const StepPlant& p : step_plants()) {
+    int compared = 0;
+    for (int order = 1; order <= 8; ++order) {
+      const TaylorIntegrator integrator(TaylorIntegrator::Config{order, {}});
+      for (std::size_t b = 0; b < p.boxes.size(); ++b) {
+        Vec u(p.f->command_dim(), 0.0);
+        if (b % 3 != 0) {
+          for (double& uc : u) {
+            uc = rng.uniform(-1.0, 1.0);
+          }
+        }
+        const double h = b % 2 == 0 ? 0.1 : 0.025;
+        const auto got = integrator.step(*p.f, p.boxes[b], u, h);
+        const auto want = full_order_step(*p.f, p.boxes[b], u, h, order);
+        ASSERT_EQ(got.has_value(), want.has_value()) << p.name << " order " << order;
+        if (!got) {
+          continue;
+        }
+        EXPECT_TRUE(same_bits(got->flow, want->flow))
+            << p.name << " order " << order << " box " << b << " flow";
+        EXPECT_TRUE(same_bits(got->end, want->end))
+            << p.name << " order " << order << " box " << b << " end";
+        ++compared;
+      }
+    }
+    EXPECT_GE(compared, 8 * 10) << p.name << ": too few steps succeeded to compare";
+  }
+}
+
+/// The ACAS Xu kinematics as written before `sincos`: separate sin and cos
+/// calls on the same angle.
+struct UnfusedKinematicsField {
+  template <class S>
+  void operator()(std::span<const S> s, std::span<const S> u, std::span<S> out) const {
+    const S sp = sin(s[acasxu::kIdxPsi]);
+    const S cp = cos(s[acasxu::kIdxPsi]);
+    out[acasxu::kIdxX] = s[acasxu::kIdxVint] * (-sp) + u[0] * s[acasxu::kIdxY];
+    out[acasxu::kIdxY] = s[acasxu::kIdxVint] * cp - s[acasxu::kIdxVown] - u[0] * s[acasxu::kIdxX];
+    out[acasxu::kIdxPsi] = u.size() > 1 ? u[1] - u[0] : -u[0];
+    out[acasxu::kIdxVown] = 0.0 * s[acasxu::kIdxVown];
+    out[acasxu::kIdxVint] = 0.0 * s[acasxu::kIdxVint];
+  }
+};
+
+/// The unicycle field as written before `sincos`.
+struct UnfusedUnicycleField {
+  template <class S>
+  void operator()(std::span<const S> s, std::span<const S> u, std::span<S> out) const {
+    out[0] = Interval{1.0} * cos(s[2]) + 0.0 * s[0];
+    out[1] = Interval{1.0} * sin(s[2]) + 0.0 * s[1];
+    out[2] = u[0] + 0.0 * s[2];
+  }
+  void operator()(std::span<const double> s, std::span<const double> u,
+                  std::span<double> out) const {
+    out[0] = 1.0 * std::cos(s[2]);
+    out[1] = 1.0 * std::sin(s[2]);
+    out[2] = u[0];
+  }
+};
+
+TEST(FusedSinCos, FieldsMatchUnfusedCopiesBitForBit) {
+  struct FieldPair {
+    const char* name;
+    std::unique_ptr<Dynamics> fused;
+    std::unique_ptr<Dynamics> unfused;
+    std::size_t angle;
+  };
+  FieldPair pairs[] = {
+      {"acasxu", acasxu::make_dynamics(), make_dynamics(5, 1, UnfusedKinematicsField{}),
+       acasxu::kIdxPsi},
+      {"acasxu_dual", acasxu::make_dual_dynamics(), make_dynamics(5, 2, UnfusedKinematicsField{}),
+       acasxu::kIdxPsi},
+      {"unicycle", scenario::Registry::global().at("unicycle").make_plant(),
+       make_dynamics(3, 1, UnfusedUnicycleField{}), 2},
+  };
+  Rng rng(2718);
+  for (const FieldPair& p : pairs) {
+    const std::size_t dim = p.fused->state_dim();
+    const std::size_t cmd = p.fused->command_dim();
+    for (int trial = 0; trial < 60; ++trial) {
+      const double angle_center =
+          trial < 5 ? kTrigExtrema[trial] : rng.uniform(-4.0, 4.0);
+      const double angle_rad = trial % 3 == 0 ? 0.0 : rng.uniform(0.0, 0.5);
+
+      Vec xs(dim);
+      Vec us(cmd);
+      std::vector<Interval> xi(dim);
+      std::vector<Interval> ui(cmd);
+      for (std::size_t d = 0; d < dim; ++d) {
+        xs[d] = d == p.angle ? angle_center : rng.uniform(-900.0, 900.0);
+        const double rad = d == p.angle ? angle_rad : rng.uniform(0.0, 50.0);
+        xi[d] = Interval::centered(xs[d], rad);
+      }
+      for (std::size_t c = 0; c < cmd; ++c) {
+        us[c] = rng.uniform(-1.0, 1.0);
+        ui[c] = Interval{us[c]};
+      }
+
+      Vec xd_fused(dim);
+      Vec xd_unfused(dim);
+      p.fused->eval(xs, us, xd_fused);
+      p.unfused->eval(xs, us, xd_unfused);
+      std::vector<Interval> xi_fused(dim);
+      std::vector<Interval> xi_unfused(dim);
+      p.fused->eval(xi, ui, xi_fused);
+      p.unfused->eval(xi, ui, xi_unfused);
+
+      const auto order = static_cast<std::size_t>(trial % 9);
+      std::vector<TaylorSeries> xt(dim, TaylorSeries(order));
+      std::vector<TaylorSeries> ut;
+      for (std::size_t d = 0; d < dim; ++d) {
+        xt[d][0] = xi[d];
+        for (std::size_t k = 1; k <= order; ++k) {
+          xt[d][k] = Interval::centered(rng.uniform(-2.0, 2.0), rng.uniform(0.0, 0.1));
+        }
+      }
+      for (std::size_t c = 0; c < cmd; ++c) {
+        ut.emplace_back(order, ui[c]);
+      }
+      std::vector<TaylorSeries> xt_fused(dim);
+      std::vector<TaylorSeries> xt_unfused(dim);
+      p.fused->eval(xt, ut, xt_fused);
+      p.unfused->eval(xt, ut, xt_unfused);
+
+      for (std::size_t d = 0; d < dim; ++d) {
+        EXPECT_TRUE(same_bits(xd_fused[d], xd_unfused[d])) << p.name << " double dim " << d;
+        EXPECT_TRUE(same_bits(xi_fused[d], xi_unfused[d])) << p.name << " Interval dim " << d;
+        EXPECT_TRUE(same_bits(xt_fused[d], xt_unfused[d]))
+            << p.name << " TaylorSeries order " << order << " dim " << d;
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace nncs

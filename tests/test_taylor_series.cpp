@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "ode/taylor_series.hpp"
 #include "util/rng.hpp"
@@ -107,13 +108,20 @@ TEST(TaylorSeries, HornerEvaluation) {
   EXPECT_TRUE(v.contains(1.0 + 2.0 * 0.3 + 3.0 * 0.09));
 }
 
-TEST(TaylorSeries, EvalPrefixStopsEarly) {
-  TaylorSeries p(2, Interval{1.0});
-  p[1] = Interval{2.0};
-  p[2] = Interval{1000.0};
-  const Interval v = p.eval_prefix(Interval{1.0}, 1);
-  EXPECT_TRUE(v.contains(3.0));
-  EXPECT_LT(v.hi(), 10.0);  // the big order-2 coefficient is excluded
+TEST(TaylorSeries, PushBackRaisesOrder) {
+  TaylorSeries p(0, Interval{1.0});
+  p.push_back(Interval{2.0});
+  p.push_back(Interval{3.0});
+  EXPECT_EQ(p.order(), 2u);
+  EXPECT_EQ(p[2], Interval{3.0});
+  EXPECT_TRUE(p.eval(Interval{1.0}).contains(6.0));
+}
+
+TEST(TaylorSeries, OrderAboveCapThrows) {
+  TaylorSeries full(TaylorSeries::kMaxOrder);
+  EXPECT_EQ(full.order(), TaylorSeries::kMaxOrder);
+  EXPECT_THROW(full.push_back(Interval{}), std::invalid_argument);
+  EXPECT_THROW(TaylorSeries(TaylorSeries::kMaxOrder + 1), std::invalid_argument);
 }
 
 // Property: interval-coefficient polynomial evaluation contains the

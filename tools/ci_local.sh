@@ -7,7 +7,8 @@
 #   tools/ci_local.sh --skip-sanitizers --skip-bench
 #
 # Stages (each skippable):
-#   build-test    Release configure/build + full ctest          (always)
+#   build-test    Release configure/build + full ctest, plus a  (always)
+#                 configure-only -DNNCS_BUILD_BENCHES=OFF check
 #   sanitizers    tools/run_sanitizers.sh asan + tsan           (--skip-sanitizers)
 #   perf-gate     bench_canonical and domain_loop vs            (--skip-bench)
 #                 bench/baselines, python3 perfbench/run.py --test
@@ -21,7 +22,7 @@ set -uo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,19p' "$0" | sed 's/^# \{0,1\}//'
   exit 0
 }
 
@@ -48,7 +49,8 @@ stage_fail() { summary+=("$1 FAILED"); echo "== ci_local: $1 FAILED" >&2; failur
 # --- build-test -------------------------------------------------------------
 if cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release \
     && cmake --build build-ci -j"$jobs" \
-    && ctest --test-dir build-ci --output-on-failure -j"$jobs"; then
+    && ctest --test-dir build-ci --output-on-failure -j"$jobs" \
+    && cmake -B build-ci-nobench -S . -DCMAKE_BUILD_TYPE=Release -DNNCS_BUILD_BENCHES=OFF; then
   note "build-test OK"
 else
   stage_fail "build-test"

@@ -5,6 +5,8 @@
 #   2. a shallow cruise_control run exits 0
 #   3. resuming an acasxu run from a cruise_control checkpoint is refused
 #      with the dedicated exit code 4
+#   4. --order above the Taylor series capacity (15) is a usage error
+#      (exit 2)
 #
 # Required -D variables: VERIFY (binary), ACAS_NETS and CRUISE_NETS (network
 # cache dirs), OUT (scratch directory).
@@ -55,3 +57,8 @@ run_cli(4 "cross-scenario resume refused" ${VERIFY} --scenario acasxu --arcs 4 -
   --depth 0 --steps 10 --m 4 --order 3 --nets ${ACAS_NETS} --threads 4 --quiet
   --resume ${OUT}/cruise_checkpoint.csv)
 message(STATUS "cross-scenario resume refused with exit code 4")
+
+# 4. The integrator's Taylor order is capped at TaylorSeries::kMaxOrder.
+run_cli(2 "--order 16 refused" ${VERIFY} --scenario cruise_control --order 16
+  --nets ${CRUISE_NETS} --quiet)
+message(STATUS "--order 16 refused with exit code 2")

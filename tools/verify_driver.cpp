@@ -23,6 +23,7 @@
 #include "obs/profile.hpp"
 #include "obs/provenance.hpp"
 #include "obs/trace.hpp"
+#include "ode/taylor_series.hpp"
 #include "scenario/scenario.hpp"
 #include "util/env.hpp"
 #include "util/stopwatch.hpp"
@@ -43,7 +44,7 @@ void handle_sigint(int) {
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--scenario NAME] [--list-scenarios] [--arcs N] [--headings N]\n"
-               "          [--depth N] [--gamma N] [--steps N] [--m N] [--order N]\n"
+               "          [--depth N] [--gamma N] [--steps N] [--m N] [--order 1..15]\n"
                "          [--domain interval|symbolic|affine|box|zonotope]\n"
                "          [--nn-cache off|containment]\n"
                "          [--strategy all|widest] [--threads N] [--nets DIR]\n"
@@ -253,7 +254,8 @@ int verify_driver_main(int argc, char** argv) {
       config.reach.integration_steps =
           static_cast<int>(parse_int(argv[0], arg, need_value(i), 1, 1 << 20));
     } else if (!std::strcmp(arg, "--order")) {
-      taylor_order = static_cast<int>(parse_int(argv[0], arg, need_value(i), 1, 64));
+      taylor_order = static_cast<int>(parse_int(argv[0], arg, need_value(i), 1,
+                                                static_cast<long>(TaylorSeries::kMaxOrder)));
     } else if (!std::strcmp(arg, "--domain")) {
       const std::string v = need_value(i);
       if (v == "interval") {
