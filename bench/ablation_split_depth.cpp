@@ -7,6 +7,7 @@
 #include <iostream>
 
 #include "acas_bench_common.hpp"
+#include "core/engine.hpp"
 #include "util/env.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
@@ -24,7 +25,7 @@ int main() {
   const auto error = ax::make_error_region(scenario);
   const auto target = ax::make_target_region(scenario);
   const TaylorIntegrator integrator;
-  const Verifier verifier(system.loop, error, target);
+  const VerificationEngine engine(system.loop, error, target);
 
   Table table("ablation_split_depth",
               {"max_depth", "coverage_pct", "leaves", "proved_leaves", "time_s"});
@@ -38,7 +39,7 @@ int main() {
     config.split_dims = ax::split_dimensions();
     config.threads = env_threads();
     Stopwatch watch;
-    const auto report = verifier.verify(ax::to_symbolic_set(cells), config);
+    const auto report = engine.run(ax::to_symbolic_set(cells), EngineConfig{config}).report;
     table.add_row({std::to_string(depth), Table::num(report.coverage_percent, 4),
                    std::to_string(report.leaves.size()),
                    std::to_string(report.proved_leaves), Table::num(watch.seconds(), 4)});

@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "acas_bench_common.hpp"
+#include "core/engine.hpp"
 #include "util/env.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
@@ -26,7 +27,7 @@ int main() {
   const auto error = ax::make_error_region(scenario);
   const auto target = ax::make_target_region(scenario);
   const TaylorIntegrator integrator;
-  const Verifier verifier(system.loop, error, target);
+  const VerificationEngine engine(system.loop, error, target);
 
   Table table("ext_split_strategy",
               {"strategy", "max_depth", "coverage_pct", "analyses", "time_s"});
@@ -49,7 +50,7 @@ int main() {
     config.split_strategy = c.strategy;
     config.threads = env_threads();
     Stopwatch watch;
-    const auto report = verifier.verify(ax::to_symbolic_set(cells), config);
+    const auto report = engine.run(ax::to_symbolic_set(cells), EngineConfig{config}).report;
     table.add_row({c.name, std::to_string(c.depth), Table::num(report.coverage_percent, 4),
                    std::to_string(report.leaves.size()), Table::num(watch.seconds(), 4)});
   }

@@ -21,9 +21,9 @@
 #include "acasxu/geometry.hpp"
 #include "acasxu/scenario.hpp"
 #include "acasxu/training_pipeline.hpp"
+#include "core/engine.hpp"
 #include "core/product_controller.hpp"
 #include "core/simulate.hpp"
-#include "core/verifier.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
 
@@ -100,8 +100,8 @@ int main() {
   config.max_refinement_depth = 1;
   config.split_dims = ax::split_dimensions();
   config.threads = env_threads();
-  const Verifier verifier(dual_loop, error, target);
-  const auto report = verifier.verify(ax::to_symbolic_set(cells), config);
+  const VerificationEngine engine(dual_loop, error, target);
+  const auto report = engine.run(ax::to_symbolic_set(cells), EngineConfig{config}).report;
   std::printf("\nreachability on %zu dual-equipage cells: %zu proved, %zu not proved "
               "(coverage %.1f %%, %.1f s)\n",
               report.root_cells, report.proved_leaves, report.failed_leaves,

@@ -10,9 +10,9 @@
 #include "acasxu/dynamics.hpp"
 #include "acasxu/scenario.hpp"
 #include "acasxu/training_pipeline.hpp"
+#include "core/engine.hpp"
 #include "core/falsifier.hpp"
 #include "core/monitor.hpp"
-#include "core/verifier.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
 
@@ -62,8 +62,8 @@ int main() {
   vc.max_refinement_depth = 1;
   vc.split_dims = ax::split_dimensions();
   vc.threads = env_threads();
-  const Verifier verifier(system, error, target);
-  const auto report = verifier.verify(ax::to_symbolic_set(cells), vc);
+  const VerificationEngine engine(system, error, target);
+  const auto report = engine.run(ax::to_symbolic_set(cells), EngineConfig{vc}).report;
   std::printf("\nverification: coverage %.1f %% (%zu proved cells)\n", report.coverage_percent,
               report.proved_leaves);
 

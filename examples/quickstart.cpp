@@ -16,13 +16,13 @@
 ///   1. describe the plant as a generic-scalar `Dynamics`,
 ///   2. train a controller network with the in-repo `Trainer`,
 ///   3. assemble the generic `NeuralController` (Pre, λ, Post),
-///   4. run the reachability `Verifier` over a partition of the initial set.
+///   4. run the `VerificationEngine` over a partition of the initial set.
 
 #include <cstdio>
 #include <memory>
 
 #include "core/reachability.hpp"
-#include "core/verifier.hpp"
+#include "core/engine.hpp"
 #include "nn/trainer.hpp"
 #include "util/rng.hpp"
 
@@ -133,8 +133,8 @@ int main() {
   config.split_dims = {0, 1};
   config.threads = 4;
 
-  const Verifier verifier(system, error, target);
-  const VerifyReport report = verifier.verify(cells, config);
+  const VerificationEngine engine(system, error, target);
+  const VerifyReport report = engine.run(cells, EngineConfig{config}).report;
 
   std::printf("cells:            %zu\n", report.root_cells);
   std::printf("proved leaves:    %zu\n", report.proved_leaves);

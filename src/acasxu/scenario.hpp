@@ -43,7 +43,7 @@ struct InitialCell {
 /// state carries the COC command.
 std::vector<InitialCell> make_initial_cells(const ScenarioConfig& config);
 
-/// Strip the metadata (for feeding the Verifier).
+/// Strip the metadata (for feeding the verification engine).
 SymbolicSet to_symbolic_set(const std::vector<InitialCell>& cells);
 
 /// E: collision cylinder ρ < collision_radius.

@@ -1,15 +1,17 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
+#include <condition_variable>
 #include <deque>
+#include <exception>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace nncs {
 
@@ -86,15 +88,24 @@ EngineResult VerificationEngine::resume(const SymbolicSet& initial_cells,
         std::to_string(checkpoint.root_cells) + " root cells, got " +
         std::to_string(initial_cells.size()) + ")");
   }
-  for (const VerifyJob& job : checkpoint.frontier) {
-    if (job.root_index >= initial_cells.size() || job.depth < 0) {
-      throw std::invalid_argument("VerificationEngine::resume: corrupt frontier entry");
+  // A run under this configuration only makes cells of depth
+  // 0..max_refinement_depth; anything else would also index past the
+  // report's proved_by_depth.
+  auto check_entry = [&](std::size_t root_index, int depth, const char* what) {
+    if (root_index >= initial_cells.size() || depth < 0 ||
+        depth > config.verify.max_refinement_depth) {
+      throw std::invalid_argument(
+          std::string("VerificationEngine::resume: corrupt ") + what + " entry (root " +
+          std::to_string(root_index) + ", depth " + std::to_string(depth) + "; this run has " +
+          std::to_string(initial_cells.size()) + " root cells and depths 0.." +
+          std::to_string(config.verify.max_refinement_depth) + ")");
     }
+  };
+  for (const VerifyJob& job : checkpoint.frontier) {
+    check_entry(job.root_index, job.depth, "frontier");
   }
   for (const CellOutcome& leaf : checkpoint.leaves) {
-    if (leaf.root_index >= initial_cells.size()) {
-      throw std::invalid_argument("VerificationEngine::resume: corrupt leaf entry");
-    }
+    check_entry(leaf.root_index, leaf.depth, "leaf");
   }
   return drive(initial_cells, checkpoint, config, control);
 }
@@ -116,10 +127,12 @@ EngineResult VerificationEngine::drive(const SymbolicSet& initial_cells, EngineC
     control->set_time_budget(config.time_budget_seconds);
   }
 
-  // Engine state, all guarded by `mutex`. The pending deque is the source
-  // of truth for unfinished work: pool tasks are mere tickets that pop its
-  // front, so abandoning queued tickets on stop cannot lose a job.
+  // Engine state, all guarded by `mutex`. `pending` is the one work queue
+  // and the resumable frontier: workers pop its front and append the
+  // children of refined cells, so whatever it holds when the run stops is
+  // exactly the unfinished work.
   std::mutex mutex;
+  std::condition_variable wake;
   std::deque<VerifyJob> pending(state.frontier.begin(), state.frontier.end());
   std::vector<CellOutcome> leaves = std::move(state.leaves);
   ReachStats interior = state.interior_stats;
@@ -136,7 +149,13 @@ EngineResult VerificationEngine::drive(const SymbolicSet& initial_cells, EngineC
   }
   NNCS_GAUGE_ADD("engine.queue_depth", static_cast<std::int64_t>(pending.size()));
 
-  ThreadPool pool(vc.threads);
+  // Called with `mutex` held.
+  auto publish_progress = [&] {
+    if (config.on_progress) {
+      progress.elapsed_seconds = watch.seconds();
+      config.on_progress(progress);
+    }
+  };
 
   // Refine a failed cell into child boxes (the §7.1 all-dims scheme or the
   // §8 widest-dim heuristic, normalized by the root cell's widths). Only
@@ -181,60 +200,63 @@ EngineResult VerificationEngine::drive(const SymbolicSet& initial_cells, EngineC
     return {std::move(lower), std::move(upper)};
   };
 
-  // One ticket = "analyze the frontier's next job". Tickets and jobs stay
-  // 1:1 except on cancellation, where the surplus tickets no-op.
-  std::function<void()> ticket = [&] {
-    VerifyJob job;
-    {
-      std::lock_guard lock(mutex);
-      if (control->stopped() || pending.empty()) {
-        return;
+  // One worker: pop the frontier's next job, analyze it outside the lock,
+  // then record its leaf or queue its children. With nothing to pop it
+  // sleeps while other cells are in flight, since those may still refine
+  // into new jobs; it leaves once the run stops or the tree is finished.
+  auto work = [&] {
+    std::unique_lock lock(mutex);
+    for (;;) {
+      wake.wait(lock, [&] {
+        return !pending.empty() || progress.in_flight == 0 || control->stopped();
+      });
+      if (pending.empty() || control->stopped()) {
+        break;
       }
-      job = std::move(pending.front());
+      VerifyJob job = std::move(pending.front());
       pending.pop_front();
       ++progress.in_flight;
       progress.queue_depth = pending.size();
-    }
-    NNCS_GAUGE_ADD("engine.queue_depth", -1);
-    NNCS_GAUGE_ADD("engine.cells_in_flight", 1);
+      lock.unlock();
+      NNCS_GAUGE_ADD("engine.queue_depth", -1);
+      NNCS_GAUGE_ADD("engine.cells_in_flight", 1);
 
-    ReachResult res;
-    {
-      NNCS_SPAN_TAGGED("cell.analyze", "root", static_cast<std::int64_t>(job.root_index),
-                       "depth", job.depth);
-      res = reach_analyze(*system_, SymbolicSet{job.cell}, *error_, *target_, vc.reach, control);
-    }
-    NNCS_GAUGE_ADD("engine.cells_in_flight", -1);
+      ReachResult res;
+      {
+        NNCS_SPAN_TAGGED("cell.analyze", "root", static_cast<std::int64_t>(job.root_index),
+                         "depth", job.depth);
+        res = reach_analyze(*system_, SymbolicSet{job.cell}, *error_, *target_, vc.reach,
+                            control);
+      }
+      NNCS_GAUGE_ADD("engine.cells_in_flight", -1);
 
-    if (res.outcome == ReachOutcome::kCancelled) {
-      // Deadline hit mid-cell: the job is incomplete, so it returns to the
-      // frontier (and is re-run from scratch on resume — its partial stats
-      // are dropped to keep resumed reports exact).
-      NNCS_COUNT("engine.cells_cancelled", 1);
-      NNCS_GAUGE_ADD("engine.queue_depth", 1);
-      std::lock_guard lock(mutex);
-      --progress.in_flight;
-      pending.push_front(std::move(job));
-      progress.queue_depth = pending.size();
-      return;
-    }
+      if (res.outcome == ReachOutcome::kCancelled) {
+        // Deadline hit mid-cell: the job is incomplete, so it returns to the
+        // frontier (and is re-run from scratch on resume — its partial stats
+        // are dropped to keep resumed reports exact).
+        NNCS_COUNT("engine.cells_cancelled", 1);
+        NNCS_GAUGE_ADD("engine.queue_depth", 1);
+        lock.lock();
+        --progress.in_flight;
+        pending.push_front(std::move(job));
+        progress.queue_depth = pending.size();
+        continue;
+      }
 
-    const bool proved = res.outcome == ReachOutcome::kProvedSafe;
-    const bool terminal_violation =
-        config.stop_on_violation && res.outcome == ReachOutcome::kErrorReachable;
-    if (!proved && !terminal_violation && job.depth < vc.max_refinement_depth &&
-        !vc.split_dims.empty()) {
-      std::vector<Box> children = split_cell(job);
-      if (children.empty()) {
-        // No split dimension can make progress (all thin/degenerate): keep
-        // the cell as an undecided leaf instead of re-queuing it unchanged.
-        NNCS_COUNT("engine.stalled_splits", 1);
-      } else {
-        NNCS_COUNT("engine.cells_refined", 1);
-        NNCS_GAUGE_ADD("engine.queue_depth", static_cast<std::int64_t>(children.size()));
-        std::size_t spawned = 0;
-        {
-          std::lock_guard lock(mutex);
+      const bool proved = res.outcome == ReachOutcome::kProvedSafe;
+      const bool terminal_violation =
+          config.stop_on_violation && res.outcome == ReachOutcome::kErrorReachable;
+      if (!proved && !terminal_violation && job.depth < vc.max_refinement_depth &&
+          !vc.split_dims.empty()) {
+        std::vector<Box> children = split_cell(job);
+        if (children.empty()) {
+          // No split dimension can make progress (all thin/degenerate): keep
+          // the cell as an undecided leaf instead of re-queuing it unchanged.
+          NNCS_COUNT("engine.stalled_splits", 1);
+        } else {
+          NNCS_COUNT("engine.cells_refined", 1);
+          NNCS_GAUGE_ADD("engine.queue_depth", static_cast<std::int64_t>(children.size()));
+          lock.lock();
           --progress.in_flight;
           interior += res.stats;
           ++progress.cells_refined;
@@ -242,35 +264,26 @@ EngineResult VerificationEngine::drive(const SymbolicSet& initial_cells, EngineC
             pending.push_back(VerifyJob{SymbolicState{std::move(child), job.cell.command},
                                         job.depth + 1, job.root_index});
           }
-          spawned = children.size();
           progress.queue_depth = pending.size();
-          if (config.on_progress) {
-            progress.elapsed_seconds = watch.seconds();
-            config.on_progress(progress);
-          }
+          publish_progress();
+          wake.notify_all();
+          continue;
         }
-        for (std::size_t c = 0; c < spawned; ++c) {
-          pool.submit(ticket);
-        }
-        return;
       }
-    }
 
-    CellOutcome outcome;
-    outcome.initial = std::move(job.cell);
-    outcome.depth = job.depth;
-    outcome.root_index = job.root_index;
-    outcome.outcome = res.outcome;
-    outcome.stats = res.stats;
-    NNCS_COUNT("engine.cells_done", 1);
-    if (proved) {
-      NNCS_COUNT("engine.cells_proved", 1);
-    } else {
-      NNCS_COUNT("engine.cells_failed", 1);
-    }
-    bool fire_stop = false;
-    {
-      std::lock_guard lock(mutex);
+      CellOutcome outcome;
+      outcome.initial = std::move(job.cell);
+      outcome.depth = job.depth;
+      outcome.root_index = job.root_index;
+      outcome.outcome = res.outcome;
+      outcome.stats = res.stats;
+      NNCS_COUNT("engine.cells_done", 1);
+      if (proved) {
+        NNCS_COUNT("engine.cells_proved", 1);
+      } else {
+        NNCS_COUNT("engine.cells_failed", 1);
+      }
+      lock.lock();
       --progress.in_flight;
       ++progress.cells_done;
       if (proved) {
@@ -279,44 +292,62 @@ EngineResult VerificationEngine::drive(const SymbolicSet& initial_cells, EngineC
         ++progress.cells_failed;
       }
       if (terminal_violation && !violation.has_value()) {
+        // Early exit: no new job starts, cells already running finish (and
+        // may report further violations, but only the first is recorded as
+        // THE violation).
         violation = outcome;
-        fire_stop = true;
+        control->request_stop();
       }
       leaves.push_back(std::move(outcome));
-      if (config.on_progress) {
-        progress.elapsed_seconds = watch.seconds();
-        config.on_progress(progress);
-      }
+      publish_progress();
     }
-    if (fire_stop) {
-      // Early exit: no new work starts, queued tickets are dropped, cells
-      // already running finish (and may report further violations, but
-      // only the first is recorded as THE violation).
-      control->request_stop();
-      pool.request_drain();
+    // The run stopped or the tree is finished: either way every sleeping
+    // worker leaves too.
+    wake.notify_all();
+  };
+
+  // An exception (a checkpoint cell that does not fit the system, a bad
+  // configuration) must not escape a worker thread: the first one stops
+  // the run and is rethrown once every worker has joined.
+  std::exception_ptr failure;
+  auto worker = [&] {
+    try {
+      work();
+    } catch (...) {
+      {
+        std::lock_guard lock(mutex);
+        if (!failure) {
+          failure = std::current_exception();
+        }
+        control->request_stop();
+      }
+      wake.notify_all();
     }
   };
 
-  // t0 snapshot before any ticket runs: heartbeat sinks (--progress-json)
+  // t0 snapshot before any worker runs: heartbeat sinks (--progress-json)
   // get a baseline line even for runs that finish within one cell.
-  if (config.on_progress) {
+  {
     std::lock_guard lock(mutex);
-    progress.elapsed_seconds = watch.seconds();
-    config.on_progress(progress);
+    publish_progress();
   }
 
   {
-    const std::size_t initial_jobs = pending.size();
-    for (std::size_t i = 0; i < initial_jobs; ++i) {
-      pool.submit(ticket);
+    std::vector<std::jthread> workers;
+    const std::size_t n = std::max<std::size_t>(1, vc.threads);
+    workers.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      workers.emplace_back(worker);
     }
   }
-  pool.wait_idle();
-  // Workers are quiescent past this point; the state is ours again.
+  // The workers have joined; the state is ours again.
 
   // Return the gauge to its pre-run level: jobs abandoned to the frontier
   // are no longer queued anywhere once the run object is gone.
   NNCS_GAUGE_ADD("engine.queue_depth", -static_cast<std::int64_t>(pending.size()));
+  if (failure) {
+    std::rethrow_exception(failure);
+  }
 
   EngineResult result;
   std::sort(leaves.begin(), leaves.end(), cell_outcome_less);
@@ -325,11 +356,7 @@ EngineResult VerificationEngine::drive(const SymbolicSet& initial_cells, EngineC
   report.root_cells = initial_cells.size();
   report.leaves = std::move(leaves);
   report.interior_stats = interior;
-  int depth_levels = vc.max_refinement_depth + 1;
-  for (const CellOutcome& leaf : report.leaves) {
-    depth_levels = std::max(depth_levels, leaf.depth + 1);
-  }
-  report.proved_by_depth.assign(static_cast<std::size_t>(depth_levels), 0);
+  report.proved_by_depth.assign(static_cast<std::size_t>(vc.max_refinement_depth) + 1, 0);
   for (const CellOutcome& leaf : report.leaves) {
     if (leaf.outcome == ReachOutcome::kProvedSafe) {
       ++report.proved_leaves;

@@ -59,7 +59,8 @@ struct EngineProgress {
   std::size_t cells_refined = 0;
 };
 
-/// Engine-level knobs on top of the per-cell VerifyConfig.
+/// Engine-level knobs on top of the per-cell VerifyConfig; `EngineConfig{verify}`
+/// leaves them all off (a plain run to completion).
 struct EngineConfig {
   VerifyConfig verify;
   /// Wall-clock budget in seconds; <= 0 means unlimited. When it expires
@@ -73,7 +74,7 @@ struct EngineConfig {
   /// Invoked with the engine's state mutex held after every completed cell
   /// analysis — keep it cheap and do not call back into the engine. May run
   /// on any worker thread, but never concurrently.
-  std::function<void(const EngineProgress&)> on_progress;
+  std::function<void(const EngineProgress&)> on_progress{};
 };
 
 /// Why a run returned.
@@ -99,14 +100,18 @@ struct EngineResult {
   std::optional<CellOutcome> violation;
 };
 
-/// The partition-and-refine driver behind `Verifier::verify`, exposed for
-/// callers that need budgets, early exit, progress, or checkpoint/resume.
+/// The partition-and-refine safety verifier (§7.1 "Split refinement"):
+/// each initial cell is an independent verification problem, and cells that
+/// cannot be proved are bisected along `split_dims` and re-analyzed up to
+/// `max_refinement_depth`. `run(...).report` is the plain verification;
+/// budgets, early exit, progress and checkpoint/resume ride on the same
+/// call.
 ///
-/// The engine owns an explicit pending-job queue; worker tasks pop one job
-/// at a time, so on stop the queue contents *are* the resumable frontier —
-/// nothing is lost inside the thread pool. A cell cancelled mid-analysis
-/// (deadline inside reach_analyze) returns to the frontier and is re-run
-/// from scratch on resume, which keeps its stats exact.
+/// The engine keeps one pending-job queue, and `max(1, VerifyConfig::threads)`
+/// workers pop it one job at a time, so on stop the queue contents *are*
+/// the resumable frontier. A cell cancelled mid-analysis (deadline inside
+/// reach_analyze) returns to the frontier and is re-run from scratch on
+/// resume, which keeps its stats exact.
 class VerificationEngine {
  public:
   /// Non-owning: the system and regions must outlive the engine.
@@ -115,7 +120,9 @@ class VerificationEngine {
 
   /// Analyze a fresh partition. `control` (optional) allows external
   /// cancellation (e.g. a SIGINT flag); the time budget, when set, is armed
-  /// on it.
+  /// on it. An exception a cell analysis throws on a worker thread (such as
+  /// reach_analyze's std::invalid_argument for a cell that does not fit the
+  /// system) stops the run and is rethrown here.
   [[nodiscard]] EngineResult run(const SymbolicSet& initial_cells, const EngineConfig& config,
                                  RunControl* control = nullptr) const;
 

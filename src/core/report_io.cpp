@@ -1,6 +1,7 @@
 #include "core/report_io.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -59,12 +60,22 @@ double parse_double(const std::string& s) {
   return v;
 }
 
-std::size_t parse_size(const std::string& s) {
-  try {
-    return static_cast<std::size_t>(std::stoull(s));
-  } catch (const std::exception&) {
+/// A count: the whole cell is decimal digits, at most `max`. (std::stoull
+/// would also take "-1" as 2^64-1, "+4", " 3" and "12abc".)
+std::size_t parse_size(const std::string& s,
+                       std::size_t max = std::numeric_limits<std::size_t>::max()) {
+  std::size_t v = 0;
+  const char* const end = s.data() + s.size();
+  const auto [stop, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc{} || stop != end || v > max) {
     throw ReportFormatError("report_io: expected a count, got '" + s + "'");
   }
+  return v;
+}
+
+/// A count stored in an `int` field (depths, step counts).
+int parse_int(const std::string& s) {
+  return static_cast<int>(parse_size(s, std::numeric_limits<int>::max()));
 }
 
 void write_leaf_row(std::ostream& os, const CellOutcome& leaf) {
@@ -97,11 +108,11 @@ CellOutcome parse_leaf_row(const std::string& line, bool v2) {
   }
   CellOutcome leaf;
   leaf.root_index = parse_size(cells[0]);
-  leaf.depth = static_cast<int>(parse_size(cells[1]));
+  leaf.depth = parse_int(cells[1]);
   leaf.outcome = outcome_from_string(cells[2]);
   leaf.stats.seconds = parse_double(cells[3]);
   if (v2) {
-    leaf.stats.steps_executed = static_cast<int>(parse_size(cells[4]));
+    leaf.stats.steps_executed = parse_int(cells[4]);
     leaf.stats.joins = parse_size(cells[5]);
     leaf.stats.max_states = parse_size(cells[6]);
     leaf.stats.total_simulations = parse_size(cells[7]);
@@ -271,7 +282,7 @@ EngineCheckpoint load_checkpoint(std::istream& is) {
     throw ReportFormatError("report_io: malformed interior-stats row");
   }
   ReachStats& s = checkpoint.interior_stats;
-  s.steps_executed = static_cast<int>(parse_size(interior_cells[1]));
+  s.steps_executed = parse_int(interior_cells[1]);
   s.joins = parse_size(interior_cells[2]);
   s.max_states = parse_size(interior_cells[3]);
   s.total_simulations = parse_size(interior_cells[4]);
@@ -298,7 +309,7 @@ EngineCheckpoint load_checkpoint(std::istream& is) {
     }
     VerifyJob job;
     job.root_index = parse_size(cells[0]);
-    job.depth = static_cast<int>(parse_size(cells[1]));
+    job.depth = parse_int(cells[1]);
     job.cell.command = parse_size(cells[2]);
     job.cell.abstract = parse_box(cells, 3);
     checkpoint.frontier.push_back(std::move(job));

@@ -25,10 +25,6 @@ class RunControl {
 
   void request_stop() { stop_.store(true, std::memory_order_release); }
 
-  [[nodiscard]] bool stop_requested() const {
-    return stop_.load(std::memory_order_acquire);
-  }
-
   /// Absolute cutoff on the steady clock; a run past it reports stopped.
   void set_deadline(std::chrono::steady_clock::time_point when) {
     deadline_.store(when.time_since_epoch().count(), std::memory_order_release);
@@ -39,12 +35,6 @@ class RunControl {
     set_deadline(std::chrono::steady_clock::now() +
                  std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                      std::chrono::duration<double>(seconds)));
-  }
-
-  void clear_deadline() { deadline_.store(0, std::memory_order_release); }
-
-  [[nodiscard]] bool has_deadline() const {
-    return deadline_.load(std::memory_order_acquire) != 0;
   }
 
   /// Watch an async-signal-safe flag (set from a SIGINT handler). The flag

@@ -1,13 +1,6 @@
 #include "core/verifier.hpp"
 
-#include <utility>
-
-#include "core/engine.hpp"
-
 namespace nncs {
-
-Verifier::Verifier(const ClosedLoop& system, const StateRegion& error, const StateRegion& target)
-    : system_(&system), error_(&error), target_(&target) {}
 
 double coverage_percent(std::size_t root_cells, const std::vector<std::size_t>& proved_by_depth,
                         std::size_t split_factor) {
@@ -21,13 +14,6 @@ double coverage_percent(std::size_t root_cells, const std::vector<std::size_t>& 
     weight /= static_cast<double>(split_factor);
   }
   return 100.0 * covered / static_cast<double>(root_cells);
-}
-
-VerifyReport Verifier::verify(const SymbolicSet& initial_cells, const VerifyConfig& config) const {
-  const VerificationEngine engine(*system_, *error_, *target_);
-  EngineConfig engine_config;
-  engine_config.verify = config;
-  return std::move(engine.run(initial_cells, engine_config).report);
 }
 
 ReachStats aggregate_stats(const VerifyReport& report) {

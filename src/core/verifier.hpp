@@ -67,28 +67,6 @@ struct VerifyReport {
   double seconds = 0.0;
 };
 
-/// Partition-and-refine safety verifier. Each initial cell is an
-/// independent verification problem run on a thread pool; cells that cannot
-/// be proved are bisected along `split_dims` and re-analyzed up to
-/// `max_refinement_depth` (§7.1 "Split refinement").
-///
-/// Thin wrapper over `VerificationEngine` (core/engine.hpp) — use the
-/// engine directly for time budgets, early exit, progress callbacks, or
-/// checkpoint/resume.
-class Verifier {
- public:
-  /// Non-owning: the system and regions must outlive the verifier.
-  Verifier(const ClosedLoop& system, const StateRegion& error, const StateRegion& target);
-
-  [[nodiscard]] VerifyReport verify(const SymbolicSet& initial_cells,
-                                    const VerifyConfig& config) const;
-
- private:
-  const ClosedLoop* system_;
-  const StateRegion* error_;
-  const StateRegion* target_;
-};
-
 /// The paper's coverage formula, exposed for reporting code:
 /// c = 100/K0 · Σ_d n_d / split_factor^d.
 double coverage_percent(std::size_t root_cells, const std::vector<std::size_t>& proved_by_depth,

@@ -13,7 +13,6 @@ namespace nncs::obs {
 
 namespace {
 
-constexpr std::string_view kSchemaV1 = "nncs-bench v1";
 constexpr std::string_view kSchemaV2 = "nncs-bench v2";
 
 /// The engine.cells_* counters mirror the refinement tree, which is
@@ -103,66 +102,6 @@ void parse_metrics(const JsonValue* obj, BenchArtifact& artifact) {
     }
   }
   parse_histograms(obj->find("histograms"), artifact.phases);
-}
-
-/// Map a legacy "nncs-bench v1" document (write_bench_report's original
-/// layout) onto the v2 struct so old committed artifacts stay comparable.
-void parse_v1(const JsonValue& root, BenchArtifact& artifact) {
-  artifact.schema_version = 1;
-  if (const JsonValue* results = root.find("results"); results && results->is_object()) {
-    for (const auto& [name, value] : results->object) {
-      if (!value.is_number()) {
-        continue;
-      }
-      if (name == "wall_seconds") {
-        artifact.wall_seconds = value.number;
-      } else {
-        artifact.canonical_results[name] = value.number;
-      }
-    }
-  }
-  if (const JsonValue* agg = root.find("aggregate_stats"); agg && agg->is_object()) {
-    for (const auto& [name, value] : agg->object) {
-      if (!value.is_number()) {
-        continue;
-      }
-      // Work counts are deterministic; cell_seconds is wall clock.
-      if (name == "cell_seconds") {
-        artifact.wall_results["aggregate." + name] = value.number;
-      } else {
-        artifact.canonical_results["aggregate." + name] = value.number;
-      }
-    }
-    if (const JsonValue* phases = agg->find("phases"); phases && phases->is_object()) {
-      for (const auto& [name, value] : phases->object) {
-        if (value.is_number()) {
-          artifact.wall_results["phase." + name] = value.number;
-        }
-      }
-    }
-  }
-  parse_metrics(root.find("metrics"), artifact);
-}
-
-void parse_v2(const JsonValue& root, BenchArtifact& artifact) {
-  artifact.schema_version = 2;
-  if (const JsonValue* canonical = root.find("canonical"); canonical && canonical->is_object()) {
-    parse_number_map(canonical->find("results"), artifact.canonical_results);
-    if (const JsonValue* counters = canonical->find("counters");
-        counters && counters->is_object()) {
-      for (const auto& [name, value] : counters->object) {
-        if (value.is_number()) {
-          artifact.canonical_counters[name] = static_cast<std::uint64_t>(value.number);
-        }
-      }
-    }
-  }
-  if (const JsonValue* wall = root.find("wall"); wall && wall->is_object()) {
-    artifact.wall_seconds = number_or(wall->find("wall_seconds"), 0.0);
-    parse_number_map(wall->find("results"), artifact.wall_results);
-    parse_histograms(wall->find("phases"), artifact.phases);
-  }
-  parse_metrics(root.find("metrics"), artifact);
 }
 
 }  // namespace
@@ -274,18 +213,31 @@ BenchArtifact parse_artifact(std::string_view json) {
     throw std::runtime_error("artifact: top level is not an object");
   }
   const std::string schema = string_or(root.find("schema"), "");
+  if (schema != kSchemaV2) {
+    throw std::runtime_error("artifact: unsupported schema '" + schema +
+                             "' (expected 'nncs-bench v2')");
+  }
   BenchArtifact artifact;
   artifact.bench = string_or(root.find("bench"), "");
   parse_provenance(root.find("provenance"), artifact.provenance);
   parse_number_map(root.find("scale"), artifact.scale);
-  if (schema == kSchemaV1) {
-    parse_v1(root, artifact);
-  } else if (schema == kSchemaV2) {
-    parse_v2(root, artifact);
-  } else {
-    throw std::runtime_error("artifact: unsupported schema '" + schema +
-                             "' (expected 'nncs-bench v1' or 'nncs-bench v2')");
+  if (const JsonValue* canonical = root.find("canonical"); canonical && canonical->is_object()) {
+    parse_number_map(canonical->find("results"), artifact.canonical_results);
+    if (const JsonValue* counters = canonical->find("counters");
+        counters && counters->is_object()) {
+      for (const auto& [name, value] : counters->object) {
+        if (value.is_number()) {
+          artifact.canonical_counters[name] = static_cast<std::uint64_t>(value.number);
+        }
+      }
+    }
   }
+  if (const JsonValue* wall = root.find("wall"); wall && wall->is_object()) {
+    artifact.wall_seconds = number_or(wall->find("wall_seconds"), 0.0);
+    parse_number_map(wall->find("results"), artifact.wall_results);
+    parse_histograms(wall->find("phases"), artifact.phases);
+  }
+  parse_metrics(root.find("metrics"), artifact);
   return artifact;
 }
 
@@ -315,17 +267,14 @@ std::vector<std::string> validate_artifact(const BenchArtifact& artifact) {
   if (p.compiler.empty()) {
     problems.push_back("provenance: missing compiler");
   }
-  if (artifact.schema_version >= 2) {
-    // v1 predates these fields; v2 artifacts must carry the full stamp.
-    if (p.cpu_model.empty()) {
-      problems.push_back("provenance: missing cpu_model");
-    }
-    if (p.cpu_cores == 0) {
-      problems.push_back("provenance: cpu_cores is 0");
-    }
-    if (artifact.canonical_results.empty()) {
-      problems.push_back("canonical.results is empty");
-    }
+  if (p.cpu_model.empty()) {
+    problems.push_back("provenance: missing cpu_model");
+  }
+  if (p.cpu_cores == 0) {
+    problems.push_back("provenance: cpu_cores is 0");
+  }
+  if (artifact.canonical_results.empty()) {
+    problems.push_back("canonical.results is empty");
   }
   if (!(artifact.wall_seconds >= 0.0)) {
     problems.push_back("wall_seconds is negative or NaN");

@@ -27,9 +27,6 @@ namespace nncs::obs {
 ///    histograms with p50/p90/p99 quantiles). These are compared with a
 ///    relative tolerance; exceeding it is a perf regression.
 struct BenchArtifact {
-  /// 1 = legacy "nncs-bench v1" (loadable, no gauges/quantile guarantees),
-  /// 2 = current.
-  int schema_version = 2;
   std::string bench;
   Provenance provenance;
   /// Workload knobs (partition sizes, depth, thread count) — part of the
@@ -61,15 +58,13 @@ struct BenchArtifact {
 /// a registry snapshot.
 void fill_artifact_metrics(BenchArtifact& artifact, const MetricsSnapshot& snap);
 
-/// Serialize as "nncs-bench v2" JSON (always version 2, regardless of the
-/// version the artifact was loaded from).
+/// Serialize as "nncs-bench v2" JSON.
 void write_artifact(const BenchArtifact& artifact, std::ostream& os);
 /// Throws std::runtime_error when the file cannot be written.
 void write_artifact(const BenchArtifact& artifact, const std::filesystem::path& path);
 
-/// Parse an artifact document; accepts both "nncs-bench v1" and v2 (v1
-/// fields are mapped into the v2 struct). Throws std::runtime_error on
-/// malformed or non-artifact input.
+/// Parse an "nncs-bench v2" document. Throws std::runtime_error on
+/// malformed, non-artifact or other-schema input.
 [[nodiscard]] BenchArtifact parse_artifact(std::string_view json);
 [[nodiscard]] BenchArtifact load_artifact(const std::filesystem::path& path);
 

@@ -31,7 +31,7 @@ struct TrackedTraceEvent {
 
 /// Process-wide recorder producing chrome://tracing / Perfetto-compatible
 /// JSON. Each recording thread appends to its own buffer (one track per
-/// pool worker); buffers are owned by the recorder so events survive worker
+/// engine worker); buffers are owned by the recorder so events survive worker
 /// shutdown, and write_json() merges them time-sorted.
 class TraceRecorder {
  public:

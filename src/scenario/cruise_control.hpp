@@ -7,8 +7,8 @@
 namespace nncs::scenario {
 
 /// Adaptive cruise control (ACC) — a standard closed-loop NN verification
-/// benchmark, promoted from examples/cruise_control.cpp into a registered
-/// scenario. Bounded-horizon safety with no termination set:
+/// benchmark, run as `nncs_verify --scenario cruise_control`. Bounded-horizon
+/// safety with no termination set:
 ///
 ///   state s = (d, vr)   d  = gap to the lead vehicle (m),
 ///                       vr = v_lead − v_ego (m/s; negative = closing)

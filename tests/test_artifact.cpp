@@ -1,6 +1,6 @@
 // Tests for the versioned perf-artifact subsystem (obs/artifact.hpp): exact
-// quantile extraction from the log2 histogram buckets, v2 round-trip and v1
-// backward-compat loading, the compare tool's gating semantics, and the
+// quantile extraction from the log2 histogram buckets, v2 round-trip and
+// schema checks, the compare tool's gating semantics, and the
 // span self-profile tree (obs/profile.hpp).
 
 #include <gtest/gtest.h>
@@ -124,7 +124,6 @@ TEST(ArtifactRoundTrip, V2WriteParsePreservesEveryField) {
   write_artifact(a, out);
   const BenchArtifact b = parse_artifact(out.str());
 
-  EXPECT_EQ(b.schema_version, 2);
   EXPECT_EQ(b.bench, a.bench);
   EXPECT_EQ(b.provenance.git_sha, a.provenance.git_sha);
   EXPECT_EQ(b.provenance.compiler_flags, a.provenance.compiler_flags);
@@ -145,48 +144,14 @@ TEST(ArtifactRoundTrip, V2WriteParsePreservesEveryField) {
   EXPECT_TRUE(validate_artifact(b).empty());
 }
 
-TEST(ArtifactRoundTrip, V1DocumentMapsOntoV2Struct) {
-  const std::string v1 = R"({
-    "schema": "nncs-bench v1",
-    "bench": "fig9a_safety_map",
-    "provenance": {"git_sha": "old1234", "build_type": "Release",
-                   "compiler": "gcc", "scenario": "acasxu",
-                   "nncs_scale": 1, "nncs_threads": 4, "telemetry_enabled": false},
-    "scale": {"num_arcs": 8, "num_headings": 4, "max_depth": 1},
-    "results": {"root_cells": 32, "coverage_percent": 50.0,
-                "wall_seconds": 12.5, "leaves": 64},
-    "aggregate_stats": {"steps_executed": 100, "joins": 200,
-                        "cell_seconds": 24.0,
-                        "phases": {"simulate_s": 10.0, "total_s": 20.0}},
-    "metrics": {"counters": {"engine.cells_done": 64},
-                "gauges": {"engine.queue_depth": 0},
-                "histograms": {"cell.analyze": {"count": 64, "total_s": 24.0,
-                  "min_s": 0.1, "max_s": 1.0, "p50_s": 0.3, "p90_s": 0.5, "p99_s": 0.9}}}
-  })";
-  const BenchArtifact a = parse_artifact(v1);
-  EXPECT_EQ(a.schema_version, 1);
-  EXPECT_EQ(a.bench, "fig9a_safety_map");
-  // wall_seconds is pulled out of results; the rest of results is canonical.
-  EXPECT_DOUBLE_EQ(a.wall_seconds, 12.5);
-  EXPECT_EQ(a.canonical_results.count("wall_seconds"), 0u);
-  EXPECT_DOUBLE_EQ(a.canonical_results.at("root_cells"), 32.0);
-  EXPECT_DOUBLE_EQ(a.canonical_results.at("coverage_percent"), 50.0);
-  // Aggregate work counts are canonical; cell_seconds and phases are wall.
-  EXPECT_DOUBLE_EQ(a.canonical_results.at("aggregate.steps_executed"), 100.0);
-  EXPECT_DOUBLE_EQ(a.wall_results.at("aggregate.cell_seconds"), 24.0);
-  EXPECT_DOUBLE_EQ(a.wall_results.at("phase.simulate_s"), 10.0);
-  // v1 carried engine counters only in the informational metrics block; the
-  // canonical counter subset was introduced with v2.
-  EXPECT_EQ(a.counters.at("engine.cells_done"), 64u);
-  ASSERT_EQ(a.phases.size(), 1u);
-  EXPECT_EQ(a.phases[0].name, "cell.analyze");
-  // v1 artifacts pass validation without the v2-only provenance fields.
-  EXPECT_TRUE(validate_artifact(a).empty());
-}
-
 TEST(ArtifactRoundTrip, RejectsUnknownSchema) {
   EXPECT_THROW(parse_artifact(R"({"schema": "something else"})"), std::runtime_error);
   EXPECT_THROW(parse_artifact("not json"), std::runtime_error);
+  // The retired v1 layout is no longer read, even when well-formed.
+  EXPECT_THROW(parse_artifact(R"({"schema": "nncs-bench v1", "bench": "fig9a_safety_map",
+                                  "provenance": {"git_sha": "old1234", "compiler": "gcc"},
+                                  "results": {"root_cells": 32, "wall_seconds": 12.5}})"),
+               std::runtime_error);
 }
 
 TEST(ArtifactRoundTrip, ValidateFlagsMissingProvenanceAndBadQuantiles) {

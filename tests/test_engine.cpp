@@ -1,13 +1,17 @@
-// Tests for the cancellable job-queue verification engine: determinism
-// across thread counts, cooperative cancellation, budgets, early exit on
-// violation, and checkpoint/resume.
+// Tests for the cancellable job-queue verification engine: its worker
+// pool, determinism across thread counts, cooperative cancellation,
+// budgets, early exit on violation, and checkpoint/resume.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <csignal>
+#include <set>
 #include <sstream>
+#include <string>
+#include <thread>
 
 #include "closed_loop_fixtures.hpp"
 #include "core/engine.hpp"
@@ -62,17 +66,47 @@ std::string canonical_csv(VerifyReport report) {
   return os.str();
 }
 
+/// Cells p in [0, 4] moving away from the obstacle at distinct constant
+/// speeds. The edge p = 0 lies in the error region, so each cell fails, and
+/// bisecting p gives an upper child that proves and a lower child that
+/// fails again: a refinement chain one cell wide, down to the depth cap.
+SymbolicSet chain_cells(int n) {
+  SymbolicSet cells;
+  for (int i = 0; i < n; ++i) {
+    const double v = -1.0 - i;
+    cells.push_back({Box{Interval{0.0, 4.0}, Interval{v, v}}, 0});
+  }
+  return cells;
+}
+
+EngineConfig chain_config(const EngineSetup& s, int depth, std::size_t threads) {
+  EngineConfig ec = s.config();
+  ec.verify.split_dims = {0};
+  ec.verify.max_refinement_depth = depth;
+  ec.verify.threads = threads;
+  return ec;
+}
+
 TEST(Engine, CompleteRunMatchesVerifier) {
+  // A time budget, a progress callback and an external RunControl armed but
+  // never firing: the run completes and reports exactly what the plain
+  // verification, EngineConfig{verify}, reports.
   EngineSetup s;
   const auto cells = mixed_cells(3);
-  const EngineResult result = s.engine().run(cells, s.config());
+  EngineConfig ec = s.config();
+  ec.time_budget_seconds = 3600.0;
+  std::size_t events = 0;
+  ec.on_progress = [&events](const EngineProgress&) { ++events; };
+  RunControl control;
+  const EngineResult result = s.engine().run(cells, ec, &control);
   EXPECT_EQ(result.stop_reason, EngineStopReason::kComplete);
   EXPECT_TRUE(result.complete());
   EXPECT_TRUE(result.checkpoint.frontier.empty());
   EXPECT_FALSE(result.violation.has_value());
+  EXPECT_GT(events, 1u);
 
-  const auto report = Verifier(s.system, s.error, s.target).verify(cells, s.config().verify);
-  EXPECT_EQ(canonical_csv(result.report), canonical_csv(report));
+  const VerifyReport plain = s.engine().run(cells, EngineConfig{s.config().verify}).report;
+  EXPECT_EQ(canonical_csv(result.report), canonical_csv(plain));
 }
 
 TEST(Engine, LeavesAreSortedDeterministically) {
@@ -100,6 +134,191 @@ TEST(Engine, CanonicalReportIsByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(a.report.interior_stats.steps_executed, b.report.interior_stats.steps_executed);
   EXPECT_EQ(a.report.interior_stats.total_simulations,
             b.report.interior_stats.total_simulations);
+}
+
+TEST(Engine, MoreWorkersThanCellsMatchOneWorker) {
+  // Two root cells refined to depth 2 under 16 workers: most workers start
+  // with nothing to pop and must wait for refinements instead of leaving,
+  // and the report must not depend on who ran which cell.
+  EngineSetup s;
+  const auto cells = mixed_cells(2);
+  EngineConfig one = s.config();
+  one.verify.threads = 1;
+  EngineConfig many = s.config();
+  many.verify.threads = 16;
+  const EngineResult a = s.engine().run(cells, one);
+  const EngineResult b = s.engine().run(cells, many);
+  EXPECT_EQ(b.stop_reason, EngineStopReason::kComplete);
+  EXPECT_TRUE(b.complete());
+  EXPECT_TRUE(b.checkpoint.frontier.empty());
+  EXPECT_FALSE(b.violation.has_value());
+  EXPECT_GT(b.report.interior_stats.steps_executed, 0);
+  EXPECT_GT(b.report.proved_by_depth.at(2), 0u);
+  EXPECT_EQ(canonical_csv(a.report), canonical_csv(b.report));
+}
+
+TEST(Engine, StopOnViolationUnderManyWorkersLosesNoCell) {
+  // Unsafe cells interleaved with mixed ones that refine: when the first
+  // violation stops the run, every root cell must still be accounted for,
+  // as a leaf or as frontier work, whichever worker held it.
+  EngineSetup s;
+  SymbolicSet cells;
+  for (int i = 0; i < 12; ++i) {
+    const Interval v = i % 3 == 0 ? Interval{1.0, 2.0} : Interval{-2.0, 2.0};
+    cells.push_back({Box{Interval{4.0 + i, 5.0 + i}, v}, 0});
+  }
+  EngineConfig ec = s.config();
+  ec.verify.threads = 8;
+  ec.stop_on_violation = true;
+  const EngineResult result = s.engine().run(cells, ec);
+  EXPECT_EQ(result.stop_reason, EngineStopReason::kViolation);
+  ASSERT_TRUE(result.violation.has_value());
+  EXPECT_EQ(result.violation->outcome, ReachOutcome::kErrorReachable);
+  std::set<std::size_t> roots;
+  for (const CellOutcome& leaf : result.report.leaves) {
+    roots.insert(leaf.root_index);
+  }
+  for (const VerifyJob& job : result.checkpoint.frontier) {
+    roots.insert(job.root_index);
+  }
+  EXPECT_EQ(roots.size(), cells.size());
+}
+
+// The engine's worker pool: max(1, threads) workers pop one queue and push
+// the children of refined cells back on it. These check the scheduler
+// itself, through runs: the worker count, work queued by work, idle
+// workers waking, and a stop with work queued and in flight.
+
+TEST(ThreadPool, AtLeastOneWorker) {
+  // A thread count of 0 still runs every cell, all on one worker thread
+  // (not the caller's).
+  EngineSetup s;
+  const auto cells = mixed_cells(3);
+  EngineConfig none = s.config();
+  none.verify.threads = 0;
+  std::set<std::thread::id> workers;
+  none.on_progress = [&workers](const EngineProgress& p) {
+    if (p.cells_done + p.cells_refined > 0) {
+      workers.insert(std::this_thread::get_id());
+    }
+  };
+  const EngineResult result = s.engine().run(cells, none);
+  EXPECT_TRUE(result.complete());
+  EXPECT_EQ(workers.size(), 1u);
+  EXPECT_EQ(workers.count(std::this_thread::get_id()), 0u);
+
+  EngineConfig one = s.config();
+  one.verify.threads = 1;
+  EXPECT_EQ(canonical_csv(result.report), canonical_csv(s.engine().run(cells, one).report));
+}
+
+TEST(ThreadPool, TasksCanSubmitMoreTasks) {
+  // Ten root cells on three workers: each fails, its worker queues two
+  // children, and the workers run those too, 30 analyses in all.
+  EngineSetup s;
+  EngineProgress last;
+  EngineConfig ec = chain_config(s, 1, 3);
+  ec.on_progress = [&last](const EngineProgress& p) { last = p; };
+  const EngineResult result = s.engine().run(chain_cells(10), ec);
+  EXPECT_TRUE(result.complete());
+  EXPECT_EQ(last.cells_refined, 10u);
+  EXPECT_EQ(last.cells_done, 20u);
+  EXPECT_EQ(last.cells_proved, 10u);
+  ASSERT_EQ(result.report.leaves.size(), 20u);
+  for (const CellOutcome& leaf : result.report.leaves) {
+    EXPECT_EQ(leaf.depth, 1);
+  }
+}
+
+TEST(ThreadPool, DeepRecursiveSubmission) {
+  // Four chains 16 refinements deep on two workers: every job past the roots
+  // is queued by a worker, and the workers must keep making progress on it.
+  EngineSetup s;
+  constexpr int kDepth = 16;
+  const auto cells = chain_cells(4);
+  const EngineResult result = s.engine().run(cells, chain_config(s, kDepth, 2));
+  EXPECT_TRUE(result.complete());
+  // Per root: one proved leaf at each depth 1..16, one failed leaf at 16.
+  EXPECT_EQ(result.report.leaves.size(), 4u * (kDepth + 1));
+  EXPECT_EQ(result.report.proved_by_depth.at(0), 0u);
+  for (int d = 1; d <= kDepth; ++d) {
+    EXPECT_EQ(result.report.proved_by_depth.at(static_cast<std::size_t>(d)), 4u) << "depth " << d;
+  }
+  EXPECT_EQ(result.report.failed_leaves, 4u);
+  EXPECT_EQ(canonical_csv(result.report),
+            canonical_csv(s.engine().run(cells, chain_config(s, kDepth, 1)).report));
+}
+
+TEST(ThreadPool, MultipleWaitersAllWake) {
+  // One root cell on eight workers, many times over: seven workers find the
+  // queue empty and sleep while the cell, and then its children, are in
+  // flight. A run returns only once every worker has woken and joined.
+  EngineSetup s;
+  const auto cells = chain_cells(1);
+  const EngineConfig ec = chain_config(s, 3, 8);
+  const std::string reference =
+      canonical_csv(s.engine().run(cells, chain_config(s, 3, 1)).report);
+  for (int i = 0; i < 25; ++i) {
+    const EngineResult result = s.engine().run(cells, ec);
+    ASSERT_TRUE(result.complete()) << "run " << i;
+    ASSERT_EQ(canonical_csv(result.report), reference) << "run " << i;
+  }
+}
+
+TEST(ThreadPool, DrainDiscardsQueuedButFinishesInFlight) {
+  // One worker, an unsafe cell first and ten safe ones queued behind it. The
+  // violation stops the run: the cell in flight finishes as a leaf, and the
+  // ten queued cells are never started but kept, untouched, as the frontier.
+  EngineSetup s;
+  SymbolicSet cells{{Box{Interval{5.0, 6.0}, Interval{1.0, 2.0}}, 0}};
+  for (int i = 0; i < 10; ++i) {
+    cells.push_back({Box{Interval{5.0 + i, 6.0 + i}, Interval{-2.0, -1.0}}, 0});
+  }
+  EngineConfig ec = s.config();
+  ec.verify.threads = 1;
+  ec.stop_on_violation = true;
+  const EngineResult result = s.engine().run(cells, ec);
+  EXPECT_EQ(result.stop_reason, EngineStopReason::kViolation);
+  ASSERT_EQ(result.report.leaves.size(), 1u);
+  EXPECT_EQ(result.report.leaves[0].root_index, 0u);
+  EXPECT_EQ(result.report.leaves[0].outcome, ReachOutcome::kErrorReachable);
+  EXPECT_EQ(result.report.interior_stats.steps_executed, 0);
+  ASSERT_EQ(result.checkpoint.frontier.size(), 10u);
+  for (std::size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(result.checkpoint.frontier[i].root_index, i + 1);
+    EXPECT_EQ(result.checkpoint.frontier[i].depth, 0);
+  }
+}
+
+TEST(ThreadPool, WaitIdleReturnsAfterDrainUnderContention) {
+  // Four workers on eight chains that keep queueing children; a stop
+  // requested mid-run must still let the run return, with no job lost, and
+  // nothing may run after it has returned.
+  EngineSetup s;
+  constexpr int kDepth = 12;
+  const auto cells = chain_cells(8);
+  RunControl control;
+  std::atomic<std::size_t> events{0};
+  EngineConfig ec = chain_config(s, kDepth, 4);
+  ec.on_progress = [&](const EngineProgress& p) {
+    events.fetch_add(1);
+    if (p.cells_done + p.cells_refined >= 40) {
+      control.request_stop();
+    }
+  };
+  const EngineResult interrupted = s.engine().run(cells, ec, &control);
+  EXPECT_EQ(interrupted.stop_reason, EngineStopReason::kStopped);
+  EXPECT_FALSE(interrupted.checkpoint.frontier.empty());
+  const std::size_t after_stop = events.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_EQ(events.load(), after_stop);
+
+  // Resuming the frontier ends in the uninterrupted report.
+  const EngineResult resumed =
+      s.engine().resume(cells, interrupted.checkpoint, chain_config(s, kDepth, 4));
+  EXPECT_TRUE(resumed.complete());
+  EXPECT_EQ(canonical_csv(resumed.report),
+            canonical_csv(s.engine().run(cells, chain_config(s, kDepth, 1)).report));
 }
 
 TEST(Engine, DegenerateSplitDimStallsInsteadOfLoopingForever) {
@@ -256,17 +475,51 @@ TEST(Engine, ResumeValidatesCheckpoint) {
   corrupt.root_cells = cells.size();
   corrupt.frontier.push_back(VerifyJob{cells[0], 0, /*root_index=*/7});
   EXPECT_THROW(s.engine().resume(cells, corrupt, s.config()), std::invalid_argument);
+
+  // Leaf and job depths outside 0..max_refinement_depth (a leaf's depth
+  // indexes the report's proved_by_depth).
+  const int max_depth = s.config().verify.max_refinement_depth;
+  for (const int depth : {-1, max_depth + 1}) {
+    EngineCheckpoint bad_leaf;
+    bad_leaf.root_cells = cells.size();
+    CellOutcome leaf;
+    leaf.initial = cells[0];
+    leaf.depth = depth;
+    leaf.outcome = ReachOutcome::kProvedSafe;
+    bad_leaf.leaves.push_back(leaf);
+    EXPECT_THROW(s.engine().resume(cells, bad_leaf, s.config()), std::invalid_argument)
+        << "leaf depth " << depth;
+    EngineCheckpoint bad_job;
+    bad_job.root_cells = cells.size();
+    bad_job.frontier.push_back(VerifyJob{cells[0], depth, 0});
+    EXPECT_THROW(s.engine().resume(cells, bad_job, s.config()), std::invalid_argument)
+        << "job depth " << depth;
+  }
+}
+
+TEST(Engine, WorkerExceptionReachesTheCaller) {
+  // A frontier cell whose command index is outside U (as a crafted
+  // checkpoint can hold) makes reach_analyze throw on a worker thread. The
+  // run must stop and hand the exception to the caller instead of
+  // terminating the process.
+  EngineSetup s;
+  const auto cells = mixed_cells(4);
+  EngineCheckpoint bad;
+  bad.root_cells = cells.size();
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    bad.frontier.push_back(VerifyJob{cells[i], 0, i});
+  }
+  bad.frontier[2].cell.command = 99;
+  EngineConfig ec = s.config();
+  ec.verify.threads = 4;
+  EXPECT_THROW(s.engine().resume(cells, bad, ec), std::invalid_argument);
 }
 
 TEST(Engine, RunControlStateMachine) {
   RunControl control;
   EXPECT_FALSE(control.stopped());
-  EXPECT_FALSE(control.has_deadline());
   control.set_time_budget(3600.0);
-  EXPECT_TRUE(control.has_deadline());
   EXPECT_FALSE(control.stopped());
-  control.clear_deadline();
-  EXPECT_FALSE(control.has_deadline());
   control.request_stop();
   EXPECT_TRUE(control.stopped());
 }

@@ -12,10 +12,10 @@
 #include "acasxu/policy.hpp"
 #include "acasxu/scenario.hpp"
 #include "acasxu/training_pipeline.hpp"
+#include "core/engine.hpp"
 #include "core/falsifier.hpp"
 #include "core/monitor.hpp"
 #include "core/simulate.hpp"
-#include "core/verifier.hpp"
 #include "nn/trainer.hpp"
 #include "util/rng.hpp"
 
@@ -104,7 +104,8 @@ TEST(Integration, TrainedBrakingControllerProvesSafe) {
   config.max_refinement_depth = 2;
   config.split_dims = {0, 1};
   config.threads = 2;
-  const auto report = Verifier(system, error, target).verify(cells, config);
+  const auto report =
+      VerificationEngine(system, error, target).run(cells, EngineConfig{config}).report;
   EXPECT_DOUBLE_EQ(report.coverage_percent, 100.0);
 
   // Spot-check the proof with concrete runs from random proved states.
@@ -159,8 +160,9 @@ TEST(Integration, AcasXuMiniVerificationIsSoundAgainstSimulation) {
   config.reach.integrator = &kIntegrator;
   config.max_refinement_depth = 0;  // keep runtime small
   config.threads = 2;
-  const auto report =
-      Verifier(system, error, target).verify(ax::to_symbolic_set(cells), config);
+  const auto report = VerificationEngine(system, error, target)
+                          .run(ax::to_symbolic_set(cells), EngineConfig{config})
+                          .report;
   ASSERT_EQ(report.leaves.size(), cells.size());
 
   // For every cell PROVED safe, no concretely simulated trajectory from
@@ -214,7 +216,8 @@ TEST(Integration, FalsifierNeverContradictsProofs) {
   vc.reach.integrator = &kIntegrator;
   vc.max_refinement_depth = 1;
   vc.split_dims = {0, 1};
-  const auto report = Verifier(system, error, target).verify(cells, vc);
+  const auto report =
+      VerificationEngine(system, error, target).run(cells, EngineConfig{vc}).report;
   EXPECT_EQ(report.proved_leaves, 0u);  // everything collides
 
   const InitialSampler sampler = [](const Vec& p) {

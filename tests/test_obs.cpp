@@ -1,5 +1,5 @@
 // Tests for the telemetry layer (src/obs): counter/histogram correctness
-// under concurrent ThreadPool load, trace-event JSON well-formedness, the
+// under concurrent writers, trace-event JSON well-formedness, the
 // JSON writer/parser pair, and the disabled-mode contract (no recording, no
 // allocation).
 
@@ -10,6 +10,8 @@
 #include <sstream>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -18,7 +20,6 @@
 #include "obs/provenance.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace nncs::obs {
 namespace {
@@ -96,15 +97,16 @@ TEST(ObsCounter, ConcurrentAddsAllLand) {
   Counter& c = Registry::instance().counter("test.concurrent");
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kPerThread = 10000;
-  ThreadPool pool(kThreads);
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    pool.submit([&c] {
-      for (std::size_t i = 0; i < kPerThread; ++i) {
-        c.add();
-      }
-    });
+  {
+    std::vector<std::jthread> writers;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      writers.emplace_back([&c] {
+        for (std::size_t i = 0; i < kPerThread; ++i) {
+          c.add();
+        }
+      });
+    }
   }
-  pool.wait_idle();
   EXPECT_EQ(c.value(), kThreads * kPerThread);
 }
 
@@ -135,21 +137,22 @@ TEST(ObsGauge, ConcurrentRaiseAndLowerStaysExact) {
   Gauge& g = Registry::instance().gauge("test.gauge.mt");
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kPerThread = 10000;
-  ThreadPool pool(kThreads);
   // Half the threads raise, half lower from *different* shards: the level
   // must still merge to the exact net.
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    pool.submit([&g, t] {
-      for (std::size_t i = 0; i < kPerThread; ++i) {
-        if (t % 2 == 0) {
-          g.add(2);
-        } else {
-          g.sub(1);
+  {
+    std::vector<std::jthread> writers;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      writers.emplace_back([&g, t] {
+        for (std::size_t i = 0; i < kPerThread; ++i) {
+          if (t % 2 == 0) {
+            g.add(2);
+          } else {
+            g.sub(1);
+          }
         }
-      }
-    });
+      });
+    }
   }
-  pool.wait_idle();
   EXPECT_EQ(g.value(),
             static_cast<std::int64_t>(kThreads / 2 * kPerThread * 2 -
                                       kThreads / 2 * kPerThread));
@@ -188,15 +191,16 @@ TEST(ObsHistogram, ConcurrentRecordsAllLand) {
   Histogram& h = Registry::instance().histogram("test.hist.mt");
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kPerThread = 2000;
-  ThreadPool pool(kThreads);
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    pool.submit([&h, t] {
-      for (std::size_t i = 0; i < kPerThread; ++i) {
-        h.record_ns(100 * (t + 1));
-      }
-    });
+  {
+    std::vector<std::jthread> writers;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      writers.emplace_back([&h, t] {
+        for (std::size_t i = 0; i < kPerThread; ++i) {
+          h.record_ns(100 * (t + 1));
+        }
+      });
+    }
   }
-  pool.wait_idle();
   const HistogramSnapshot snap = h.snapshot("test.hist.mt");
   EXPECT_EQ(snap.count, kThreads * kPerThread);
   EXPECT_DOUBLE_EQ(snap.min_seconds, 100e-9);
@@ -259,18 +263,19 @@ TEST(ObsTrace, JsonRoundTripsWithWorkerTracks) {
   TraceRecorder& recorder = TraceRecorder::instance();
   recorder.start();
   constexpr std::size_t kThreads = 4;
-  ThreadPool pool(kThreads);
   std::atomic<int> barrier{0};
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    pool.submit([&barrier] {
-      // Hold every worker inside its job so all kThreads record a span.
-      ++barrier;
-      while (barrier.load() < static_cast<int>(kThreads)) {
-      }
-      NNCS_SPAN_TAGGED("test.work", "root", 7, "depth", 1);
-    });
+  {
+    std::vector<std::jthread> workers;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&barrier] {
+        // Hold every worker inside its job so all kThreads record a span.
+        ++barrier;
+        while (barrier.load() < static_cast<int>(kThreads)) {
+        }
+        NNCS_SPAN_TAGGED("test.work", "root", 7, "depth", 1);
+      });
+    }
   }
-  pool.wait_idle();
   {
     NNCS_SPAN("test.main");
   }

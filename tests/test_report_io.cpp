@@ -5,6 +5,7 @@
 
 #include <filesystem>
 #include <sstream>
+#include <string>
 
 #include "core/report_io.hpp"
 
@@ -275,6 +276,38 @@ TEST(ReportIo, MalformedCheckpointThrows) {
   EXPECT_THROW(load_checkpoint(bad_frontier), ReportFormatError);
   EXPECT_THROW(load_checkpoint(std::filesystem::path{"/nonexistent/checkpoint.csv"}),
                std::runtime_error);
+}
+
+TEST(ReportIo, CountFieldsTakeOnlyDecimalDigits) {
+  // A count is a plain run of decimal digits that fits its field.
+  // std::stoull alone would take "-1" as 2^64-1 (a leaf depth the engine
+  // would index with) and skip signs, leading blanks and trailing junk.
+  const auto checkpoint_with = [](const std::string& root, const std::string& depth) {
+    return "nncs-checkpoint v1,4\ninterior,0,0,0,0,0,0,0,0,0\nleaves,1\n" + root + "," +
+           depth + ",proved-safe,0,0,0,0,0,0,0,0,0,1,-0.3,0,-0.3,0\nfrontier,0\n";
+  };
+  std::stringstream good(checkpoint_with("3", "2"));
+  const EngineCheckpoint loaded = load_checkpoint(good);
+  ASSERT_EQ(loaded.leaves.size(), 1u);
+  EXPECT_EQ(loaded.leaves[0].root_index, 3u);
+  EXPECT_EQ(loaded.leaves[0].depth, 2);
+
+  for (const std::string bad : {"-1", "+4", " 3", "3 ", "12abc", "", "0x1", "1e2"}) {
+    std::stringstream as_root(checkpoint_with(bad, "0"));
+    EXPECT_THROW(load_checkpoint(as_root), ReportFormatError) << "root '" << bad << "'";
+    std::stringstream as_depth(checkpoint_with("0", bad));
+    EXPECT_THROW(load_checkpoint(as_depth), ReportFormatError) << "depth '" << bad << "'";
+  }
+  // Digits that do not fit the field: the depth is an int, the root index
+  // a size_t.
+  for (const char* depth : {"2147483648", "4294967295"}) {
+    std::stringstream deep(checkpoint_with("0", depth));
+    EXPECT_THROW(load_checkpoint(deep), ReportFormatError) << "depth " << depth;
+  }
+  std::stringstream huge_root(checkpoint_with("18446744073709551616", "0"));
+  EXPECT_THROW(load_checkpoint(huge_root), ReportFormatError);
+  std::stringstream signed_count("nncs-checkpoint v1,+4\n");
+  EXPECT_THROW(load_checkpoint(signed_count), ReportFormatError);
 }
 
 }  // namespace

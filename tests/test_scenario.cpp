@@ -14,7 +14,6 @@
 #include "acasxu/scenario.hpp"
 #include "core/engine.hpp"
 #include "core/report_io.hpp"
-#include "core/verifier.hpp"
 #include "obs/provenance.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/unicycle.hpp"
@@ -212,7 +211,7 @@ TEST(ScenarioProvenance, SetScenarioFlowsIntoProvenance) {
 
 // -------------------------------------------------------- end-to-end smoke
 
-/// Run the scenario's own SmokeSpec through the plain Verifier, reading the
+/// Run the scenario's own SmokeSpec through a plain engine run, reading the
 /// trained networks from the repo's checked-in caches (tests run from the
 /// build tree, where the scenarios' relative default paths don't resolve).
 VerifyReport run_smoke(const Scenario& scen,
@@ -240,8 +239,8 @@ VerifyReport run_smoke(const Scenario& scen,
   }
   config.threads = 4;
 
-  const Verifier verifier(system.loop, *error, *target);
-  return verifier.verify(to_symbolic_set(cells), config);
+  const VerificationEngine engine(system.loop, *error, *target);
+  return engine.run(to_symbolic_set(cells), EngineConfig{config}).report;
 }
 
 void expect_smoke_holds(const Scenario& scen) {

@@ -4,10 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "closed_loop_fixtures.hpp"
+#include "core/engine.hpp"
 #include "core/falsifier.hpp"
 #include "core/monitor.hpp"
 #include "core/simulate.hpp"
-#include "core/verifier.hpp"
 
 namespace nncs {
 namespace {
@@ -201,7 +201,8 @@ TEST(Monitor, BuildsFromVerifyReport) {
   vc.reach.gamma = 4;
   vc.reach.integrator = &kIntegrator;
   vc.max_refinement_depth = 0;
-  const auto report = Verifier(system, error, target).verify(cells, vc);
+  const auto report =
+      VerificationEngine(system, error, target).run(cells, EngineConfig{vc}).report;
   const auto monitor = SafetyMonitor::from_report(report);
   EXPECT_EQ(monitor.num_cells(), 1u);
   EXPECT_EQ(monitor.query(Vec{5.5, -1.5}, 0), SafetyMonitor::Answer::kProvedSafe);

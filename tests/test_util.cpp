@@ -1,171 +1,18 @@
-// Tests for the utility substrate: thread pool, deterministic RNG, tables,
-// stopwatch, env knobs.
+// Tests for the utility substrate: deterministic RNG, tables, stopwatch,
+// env knobs.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdlib>
-#include <functional>
 #include <sstream>
-#include <thread>
 
 #include "util/env.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 namespace nncs {
 namespace {
-
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, TasksCanSubmitMoreTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  // Each root task spawns two children (split-refinement pattern).
-  for (int i = 0; i < 10; ++i) {
-    pool.submit([&pool, &counter] {
-      counter.fetch_add(1);
-      for (int c = 0; c < 2; ++c) {
-        pool.submit([&counter] { counter.fetch_add(1); });
-      }
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 30);
-}
-
-TEST(ThreadPool, WaitIdleIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 1);
-  pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 2);
-}
-
-TEST(ThreadPool, AtLeastOneWorker) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.thread_count(), 1u);
-  std::atomic<bool> ran{false};
-  pool.submit([&ran] { ran = true; });
-  pool.wait_idle();
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(ThreadPool, DeepRecursiveSubmission) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  // A chain 64 deep from each of 4 roots: workers must keep making progress
-  // on work submitted by work.
-  std::function<void(int)> chain = [&](int remaining) {
-    counter.fetch_add(1);
-    if (remaining > 0) {
-      pool.submit([&chain, remaining] { chain(remaining - 1); });
-    }
-  };
-  for (int i = 0; i < 4; ++i) {
-    pool.submit([&chain] { chain(63); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 4 * 64);
-}
-
-TEST(ThreadPool, DrainDiscardsQueuedButFinishesInFlight) {
-  ThreadPool pool(1);
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  std::atomic<int> ran{0};
-  // Occupy the single worker so the rest of the queue cannot start.
-  pool.submit([&] {
-    started = true;
-    while (!release.load()) {
-      std::this_thread::yield();
-    }
-    ran.fetch_add(1);
-  });
-  for (int i = 0; i < 10; ++i) {
-    pool.submit([&ran] { ran.fetch_add(1); });
-  }
-  // Wait until the blocker is actually in flight (not still queued): with it
-  // holding the only worker, the drain below must discard all 10 others.
-  while (!started.load()) {
-    std::this_thread::yield();
-  }
-  const std::size_t discarded = pool.request_drain();
-  EXPECT_TRUE(pool.draining());
-  EXPECT_EQ(discarded, 10u);
-  release = true;
-  pool.wait_idle();
-  // The in-flight blocker finished; every discarded task never ran.
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ThreadPool, SubmitWhileDrainingIsDropped) {
-  ThreadPool pool(2);
-  pool.request_drain();
-  std::atomic<int> ran{0};
-  pool.submit([&ran] { ran.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 0);
-
-  pool.resume_accepting();
-  EXPECT_FALSE(pool.draining());
-  pool.submit([&ran] { ran.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ThreadPool, WaitIdleReturnsAfterDrainUnderContention) {
-  // Many tasks each re-submitting; a drain mid-flight must still let
-  // wait_idle() return (no lost wakeups, no tasks stuck queued).
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::function<void()> task = [&] {
-    if (counter.fetch_add(1) < 5000) {
-      pool.submit(task);
-      pool.submit(task);
-    }
-  };
-  for (int i = 0; i < 16; ++i) {
-    pool.submit(task);
-  }
-  while (counter.load() < 100) {
-    std::this_thread::yield();
-  }
-  pool.request_drain();
-  pool.wait_idle();
-  const int after_drain = counter.load();
-  // Quiescent: nothing runs once drained and idle.
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_EQ(counter.load(), after_drain);
-}
-
-TEST(ThreadPool, MultipleWaitersAllWake) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  std::thread waiter1([&pool] { pool.wait_idle(); });
-  std::thread waiter2([&pool] { pool.wait_idle(); });
-  pool.wait_idle();
-  waiter1.join();
-  waiter2.join();
-  EXPECT_EQ(counter.load(), 50);
-}
 
 TEST(Rng, DeterministicStreams) {
   Rng a(123);

@@ -1,5 +1,5 @@
-// Tests for the partition-and-refine verification driver and the paper's
-// coverage metric.
+// Tests for partition-and-refine verification (plain runs of the
+// verification engine) and the paper's coverage metric.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,7 @@
 #include <cmath>
 
 #include "closed_loop_fixtures.hpp"
-#include "core/verifier.hpp"
+#include "core/engine.hpp"
 
 namespace nncs {
 namespace {
@@ -49,6 +49,8 @@ struct BrakeSetup {
     vc.threads = 2;
     return vc;
   }
+
+  VerificationEngine engine() const { return VerificationEngine(system, error, target); }
 };
 
 TEST(Verifier, AllSafeCellsProveAtDepthZero) {
@@ -57,7 +59,7 @@ TEST(Verifier, AllSafeCellsProveAtDepthZero) {
   for (int i = 0; i < 4; ++i) {
     cells.push_back({Box{Interval{5.0 + i, 6.0 + i}, Interval{-2.0, -1.0}}, 0});
   }
-  const auto report = Verifier(s.system, s.error, s.target).verify(cells, s.config());
+  const auto report = s.engine().run(cells, EngineConfig{s.config()}).report;
   EXPECT_EQ(report.root_cells, 4u);
   EXPECT_EQ(report.proved_leaves, 4u);
   EXPECT_EQ(report.failed_leaves, 0u);
@@ -69,7 +71,7 @@ TEST(Verifier, UnsafeCellsFailAtMaxDepth) {
   BrakeSetup s;
   // v > 0: collision certain; refinement cannot help.
   SymbolicSet cells{{Box{Interval{5.0, 6.0}, Interval{1.0, 2.0}}, 0}};
-  const auto report = Verifier(s.system, s.error, s.target).verify(cells, s.config());
+  const auto report = s.engine().run(cells, EngineConfig{s.config()}).report;
   EXPECT_EQ(report.proved_leaves, 0u);
   // depth 2 with one split dim: 4 leaves.
   EXPECT_EQ(report.failed_leaves, 4u);
@@ -84,7 +86,7 @@ TEST(Verifier, RefinementRecoversPartialCoverage) {
   BrakeSetup s;
   // v in [-2, 2]: mixed cell; splitting on v separates safe from unsafe.
   SymbolicSet cells{{Box{Interval{5.0, 6.0}, Interval{-2.0, 2.0}}, 0}};
-  const auto report = Verifier(s.system, s.error, s.target).verify(cells, s.config());
+  const auto report = s.engine().run(cells, EngineConfig{s.config()}).report;
   EXPECT_GT(report.proved_leaves, 0u);
   EXPECT_GT(report.failed_leaves, 0u);
   EXPECT_GT(report.coverage_percent, 0.0);
@@ -102,7 +104,7 @@ TEST(Verifier, DepthZeroConfigDoesNotRefine) {
   VerifyConfig vc = s.config();
   vc.max_refinement_depth = 0;
   SymbolicSet cells{{Box{Interval{5.0, 6.0}, Interval{-2.0, 2.0}}, 0}};
-  const auto report = Verifier(s.system, s.error, s.target).verify(cells, vc);
+  const auto report = s.engine().run(cells, EngineConfig{vc}).report;
   EXPECT_EQ(report.leaves.size(), 1u);
   EXPECT_EQ(report.failed_leaves, 1u);
 }
@@ -117,8 +119,8 @@ TEST(Verifier, ThreadCountDoesNotChangeResults) {
   one.threads = 1;
   VerifyConfig four = s.config();
   four.threads = 4;
-  const auto a = Verifier(s.system, s.error, s.target).verify(cells, one);
-  const auto b = Verifier(s.system, s.error, s.target).verify(cells, four);
+  const auto a = s.engine().run(cells, EngineConfig{one}).report;
+  const auto b = s.engine().run(cells, EngineConfig{four}).report;
   EXPECT_EQ(a.proved_leaves, b.proved_leaves);
   EXPECT_EQ(a.failed_leaves, b.failed_leaves);
   EXPECT_DOUBLE_EQ(a.coverage_percent, b.coverage_percent);
@@ -131,7 +133,7 @@ TEST(Verifier, BookkeepingIsConsistent) {
   for (int i = 0; i < 3; ++i) {
     cells.push_back({Box{Interval{5.0 + i, 6.0 + i}, Interval{-1.0, 1.0}}, 0});
   }
-  const auto report = Verifier(s.system, s.error, s.target).verify(cells, s.config());
+  const auto report = s.engine().run(cells, EngineConfig{s.config()}).report;
   EXPECT_EQ(report.proved_leaves + report.failed_leaves, report.leaves.size());
   std::size_t proved_sum = 0;
   for (const auto n : report.proved_by_depth) {
@@ -146,7 +148,7 @@ TEST(Verifier, AggregateStatsSumsLeaves) {
   for (int i = 0; i < 3; ++i) {
     cells.push_back({Box{Interval{5.0 + i, 6.0 + i}, Interval{-1.0, 1.0}}, 0});
   }
-  const auto report = Verifier(s.system, s.error, s.target).verify(cells, s.config());
+  const auto report = s.engine().run(cells, EngineConfig{s.config()}).report;
   const ReachStats agg = aggregate_stats(report);
 
   // Aggregate = refined-away interior cells + terminal leaves.
@@ -202,7 +204,7 @@ TEST(Verifier, WidestDimStrategyBisectsOneDimensionPerLevel) {
   vc.split_dims = {1, 0};  // round-robin starts with v
   vc.max_refinement_depth = 3;
   SymbolicSet cells{{Box{Interval{5.0, 6.0}, Interval{-2.0, 2.0}}, 0}};
-  const auto report = Verifier(s.system, s.error, s.target).verify(cells, vc);
+  const auto report = s.engine().run(cells, EngineConfig{vc}).report;
   // Every refinement level halves exactly one dimension: a depth-d leaf has
   // total halvings a + b = d with widths root/2^a x root/2^b.
   for (const auto& leaf : report.leaves) {
@@ -228,20 +230,19 @@ TEST(Verifier, WidestDimMatchesAllDimsCoverageAtHigherDepth) {
   widest.split_strategy = SplitStrategy::kWidestDim;
   widest.max_refinement_depth = 2;
   // With a single split dim, both strategies do the same thing.
-  const auto a = Verifier(s.system, s.error, s.target).verify(cells, all);
-  const auto b = Verifier(s.system, s.error, s.target).verify(cells, widest);
+  const auto a = s.engine().run(cells, EngineConfig{all}).report;
+  const auto b = s.engine().run(cells, EngineConfig{widest}).report;
   EXPECT_DOUBLE_EQ(a.coverage_percent, b.coverage_percent);
   EXPECT_EQ(a.leaves.size(), b.leaves.size());
 }
 
 TEST(Verifier, ValidatesArguments) {
   BrakeSetup s;
-  const Verifier verifier(s.system, s.error, s.target);
-  EXPECT_THROW(verifier.verify(SymbolicSet{}, s.config()), std::invalid_argument);
+  EXPECT_THROW(s.engine().run(SymbolicSet{}, EngineConfig{s.config()}), std::invalid_argument);
   VerifyConfig bad = s.config();
   bad.max_refinement_depth = -1;
   SymbolicSet cells{{Box{Interval{5.0, 6.0}, Interval{0.0, 1.0}}, 0}};
-  EXPECT_THROW(verifier.verify(cells, bad), std::invalid_argument);
+  EXPECT_THROW(s.engine().run(cells, EngineConfig{bad}), std::invalid_argument);
 }
 
 }  // namespace

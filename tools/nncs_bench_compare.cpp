@@ -1,4 +1,4 @@
-// Regression gate over "nncs-bench" perf artifacts (v1 or v2): diff a
+// Regression gate over "nncs-bench v2" perf artifacts: diff a
 // baseline artifact against a fresh one, print a human delta table plus
 // optional machine JSON, and exit nonzero when something drifted.
 //

@@ -8,7 +8,7 @@
 ///       least N distinct thread tracks.
 ///
 ///   nncs_trace_check --artifact FILE
-///       "nncs-bench v1/v2" perf artifact: parses, and passes the schema
+///       "nncs-bench v2" perf artifact: parses, and passes the schema
 ///       validation (provenance stamp present, quantiles ordered, ...).
 ///
 ///   nncs_trace_check --heartbeat FILE [--min-lines N]
@@ -57,9 +57,9 @@ int check_artifact(const std::string& file) {
     return 1;
   }
   std::printf(
-      "nncs_trace_check: %s: valid nncs-bench v%d artifact (bench %s, %zu canonical results, "
+      "nncs_trace_check: %s: valid nncs-bench v2 artifact (bench %s, %zu canonical results, "
       "%zu canonical counters, %zu phase histograms)\n",
-      file.c_str(), artifact.schema_version, artifact.bench.c_str(),
+      file.c_str(), artifact.bench.c_str(),
       artifact.canonical_results.size(), artifact.canonical_counters.size(),
       artifact.phases.size());
   return 0;

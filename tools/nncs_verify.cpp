@@ -44,7 +44,8 @@
 /// Exit codes: 0 run complete (or stopped by --stop-on-violation); 3
 /// interrupted by budget/SIGINT (checkpoint written if --checkpoint was
 /// given); 4 --resume refused (checkpoint from a different scenario or
-/// partition); 1 output write failure; 2 usage.
+/// partition); 1 output write failure or a malformed or corrupt --resume
+/// checkpoint; 2 usage.
 
 #include "verify_driver.hpp"
 

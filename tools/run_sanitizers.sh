@@ -7,8 +7,8 @@
 #
 # Each mode uses its own build tree (build-asan / build-tsan) so sanitized
 # objects never mix with the regular build. The TSan mode runs the
-# concurrency-heavy suites (engine, obs, NN query cache) by default; ASan/UBSan
-# runs everything.
+# concurrency-heavy suites (engine, verifier, obs, NN query cache) by default;
+# ASan/UBSan runs everything.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -25,11 +25,11 @@ case "$mode" in
   tsan)
     build=build-tsan
     sanitize="thread"
-    # Concurrency-relevant suites (the scenario and domain smoke runs drive
-    # the threaded verifier — the latter over the zonotope loop path; the
-    # artifact/profile suites snapshot the sharded registry and heartbeat
-    # sink); pass your own -R/-E to override.
-    default_filter=(-R "QueryCache|Engine|Obs|Scenario|Artifact|Profile|BenchCompare|Domain")
+    # Concurrency-relevant suites (the engine, its worker-pool, verifier,
+    # scenario and domain tests drive the threaded engine — the last over
+    # the zonotope loop path; the artifact/profile suites snapshot the
+    # sharded registry and heartbeat sink); pass your own -R/-E to override.
+    default_filter=(-R "QueryCache|Engine|ThreadPool|Verifier|Obs|Scenario|Artifact|Profile|BenchCompare|Domain")
     ;;
   *)
     echo "usage: $0 [asan|tsan] [extra ctest args...]" >&2

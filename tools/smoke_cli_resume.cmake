@@ -8,6 +8,9 @@
 #      and write a checkpoint
 #   4. --resume from that checkpoint: must exit 0 and reproduce the
 #      reference report byte-for-byte
+#   5. --resume from crafted checkpoints whose leaf depth is -1, 2^32-1,
+#      or deeper than --depth, or whose frontier cell does not fit the
+#      system: must exit 1 with a message, not crash
 #
 # Required -D variables: CLI (the nncs_verify binary), NETS (network cache
 # dir), OUT (scratch directory for the generated files).
@@ -58,3 +61,21 @@ if(NOT same EQUAL 0)
   message(FATAL_ERROR "resumed report differs from the uninterrupted reference")
 endif()
 message(STATUS "resume reproduced the uninterrupted report byte-for-byte")
+
+# Exit code 1 = the checkpoint is rejected. A leaf depth of -1 would index
+# far past the report's per-depth counts: the parser refuses it (and
+# 2^32-1, which does not fit an int), and the engine refuses a depth beyond
+# the run's --depth.
+set(CRAFTED_HEAD "nncs-checkpoint v1,16\ninterior,0,0,0,0,0,0,0,0,0\nleaves,1\n")
+set(CRAFTED_TAIL ",proved-safe,0,0,0,0,0,0,0,0,0,1,-0.3,0,-0.3,0\nfrontier,0\n")
+foreach(depth -1 4294967295 1)
+  file(WRITE ${OUT}/crafted_depth.ckpt "${CRAFTED_HEAD}0,${depth}${CRAFTED_TAIL}")
+  run_cli(1 "resume from a leaf at depth ${depth}" ${COMMON} --threads 2
+    --resume ${OUT}/crafted_depth.ckpt)
+endforeach()
+# A frontier cell of the wrong dimension makes the cell analysis throw on
+# an engine worker; the engine hands the error back to the CLI.
+file(WRITE ${OUT}/crafted_cell.ckpt
+  "nncs-checkpoint v1,16\ninterior,0,0,0,0,0,0,0,0,0\nleaves,0\nfrontier,1\n0,0,0,-0.3,0\n")
+run_cli(1 "resume from a frontier cell of the wrong dimension" ${COMMON} --threads 2
+  --resume ${OUT}/crafted_cell.ckpt)
