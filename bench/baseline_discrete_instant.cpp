@@ -41,7 +41,7 @@ std::unique_ptr<NeuralController> trivial_controller(std::size_t state_dim) {
   nets.push_back(std::move(net));
   return std::make_unique<NeuralController>(
       CommandSet({Vec{0.0}, Vec{0.0}}), std::move(nets), std::vector<std::size_t>{0, 0},
-      std::make_unique<IdentityPre>(state_dim), std::make_unique<ArgminPost>());
+      std::make_unique<IdentityPre>(state_dim));
 }
 
 }  // namespace

@@ -94,9 +94,9 @@ void BM_NetworkSymbolicProp(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkSymbolicProp);
 
-// Batched SoA sweeps (nn/kernels.hpp) over `range(0)` slightly-perturbed
-// cells; per-query cost = time / batch. Compare against the scalar benches
-// above to see the amortization (allocation reuse + SIMD lanes).
+// Batched SoA sweep (nn/kernels.hpp) over `range(0)` slightly-perturbed
+// cells; per-query cost = time / batch. Compare against the scalar symbolic
+// bench above to see the amortization (allocation reuse + SIMD lanes).
 std::vector<Box> perturbed_cells(std::size_t count) {
   std::vector<Box> cells;
   cells.reserve(count);
@@ -106,17 +106,6 @@ std::vector<Box> perturbed_cells(std::size_t count) {
   }
   return cells;
 }
-
-void BM_NetworkIntervalPropBatch(benchmark::State& state) {
-  const auto& net = acas_system().controller->networks().front();
-  const auto cells = perturbed_cells(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto boxes = interval_propagate_batch(net, cells);
-    benchmark::DoNotOptimize(boxes);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_NetworkIntervalPropBatch)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_NetworkSymbolicPropBatch(benchmark::State& state) {
   const auto& net = acas_system().controller->networks().front();

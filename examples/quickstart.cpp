@@ -104,7 +104,7 @@ int main() {
   networks.push_back(train_controller_network(/*braking=*/true));
   // λ: previous command COAST selects network 0, BRAKE selects network 1.
   NeuralController controller(std::move(commands), std::move(networks), {0, 1},
-                              std::make_unique<BrakingPre>(), std::make_unique<ArgminPost>());
+                              std::make_unique<BrakingPre>());
   const ClosedLoop system{plant.get(), &controller, kPeriod};
 
   // E: collision (p <= 0); T: stopped (v <= 0.5).

@@ -49,7 +49,7 @@ std::unique_ptr<NeuralController> make_controller(std::vector<Network> networks,
   std::iota(selector.begin(), selector.end(), 0);  // λ: advisory i → network i
   return std::make_unique<NeuralController>(make_command_set(), std::move(networks),
                                             std::move(selector), std::make_unique<AcasPre>(norm),
-                                            std::make_unique<ArgminPost>(), domain);
+                                            domain);
 }
 
 }  // namespace nncs::acasxu

@@ -1,12 +1,11 @@
 #include "acasxu/training_pipeline.hpp"
 
 #include <cmath>
-#include <fstream>
 #include <numbers>
 #include <sstream>
 
 #include "acasxu/dynamics.hpp"
-#include "nn/nnet_io.hpp"
+#include "nn/net_cache.hpp"
 
 namespace nncs::acasxu {
 
@@ -81,52 +80,10 @@ std::vector<Network> train_networks(const TrainingConfig& config) {
   return networks;
 }
 
-namespace {
-
-std::filesystem::path net_path(const std::filesystem::path& dir, std::size_t index) {
-  return dir / ("acas_net_" + std::to_string(index) + ".nnet");
-}
-
-std::filesystem::path stamp_path(const std::filesystem::path& dir) { return dir / "stamp.txt"; }
-
-bool cache_valid(const std::filesystem::path& dir, const std::string& stamp) {
-  std::ifstream in(stamp_path(dir));
-  if (!in) {
-    return false;
-  }
-  std::string cached((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  if (cached != stamp) {
-    return false;
-  }
-  for (std::size_t i = 0; i < kNumAdvisories; ++i) {
-    if (!std::filesystem::exists(net_path(dir, i))) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 std::vector<Network> ensure_networks(const std::filesystem::path& cache_dir,
                                      const TrainingConfig& config) {
-  const std::string stamp = config_stamp(config);
-  if (cache_valid(cache_dir, stamp)) {
-    std::vector<Network> networks;
-    networks.reserve(kNumAdvisories);
-    for (std::size_t i = 0; i < kNumAdvisories; ++i) {
-      networks.push_back(load_network(net_path(cache_dir, i)));
-    }
-    return networks;
-  }
-  std::vector<Network> networks = train_networks(config);
-  std::filesystem::create_directories(cache_dir);
-  for (std::size_t i = 0; i < kNumAdvisories; ++i) {
-    save_network(networks[i], net_path(cache_dir, i));
-  }
-  std::ofstream out(stamp_path(cache_dir));
-  out << stamp;
-  return networks;
+  return nncs::ensure_networks(cache_dir, "acas_net_", config_stamp(config), kNumAdvisories,
+                               [&] { return train_networks(config); });
 }
 
 }  // namespace nncs::acasxu

@@ -44,7 +44,8 @@ Dataset make_dataset(std::size_t previous_advisory, const TrainingConfig& config
 std::vector<Network> train_networks(const TrainingConfig& config);
 
 /// Load the 5 networks from `cache_dir` when present and trained with an
-/// identical config; otherwise train and populate the cache. This keeps the
+/// identical config; otherwise train and populate the cache
+/// (`nncs::ensure_networks` with the file stem `acas_net_`). This keeps the
 /// figure benches fast across runs.
 std::vector<Network> ensure_networks(const std::filesystem::path& cache_dir,
                                      const TrainingConfig& config);

@@ -38,11 +38,11 @@ void validate_commands(const AbstractControlStep& result, std::size_t command_co
   }
 }
 
-/// Post# on one transformer result, timed as the argmin layer.
+/// Post# (argmin) on one transformer result, timed as the argmin layer.
 template <class Bounds>
-std::vector<std::size_t> prune(const Postprocessor& post, const Bounds& bounds) {
+std::vector<std::size_t> prune(const Bounds& bounds) {
   NNCS_SPAN("nn.argmin");
-  return post.eval_abstract(bounds);
+  return possible_argmin(bounds);
 }
 
 /// True when the affine forms represent exactly their hull box: at most one
@@ -190,39 +190,21 @@ std::vector<AbstractControlStep> Controller::step_abstract_batch(
   return results;
 }
 
-std::size_t ArgminPost::eval(const Vec& network_output) const {
-  return concrete_argmin(network_output);
-}
-
-std::vector<std::size_t> ArgminPost::eval_abstract(const Box& network_output) const {
-  return possible_argmin(network_output);
-}
-
-std::vector<std::size_t> ArgminPost::eval_abstract(const SymbolicBounds& bounds) const {
-  return possible_argmin(bounds);
-}
-
-std::vector<std::size_t> ArgminPost::eval_abstract(const ZonotopeBounds& bounds) const {
-  return possible_argmin(bounds);
-}
-
 NeuralController::NeuralController(CommandSet commands, std::vector<Network> networks,
                                    std::vector<std::size_t> selector,
-                                   std::unique_ptr<Preprocessor> pre,
-                                   std::unique_ptr<Postprocessor> post, NnDomain domain,
+                                   std::unique_ptr<Preprocessor> pre, NnDomain domain,
                                    NnCacheConfig cache)
     : commands_(std::move(commands)),
       networks_(std::move(networks)),
       selector_(std::move(selector)),
       pre_(std::move(pre)),
-      post_(std::move(post)),
       domain_(domain) {
   configure_cache(cache);
   if (networks_.empty()) {
     throw std::invalid_argument("NeuralController: at least one network required");
   }
-  if (!pre_ || !post_) {
-    throw std::invalid_argument("NeuralController: pre/post processors must be non-null");
+  if (!pre_) {
+    throw std::invalid_argument("NeuralController: pre-processor must be non-null");
   }
   if (selector_.size() != commands_.size()) {
     throw std::invalid_argument("NeuralController: selector size must equal |U| (one network choice per previous command)");
@@ -247,7 +229,7 @@ std::size_t NeuralController::step(const Vec& state, std::size_t previous_comman
   const Network& net = networks_[selector_[previous_command]];
   const Vec x = pre_->eval(state);
   const Vec y = net.eval(x);
-  const std::size_t next = post_->eval(y);
+  const std::size_t next = concrete_argmin(y);
   if (next >= commands_.size()) {
     throw std::logic_error("NeuralController::step: Post returned out-of-range command");
   }
@@ -294,13 +276,13 @@ bool NeuralController::reuse_cached(std::size_t net_id, NnQueryCache::DomainTag 
   if (const auto* symbolic = std::get_if<std::shared_ptr<const SymbolicBounds>>(&reuse)) {
     const SymbolicBounds reused{input, (*symbolic)->outputs,
                                 concretize_output_box((*symbolic)->outputs, input)};
-    commands = prune(*post_, reused);
+    commands = prune(reused);
     output = reused.output_box;
     attempted = true;
   } else if (const auto* affine = std::get_if<std::shared_ptr<const AffineReuse>>(&reuse)) {
     if (const std::optional<ZonotopeBounds> restricted =
             restrict_affine_reuse(**affine, input)) {
-      commands = prune(*post_, *restricted);
+      commands = prune(*restricted);
       output = restricted->output_box;
       attempted = true;
     }
@@ -418,7 +400,7 @@ std::vector<AbstractControlStep> NeuralController::step_abstract_batch(
         }
         for (std::size_t k = 0; k < lanes.size(); ++k) {
           AbstractControlStep& result = results[lanes[k]];
-          result.commands = prune(*post_, all[k]);
+          result.commands = prune(all[k]);
           result.network_output = std::move(all[k].output_box);
           // Only box-valid inputs are reusable (see AffineReuse): a general
           // zonotope's hull admits points the propagation never covered.
@@ -427,29 +409,27 @@ std::vector<AbstractControlStep> NeuralController::step_abstract_batch(
                 AffineReuse{inputs[k]->components(), std::move(all[k].outputs)});
           }
         }
-      } else {
+      } else if (domain_ == NnDomain::kSymbolic) {
         std::vector<Box> inputs;
         inputs.reserve(lanes.size());
         for (const std::size_t i : lanes) {
           inputs.push_back(results[i].network_input);
         }
-        if (domain_ == NnDomain::kSymbolic) {
-          std::vector<SymbolicBounds> all = symbolic_propagate_batch(net, inputs);
-          for (std::size_t k = 0; k < lanes.size(); ++k) {
-            AbstractControlStep& result = results[lanes[k]];
-            result.commands = prune(*post_, all[k]);
-            result.network_output = all[k].output_box;
-            if (cache_) {
-              reuse[k] = std::make_shared<const SymbolicBounds>(std::move(all[k]));
-            }
+        std::vector<SymbolicBounds> all = symbolic_propagate_batch(net, inputs);
+        for (std::size_t k = 0; k < lanes.size(); ++k) {
+          AbstractControlStep& result = results[lanes[k]];
+          result.commands = prune(all[k]);
+          result.network_output = all[k].output_box;
+          if (cache_) {
+            reuse[k] = std::make_shared<const SymbolicBounds>(std::move(all[k]));
           }
-        } else {
-          std::vector<Box> all = interval_propagate_batch(net, inputs);
-          for (std::size_t k = 0; k < lanes.size(); ++k) {
-            AbstractControlStep& result = results[lanes[k]];
-            result.commands = prune(*post_, all[k]);
-            result.network_output = std::move(all[k]);
-          }
+        }
+      } else {
+        // The interval F# is the ablation baseline no workload batches: its
+        // lanes run the scalar transformer one by one.
+        for (const std::size_t i : lanes) {
+          results[i].network_output = interval_propagate(net, results[i].network_input);
+          results[i].commands = prune(results[i].network_output);
         }
       }
       for (std::size_t k = 0; k < lanes.size(); ++k) {

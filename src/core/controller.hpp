@@ -62,39 +62,6 @@ class IdentityPre final : public Preprocessor {
   std::size_t dim_;
 };
 
-/// Post-processing stage Post : R^p -> U of the controller (§4.3 (iii))
-/// with its abstract transformer Post# returning the set of commands the
-/// controller may select when its output ranges over the given enclosure.
-class Postprocessor {
- public:
-  virtual ~Postprocessor() = default;
-  /// Concrete semantics: index into the command set.
-  [[nodiscard]] virtual std::size_t eval(const Vec& network_output) const = 0;
-  /// Abstract semantics over an output box: every command the concrete Post
-  /// could select for some output in the box must be included.
-  [[nodiscard]] virtual std::vector<std::size_t> eval_abstract(const Box& network_output) const = 0;
-  /// Refined abstract semantics given full symbolic output bounds; defaults
-  /// to the box rule. Overriding lets a Post exploit symbolic differences
-  /// (e.g. argmin exclusion via provably-dominated scores).
-  [[nodiscard]] virtual std::vector<std::size_t> eval_abstract(const SymbolicBounds& bounds) const {
-    return eval_abstract(bounds.output_box);
-  }
-  /// Same refinement hook for the zonotope domain.
-  [[nodiscard]] virtual std::vector<std::size_t> eval_abstract(const ZonotopeBounds& bounds) const {
-    return eval_abstract(bounds.output_box);
-  }
-};
-
-/// The canonical argmin post-processing of the paper (score k minimal =>
-/// command k selected, first-index tie-break). Requires p == P.
-class ArgminPost final : public Postprocessor {
- public:
-  [[nodiscard]] std::size_t eval(const Vec& network_output) const override;
-  [[nodiscard]] std::vector<std::size_t> eval_abstract(const Box& network_output) const override;
-  [[nodiscard]] std::vector<std::size_t> eval_abstract(const SymbolicBounds& bounds) const override;
-  [[nodiscard]] std::vector<std::size_t> eval_abstract(const ZonotopeBounds& bounds) const override;
-};
-
 /// Abstract domain used for the network transformer F#.
 enum class NnDomain {
   kInterval,  ///< rigorous outward-rounded interval propagation
@@ -139,9 +106,9 @@ class Controller {
   /// result must equal `step_abstract_relational(states[i].lift(), ...)`
   /// when `states[i].has_relational()` and `step_abstract(states[i].box(),
   /// ...)` otherwise. The default loops the scalar steps; `NeuralController`
-  /// implements it once, sending sibling cells through one SoA kernel sweep
-  /// per network (`nn/kernels.hpp`), and makes its scalar steps batches of
-  /// one.
+  /// implements it once, sending sibling cells through one symbolic or
+  /// zonotope SoA kernel sweep per network (`nn/kernels.hpp`), and makes its
+  /// scalar steps batches of one.
   [[nodiscard]] virtual std::vector<AbstractControlStep> step_abstract_batch(
       const std::vector<AbstractState>& states,
       const std::vector<std::size_t>& previous_commands) const;
@@ -149,9 +116,12 @@ class Controller {
 
 /// The generic neural network based controller N of §4.3 (Fig 2/5):
 /// a collection of ReLU networks, a selector λ mapping the previous command
-/// to the network to execute, and pre/post-processing stages. Provides both
-/// the concrete semantics (for simulation) and the abstract semantics
-/// Pre# ∘ F# ∘ Post# (for reachability).
+/// to the network to execute, a pre-processing stage, and the paper's argmin
+/// post-processing (score k minimal => command k, first-index tie-break;
+/// network output p == |U|). Provides both the concrete semantics (for
+/// simulation) and the abstract semantics Pre# ∘ F# ∘ Post# (for
+/// reachability), where Post# is `possible_argmin` on the transformer's
+/// bounds.
 class NeuralController final : public Controller {
  public:
   /// `selector[c]` is the index into `networks` of the network executed when
@@ -159,8 +129,7 @@ class NeuralController final : public Controller {
   /// (network input dim vs Pre output dim, selector size vs |U|, ...).
   NeuralController(CommandSet commands, std::vector<Network> networks,
                    std::vector<std::size_t> selector, std::unique_ptr<Preprocessor> pre,
-                   std::unique_ptr<Postprocessor> post, NnDomain domain = NnDomain::kSymbolic,
-                   NnCacheConfig cache = {});
+                   NnDomain domain = NnDomain::kSymbolic, NnCacheConfig cache = {});
 
   [[nodiscard]] const CommandSet& commands() const override { return commands_; }
   [[nodiscard]] const std::vector<Network>& networks() const { return networks_; }
@@ -194,12 +163,13 @@ class NeuralController final : public Controller {
   /// (on the affine pre-image for relational states), then the cache is
   /// consulted per state. Remaining misses are grouped by selected network
   /// and transformer, equal box inputs are propagated once, and each group
-  /// gets one batched transformer call followed by Post# (and, with a
-  /// cache, the insert). Relational states, and box states under
-  /// `NnDomain::kAffine` (lifted with `AffineSet::from_box`), go through the
-  /// zonotope transformer; other boxes through the symbolic or interval one.
-  /// The batched transformers replicate the scalar rounding sequence per
-  /// lane, so every result is bit-identical to the scalar transformer's.
+  /// gets one transformer call followed by Post# (and, with a cache, the
+  /// insert). Relational states, and box states under `NnDomain::kAffine`
+  /// (lifted with `AffineSet::from_box`), go through the batched zonotope
+  /// transformer; other boxes through the batched symbolic one, or lane by
+  /// lane through the scalar interval one. The batched transformers
+  /// replicate the scalar rounding sequence per lane, so every result is
+  /// bit-identical to the scalar transformer's.
   /// Containment reuse is query-order-dependent (a step may insert the
   /// entry a later query reuses), so with a cache the states run through
   /// this body one at a time.
@@ -218,7 +188,6 @@ class NeuralController final : public Controller {
   std::vector<Network> networks_;
   std::vector<std::size_t> selector_;
   std::unique_ptr<Preprocessor> pre_;
-  std::unique_ptr<Postprocessor> post_;
   NnDomain domain_;
   /// Shared across the analysis threads of a run; mutated from const
   /// step_abstract_batch (the cache is internally synchronized).

@@ -27,6 +27,17 @@ bool contains_lattice_point(double lo, double hi, double offset, double period) 
   return offset + k * period <= hi + margin;
 }
 
+/// Unrounded product of two interval bounds under the interval-arithmetic
+/// convention 0 * inf = 0 (a zero factor annihilates regardless of the other
+/// bound): the corners of `operator*`.
+[[gnu::always_inline]] inline double corner_mul(double a, double b) {
+  const double p = a * b;
+  if (std::isnan(p)) {
+    return 0.0;
+  }
+  return p;
+}
+
 }  // namespace
 
 Interval::Interval(double lo, double hi) : lo_(lo), hi_(hi) {

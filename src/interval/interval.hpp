@@ -101,19 +101,6 @@ inline Interval make_unchecked(double lo, double hi) {
   return Interval{lo, hi, Interval::Unchecked{}};
 }
 
-/// Unrounded product of two interval bounds under the interval-arithmetic
-/// convention 0 * inf = 0 (a zero factor annihilates regardless of the other
-/// bound). `operator*` and the batched NN kernels both build their corners
-/// from it, so they agree bit for bit. Always inlined for the reason given
-/// at `rnd::next_up`.
-[[gnu::always_inline]] inline double corner_mul(double a, double b) {
-  const double p = a * b;
-  if (std::isnan(p)) {
-    return 0.0;
-  }
-  return p;
-}
-
 Interval operator+(const Interval& a, const Interval& b);
 Interval operator-(const Interval& a, const Interval& b);
 Interval operator*(const Interval& a, const Interval& b);

@@ -1,6 +1,5 @@
 #include "nn/interval_prop.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -52,38 +51,6 @@ IntervalTrace interval_propagate_trace(const Network& net, const Box& input) {
   }
   trace.output = std::move(current);
   return trace;
-}
-
-std::vector<Box> interval_propagate_batch(const Network& net, const std::vector<Box>& inputs) {
-  return interval_propagate_batch(net, inputs, kern::active_isa());
-}
-
-std::vector<Box> interval_propagate_batch(const Network& net, const std::vector<Box>& inputs,
-                                          kern::Isa isa) {
-  std::vector<Box> results;
-  results.reserve(inputs.size());
-  std::vector<Box> chunk;
-  kern::IntervalBatch current;
-  kern::IntervalBatch next;
-  for (std::size_t begin = 0; begin < inputs.size(); begin += kern::kMaxLanes) {
-    const std::size_t end = std::min(inputs.size(), begin + kern::kMaxLanes);
-    chunk.assign(inputs.begin() + begin, inputs.begin() + end);
-    for (const Box& input : chunk) {
-      if (input.dim() != net.input_dim()) {
-        throw std::invalid_argument("interval_propagate_batch: input dimension mismatch");
-      }
-    }
-    current.load(chunk);
-    for (std::size_t li = 0; li < net.num_layers(); ++li) {
-      const bool is_output = li + 1 == net.num_layers();
-      kern::interval_affine_layer(net.layers()[li], current, next, /*relu=*/!is_output, isa);
-      std::swap(current, next);
-    }
-    for (std::size_t l = 0; l < chunk.size(); ++l) {
-      results.push_back(current.extract(l));
-    }
-  }
-  return results;
 }
 
 }  // namespace nncs

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "interval/box.hpp"
-#include "nn/kernels.hpp"
 #include "nn/network.hpp"
 
 namespace nncs {
@@ -21,17 +20,5 @@ struct IntervalTrace {
   Box output;
 };
 IntervalTrace interval_propagate_trace(const Network& net, const Box& input);
-
-/// Batched transformer: propagate several input boxes through one SoA layer
-/// sweep (`nn/kernels.hpp`). Result i is bit-identical to
-/// `interval_propagate(net, inputs[i])` — the batch only reorganizes the
-/// arithmetic across SIMD lanes, never within a cell. Batches larger than
-/// `kern::kMaxLanes` are chunked internally.
-std::vector<Box> interval_propagate_batch(const Network& net, const std::vector<Box>& inputs);
-
-/// Same, with an explicit kernel back end (tests exercise both dispatch
-/// paths; production callers use the `active_isa()` default above).
-std::vector<Box> interval_propagate_batch(const Network& net, const std::vector<Box>& inputs,
-                                          kern::Isa isa);
 
 }  // namespace nncs

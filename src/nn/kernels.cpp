@@ -1,11 +1,6 @@
 #include "nn/kernels.hpp"
 
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
-#include <string>
-
-#include "interval/interval.hpp"
 
 #define NNCS_KERN_BACKEND portable
 #include "nn/kernels_impl.inl"
@@ -16,8 +11,6 @@ namespace nncs::kern {
 #ifdef NNCS_HAVE_AVX2
 // Defined in kernels_avx2.cpp (compiled with -mavx2 -mfma -ffp-contract=off).
 namespace avx2 {
-void interval_affine_layer_impl(const Layer& layer, const IntervalBatch& in, IntervalBatch& out,
-                                bool relu);
 void symbolic_affine_layer_impl(const Layer& layer, const SymbolicBatch& in,
                                 SymbolicBatch& out);
 void affine_form_layer_impl(const Layer& layer, const AffineFormBatch& in, AffineFormBatch& out);
@@ -42,58 +35,9 @@ bool cpu_supports_avx2() {
 #endif
 }
 
-Isa resolve_isa(const char* env_value, bool cpu_avx2) {
-  if (env_value != nullptr) {
-    const std::string v(env_value);
-    if (v == "portable" || v == "off" || v == "scalar") {
-      return Isa::kPortable;
-    }
-    if (v == "avx2") {
-      return cpu_avx2 ? Isa::kAvx2 : Isa::kPortable;
-    }
-    // "auto", empty and unknown values all fall through to detection.
-  }
-  return cpu_avx2 ? Isa::kAvx2 : Isa::kPortable;
-}
-
 Isa active_isa() {
-  static const Isa isa = resolve_isa(std::getenv("NNCS_NN_SIMD"), cpu_supports_avx2());
+  static const Isa isa = cpu_supports_avx2() ? Isa::kAvx2 : Isa::kPortable;
   return isa;
-}
-
-void IntervalBatch::resize(std::size_t new_width, std::size_t new_lanes) {
-  width = new_width;
-  lanes = new_lanes;
-  lo.resize(width * lanes);
-  hi.resize(width * lanes);
-}
-
-void IntervalBatch::load(const std::vector<Box>& boxes) {
-  if (boxes.empty()) {
-    throw std::invalid_argument("IntervalBatch::load: empty batch");
-  }
-  resize(boxes.front().dim(), boxes.size());
-  for (std::size_t l = 0; l < lanes; ++l) {
-    if (boxes[l].dim() != width) {
-      throw std::invalid_argument("IntervalBatch::load: inconsistent box dimensions");
-    }
-    for (std::size_t i = 0; i < width; ++i) {
-      lo[i * lanes + l] = boxes[l][i].lo();
-      hi[i * lanes + l] = boxes[l][i].hi();
-    }
-  }
-}
-
-Box IntervalBatch::extract(std::size_t l) const {
-  std::vector<Interval> dims;
-  dims.reserve(width);
-  for (std::size_t i = 0; i < width; ++i) {
-    // make_unchecked: the scalar propagator builds its intervals through
-    // the same unchecked path, and re-validating here could reject bounds
-    // the scalar pipeline accepts.
-    dims.push_back(make_unchecked(lo[i * lanes + l], hi[i * lanes + l]));
-  }
-  return Box{std::move(dims)};
 }
 
 void AffineBatch::resize(std::size_t new_width, std::size_t new_n_in, std::size_t new_lanes) {
@@ -119,20 +63,6 @@ void AffineFormBatch::resize(std::size_t new_width, std::size_t new_capacity,
   coeffs.assign(width * capacity * lanes, 0.0);
   center.assign(width * lanes, 0.0);
   err.assign(width * lanes, 0.0);
-}
-
-void interval_affine_layer(const Layer& layer, const IntervalBatch& in, IntervalBatch& out,
-                           bool relu, Isa isa) {
-  out.resize(layer.weights.rows(), in.lanes);
-#ifdef NNCS_HAVE_AVX2
-  if (isa == Isa::kAvx2) {
-    avx2::interval_affine_layer_impl(layer, in, out, relu);
-    return;
-  }
-#else
-  (void)isa;
-#endif
-  portable::interval_affine_layer_impl(layer, in, out, relu);
 }
 
 void symbolic_affine_layer(const Layer& layer, const SymbolicBatch& in, SymbolicBatch& out,

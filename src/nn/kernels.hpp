@@ -1,10 +1,8 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
-#include "interval/box.hpp"
 #include "nn/network.hpp"
 
 /// Batched, vectorization-friendly layer kernels for the NN abstract
@@ -15,7 +13,7 @@
 /// canonical reports are byte-compared against the scalar propagators, so a
 /// batched sweep may reorganize memory and process several cells at once,
 /// but per cell it must execute the exact double-precision operation
-/// sequence of `interval_propagate` / `symbolic_propagate`. We therefore
+/// sequence of `symbolic_propagate` / `zonotope_propagate`. We therefore
 /// vectorize *across* cells (SIMD lane = cell) instead of across neurons:
 /// each lane performs the scalar algorithm's operations in the scalar
 /// algorithm's order, so any vector width — including the AVX2 path —
@@ -33,7 +31,8 @@ namespace nncs::kern {
 inline constexpr std::size_t kMaxLanes = 64;
 
 /// Instruction-set back end for the kernels. Both produce bitwise-identical
-/// results (see file comment); the choice is purely a throughput knob.
+/// results (see file comment); the CPU alone picks one (`active_isa`), and
+/// the batched transformers take it as an argument so tests can run both.
 enum class Isa {
   kPortable,  ///< plain C++, auto-vectorized at the baseline ISA
   kAvx2,      ///< explicit AVX2 path (x86-64 with AVX2+FMA at runtime)
@@ -45,30 +44,9 @@ enum class Isa {
 /// AVX2+FMA at runtime.
 [[nodiscard]] bool cpu_supports_avx2();
 
-/// Pure resolution of the `NNCS_NN_SIMD` override ("auto" | "portable" |
-/// "avx2"; unset/unknown = auto) against CPU support. "avx2" on a machine
-/// without it silently degrades to portable — the results are identical
-/// anyway, only the speed differs.
-[[nodiscard]] Isa resolve_isa(const char* env_value, bool cpu_avx2);
-
-/// The process-wide kernel back end: `resolve_isa(getenv("NNCS_NN_SIMD"),
-/// cpu_supports_avx2())`, resolved once on first use.
+/// The process-wide kernel back end: AVX2 when `cpu_supports_avx2()`, else
+/// portable, detected once on first use.
 [[nodiscard]] Isa active_isa();
-
-/// A batch of interval activation vectors, SoA over the lanes:
-/// `lo[i * lanes + l]` is neuron i's lower bound in cell l.
-struct IntervalBatch {
-  std::size_t width = 0;
-  std::size_t lanes = 0;
-  std::vector<double> lo;
-  std::vector<double> hi;
-
-  void resize(std::size_t new_width, std::size_t new_lanes);
-  /// Load one input box per lane (all boxes must share `width` dimensions).
-  void load(const std::vector<Box>& boxes);
-  /// Extract lane `l` back into a Box (bounds bit-preserved).
-  [[nodiscard]] Box extract(std::size_t l) const;
-};
 
 /// One side (lower or upper) of a batch of affine bound forms: `width`
 /// neuron rows, each holding `n_in` input coefficients, a constant and a
@@ -131,14 +109,6 @@ struct AffineFormBatch {
     return coeffs.data() + f * capacity * lanes;
   }
 };
-
-/// Batched interval affine image: per lane, exactly
-///   out_r = Interval{bias_r} + Σ_c Interval{W(r,c)} * in_c
-/// with the `Interval::operator*` degenerate-factor shortcuts and
-/// `corner_mul` 0·inf convention replicated bit-for-bit, followed (when
-/// `relu` is set) by `max(·, [0,0])` with `std::max` tie semantics.
-void interval_affine_layer(const Layer& layer, const IntervalBatch& in, IntervalBatch& out,
-                           bool relu, Isa isa);
 
 /// Batched symbolic affine sweep: per lane and output row r, exactly the
 /// scalar propagator's

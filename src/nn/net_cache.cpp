@@ -1,22 +1,27 @@
-#include "scenario/net_cache.hpp"
+#include "nn/net_cache.hpp"
 
 #include <fstream>
 #include <stdexcept>
 
 #include "nn/nnet_io.hpp"
 
-namespace nncs::scenario {
+namespace nncs {
 
 namespace {
 
-std::filesystem::path net_path(const std::filesystem::path& dir, std::size_t index) {
-  return dir / ("net_" + std::to_string(index) + ".nnet");
+std::filesystem::path net_path(const std::filesystem::path& dir, const std::string& stem,
+                               std::size_t index) {
+  return dir / (stem + std::to_string(index) + ".nnet");
 }
 
 std::filesystem::path stamp_path(const std::filesystem::path& dir) { return dir / "stamp.txt"; }
 
-bool cache_valid(const std::filesystem::path& dir, const std::string& stamp,
-                 std::size_t count) {
+bool cache_valid(const std::filesystem::path& dir, const std::string& stem,
+                 const std::string& stamp, std::size_t count) {
+  // Reading a directory throws; anything but a regular file holds no stamp.
+  if (!std::filesystem::is_regular_file(stamp_path(dir))) {
+    return false;
+  }
   std::ifstream in(stamp_path(dir));
   if (!in) {
     return false;
@@ -26,7 +31,7 @@ bool cache_valid(const std::filesystem::path& dir, const std::string& stamp,
     return false;
   }
   for (std::size_t i = 0; i < count; ++i) {
-    if (!std::filesystem::exists(net_path(dir, i))) {
+    if (!std::filesystem::exists(net_path(dir, stem, i))) {
       return false;
     }
   }
@@ -36,13 +41,14 @@ bool cache_valid(const std::filesystem::path& dir, const std::string& stamp,
 }  // namespace
 
 std::vector<Network> ensure_networks(const std::filesystem::path& cache_dir,
-                                     const std::string& stamp, std::size_t count,
+                                     const std::string& stem, const std::string& stamp,
+                                     std::size_t count,
                                      const std::function<std::vector<Network>()>& train) {
-  if (cache_valid(cache_dir, stamp, count)) {
+  if (cache_valid(cache_dir, stem, stamp, count)) {
     std::vector<Network> networks;
     networks.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-      networks.push_back(load_network(net_path(cache_dir, i)));
+      networks.push_back(load_network(net_path(cache_dir, stem, i)));
     }
     return networks;
   }
@@ -53,14 +59,15 @@ std::vector<Network> ensure_networks(const std::filesystem::path& cache_dir,
   }
   std::filesystem::create_directories(cache_dir);
   for (std::size_t i = 0; i < count; ++i) {
-    save_network(networks[i], net_path(cache_dir, i));
+    save_network(networks[i], net_path(cache_dir, stem, i));
   }
   std::ofstream out(stamp_path(cache_dir));
   out << stamp;
+  out.close();
   if (!out) {
     throw std::runtime_error("net_cache: cannot write stamp in " + cache_dir.string());
   }
   return networks;
 }
 
-}  // namespace nncs::scenario
+}  // namespace nncs

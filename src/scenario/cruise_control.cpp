@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nn/net_cache.hpp"
 #include "nn/trainer.hpp"
-#include "scenario/net_cache.hpp"
 #include "util/rng.hpp"
 
 namespace nncs::scenario {
@@ -111,7 +111,7 @@ class CruiseControlScenario final : public Scenario {
     const auto nets_dir = config.nets_dir.empty()
                               ? std::filesystem::path{"cruise_control_nets_cache"}
                               : config.nets_dir;
-    auto networks = ensure_networks(nets_dir, kTrainingStamp, 1, [] {
+    auto networks = ensure_networks(nets_dir, "net_", kTrainingStamp, 1, [] {
       std::vector<Network> nets;
       nets.push_back(train_policy_network());
       return nets;
@@ -125,7 +125,7 @@ class CruiseControlScenario final : public Scenario {
     system.plant = make_plant();
     system.controller = std::make_unique<NeuralController>(
         CommandSet{std::move(commands)}, std::move(networks), std::move(selector),
-        std::make_unique<AccPre>(), std::make_unique<ArgminPost>(), config.domain);
+        std::make_unique<AccPre>(), config.domain);
     system.controller->configure_cache(config.nn_cache);
     system.loop = ClosedLoop{system.plant.get(), system.controller.get(), kPeriod};
     return system;

@@ -59,8 +59,7 @@ inline std::unique_ptr<NeuralController> threshold_controller(double threshold,
   nets.push_back(std::move(net));
   return std::make_unique<NeuralController>(
       CommandSet({Vec{0.0}, Vec{brake_accel}}), std::move(nets),
-      std::vector<std::size_t>{0, 0}, std::make_unique<IdentityPre>(2),
-      std::make_unique<ArgminPost>(), domain);
+      std::vector<std::size_t>{0, 0}, std::make_unique<IdentityPre>(2), domain);
 }
 
 }  // namespace nncs::testing_fixtures

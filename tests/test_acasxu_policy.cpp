@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <numbers>
+#include <stdexcept>
+#include <string>
 
 #include "acasxu/controller.hpp"
 #include "acasxu/dynamics.hpp"
@@ -192,6 +195,8 @@ TEST(AcasTraining, EnsureNetworksUsesCache) {
   config.samples_per_network = 300;
   const auto first = ensure_networks(dir, config);
   ASSERT_EQ(first.size(), kNumAdvisories);
+  // The file names of the committed acasxu_nets_cache/.
+  EXPECT_TRUE(std::filesystem::exists(dir / "acas_net_4.nnet"));
   // Second call must load identical weights from the cache.
   const auto second = ensure_networks(dir, config);
   for (std::size_t i = 0; i < kNumAdvisories; ++i) {
@@ -202,6 +207,34 @@ TEST(AcasTraining, EnsureNetworksUsesCache) {
   other.trainer.hidden = {6};
   const auto third = ensure_networks(dir, other);
   EXPECT_EQ(third[0].layer_sizes()[1], 6u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(AcasTraining, EnsureNetworksThrowsOnUnwritableStamp) {
+  // A stamp that cannot be written would make every later run retrain, so
+  // the cache must fail and say why. Here stamp.txt is a directory, or a
+  // link into a directory that does not exist.
+  TrainingConfig config;
+  config.trainer.hidden = {4};
+  config.trainer.epochs = 1;
+  config.samples_per_network = 50;
+  const auto dir = std::filesystem::temp_directory_path() / "nncs_acas_cache_stamp_test";
+  for (const bool as_directory : {true, false}) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    if (as_directory) {
+      std::filesystem::create_directory(dir / "stamp.txt");
+    } else {
+      std::filesystem::create_symlink(dir / "missing" / "stamp.txt", dir / "stamp.txt");
+    }
+    try {
+      (void)ensure_networks(dir, config);
+      ADD_FAILURE() << "no error for an unwritable stamp (directory: " << as_directory << ")";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("cannot write stamp"), std::string::npos)
+          << e.what();
+    }
+  }
   std::filesystem::remove_all(dir);
 }
 

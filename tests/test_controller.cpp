@@ -1,6 +1,7 @@
-// Tests for the generic neural controller model: CommandSet, pre/post
-// processors, λ selection, and the concrete/abstract consistency property
-// (every concretely selected command appears in the abstract result).
+// Tests for the generic neural controller model: CommandSet, the
+// pre-processor, argmin post-processing, λ selection, and the
+// concrete/abstract consistency property (every concretely selected command
+// appears in the abstract result).
 
 #include <gtest/gtest.h>
 
@@ -30,12 +31,26 @@ TEST(IdentityPre, PassesThrough) {
   EXPECT_EQ(pre.eval_abstract(b), b);
 }
 
+// Post is argmin: through an identity network the controller selects the
+// smallest state coordinate, and Post# keeps every coordinate that can be
+// minimal on the box, in each NN domain.
 TEST(ArgminPost, ConcreteAndAbstract) {
-  const ArgminPost post;
-  EXPECT_EQ(post.eval(Vec{3.0, 1.0, 2.0}), 1u);
-  const auto candidates = post.eval_abstract(Box{Interval{0.0, 1.0}, Interval{2.0, 3.0}});
-  ASSERT_EQ(candidates.size(), 1u);
-  EXPECT_EQ(candidates[0], 0u);
+  for (const NnDomain domain : {NnDomain::kInterval, NnDomain::kSymbolic, NnDomain::kAffine}) {
+    Network identity = make_zero_network({3, 3});
+    for (std::size_t i = 0; i < 3; ++i) {
+      identity.layer(0).weights(i, i) = 1.0;
+    }
+    std::vector<Network> nets;
+    nets.push_back(std::move(identity));
+    const NeuralController ctrl(CommandSet({Vec{0.0}, Vec{1.0}, Vec{2.0}}), std::move(nets),
+                                {0, 0, 0}, std::make_unique<IdentityPre>(3), domain);
+    EXPECT_EQ(ctrl.step(Vec{3.0, 1.0, 2.0}, 0), 1u);
+    EXPECT_EQ(ctrl.step(Vec{1.0, 1.0, 2.0}, 0), 0u);  // first-index tie-break
+    const Box separated{Interval{0.0, 1.0}, Interval{2.0, 3.0}, Interval{4.0, 5.0}};
+    EXPECT_EQ(ctrl.step_abstract(separated, 0).commands, (std::vector<std::size_t>{0}));
+    const Box overlapping{Interval{0.0, 2.0}, Interval{1.0, 3.0}, Interval{4.0, 5.0}};
+    EXPECT_EQ(ctrl.step_abstract(overlapping, 0).commands, (std::vector<std::size_t>{0, 1}));
+  }
 }
 
 /// A controller with two networks computing y = (x, c) for constants so the
@@ -50,8 +65,7 @@ NeuralController make_test_controller(NnDomain domain = NnDomain::kSymbolic) {
     nets.push_back(std::move(net));
   }
   return NeuralController(CommandSet({Vec{0.0}, Vec{1.0}}), std::move(nets), {0, 1},
-                          std::make_unique<IdentityPre>(1), std::make_unique<ArgminPost>(),
-                          domain);
+                          std::make_unique<IdentityPre>(1), domain);
 }
 
 TEST(NeuralController, LambdaSelectsNetworkByPreviousCommand) {
@@ -94,8 +108,7 @@ TEST(NeuralController, ValidatesConstruction) {
     std::vector<Network> nets;
     nets.push_back(make_zero_network({1, 2}));
     return NeuralController(CommandSet({Vec{0.0}, Vec{1.0}}), std::move(nets),
-                            std::move(selector), std::make_unique<IdentityPre>(pre_dim),
-                            std::make_unique<ArgminPost>());
+                            std::move(selector), std::make_unique<IdentityPre>(pre_dim));
   };
   EXPECT_THROW(make({0}, 1), std::invalid_argument);        // selector size != |U|
   EXPECT_THROW(make({0, 7}, 1), std::invalid_argument);     // selector out of range
@@ -132,8 +145,7 @@ TEST_P(ControllerConsistency, ConcreteCommandAlwaysInAbstractSet) {
       nets.push_back(std::move(net));
     }
     const NeuralController ctrl(CommandSet({Vec{0.0}, Vec{1.0}, Vec{2.0}}), std::move(nets),
-                                {0, 1, 2}, std::make_unique<IdentityPre>(2),
-                                std::make_unique<ArgminPost>(), GetParam());
+                                {0, 1, 2}, std::make_unique<IdentityPre>(2), GetParam());
     for (int b = 0; b < 10; ++b) {
       const double lo0 = rng.uniform(-1.0, 1.0);
       const double lo1 = rng.uniform(-1.0, 1.0);

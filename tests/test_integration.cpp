@@ -82,7 +82,7 @@ TEST(Integration, TrainedBrakingControllerProvesSafe) {
   nets.push_back(Sys::train(false));
   nets.push_back(Sys::train(true));
   NeuralController ctrl(CommandSet({Vec{0.0}, Vec{Sys::kBrake}}), std::move(nets), {0, 1},
-                        std::make_unique<Sys::Pre>(), std::make_unique<ArgminPost>());
+                        std::make_unique<Sys::Pre>());
   const ClosedLoop system{plant.get(), &ctrl, Sys::kPeriod};
   const BoxRegion error({{0, Interval{-1e6, 0.0}}});
   const BoxRegion target({{1, Interval{-1e6, 0.5}}});
@@ -203,7 +203,7 @@ TEST(Integration, FalsifierNeverContradictsProofs) {
   std::vector<Network> nets;
   nets.push_back(std::move(never));
   NeuralController ctrl(CommandSet({Vec{0.0}, Vec{Sys::kBrake}}), std::move(nets), {0, 0},
-                        std::make_unique<Sys::Pre>(), std::make_unique<ArgminPost>());
+                        std::make_unique<Sys::Pre>());
   const ClosedLoop system{plant.get(), &ctrl, Sys::kPeriod};
   const BoxRegion error({{0, Interval{-1e6, 0.0}}});
   const BoxRegion target({{1, Interval{-1e6, 0.5}}});

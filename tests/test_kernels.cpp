@@ -1,10 +1,10 @@
 // Tests for the batched SoA propagation kernels (nn/kernels.hpp): the
-// ISA dispatch parsing and — the load-bearing property — bit-identity of the batched interval,
-// symbolic and zonotope transformers against the scalar reference
-// transformers on fuzzed networks, for every compiled back end. The
-// controller's one batched Pre# → F# → Post# body is checked against an
-// oracle assembled from those scalar transformers, and in containment
-// mode against a loop of single-state calls.
+// load-bearing property is bit-identity of the batched symbolic and
+// zonotope transformers against the scalar reference transformers on
+// fuzzed networks, for every back end the CPU can run. The controller's
+// one Pre# → F# → Post# body is checked against an oracle assembled from
+// the scalar transformers, and in containment mode against a loop of
+// single-state calls.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 
 #include "core/controller.hpp"
 #include "interval/affine_set.hpp"
+#include "nn/argmin_analysis.hpp"
 #include "nn/interval_prop.hpp"
 #include "nn/kernels.hpp"
 #include "nn/symbolic_prop.hpp"
@@ -56,8 +57,8 @@ Network random_network(std::uint64_t seed, std::vector<std::size_t> sizes) {
   Network net = make_zero_network(sizes);
   for (std::size_t li = 0; li < net.num_layers(); ++li) {
     for (double& w : net.layer(li).weights.data()) {
-      // Sprinkle the exact values the kernels special-case (identity and
-      // zero weights have dedicated fast paths) among generic ones.
+      // Sprinkle exact zero weights (the kernels skip them) and identity
+      // weights among generic ones.
       const double pick = rng.uniform(0.0, 1.0);
       if (pick < 0.08) {
         w = 0.0;
@@ -99,46 +100,6 @@ std::vector<kern::Isa> compiled_isas() {
     isas.push_back(kern::Isa::kAvx2);
   }
   return isas;
-}
-
-TEST(Kernels, ResolveIsaParsesEnvValues) {
-  using kern::Isa;
-  using kern::resolve_isa;
-  EXPECT_EQ(resolve_isa(nullptr, /*cpu_avx2=*/true), Isa::kAvx2);
-  EXPECT_EQ(resolve_isa(nullptr, /*cpu_avx2=*/false), Isa::kPortable);
-  EXPECT_EQ(resolve_isa("auto", true), Isa::kAvx2);
-  EXPECT_EQ(resolve_isa("portable", true), Isa::kPortable);
-  EXPECT_EQ(resolve_isa("off", true), Isa::kPortable);
-  EXPECT_EQ(resolve_isa("scalar", true), Isa::kPortable);
-  EXPECT_EQ(resolve_isa("avx2", true), Isa::kAvx2);
-  // Requesting avx2 on a CPU without it degrades to portable, not UB.
-  EXPECT_EQ(resolve_isa("avx2", false), Isa::kPortable);
-  EXPECT_EQ(resolve_isa("garbage", false), Isa::kPortable);
-  EXPECT_EQ(resolve_isa("", true), Isa::kAvx2);
-}
-
-TEST(Kernels, IntervalBatchBitwiseEqualsScalar) {
-  const std::vector<std::vector<std::size_t>> shapes = {
-      {3, 8, 8, 2}, {2, 5, 5, 5, 3}, {1, 4, 1}, {5, 16, 5}};
-  for (const kern::Isa isa : compiled_isas()) {
-    for (std::size_t s = 0; s < shapes.size(); ++s) {
-      const Network net = random_network(100 + s, shapes[s]);
-      Rng rng(200 + s);
-      std::vector<Box> inputs;
-      for (int k = 0; k < 23; ++k) {
-        inputs.push_back(random_box(rng, net.input_dim()));
-      }
-      // A within-batch duplicate must not perturb its neighbours' lanes.
-      inputs.push_back(inputs.front());
-      const std::vector<Box> batched = interval_propagate_batch(net, inputs, isa);
-      ASSERT_EQ(batched.size(), inputs.size());
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        const Box scalar = interval_propagate(net, inputs[i]);
-        EXPECT_TRUE(boxes_bitwise_eq(batched[i], scalar))
-            << "isa=" << to_string(isa) << " shape=" << s << " input=" << i;
-      }
-    }
-  }
 }
 
 TEST(Kernels, SymbolicBatchBitwiseEqualsScalar) {
@@ -188,9 +149,9 @@ TEST(Kernels, BatchedTransformersContainConcreteSamples) {
     for (int k = 0; k < 9; ++k) {
       inputs.push_back(random_box(rng, net.input_dim()));
     }
-    const std::vector<Box> iv = interval_propagate_batch(net, inputs, isa);
     const std::vector<SymbolicBounds> sym = symbolic_propagate_batch(net, inputs, isa);
     for (std::size_t i = 0; i < inputs.size(); ++i) {
+      const Box iv = interval_propagate(net, inputs[i]);
       for (int sample = 0; sample < 40; ++sample) {
         Vec x(net.input_dim());
         for (std::size_t d = 0; d < x.size(); ++d) {
@@ -198,8 +159,8 @@ TEST(Kernels, BatchedTransformersContainConcreteSamples) {
         }
         const Vec y = net.eval(x);
         for (std::size_t d = 0; d < y.size(); ++d) {
-          EXPECT_GE(y[d], iv[i][d].lo()) << "interval lo, input " << i << " dim " << d;
-          EXPECT_LE(y[d], iv[i][d].hi()) << "interval hi, input " << i << " dim " << d;
+          EXPECT_GE(y[d], iv[d].lo()) << "interval lo, input " << i << " dim " << d;
+          EXPECT_LE(y[d], iv[d].hi()) << "interval hi, input " << i << " dim " << d;
           EXPECT_GE(y[d], sym[i].output_box[d].lo()) << "symbolic lo, input " << i;
           EXPECT_LE(y[d], sym[i].output_box[d].hi()) << "symbolic hi, input " << i;
         }
@@ -347,8 +308,7 @@ NeuralController make_controller(NnDomain domain, NnCacheMode cache_mode, std::u
   NnCacheConfig cache;
   cache.mode = cache_mode;
   return NeuralController(CommandSet{command_vectors}, std::move(nets), kSelector,
-                          std::make_unique<IdentityPre>(kStateDim),
-                          std::make_unique<ArgminPost>(), domain, cache);
+                          std::make_unique<IdentityPre>(kStateDim), domain, cache);
 }
 
 /// Pre# → F# → Post# for one state from the scalar transformers: the
@@ -357,13 +317,12 @@ NeuralController make_controller(NnDomain domain, NnCacheMode cache_mode, std::u
 AbstractControlStep oracle_step(const NeuralController& ctrl, const AbstractState& state,
                                 std::size_t previous_command) {
   const IdentityPre pre(kStateDim);
-  const ArgminPost post;
   const Network& net = ctrl.networks()[kSelector[previous_command]];
   AbstractControlStep step;
   const auto zonotope = [&](const AffineSet& input) {
     NoiseSource scratch = input.noise();
     const ZonotopeBounds bounds = zonotope_propagate(net, input.components(), scratch);
-    step.commands = post.eval_abstract(bounds);
+    step.commands = possible_argmin(bounds);
     step.network_output = bounds.output_box;
   };
   if (state.has_relational()) {
@@ -379,13 +338,13 @@ AbstractControlStep oracle_step(const NeuralController& ctrl, const AbstractStat
       break;
     case NnDomain::kSymbolic: {
       const SymbolicBounds bounds = symbolic_propagate(net, step.network_input);
-      step.commands = post.eval_abstract(bounds);
+      step.commands = possible_argmin(bounds);
       step.network_output = bounds.output_box;
       break;
     }
     case NnDomain::kInterval:
       step.network_output = interval_propagate(net, step.network_input);
-      step.commands = post.eval_abstract(step.network_output);
+      step.commands = possible_argmin(step.network_output);
       break;
   }
   return step;
@@ -464,7 +423,7 @@ TEST(ControllerBatch, SymbolicNoCache) {
 }
 
 TEST(ControllerBatch, IntervalNoCache) {
-  // Box states batch through the interval SoA kernel.
+  // Box states run lane by lane through the scalar interval transformer.
   expect_batch_matches_oracle(NnDomain::kInterval);
 }
 

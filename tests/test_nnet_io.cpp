@@ -1,10 +1,14 @@
-// Round-trip and error-handling tests for the network text serialization.
+// Round-trip and error-handling tests for the network text serialization,
+// and the on-disk network cache built on it.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
+#include "nn/net_cache.hpp"
 #include "nn/nnet_io.hpp"
 #include "nn/trainer.hpp"
 #include "util/rng.hpp"
@@ -94,6 +98,63 @@ TEST(NnetIo, SingleLayerNetwork) {
   save_network(net, buffer);
   const Network loaded = load_network(buffer);
   EXPECT_EQ(loaded.layers()[0].weights(2, 1), -0.125);
+}
+
+TEST(NetCache, TrainsOnceThenLoadsUnderTheStem) {
+  const auto dir = std::filesystem::temp_directory_path() / "nncs_net_cache_stem_test";
+  std::filesystem::remove_all(dir);
+  int trained = 0;
+  const auto train = [&] {
+    ++trained;
+    return std::vector<Network>{random_network(11), random_network(12)};
+  };
+  const auto first = ensure_networks(dir, "demo_", "v1", 2, train);
+  EXPECT_EQ(trained, 1);
+  EXPECT_TRUE(std::filesystem::exists(dir / "demo_0.nnet"));
+  EXPECT_TRUE(std::filesystem::exists(dir / "demo_1.nnet"));
+  const auto second = ensure_networks(dir, "demo_", "v1", 2, train);
+  EXPECT_EQ(trained, 1);
+  ASSERT_EQ(second.size(), 2u);
+  EXPECT_EQ(second[1].layers()[0].weights, first[1].layers()[0].weights);
+  // Another stem or another stamp misses the cache and retrains.
+  (void)ensure_networks(dir, "other_", "v1", 2, train);
+  EXPECT_EQ(trained, 2);
+  (void)ensure_networks(dir, "demo_", "v2", 2, train);
+  EXPECT_EQ(trained, 3);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(NetCache, UnwritableStampThrows) {
+  // A stamp that cannot be written would make every later run retrain, so
+  // the cache must fail and say why. Here stamp.txt is a directory, or a
+  // link into a directory that does not exist.
+  const auto dir = std::filesystem::temp_directory_path() / "nncs_net_cache_stamp_test";
+  const auto train = [] { return std::vector<Network>{random_network(13)}; };
+  for (const bool as_directory : {true, false}) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    if (as_directory) {
+      std::filesystem::create_directory(dir / "stamp.txt");
+    } else {
+      std::filesystem::create_symlink(dir / "missing" / "stamp.txt", dir / "stamp.txt");
+    }
+    try {
+      (void)ensure_networks(dir, "net_", "v1", 1, train);
+      ADD_FAILURE() << "no error for an unwritable stamp (directory: " << as_directory << ")";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("cannot write stamp"), std::string::npos)
+          << e.what();
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(NetCache, WrongNetworkCountThrows) {
+  const auto dir = std::filesystem::temp_directory_path() / "nncs_net_cache_count_test";
+  std::filesystem::remove_all(dir);
+  const auto train = [] { return std::vector<Network>{random_network(14)}; };
+  EXPECT_THROW((void)ensure_networks(dir, "net_", "v1", 2, train), std::logic_error);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -22,7 +22,7 @@ std::unique_ptr<NeuralController> threshold_net_controller(double c) {
   nets.push_back(std::move(net));
   return std::make_unique<NeuralController>(
       CommandSet({Vec{0.0}, Vec{1.0}}), std::move(nets), std::vector<std::size_t>{0, 0},
-      std::make_unique<IdentityPre>(1), std::make_unique<ArgminPost>());
+      std::make_unique<IdentityPre>(1));
 }
 
 /// View selecting one coordinate of a 2-dimensional global state.

@@ -169,8 +169,7 @@ TEST(ZonotopeController, ConcreteCommandAlwaysInAbstractSet) {
     nets.push_back(random_network(700 + n, {2, 6, 2}));
   }
   const NeuralController ctrl(CommandSet({Vec{0.0}, Vec{1.0}}), std::move(nets), {0, 1},
-                              std::make_unique<IdentityPre>(2),
-                              std::make_unique<ArgminPost>(), NnDomain::kAffine);
+                              std::make_unique<IdentityPre>(2), NnDomain::kAffine);
   for (int b = 0; b < 20; ++b) {
     const double lo0 = rng.uniform(-1.0, 1.0);
     const double lo1 = rng.uniform(-1.0, 1.0);

@@ -1,9 +1,11 @@
-# End-to-end smoke for the batched NN-propagation kernels' back ends
-# (`NNCS_NN_SIMD`), run as a ctest `cmake -P` script (see
-# tools/CMakeLists.txt): `NNCS_NN_SIMD=portable` forces the non-AVX2 back
-# end and must still byte-match the default run's canonical report — lane
-# arithmetic is identical across ISAs — in the box loop domain and, through
-# the zonotope SoA kernels, in `--domain zonotope`.
+# End-to-end smoke for the batched NN-propagation path under the engine's
+# scheduling, run as a ctest `cmake -P` script (see tools/CMakeLists.txt):
+# the acasxu canonical report at --threads 1 must byte-match the one at
+# --threads 4 at depth 1, in the zonotope loop domain (zonotope SoA kernels)
+# and in the box loop domain (symbolic SoA kernels; it needs 8 arcs, since
+# the 4x4 cells fail at t=0 before reaching the controller). The
+# single-threaded runs must spend nonzero time in the controller, so the
+# comparison covers the NN path.
 #
 # Required -D variables: VERIFY (binary), NETS (acasxu network cache dir),
 # OUT (scratch directory).
@@ -24,6 +26,7 @@ function(run_cli log)
                         "stdout:\n${stdout}\nstderr:\n${stderr}")
   endif()
   message(STATUS "${log}: exit 0")
+  set(last_stdout "${stdout}" PARENT_SCOPE)
 endfunction()
 
 function(expect_identical log a b)
@@ -35,14 +38,22 @@ function(expect_identical log a b)
   message(STATUS "${log}: byte-identical")
 endfunction()
 
-set(FLAGS --scenario acasxu --arcs 4 --headings 4 --depth 1 --steps 10
-    --m 4 --order 3 --nets ${NETS} --threads 2 --quiet --canonical-report)
+set(FLAGS --scenario acasxu --headings 4 --depth 1 --steps 10 --m 4 --order 3
+    --nets ${NETS} --quiet --canonical-report)
 
-foreach(domain box zonotope)
-  run_cli("${domain}: dispatched back end" ${VERIFY} ${FLAGS} --domain ${domain}
-    --report ${OUT}/${domain}_default.csv)
-  run_cli("${domain}: portable back end" ${CMAKE_COMMAND} -E env NNCS_NN_SIMD=portable
-    ${VERIFY} ${FLAGS} --domain ${domain} --report ${OUT}/${domain}_portable.csv)
-  expect_identical("${domain}: dispatched vs portable back end"
-    ${OUT}/${domain}_default.csv ${OUT}/${domain}_portable.csv)
+foreach(leg "zonotope;4" "box;8")
+  list(GET leg 0 domain)
+  list(GET leg 1 arcs)
+  set(args ${FLAGS} --domain ${domain} --arcs ${arcs})
+  run_cli("${domain}: threads 1" ${VERIFY} ${args} --threads 1
+    --report ${OUT}/${domain}_threads1.csv)
+  string(REGEX MATCH "controller ([0-9.]+) s" phase "${last_stdout}")
+  if(NOT phase OR CMAKE_MATCH_1 EQUAL 0)
+    message(FATAL_ERROR "${domain}: the run never reached the controller\n${last_stdout}")
+  endif()
+  message(STATUS "${domain}: controller phase ${CMAKE_MATCH_1} s")
+  run_cli("${domain}: threads 4" ${VERIFY} ${args} --threads 4
+    --report ${OUT}/${domain}_threads4.csv)
+  expect_identical("${domain}: threads 1 vs threads 4"
+    ${OUT}/${domain}_threads1.csv ${OUT}/${domain}_threads4.csv)
 endforeach()
