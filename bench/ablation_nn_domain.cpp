@@ -92,44 +92,37 @@ int main(int argc, char** argv) {
     config.integrator = &integrator;
     config.domain = loop_domain;
 
-    AcasRunResult run;
-    run.num_arcs = scenario.num_arcs;
-    run.num_headings = scenario.num_headings;
-    run.max_depth = 0;
-    run.root_cells = cells.size();
-    run.proved_by_depth = {0};
-    run.leaves.reserve(cells.size());
-    std::size_t proved = 0;
+    // Depth 0: every cell is a terminal leaf of its own root.
+    VerifyReport report;
+    report.root_cells = cells.size();
+    report.leaves.reserve(cells.size());
     Stopwatch watch;
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const auto result =
           reach_analyze(system.loop, SymbolicSet{cells[i].state}, error, target, config);
-      const bool cell_proved = result.outcome == ReachOutcome::kProvedSafe;
-      proved += cell_proved ? 1 : 0;
-      CellRecord rec;
-      rec.root_index = i;
-      rec.depth = 0;
-      rec.bearing_lo = cells[i].bearing_lo;
-      rec.bearing_hi = cells[i].bearing_hi;
-      rec.proved = cell_proved;
-      rec.outcome = to_string(result.outcome);
-      rec.seconds = result.stats.seconds;
-      run.leaves.push_back(std::move(rec));
-      run.aggregate.steps_executed += result.stats.steps_executed;
-      run.aggregate.joins += result.stats.joins;
-      run.aggregate.max_states = std::max(run.aggregate.max_states, result.stats.max_states);
-      run.aggregate.total_simulations += result.stats.total_simulations;
-      run.aggregate.seconds += result.stats.seconds;
+      CellOutcome leaf;
+      leaf.initial = cells[i].state;
+      leaf.root_index = i;
+      leaf.outcome = result.outcome;
+      leaf.stats = result.stats;
+      report.leaves.push_back(std::move(leaf));
+      if (result.outcome == ReachOutcome::kProvedSafe) {
+        ++report.proved_leaves;
+      } else {
+        ++report.failed_leaves;
+      }
     }
-    run.wall_seconds = watch.seconds();
-    run.proved_by_depth[0] = proved;
-    run.coverage_percent =
-        100.0 * static_cast<double>(proved) / static_cast<double>(cells.size());
+    report.seconds = watch.seconds();
+    report.proved_by_depth = {report.proved_leaves};
+    report.coverage_percent = 100.0 * static_cast<double>(report.proved_leaves) /
+                              static_cast<double>(cells.size());
 
     const char* name = loop_domain == LoopDomain::kZonotope ? "zonotope" : "box";
     loop_table.add_row(
-        {name, std::to_string(proved), Table::num(run.wall_seconds, 4)});
-    write_bench_report(std::string("ablation_loop_domain_") + name, run, artifact_dir);
+        {name, std::to_string(report.proved_leaves), Table::num(report.seconds, 4)});
+    write_bench_report(std::string("ablation_loop_domain_") + name,
+                       BenchScale{scenario.num_arcs, scenario.num_headings, 0}, report,
+                       artifact_dir);
   }
   loop_table.print_all(std::cout);
   return 0;

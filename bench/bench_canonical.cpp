@@ -1,9 +1,11 @@
 // Canonical perf workload behind tools/nncs_bench_compare: a fixed-scale,
 // fixed-thread ACAS Xu verification run whose artifact is committed under
 // bench/baselines/. Unlike the figure benches this target deliberately
-// ignores NNCS_SCALE / NNCS_THREADS / NNCS_NN_CACHE — the workload must be
-// byte-identical across machines so the artifact's canonical section can be
-// compared exactly (the wall section is tolerance-compared instead).
+// ignores NNCS_SCALE / NNCS_THREADS — the workload must be byte-identical
+// across machines so the artifact's canonical section can be compared
+// exactly (the wall section is tolerance-compared instead). The artifact is
+// `make_run_artifact` of the run's report, as for every other bench and for
+// `nncs_verify --metrics-out`.
 //
 // Flags: --nets DIR (network cache directory, default the scenario's),
 // --artifact-dir DIR (output directory for the artifact),
@@ -22,7 +24,6 @@
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
 #include "scenario/scenario.hpp"
-#include "util/stopwatch.hpp"
 
 namespace {
 
@@ -108,35 +109,13 @@ int main(int argc, char** argv) {
               kArcs, kHeadings, kDepth, kControlSteps, kIntegrationSteps, kGamma, kThreads,
               to_string(loop_domain));
 
-  Stopwatch watch;
   const VerificationEngine engine(system.loop, *error, *target);
   const VerifyReport report =
       engine.run(scenario::to_symbolic_set(cells), engine_config).report;
 
-  bench::AcasRunResult run;
-  run.num_arcs = kArcs;
-  run.num_headings = kHeadings;
-  run.max_depth = kDepth;
-  run.root_cells = report.root_cells;
-  run.coverage_percent = report.coverage_percent;
-  run.proved_by_depth = report.proved_by_depth;
-  run.wall_seconds = watch.seconds();
-  run.aggregate = aggregate_stats(report);
-  run.leaves.reserve(report.leaves.size());
-  for (const auto& leaf : report.leaves) {
-    bench::CellRecord rec;
-    rec.root_index = leaf.root_index;
-    rec.depth = leaf.depth;
-    rec.bearing_lo = cells[leaf.root_index].bin_lo;
-    rec.bearing_hi = cells[leaf.root_index].bin_hi;
-    rec.proved = leaf.outcome == ReachOutcome::kProvedSafe;
-    rec.outcome = to_string(leaf.outcome);
-    rec.seconds = leaf.stats.seconds;
-    run.leaves.push_back(std::move(rec));
-  }
-
   std::printf("[bench-canonical] coverage %.2f %%  (%zu leaves, %.2f s)\n",
-              run.coverage_percent, run.leaves.size(), run.wall_seconds);
-  bench::write_bench_report(bench_name, run, artifact_dir);
+              report.coverage_percent, report.leaves.size(), report.seconds);
+  bench::write_bench_report(bench_name, bench::BenchScale{kArcs, kHeadings, kDepth}, report,
+                            artifact_dir);
   return 0;
 }

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <iostream>
 #include <map>
+#include <vector>
 
 #include "acas_bench_common.hpp"
 #include "util/table.hpp"
@@ -19,8 +20,8 @@ int main(int argc, char** argv) {
 
   const std::filesystem::path artifact_dir = artifact_dir_from_args(argc, argv);
   const BenchScale scale = default_scale();
-  const AcasRunResult run =
-      run_or_load_verification(scale.num_arcs, scale.num_headings, scale.max_depth);
+  const VerifyReport report = run_or_load_verification(scale);
+  const std::vector<scenario::Cell> cells = acas_cells(scale);
 
   // Aggregate leaves per root cell: fully proved (at depth 0 '#', via
   // refinement '+') or not fully proved ('x').
@@ -29,18 +30,18 @@ int main(int argc, char** argv) {
     bool any_refined = false;
   };
   std::map<std::size_t, RootAgg> roots;
-  for (const auto& leaf : run.leaves) {
+  for (const auto& leaf : report.leaves) {
     auto& agg = roots[leaf.root_index];
-    agg.any_fail = agg.any_fail || !leaf.proved;
+    agg.any_fail = agg.any_fail || leaf.outcome != ReachOutcome::kProvedSafe;
     agg.any_refined = agg.any_refined || leaf.depth > 0;
   }
 
   std::printf("\nFig 9a safety map — '#' proved (depth 0), '+' proved via refinement, "
               "'x' not proved\ncolumns: bearing -pi..pi (0 = dead ahead); rows: heading "
               "within penetration cone\n\n");
-  for (std::size_t h = 0; h < run.num_headings; ++h) {
-    for (std::size_t a = 0; a < run.num_arcs; ++a) {
-      const std::size_t root = a * run.num_headings + h;
+  for (std::size_t h = 0; h < scale.num_headings; ++h) {
+    for (std::size_t a = 0; a < scale.num_arcs; ++a) {
+      const std::size_t root = a * scale.num_headings + h;
       const auto it = roots.find(root);
       char c = '?';
       if (it != roots.end()) {
@@ -54,22 +55,18 @@ int main(int argc, char** argv) {
   // Per-root verdict rows (proved / refined / failed).
   Table table("fig9a_safety_map",
               {"root_cell", "bearing_lo_rad", "bearing_hi_rad", "verdict"});
-  std::map<std::size_t, std::pair<double, double>> bearings;
-  for (const auto& leaf : run.leaves) {
-    bearings[leaf.root_index] = {leaf.bearing_lo, leaf.bearing_hi};
-  }
   for (const auto& [root, agg] : roots) {
-    table.add_row({std::to_string(root), Table::num(bearings[root].first, 4),
-                   Table::num(bearings[root].second, 4),
+    table.add_row({std::to_string(root), Table::num(cells[root].bin_lo, 4),
+                   Table::num(cells[root].bin_hi, 4),
                    agg.any_fail ? "not-proved" : (agg.any_refined ? "proved-refined"
                                                                   : "proved")});
   }
   table.print_csv(std::cout);
 
   std::printf("\ncoverage: %.1f %%  (paper: 90.3 %% at 629x316/depth-2 scale)\n",
-              run.coverage_percent);
+              report.coverage_percent);
   std::printf("expected shape: green at the bearing extremes (intruder behind / "
               "overtaking) and red concentrated in the crossing geometries.\n");
-  write_bench_report("fig9a_safety_map", run, artifact_dir);
+  write_bench_report("fig9a_safety_map", scale, report, artifact_dir);
   return 0;
 }

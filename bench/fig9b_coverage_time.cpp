@@ -21,8 +21,8 @@ int main(int argc, char** argv) {
 
   const std::filesystem::path artifact_dir = artifact_dir_from_args(argc, argv);
   const BenchScale scale = default_scale();
-  const AcasRunResult run =
-      run_or_load_verification(scale.num_arcs, scale.num_headings, scale.max_depth);
+  const VerifyReport report = run_or_load_verification(scale);
+  const std::vector<scenario::Cell> cells = acas_cells(scale);
 
   // Bin by bearing (8 bins across [-pi, pi]); compute the paper's coverage
   // metric per bin plus the summed analysis time.
@@ -34,21 +34,22 @@ int main(int argc, char** argv) {
   };
   std::vector<Bin> bins(kBins);
   for (auto& bin : bins) {
-    bin.proved_by_depth.assign(static_cast<std::size_t>(run.max_depth) + 1, 0);
+    bin.proved_by_depth.assign(static_cast<std::size_t>(scale.max_depth) + 1, 0);
   }
-  std::vector<bool> root_counted(run.root_cells, false);
-  for (const auto& leaf : run.leaves) {
-    const double mid = 0.5 * (leaf.bearing_lo + leaf.bearing_hi);
+  std::vector<bool> root_counted(report.root_cells, false);
+  for (const auto& leaf : report.leaves) {
+    const scenario::Cell& root = cells[leaf.root_index];
+    const double mid = 0.5 * (root.bin_lo + root.bin_hi);
     int bin = static_cast<int>((mid + kPi) / (2.0 * kPi) * kBins);
     bin = std::min(std::max(bin, 0), kBins - 1);
     if (!root_counted[leaf.root_index]) {
       root_counted[leaf.root_index] = true;
       ++bins[bin].roots;
     }
-    if (leaf.proved) {
+    if (leaf.outcome == ReachOutcome::kProvedSafe) {
       ++bins[bin].proved_by_depth[static_cast<std::size_t>(leaf.depth)];
     }
-    bins[bin].seconds += leaf.seconds;
+    bins[bin].seconds += leaf.stats.seconds;
   }
 
   Table table("fig9b_coverage_time",
@@ -72,6 +73,6 @@ int main(int argc, char** argv) {
   std::printf(
       "paper shape: coverage dips (~75%% vs 85-100%%) and time peaks (~50x) in the\n"
       "crossing-geometry bins relative to head-on/overtaking bins.\n");
-  write_bench_report("fig9b_coverage_time", run, artifact_dir);
+  write_bench_report("fig9b_coverage_time", scale, report, artifact_dir);
   return 0;
 }

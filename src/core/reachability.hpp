@@ -63,8 +63,8 @@ struct ReachConfig {
   bool check_intermediate = true;
   /// NN query cache policy for the abstract controller steps. The cache
   /// itself lives on the `NeuralController` (drivers apply this config via
-  /// `configure_cache` before analysis); carried here so run reports record
-  /// the mode a result was produced under.
+  /// `configure_cache` before analysis); carried here so a driver holding
+  /// only the config can apply it.
   NnCacheConfig nn_cache;
   /// Record every flowpipe (memory-heavy; for plots and tests).
   bool record_flowpipes = false;

@@ -15,13 +15,11 @@ namespace nncs {
 
 namespace {
 
-constexpr const char* kMagicV1 = "nncs-report v1";
-constexpr const char* kMagicV2 = "nncs-report v2";
+constexpr const char* kMagicReport = "nncs-report v3";
 constexpr const char* kMagicCheckpoint = "nncs-checkpoint v1";
 constexpr const char* kMagicCheckpointV2 = "nncs-checkpoint v2";
 /// Fixed leaf-row columns before the box lo/hi pairs.
-constexpr std::size_t kLeafFixedV1 = 5;
-constexpr std::size_t kLeafFixedV2 = 13;
+constexpr std::size_t kLeafFixed = 13;
 
 ReachOutcome outcome_from_string(const std::string& name) {
   for (const ReachOutcome o :
@@ -100,10 +98,9 @@ Box parse_box(const std::vector<std::string>& cells, std::size_t first) {
   return Box{std::move(dims)};
 }
 
-CellOutcome parse_leaf_row(const std::string& line, bool v2) {
-  const std::size_t fixed = v2 ? kLeafFixedV2 : kLeafFixedV1;
+CellOutcome parse_leaf_row(const std::string& line) {
   const auto cells = split_csv(line);
-  if (cells.size() < fixed || (cells.size() - fixed) % 2 != 0) {
+  if (cells.size() < kLeafFixed || (cells.size() - kLeafFixed) % 2 != 0) {
     throw ReportFormatError("report_io: malformed leaf row");
   }
   CellOutcome leaf;
@@ -111,19 +108,44 @@ CellOutcome parse_leaf_row(const std::string& line, bool v2) {
   leaf.depth = parse_int(cells[1]);
   leaf.outcome = outcome_from_string(cells[2]);
   leaf.stats.seconds = parse_double(cells[3]);
-  if (v2) {
-    leaf.stats.steps_executed = parse_int(cells[4]);
-    leaf.stats.joins = parse_size(cells[5]);
-    leaf.stats.max_states = parse_size(cells[6]);
-    leaf.stats.total_simulations = parse_size(cells[7]);
-    leaf.stats.phases.simulate_seconds = parse_double(cells[8]);
-    leaf.stats.phases.controller_seconds = parse_double(cells[9]);
-    leaf.stats.phases.join_seconds = parse_double(cells[10]);
-    leaf.stats.phases.check_seconds = parse_double(cells[11]);
-  }
-  leaf.initial.command = parse_size(cells[fixed - 1]);
-  leaf.initial.abstract = parse_box(cells, fixed);
+  leaf.stats.steps_executed = parse_int(cells[4]);
+  leaf.stats.joins = parse_size(cells[5]);
+  leaf.stats.max_states = parse_size(cells[6]);
+  leaf.stats.total_simulations = parse_size(cells[7]);
+  leaf.stats.phases.simulate_seconds = parse_double(cells[8]);
+  leaf.stats.phases.controller_seconds = parse_double(cells[9]);
+  leaf.stats.phases.join_seconds = parse_double(cells[10]);
+  leaf.stats.phases.check_seconds = parse_double(cells[11]);
+  leaf.initial.command = parse_size(cells[12]);
+  leaf.initial.abstract = parse_box(cells, kLeafFixed);
   return leaf;
+}
+
+/// The summed stats of the refined-away interior cells, one row in both
+/// reports and checkpoints.
+void write_interior_row(std::ostream& os, const ReachStats& s) {
+  os << "interior," << s.steps_executed << ',' << s.joins << ',' << s.max_states << ','
+     << s.total_simulations << ',' << s.seconds << ',' << s.phases.simulate_seconds << ','
+     << s.phases.controller_seconds << ',' << s.phases.join_seconds << ','
+     << s.phases.check_seconds << '\n';
+}
+
+ReachStats parse_interior_row(const std::string& line) {
+  const auto cells = split_csv(line);
+  if (cells.size() != 10 || cells[0] != "interior") {
+    throw ReportFormatError("report_io: malformed interior-stats row");
+  }
+  ReachStats s;
+  s.steps_executed = parse_int(cells[1]);
+  s.joins = parse_size(cells[2]);
+  s.max_states = parse_size(cells[3]);
+  s.total_simulations = parse_size(cells[4]);
+  s.seconds = parse_double(cells[5]);
+  s.phases.simulate_seconds = parse_double(cells[6]);
+  s.phases.controller_seconds = parse_double(cells[7]);
+  s.phases.join_seconds = parse_double(cells[8]);
+  s.phases.check_seconds = parse_double(cells[9]);
+  return s;
 }
 
 std::string read_line_or_throw(std::istream& is, const char* what) {
@@ -133,8 +155,7 @@ std::string read_line_or_throw(std::istream& is, const char* what) {
       return line;
     }
   }
-  throw ReportFormatError(std::string("report_io: truncated checkpoint (expected ") + what +
-                          ")");
+  throw ReportFormatError(std::string("report_io: truncated input (expected ") + what + ")");
 }
 
 /// Parse a `<tag>,<count>` section header.
@@ -151,12 +172,13 @@ std::size_t parse_section(const std::string& line, const char* tag) {
 
 void save_report(const VerifyReport& report, std::ostream& os) {
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  os << kMagicV2 << ',' << report.root_cells << ',' << report.coverage_percent << ','
+  os << kMagicReport << ',' << report.root_cells << ',' << report.coverage_percent << ','
      << report.seconds;
   for (const auto n : report.proved_by_depth) {
     os << ',' << n;
   }
   os << '\n';
+  write_interior_row(os, report.interior_stats);
   for (const auto& leaf : report.leaves) {
     write_leaf_row(os, leaf);
   }
@@ -179,10 +201,9 @@ VerifyReport load_report(std::istream& is) {
     throw ReportFormatError("report_io: empty input");
   }
   const auto head_cells = split_csv(header);
-  if (head_cells.size() < 4 || (head_cells[0] != kMagicV1 && head_cells[0] != kMagicV2)) {
-    throw ReportFormatError("report_io: bad header (not a nncs-report v1/v2 file)");
+  if (head_cells.size() < 4 || head_cells[0] != kMagicReport) {
+    throw ReportFormatError("report_io: bad header (not a nncs-report v3 file)");
   }
-  const bool v2 = head_cells[0] == kMagicV2;
   VerifyReport report;
   report.root_cells = parse_size(head_cells[1]);
   report.coverage_percent = parse_double(head_cells[2]);
@@ -190,12 +211,16 @@ VerifyReport load_report(std::istream& is) {
   for (std::size_t i = 4; i < head_cells.size(); ++i) {
     report.proved_by_depth.push_back(parse_size(head_cells[i]));
   }
+  report.interior_stats = parse_interior_row(read_line_or_throw(is, "interior stats"));
   std::string line;
   while (std::getline(is, line)) {
     if (line.empty()) {
       continue;
     }
-    CellOutcome leaf = parse_leaf_row(line, v2);
+    CellOutcome leaf = parse_leaf_row(line);
+    if (leaf.root_index >= report.root_cells) {
+      throw ReportFormatError("report_io: leaf root index out of range");
+    }
     if (leaf.outcome == ReachOutcome::kProvedSafe) {
       ++report.proved_leaves;
     } else {
@@ -230,11 +255,7 @@ void save_checkpoint(const EngineCheckpoint& checkpoint, std::ostream& os) {
     os << kMagicCheckpointV2 << ',' << checkpoint.root_cells << ',' << checkpoint.scenario
        << ',' << checkpoint.fingerprint << '\n';
   }
-  const ReachStats& s = checkpoint.interior_stats;
-  os << "interior," << s.steps_executed << ',' << s.joins << ',' << s.max_states << ','
-     << s.total_simulations << ',' << s.seconds << ',' << s.phases.simulate_seconds << ','
-     << s.phases.controller_seconds << ',' << s.phases.join_seconds << ','
-     << s.phases.check_seconds << '\n';
+  write_interior_row(os, checkpoint.interior_stats);
   os << "leaves," << checkpoint.leaves.size() << '\n';
   for (const auto& leaf : checkpoint.leaves) {
     write_leaf_row(os, leaf);
@@ -277,26 +298,12 @@ EngineCheckpoint load_checkpoint(std::istream& is) {
   }
   checkpoint.root_cells = parse_size(head_cells[1]);
 
-  const auto interior_cells = split_csv(read_line_or_throw(is, "interior stats"));
-  if (interior_cells.size() != 10 || interior_cells[0] != "interior") {
-    throw ReportFormatError("report_io: malformed interior-stats row");
-  }
-  ReachStats& s = checkpoint.interior_stats;
-  s.steps_executed = parse_int(interior_cells[1]);
-  s.joins = parse_size(interior_cells[2]);
-  s.max_states = parse_size(interior_cells[3]);
-  s.total_simulations = parse_size(interior_cells[4]);
-  s.seconds = parse_double(interior_cells[5]);
-  s.phases.simulate_seconds = parse_double(interior_cells[6]);
-  s.phases.controller_seconds = parse_double(interior_cells[7]);
-  s.phases.join_seconds = parse_double(interior_cells[8]);
-  s.phases.check_seconds = parse_double(interior_cells[9]);
+  checkpoint.interior_stats = parse_interior_row(read_line_or_throw(is, "interior stats"));
 
   const std::size_t num_leaves = parse_section(read_line_or_throw(is, "leaves section"), "leaves");
   checkpoint.leaves.reserve(num_leaves);
   for (std::size_t i = 0; i < num_leaves; ++i) {
-    checkpoint.leaves.push_back(
-        parse_leaf_row(read_line_or_throw(is, "leaf row"), /*v2=*/true));
+    checkpoint.leaves.push_back(parse_leaf_row(read_line_or_throw(is, "leaf row")));
   }
 
   const std::size_t num_jobs =

@@ -12,16 +12,18 @@ namespace nncs {
 /// be archived, diffed and re-plotted without re-running (the figure
 /// benches cache their runs through this).
 ///
-/// Current format (`nncs-report v2`): one header line
-///   `nncs-report v2,<root_cells>,<coverage>,<seconds>,<d0>,<d1>,...`
+/// Format (`nncs-report v3`): one header line
+///   `nncs-report v3,<root_cells>,<coverage>,<seconds>,<d0>,<d1>,...`
+/// then the refined-away cells' summed stats (`VerifyReport::interior_stats`,
+/// the checkpoint's row)
+///   `interior,<steps>,<joins>,<max_states>,<sims>,<s>,<sim_s>,<ctrl_s>,<join_s>,<check_s>`
 /// then one line per terminal leaf:
 ///   root_index,depth,outcome,seconds,steps,joins,max_states,
 ///   total_simulations,simulate_s,controller_s,join_s,check_s,
 ///   command,box_lo0,box_hi0,...
-/// Values round-trip via max_digits10.
-///
-/// v1 files (no per-phase stats columns — the leaf row jumps from `seconds`
-/// straight to `command`) are still loaded; the missing stats read as zero.
+/// Values round-trip via max_digits10, so a loaded report aggregates
+/// (`aggregate_stats`) exactly like the report that was saved. Other
+/// versions are refused.
 
 void save_report(const VerifyReport& report, std::ostream& os);
 void save_report(const VerifyReport& report, const std::filesystem::path& path);
@@ -43,7 +45,7 @@ VerifyReport load_report(const std::filesystem::path& path);
 /// (v1 headers — `nncs-checkpoint v1,<root_cells>` — are still written when
 /// no scenario stamp is set, and still loaded, with both fields empty)
 ///   `interior,<steps>,<joins>,<max_states>,<sims>,<s>,<sim_s>,<ctrl_s>,<join_s>,<check_s>`
-///   `leaves,<count>` then `count` leaf rows (the report-v2 leaf format)
+///   `leaves,<count>` then `count` leaf rows (the report's leaf format)
 ///   `frontier,<count>` then `count` rows `root_index,depth,command,lo0,hi0,...`
 /// Values round-trip via max_digits10; resuming from a loaded checkpoint
 /// reproduces the uninterrupted run's report exactly (up to timing).

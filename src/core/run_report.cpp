@@ -1,125 +1,47 @@
 #include "core/run_report.hpp"
 
-#include <fstream>
-#include <ostream>
-#include <stdexcept>
+#include <utility>
 
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
 
 namespace nncs {
 
-namespace {
+obs::BenchArtifact make_run_artifact(std::string bench, std::map<std::string, double> scale,
+                                     const VerifyReport& report) {
+  obs::BenchArtifact artifact;
+  artifact.bench = std::move(bench);
+  artifact.provenance = obs::collect_provenance();
+  artifact.scale = std::move(scale);
 
-const char* strategy_name(SplitStrategy s) {
-  return s == SplitStrategy::kAllDims ? "all-dims" : "widest-dim";
-}
-
-void write_phases(obs::JsonWriter& w, const PhaseBreakdown& phases) {
-  w.begin_object()
-      .field("simulate_s", phases.simulate_seconds)
-      .field("controller_s", phases.controller_seconds)
-      .field("join_s", phases.join_seconds)
-      .field("check_s", phases.check_seconds)
-      .field("total_s", phases.total())
-      .end_object();
-}
-
-}  // namespace
-
-void write_run_report(std::ostream& os, std::string_view label, const VerifyReport& report,
-                      const VerifyConfig& config, const RunScenarioMeta* scenario) {
+  // Canonical side: the refinement tree and its aggregate work counts are
+  // deterministic for a fixed workload.
+  auto& results = artifact.canonical_results;
+  results["root_cells"] = static_cast<double>(report.root_cells);
+  results["coverage_percent"] = report.coverage_percent;
+  results["leaves"] = static_cast<double>(report.leaves.size());
+  for (std::size_t depth = 0; depth < report.proved_by_depth.size(); ++depth) {
+    results["proved_by_depth." + std::to_string(depth)] =
+        static_cast<double>(report.proved_by_depth[depth]);
+  }
   const ReachStats aggregate = aggregate_stats(report);
-  obs::JsonWriter w(os);
-  w.begin_object();
-  w.field("schema", "nncs-run v1");
-  w.field("label", label);
-  if (scenario) {
-    w.key("scenario").begin_object();
-    w.field("name", scenario->name).field("fingerprint", scenario->fingerprint);
-    w.key("parameters").begin_object();
-    for (const auto& [key, value] : scenario->parameters) {
-      w.field(key, value);
-    }
-    w.end_object();
-    w.end_object();
-  }
-  w.key("provenance");
-  obs::write_provenance(w, obs::collect_provenance());
+  results["aggregate.steps_executed"] = static_cast<double>(aggregate.steps_executed);
+  results["aggregate.joins"] = static_cast<double>(aggregate.joins);
+  results["aggregate.max_states"] = static_cast<double>(aggregate.max_states);
+  results["aggregate.total_simulations"] = static_cast<double>(aggregate.total_simulations);
 
-  w.key("config").begin_object();
-  w.field("control_steps", static_cast<std::int64_t>(config.reach.control_steps))
-      .field("integration_steps", static_cast<std::int64_t>(config.reach.integration_steps))
-      .field("gamma", static_cast<std::uint64_t>(config.reach.gamma))
-      .field("check_intermediate", config.reach.check_intermediate)
-      .field("domain", to_string(config.reach.domain))
-      .field("nn_cache_mode", to_string(config.reach.nn_cache.mode))
-      .field("nn_cache_max_entries",
-             static_cast<std::uint64_t>(config.reach.nn_cache.max_entries))
-      .field("max_refinement_depth", static_cast<std::int64_t>(config.max_refinement_depth))
-      .field("split_strategy", strategy_name(config.split_strategy))
-      .field("threads", static_cast<std::uint64_t>(config.threads));
-  w.key("split_dims").begin_array();
-  for (const std::size_t d : config.split_dims) {
-    w.value(static_cast<std::uint64_t>(d));
-  }
-  w.end_array();
-  w.end_object();
+  // Wall side: compared under the regression tolerance, never exactly.
+  artifact.wall_seconds = report.seconds;
+  auto& wall = artifact.wall_results;
+  wall["aggregate.cell_seconds"] = aggregate.seconds;
+  wall["phase.simulate_s"] = aggregate.phases.simulate_seconds;
+  wall["phase.controller_s"] = aggregate.phases.controller_seconds;
+  wall["phase.join_s"] = aggregate.phases.join_seconds;
+  wall["phase.check_s"] = aggregate.phases.check_seconds;
+  wall["phase.total_s"] = aggregate.phases.total();
 
-  w.key("results").begin_object();
-  w.field("root_cells", static_cast<std::uint64_t>(report.root_cells))
-      .field("coverage_percent", report.coverage_percent)
-      .field("proved_leaves", static_cast<std::uint64_t>(report.proved_leaves))
-      .field("failed_leaves", static_cast<std::uint64_t>(report.failed_leaves))
-      .field("wall_seconds", report.seconds);
-  w.key("proved_by_depth").begin_array();
-  for (const std::size_t n : report.proved_by_depth) {
-    w.value(static_cast<std::uint64_t>(n));
-  }
-  w.end_array();
-  w.end_object();
-
-  w.key("aggregate_stats").begin_object();
-  w.field("steps_executed", static_cast<std::int64_t>(aggregate.steps_executed))
-      .field("joins", static_cast<std::uint64_t>(aggregate.joins))
-      .field("max_states", static_cast<std::uint64_t>(aggregate.max_states))
-      .field("total_simulations", static_cast<std::uint64_t>(aggregate.total_simulations))
-      .field("cell_seconds", aggregate.seconds);
-  w.key("phases");
-  write_phases(w, aggregate.phases);
-  w.end_object();
-
-  // Refined-away interior cells (part of aggregate_stats above, broken out
-  // so the cost of refinement itself stays visible).
-  const ReachStats& interior = report.interior_stats;
-  w.key("interior_stats").begin_object();
-  w.field("steps_executed", static_cast<std::int64_t>(interior.steps_executed))
-      .field("joins", static_cast<std::uint64_t>(interior.joins))
-      .field("max_states", static_cast<std::uint64_t>(interior.max_states))
-      .field("total_simulations", static_cast<std::uint64_t>(interior.total_simulations))
-      .field("cell_seconds", interior.seconds);
-  w.key("phases");
-  write_phases(w, interior.phases);
-  w.end_object();
-
-  w.key("metrics");
-  obs::write_metrics(w, obs::Registry::instance().snapshot());
-  w.end_object();
-  os << '\n';
-  if (!os) {
-    throw std::runtime_error("run_report: stream failure while writing report");
-  }
-}
-
-void write_run_report(const std::filesystem::path& path, std::string_view label,
-                      const VerifyReport& report, const VerifyConfig& config,
-                      const RunScenarioMeta* scenario) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("run_report: cannot open for writing: " + path.string());
-  }
-  write_run_report(out, label, report, config, scenario);
+  obs::fill_artifact_metrics(artifact, obs::Registry::instance().snapshot());
+  return artifact;
 }
 
 }  // namespace nncs

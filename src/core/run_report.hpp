@@ -1,37 +1,24 @@
 #pragma once
 
-#include <filesystem>
-#include <iosfwd>
+#include <map>
 #include <string>
-#include <string_view>
-#include <utility>
-#include <vector>
 
 #include "core/verifier.hpp"
+#include "obs/artifact.hpp"
 
 namespace nncs {
 
-/// Scenario identity attached to a run report so artifacts produced by
-/// different workloads stay distinguishable. Plain strings: core stays
-/// independent of the scenario layer that fills them.
-struct RunScenarioMeta {
-  std::string name;
-  std::string fingerprint;
-  /// Ordered (key, value) scenario parameters.
-  std::vector<std::pair<std::string, std::string>> parameters;
-};
-
-/// Machine-readable verification run report (`nncs-run v1` JSON): the
-/// VerifyReport summary with the aggregated per-phase stats, the full
-/// Reach/Verify configuration, the scenario identity (when given),
-/// build/config provenance (git SHA, NNCS_SCALE, thread count) and a
-/// snapshot of every telemetry counter and histogram. This is the artifact
-/// perf PRs diff against; benches write the sibling `BENCH_<name>.json`
-/// through the same schema helpers.
-void write_run_report(std::ostream& os, std::string_view label, const VerifyReport& report,
-                      const VerifyConfig& config, const RunScenarioMeta* scenario = nullptr);
-void write_run_report(const std::filesystem::path& path, std::string_view label,
-                      const VerifyReport& report, const VerifyConfig& config,
-                      const RunScenarioMeta* scenario = nullptr);
+/// The "nncs-bench v2" summary of one verification run, the artifact
+/// `nncs_verify --metrics-out` and every bench write. From `report`: the
+/// canonical results (root cells, coverage, leaves, proved cells per depth,
+/// and the deterministic `aggregate_stats` counts, refined-away cells
+/// included) and the wall rows (`wall_seconds` is `report.seconds`, plus
+/// the aggregate CPU seconds per phase). From the telemetry registry: the
+/// canonical engine counters and the metrics snapshot. `scale` names the
+/// workload (partition, depth, knobs); artifacts of different scale are
+/// never compared.
+[[nodiscard]] obs::BenchArtifact make_run_artifact(std::string bench,
+                                                   std::map<std::string, double> scale,
+                                                   const VerifyReport& report);
 
 }  // namespace nncs

@@ -91,7 +91,5 @@ inline double sub_down(double a, double b) { return next_down(a - b); }
 inline double sub_up(double a, double b) { return next_up(a - b); }
 inline double mul_down(double a, double b) { return next_down(a * b); }
 inline double mul_up(double a, double b) { return next_up(a * b); }
-inline double div_down(double a, double b) { return next_down(a / b); }
-inline double div_up(double a, double b) { return next_up(a / b); }
 
 }  // namespace nncs::rnd

@@ -46,47 +46,6 @@ std::vector<std::size_t> possible_argmin(const SymbolicBounds& bounds) {
   return result;
 }
 
-std::vector<std::size_t> possible_argmax(const Box& outputs) {
-  if (outputs.dim() == 0) {
-    throw std::invalid_argument("possible_argmax: empty output box");
-  }
-  double max_lo = -std::numeric_limits<double>::infinity();
-  for (std::size_t j = 0; j < outputs.dim(); ++j) {
-    max_lo = std::max(max_lo, outputs[j].lo());
-  }
-  std::vector<std::size_t> result;
-  for (std::size_t k = 0; k < outputs.dim(); ++k) {
-    if (outputs[k].hi() >= max_lo) {
-      result.push_back(k);
-    }
-  }
-  return result;
-}
-
-std::vector<std::size_t> possible_argmax(const SymbolicBounds& bounds) {
-  const std::size_t p = bounds.outputs.size();
-  if (p == 0) {
-    throw std::invalid_argument("possible_argmax: empty symbolic bounds");
-  }
-  std::vector<std::size_t> result;
-  for (std::size_t k = 0; k < p; ++k) {
-    bool excluded = false;
-    for (std::size_t j = 0; j < p && !excluded; ++j) {
-      if (j == k) {
-        continue;
-      }
-      // If y_j − y_k > 0 everywhere, k can never be the maximum.
-      if (output_difference(bounds, j, k).lo() > 0.0) {
-        excluded = true;
-      }
-    }
-    if (!excluded) {
-      result.push_back(k);
-    }
-  }
-  return result;
-}
-
 std::size_t concrete_argmin(const Vec& outputs) {
   if (outputs.empty()) {
     throw std::invalid_argument("concrete_argmin: empty vector");
@@ -94,19 +53,6 @@ std::size_t concrete_argmin(const Vec& outputs) {
   std::size_t best = 0;
   for (std::size_t i = 1; i < outputs.size(); ++i) {
     if (outputs[i] < outputs[best]) {
-      best = i;
-    }
-  }
-  return best;
-}
-
-std::size_t concrete_argmax(const Vec& outputs) {
-  if (outputs.empty()) {
-    throw std::invalid_argument("concrete_argmax: empty vector");
-  }
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < outputs.size(); ++i) {
-    if (outputs[i] > outputs[best]) {
       best = i;
     }
   }

@@ -20,12 +20,7 @@ std::vector<std::size_t> possible_argmin(const Box& outputs);
 /// more candidates than the plain interval rule.
 std::vector<std::size_t> possible_argmin(const SymbolicBounds& bounds);
 
-/// Mirror rules for argmax post-processing.
-std::vector<std::size_t> possible_argmax(const Box& outputs);
-std::vector<std::size_t> possible_argmax(const SymbolicBounds& bounds);
-
 /// Concrete argmin with first-index tie-break (the deterministic Post).
 std::size_t concrete_argmin(const Vec& outputs);
-std::size_t concrete_argmax(const Vec& outputs);
 
 }  // namespace nncs

@@ -51,10 +51,6 @@ struct NnCacheConfig {
   }
 };
 
-/// Cache config from the `NNCS_NN_CACHE` environment variable
-/// ("off" / "containment"; unset or unparsable → off).
-[[nodiscard]] NnCacheConfig nn_cache_config_from_env();
-
 /// Cached affine-arithmetic propagation, retained so containment mode can
 /// restrict it to tighter query boxes. Only *box-valid* propagations are
 /// cached this way: every input form has at most one noise term and the

@@ -310,27 +310,4 @@ std::vector<std::size_t> possible_argmin(const ZonotopeBounds& bounds) {
   return result;
 }
 
-std::vector<std::size_t> possible_argmax(const ZonotopeBounds& bounds) {
-  const std::size_t p = bounds.outputs.size();
-  if (p == 0) {
-    throw std::invalid_argument("possible_argmax: empty zonotope bounds");
-  }
-  std::vector<std::size_t> result;
-  for (std::size_t k = 0; k < p; ++k) {
-    bool excluded = false;
-    for (std::size_t j = 0; j < p && !excluded; ++j) {
-      if (j == k) {
-        continue;
-      }
-      if ((bounds.outputs[j] - bounds.outputs[k]).range().lo() > 0.0) {
-        excluded = true;
-      }
-    }
-    if (!excluded) {
-      result.push_back(k);
-    }
-  }
-  return result;
-}
-
 }  // namespace nncs

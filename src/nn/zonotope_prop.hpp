@@ -62,6 +62,5 @@ std::vector<ZonotopeBounds> zonotope_propagate_batch(const Network& net,
 /// output j is provably smaller on the whole zonotope, i.e. the affine
 /// difference y_j − y_k (shared symbols cancel) has range strictly below 0.
 std::vector<std::size_t> possible_argmin(const ZonotopeBounds& bounds);
-std::vector<std::size_t> possible_argmax(const ZonotopeBounds& bounds);
 
 }  // namespace nncs

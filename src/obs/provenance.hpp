@@ -8,8 +8,8 @@ namespace nncs::obs {
 class JsonWriter;
 struct MetricsSnapshot;
 
-/// Build/run provenance stamped into every run report and bench artifact so
-/// perf numbers can be attributed to a commit and environment.
+/// Build/run provenance stamped into every "nncs-bench v2" artifact so perf
+/// numbers can be attributed to a commit and environment.
 struct Provenance {
   std::string git_sha;         ///< compiled in at configure time ("unknown" outside git)
   std::string build_type;      ///< CMAKE_BUILD_TYPE
@@ -34,8 +34,8 @@ Provenance collect_provenance();
 /// Declare the scenario this process is verifying, optionally with its
 /// parameter fingerprint. Stamped into every subsequently collected
 /// provenance block, which makes the nn.cache.* / engine.* metrics in
-/// BENCH_*.json and run reports attributable to a workload. Call once from
-/// the driver before analysis; thread-safe.
+/// BENCH_*.json and `--metrics-out` artifacts attributable to a workload.
+/// Call once from the driver before analysis; thread-safe.
 void set_scenario(const std::string& name, const std::string& fingerprint = "");
 
 /// Emit as a JSON object value (caller positions the writer at a value

@@ -99,8 +99,8 @@ class Scenario {
   /// Bumped whenever dynamics, specs, training or partition layout change
   /// in a way that invalidates old checkpoints/reports.
   [[nodiscard]] virtual std::string version() const = 0;
-  /// Ordered parameter map recorded in run reports and folded into the
-  /// checkpoint fingerprint. Values must not contain commas or newlines.
+  /// Ordered parameter map folded into the fingerprint (checkpoints and
+  /// artifact provenance). Values must not contain commas or newlines.
   [[nodiscard]] virtual std::vector<std::pair<std::string, std::string>> parameters() const = 0;
 
   /// Names of the two partition axes, e.g. {"arcs", "headings"}.
@@ -141,7 +141,7 @@ class Scenario {
 /// Deterministic identity stamp of (scenario, partition): name, version,
 /// resolved axis sizes and the parameter map, joined with ';' and free of
 /// commas/newlines so it embeds in CSV headers. Recorded in checkpoints and
-/// run reports; a resume under a different fingerprint is refused.
+/// artifact provenance; a resume under a different fingerprint is refused.
 [[nodiscard]] std::string fingerprint(const Scenario& scenario, Partition partition);
 
 /// Name-keyed scenario registry. `global()` is the process-wide instance,

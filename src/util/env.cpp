@@ -54,22 +54,4 @@ bool env_flag(const char* name, bool default_value) {
   return default_value;
 }
 
-std::string env_path(const char* name) {
-  const char* raw = std::getenv(name);
-  return raw == nullptr ? std::string{} : std::string{raw};
-}
-
-double env_seconds(const char* name, double default_value) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || raw[0] == '\0') {
-    return default_value;
-  }
-  try {
-    const double v = std::stod(raw);
-    return v > 0.0 ? v : default_value;
-  } catch (const std::exception&) {
-    return default_value;
-  }
-}
-
 }  // namespace nncs

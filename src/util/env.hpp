@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 namespace nncs {
 
@@ -19,14 +18,5 @@ std::size_t env_threads();
 /// anything else falls back to `default_value` — same forgiving default
 /// handling as env_scale().
 bool env_flag(const char* name, bool default_value = false);
-
-/// Path-valued variable (e.g. `NNCS_METRICS_OUT`). Returns the raw value,
-/// or the empty string when unset/empty (callers treat empty as "off").
-std::string env_path(const char* name);
-
-/// Positive seconds value (e.g. `NNCS_TIME_BUDGET`). Unset, empty,
-/// unparsable or non-positive values fall back to `default_value` — same
-/// forgiving handling as env_scale().
-double env_seconds(const char* name, double default_value = 0.0);
 
 }  // namespace nncs

@@ -1,4 +1,4 @@
-// Tests for the sound argmin/argmax analysis (the Post# transformer).
+// Tests for the sound argmin analysis (the Post# transformer).
 
 #include <gtest/gtest.h>
 
@@ -11,9 +11,7 @@ namespace {
 TEST(Argmin, ConcreteFirstIndexTieBreak) {
   EXPECT_EQ(concrete_argmin(Vec{3.0, 1.0, 2.0}), 1u);
   EXPECT_EQ(concrete_argmin(Vec{1.0, 1.0, 2.0}), 0u);
-  EXPECT_EQ(concrete_argmax(Vec{3.0, 5.0, 5.0}), 1u);
   EXPECT_THROW(concrete_argmin(Vec{}), std::invalid_argument);
-  EXPECT_THROW(concrete_argmax(Vec{}), std::invalid_argument);
 }
 
 TEST(Argmin, DisjointIntervalsGiveUniqueWinner) {
@@ -39,18 +37,8 @@ TEST(Argmin, TouchingBoundsStayIncluded) {
   EXPECT_EQ(c.size(), 2u);
 }
 
-TEST(Argmax, MirrorsArgmin) {
-  const Box out{Interval{0.0, 1.0}, Interval{2.0, 3.0}, Interval{2.5, 4.0}};
-  const auto c = possible_argmax(out);
-  // max_lo = 2.5; candidates: hi >= 2.5 -> indices 1 and 2.
-  ASSERT_EQ(c.size(), 2u);
-  EXPECT_EQ(c[0], 1u);
-  EXPECT_EQ(c[1], 2u);
-}
-
 TEST(Argmin, EmptyBoxThrows) {
   EXPECT_THROW(possible_argmin(Box{}), std::invalid_argument);
-  EXPECT_THROW(possible_argmax(Box{}), std::invalid_argument);
 }
 
 // Soundness property: the concrete argmin of any sampled output vector must
@@ -66,16 +54,13 @@ TEST(ArgminProperty, ConcreteSelectionAlwaysInCandidates) {
     }
     const Box out{dims};
     const auto cmin = possible_argmin(out);
-    const auto cmax = possible_argmax(out);
     for (int s = 0; s < 20; ++s) {
       Vec y(p);
       for (std::size_t i = 0; i < p; ++i) {
         y[i] = rng.uniform(out[i].lo(), out[i].hi());
       }
       const std::size_t kmin = concrete_argmin(y);
-      const std::size_t kmax = concrete_argmax(y);
       ASSERT_NE(std::find(cmin.begin(), cmin.end(), kmin), cmin.end());
-      ASSERT_NE(std::find(cmax.begin(), cmax.end(), kmax), cmax.end());
     }
   }
 }
@@ -99,18 +84,6 @@ TEST(ArgminSymbolic, ExcludesDominatedCandidate) {
   EXPECT_EQ(sym_candidates[0], 0u);
   // The box rule cannot see the cancellation (ranges overlap).
   EXPECT_GE(box_candidates.size(), sym_candidates.size());
-}
-
-TEST(ArgmaxSymbolic, ExcludesDominatedCandidate) {
-  Network net = make_zero_network({1, 1, 2});
-  net.layer(0).weights(0, 0) = 1.0;
-  net.layer(1).weights(0, 0) = 1.0;
-  net.layer(1).weights(1, 0) = 1.0;
-  net.layer(1).biases[1] = 1.0;  // y1 = y0 + 1 always wins argmax
-  const auto bounds = symbolic_propagate(net, Box{Interval{0.5, 2.0}});
-  const auto c = possible_argmax(bounds);
-  ASSERT_EQ(c.size(), 1u);
-  EXPECT_EQ(c[0], 1u);
 }
 
 TEST(ArgminSymbolicProperty, SoundOnRandomNetworks) {

@@ -1,14 +1,19 @@
 // Tests for the versioned perf-artifact subsystem (obs/artifact.hpp): exact
 // quantile extraction from the log2 histogram buckets, v2 round-trip and
-// schema checks, the compare tool's gating semantics, and the
-// span self-profile tree (obs/profile.hpp).
+// schema checks, the compare tool's gating semantics, the span
+// self-profile tree (obs/profile.hpp), and the run summary every bench and
+// `nncs_verify --metrics-out` write (core/run_report.hpp).
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/report_io.hpp"
+#include "core/run_report.hpp"
 #include "obs/artifact.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -377,6 +382,110 @@ TEST(Provenance, ScenarioFingerprintRoundTrips) {
   EXPECT_EQ(p.scenario, "unit_scenario");
   EXPECT_EQ(p.scenario_fingerprint, "unit_scenario;1;knob=2");
   set_scenario("", "");
+}
+
+// --- run artifact ----------------------------------------------------------
+
+/// Two root cells: root 0 proved at depth 0; root 1 failed, was refined
+/// (its analysis lands in interior_stats) into two depth-1 leaves, one
+/// proved.
+VerifyReport refined_report() {
+  const auto leaf = [](std::size_t root, int depth, ReachOutcome outcome, int steps,
+                       std::size_t joins, std::size_t max_states, std::size_t sims) {
+    CellOutcome c;
+    c.initial = SymbolicState{Box{Interval{0.0, 1.0}}, 0};
+    c.root_index = root;
+    c.depth = depth;
+    c.outcome = outcome;
+    c.stats.steps_executed = steps;
+    c.stats.joins = joins;
+    c.stats.max_states = max_states;
+    c.stats.total_simulations = sims;
+    c.stats.seconds = 0.5;
+    c.stats.phases.simulate_seconds = 0.25;
+    c.stats.phases.controller_seconds = 0.125;
+    return c;
+  };
+  VerifyReport report;
+  report.root_cells = 2;
+  report.leaves = {leaf(0, 0, ReachOutcome::kProvedSafe, 20, 4, 3, 40),
+                   leaf(1, 1, ReachOutcome::kProvedSafe, 20, 5, 2, 41),
+                   leaf(1, 1, ReachOutcome::kErrorReachable, 7, 1, 1, 9)};
+  report.interior_stats.steps_executed = 9;
+  report.interior_stats.joins = 30;
+  report.interior_stats.max_states = 5;
+  report.interior_stats.total_simulations = 18;
+  report.interior_stats.seconds = 1.0;
+  report.interior_stats.phases.simulate_seconds = 0.75;
+  report.proved_by_depth = {1, 1};
+  report.coverage_percent = 75.0;
+  report.proved_leaves = 2;
+  report.failed_leaves = 1;
+  report.seconds = 1.75;
+  return report;
+}
+
+template <typename Map>
+std::set<std::string> keys(const Map& map) {
+  std::set<std::string> out;
+  for (const auto& [name, value] : map) {
+    out.insert(name);
+  }
+  return out;
+}
+
+TEST(RunArtifact, CanonicalKeysFromReport) {
+  TelemetryGuard guard;
+  set_enabled(true);
+  for (const char* name : {"engine.cells_done", "engine.cells_proved", "engine.cells_failed",
+                           "engine.cells_refined", "nn.relaxed_relus"}) {
+    Registry::instance().counter(name).add(1);
+  }
+  const BenchArtifact a = make_run_artifact(
+      "canonical_acasxu", {{"num_arcs", 2.0}, {"num_headings", 1.0}, {"max_depth", 1.0}},
+      refined_report());
+
+  // Exactly the keys of the committed baseline the compare gate reads.
+  const BenchArtifact baseline = load_artifact(std::filesystem::path(NNCS_SOURCE_DIR) /
+                                               "bench/baselines/BENCH_canonical_acasxu.json");
+  EXPECT_EQ(keys(a.scale), keys(baseline.scale));
+  EXPECT_EQ(keys(a.canonical_results), keys(baseline.canonical_results));
+  EXPECT_EQ(keys(a.canonical_counters), keys(baseline.canonical_counters));
+  EXPECT_EQ(keys(a.wall_results), keys(baseline.wall_results));
+
+  const auto& r = a.canonical_results;
+  EXPECT_EQ(r.at("root_cells"), 2.0);
+  EXPECT_EQ(r.at("coverage_percent"), 75.0);
+  EXPECT_EQ(r.at("leaves"), 3.0);
+  EXPECT_EQ(r.at("proved_by_depth.0"), 1.0);
+  EXPECT_EQ(r.at("proved_by_depth.1"), 1.0);
+  // aggregate.* counts the refined-away root too.
+  EXPECT_EQ(r.at("aggregate.steps_executed"), 20.0 + 20.0 + 7.0 + 9.0);
+  EXPECT_EQ(r.at("aggregate.joins"), 4.0 + 5.0 + 1.0 + 30.0);
+  EXPECT_EQ(r.at("aggregate.max_states"), 5.0);
+  EXPECT_EQ(r.at("aggregate.total_simulations"), 40.0 + 41.0 + 9.0 + 18.0);
+  EXPECT_EQ(a.canonical_counters.at("engine.cells_done"), 1u);
+  EXPECT_EQ(a.counters.at("nn.relaxed_relus"), 1u);
+
+  EXPECT_EQ(a.wall_seconds, 1.75);
+  EXPECT_EQ(a.wall_results.at("aggregate.cell_seconds"), 0.5 * 3 + 1.0);
+  EXPECT_EQ(a.wall_results.at("phase.simulate_s"), 0.25 * 3 + 0.75);
+  EXPECT_EQ(a.wall_results.at("phase.controller_s"), 0.125 * 3);
+  EXPECT_EQ(a.wall_results.at("phase.total_s"), 0.375 * 3 + 0.75);
+  EXPECT_TRUE(validate_artifact(a).empty());
+}
+
+TEST(RunArtifact, SavedReportGivesTheSameArtifact) {
+  // The figure benches build their artifact from a cached report: it must
+  // equal the one of the run that saved it.
+  const VerifyReport fresh = refined_report();
+  std::stringstream cache;
+  save_report(fresh, cache);
+  const BenchArtifact a = make_run_artifact("fig", {}, fresh);
+  const BenchArtifact b = make_run_artifact("fig", {}, load_report(cache));
+  EXPECT_EQ(a.canonical_results, b.canonical_results);
+  EXPECT_EQ(a.wall_seconds, b.wall_seconds);
+  EXPECT_EQ(a.wall_results, b.wall_results);
 }
 
 }  // namespace

@@ -236,10 +236,9 @@ TEST(Kernels, ZonotopeBoxBatchBitwiseEqualsScalar) {
         const ZonotopeBounds scalar = zonotope_propagate(net, inputs[i]);
         EXPECT_TRUE(zonotopes_bitwise_eq(batched[i], scalar))
             << "isa=" << to_string(isa) << " shape=" << s << " input=" << i;
-        // The command-pruning consumers must agree too (they are a pure
+        // The command-pruning consumer must agree too (it is a pure
         // function of the forms, but this pins the end-to-end contract).
         EXPECT_EQ(possible_argmin(batched[i]), possible_argmin(scalar));
-        EXPECT_EQ(possible_argmax(batched[i]), possible_argmax(scalar));
       }
     }
   }

@@ -18,6 +18,15 @@ VerifyReport sample_report() {
   report.coverage_percent = 62.5;
   report.seconds = 12.75;
   report.proved_by_depth = {2, 1};
+  report.interior_stats.steps_executed = 45;
+  report.interior_stats.joins = 11;
+  report.interior_stats.max_states = 9;
+  report.interior_stats.total_simulations = 90;
+  report.interior_stats.seconds = 2.25;
+  report.interior_stats.phases.simulate_seconds = 1.5;
+  report.interior_stats.phases.controller_seconds = 0.375;
+  report.interior_stats.phases.join_seconds = 0.25;
+  report.interior_stats.phases.check_seconds = 0.125;
   CellOutcome a;
   a.root_index = 0;
   a.depth = 0;
@@ -57,6 +66,21 @@ TEST(ReportIo, RoundTripPreservesEverything) {
   EXPECT_EQ(loaded.proved_by_depth, original.proved_by_depth);
   EXPECT_EQ(loaded.proved_leaves, original.proved_leaves);
   EXPECT_EQ(loaded.failed_leaves, original.failed_leaves);
+  // The refined-away cells' stats, without which aggregate_stats of a
+  // loaded report would miss every interior analysis.
+  const ReachStats& interior = loaded.interior_stats;
+  EXPECT_EQ(interior.steps_executed, original.interior_stats.steps_executed);
+  EXPECT_EQ(interior.joins, original.interior_stats.joins);
+  EXPECT_EQ(interior.max_states, original.interior_stats.max_states);
+  EXPECT_EQ(interior.total_simulations, original.interior_stats.total_simulations);
+  EXPECT_DOUBLE_EQ(interior.seconds, original.interior_stats.seconds);
+  EXPECT_DOUBLE_EQ(interior.phases.simulate_seconds,
+                   original.interior_stats.phases.simulate_seconds);
+  EXPECT_DOUBLE_EQ(interior.phases.controller_seconds,
+                   original.interior_stats.phases.controller_seconds);
+  EXPECT_DOUBLE_EQ(interior.phases.join_seconds, original.interior_stats.phases.join_seconds);
+  EXPECT_DOUBLE_EQ(interior.phases.check_seconds,
+                   original.interior_stats.phases.check_seconds);
   ASSERT_EQ(loaded.leaves.size(), original.leaves.size());
   for (std::size_t i = 0; i < loaded.leaves.size(); ++i) {
     EXPECT_EQ(loaded.leaves[i].root_index, original.leaves[i].root_index);
@@ -84,31 +108,7 @@ TEST(ReportIo, RoundTripPreservesEverything) {
 TEST(ReportIo, SavesCurrentFormatVersion) {
   std::stringstream buffer;
   save_report(sample_report(), buffer);
-  EXPECT_EQ(buffer.str().rfind("nncs-report v2,", 0), 0u);
-}
-
-TEST(ReportIo, LoadsLegacyV1WithZeroStats) {
-  // A v1 file has only 5 fixed leaf columns: root,depth,outcome,seconds,
-  // command — no per-phase stats. They must load with stats zeroed.
-  std::stringstream buffer(
-      "nncs-report v1,2,50,3.5,1\n"
-      "0,0,proved-safe,0.75,3,-1,2,0.5,0.625\n"
-      "1,0,error-reachable,1.5,0,4,5,-0.25,0.25\n");
-  const VerifyReport loaded = load_report(buffer);
-  ASSERT_EQ(loaded.leaves.size(), 2u);
-  EXPECT_EQ(loaded.root_cells, 2u);
-  EXPECT_EQ(loaded.proved_leaves, 1u);
-  const CellOutcome& leaf = loaded.leaves[0];
-  EXPECT_DOUBLE_EQ(leaf.stats.seconds, 0.75);
-  EXPECT_EQ(leaf.stats.steps_executed, 0);
-  EXPECT_EQ(leaf.stats.joins, 0u);
-  EXPECT_EQ(leaf.stats.max_states, 0u);
-  EXPECT_EQ(leaf.stats.total_simulations, 0u);
-  EXPECT_DOUBLE_EQ(leaf.stats.phases.total(), 0.0);
-  EXPECT_EQ(leaf.initial.command, 3u);
-  ASSERT_EQ(leaf.initial.box().dim(), 2u);
-  EXPECT_DOUBLE_EQ(leaf.initial.box()[0].lo(), -1.0);
-  EXPECT_DOUBLE_EQ(leaf.initial.box()[1].hi(), 0.625);
+  EXPECT_EQ(buffer.str().rfind("nncs-report v3,", 0), 0u);
 }
 
 TEST(ReportIo, FileRoundTrip) {
@@ -129,15 +129,34 @@ TEST(ReportIo, BadHeaderThrows) {
   EXPECT_THROW(load_report(buffer), ReportFormatError);
   std::stringstream empty;
   EXPECT_THROW(load_report(empty), ReportFormatError);
+  // Only v3 loads: a v2 report has no interior row, so its aggregate stats
+  // would silently miss every refined-away cell.
+  std::stringstream v2(
+      "nncs-report v2,1,0,0,0\n"
+      "0,0,proved-safe,0.5,30,7,5,60,0.25,0.125,0.0625,0.03125,3,-1,2\n");
+  EXPECT_THROW(load_report(v2), ReportFormatError);
 }
 
 TEST(ReportIo, MalformedLeafThrows) {
-  std::stringstream buffer("nncs-report v1,1,0,0,0\n0,0,proved-safe\n");
+  std::stringstream buffer(
+      "nncs-report v3,1,0,0,0\ninterior,0,0,0,0,0,0,0,0,0\n0,0,proved-safe\n");
   EXPECT_THROW(load_report(buffer), ReportFormatError);
+  // No interior row between the header and the leaves.
+  std::stringstream no_interior(
+      "nncs-report v3,1,0,0,0\n"
+      "0,0,proved-safe,0.5,30,7,5,60,0.25,0.125,0.0625,0.03125,3,-1,2\n");
+  EXPECT_THROW(load_report(no_interior), ReportFormatError);
+  // A leaf of a root cell the header does not count.
+  std::stringstream stray_root(
+      "nncs-report v3,1,0,0,0\ninterior,0,0,0,0,0,0,0,0,0\n"
+      "1,0,proved-safe,0.5,30,7,5,60,0.25,0.125,0.0625,0.03125,3,-1,2\n");
+  EXPECT_THROW(load_report(stray_root), ReportFormatError);
 }
 
 TEST(ReportIo, UnknownOutcomeThrows) {
-  std::stringstream buffer("nncs-report v1,1,0,0,0\n0,0,banana,0.1,0,0,1\n");
+  std::stringstream buffer(
+      "nncs-report v3,1,0,0,0\ninterior,0,0,0,0,0,0,0,0,0\n"
+      "0,0,banana,0.1,0,0,0,0,0,0,0,0,1\n");
   EXPECT_THROW(load_report(buffer), ReportFormatError);
 }
 

@@ -149,31 +149,6 @@ TEST(Env, FlagParsesCommonSpellings) {
   unsetenv("NNCS_TRACE");
 }
 
-TEST(Env, PathReturnsRawValueOrEmpty) {
-  unsetenv("NNCS_METRICS_OUT");
-  EXPECT_TRUE(env_path("NNCS_METRICS_OUT").empty());
-  setenv("NNCS_METRICS_OUT", "/tmp/out.json", 1);
-  EXPECT_EQ(env_path("NNCS_METRICS_OUT"), "/tmp/out.json");
-  setenv("NNCS_METRICS_OUT", "", 1);
-  EXPECT_TRUE(env_path("NNCS_METRICS_OUT").empty());
-  unsetenv("NNCS_METRICS_OUT");
-}
-
-TEST(Env, SecondsDefaultsAndParsing) {
-  unsetenv("NNCS_TIME_BUDGET");
-  EXPECT_DOUBLE_EQ(env_seconds("NNCS_TIME_BUDGET"), 0.0);
-  EXPECT_DOUBLE_EQ(env_seconds("NNCS_TIME_BUDGET", 30.0), 30.0);
-  setenv("NNCS_TIME_BUDGET", "2.5", 1);
-  EXPECT_DOUBLE_EQ(env_seconds("NNCS_TIME_BUDGET"), 2.5);
-  setenv("NNCS_TIME_BUDGET", "garbage", 1);
-  EXPECT_DOUBLE_EQ(env_seconds("NNCS_TIME_BUDGET", 5.0), 5.0);
-  setenv("NNCS_TIME_BUDGET", "-3", 1);
-  EXPECT_DOUBLE_EQ(env_seconds("NNCS_TIME_BUDGET"), 0.0);
-  setenv("NNCS_TIME_BUDGET", "", 1);
-  EXPECT_DOUBLE_EQ(env_seconds("NNCS_TIME_BUDGET", 7.0), 7.0);
-  unsetenv("NNCS_TIME_BUDGET");
-}
-
 TEST(Env, ThreadsDefaultsAndParsing) {
   unsetenv("NNCS_THREADS");
   EXPECT_GE(env_threads(), 1u);

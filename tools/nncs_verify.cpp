@@ -14,8 +14,7 @@
 ///     --m N            validated integration steps M
 ///     --order N        Taylor order of the integrator
 ///     --domain D       nn domain: interval | symbolic | affine (default symbolic)
-///     --nn-cache M     NN query cache: off | containment
-///                      (default from NNCS_NN_CACHE, else off)
+///     --nn-cache M     NN query cache: off (default) | containment
 ///     --strategy S     refinement: all | widest
 ///     --threads N      worker threads                        (default: hw)
 ///     --nets DIR       network cache directory     (scenario default)
@@ -23,19 +22,21 @@
 ///     --canonical-report  zero all timing fields in the report CSV so it is
 ///                      byte-identical across runs and thread counts
 ///     --time-budget S  wall-clock budget in seconds; on expiry the run
-///                      checkpoints and exits (default from NNCS_TIME_BUDGET)
+///                      checkpoints and exits
 ///     --stop-on-violation  exit the moment any cell is error-reachable
 ///     --checkpoint FILE  where to write the resume checkpoint when the run
-///                      is interrupted (default from NNCS_CHECKPOINT)
+///                      is interrupted
 ///     --resume FILE    continue from a checkpoint written by an earlier run
-///                      of the SAME scenario and partition; a mismatched
-///                      checkpoint is refused with exit code 4
+///                      of the SAME scenario, partition, loop domain and
+///                      strategy; a mismatched checkpoint is refused with
+///                      exit code 4
 ///     --progress       print a progress line (done/proved/queue) every ~2 s
 ///     --trace-out FILE write a chrome://tracing / Perfetto trace-event JSON
-///                      (default from NNCS_TRACE_OUT)
-///     --metrics-out FILE write the machine-readable run report JSON
-///                      (metrics + provenance + scenario identity;
-///                      default from NNCS_METRICS_OUT)
+///     --metrics-out FILE write the run's "nncs-bench v2" artifact (bench
+///                      `nncs_verify_<scenario>`; results, counters, wall
+///                      clock, metrics, provenance with the scenario
+///                      fingerprint), comparable with nncs_bench_compare
+///     --artifact-dir DIR rebase every relative output path under DIR
 ///     --quiet          suppress the per-bin summary
 ///
 /// Analysis knobs not given on the command line use the selected scenario's

@@ -11,6 +11,9 @@
 #      being threaded through the loop
 #   4. a checkpoint taken under the zonotope domain refuses to resume under
 #      box (exit 4): the run fingerprint carries the domain
+#   5. a checkpoint taken under `--strategy widest` refuses to resume under
+#      the default all-dims strategy (exit 4), whose split factor would
+#      weigh its leaves wrongly, and resumes under `--strategy widest`
 #
 # Required -D variables: VERIFY (binary), ACAS_NETS and PEND_NETS (network
 # cache dirs), OUT (scratch directory).
@@ -81,3 +84,12 @@ endif()
 run_cli(4 "cross-domain resume refused" ${VERIFY} ${PEND_FLAGS} --domain box
   --resume ${OUT}/pendulum_checkpoint.csv)
 message(STATUS "cross-domain resume refused with exit code 4")
+
+# 5. The run fingerprint carries the split strategy too.
+run_cli(3 "budget-interrupted widest-dim run" ${VERIFY} ${PEND_FLAGS} --strategy widest
+  --time-budget 0.000001 --checkpoint ${OUT}/pendulum_widest_checkpoint.csv)
+run_cli(4 "cross-strategy resume refused" ${VERIFY} ${PEND_FLAGS}
+  --resume ${OUT}/pendulum_widest_checkpoint.csv)
+run_cli(0 "same-strategy resume" ${VERIFY} ${PEND_FLAGS} --strategy widest
+  --resume ${OUT}/pendulum_widest_checkpoint.csv)
+message(STATUS "cross-strategy resume refused with exit code 4, same-strategy resume completes")

@@ -3,14 +3,16 @@
 # the acasxu canonical report at --threads 1 must byte-match the one at
 # --threads 4 at depth 1, in the zonotope loop domain (zonotope SoA kernels)
 # and in the box loop domain (symbolic SoA kernels; it needs 8 arcs, since
-# the 4x4 cells fail at t=0 before reaching the controller). The
+# the 4x4 cells fail at t=0 before reaching the controller). The two runs'
+# --metrics-out artifacts must compare clean: no thread count enters their
+# scale, and their canonical results and counters match exactly. The
 # single-threaded runs must spend nonzero time in the controller, so the
 # comparison covers the NN path.
 #
-# Required -D variables: VERIFY (binary), NETS (acasxu network cache dir),
-# OUT (scratch directory).
+# Required -D variables: VERIFY (binary), COMPARE (nncs_bench_compare),
+# NETS (acasxu network cache dir), OUT (scratch directory).
 
-foreach(var VERIFY NETS OUT)
+foreach(var VERIFY COMPARE NETS OUT)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "smoke_cli_nn_batch: pass -D${var}=...")
   endif()
@@ -46,14 +48,18 @@ foreach(leg "zonotope;4" "box;8")
   list(GET leg 1 arcs)
   set(args ${FLAGS} --domain ${domain} --arcs ${arcs})
   run_cli("${domain}: threads 1" ${VERIFY} ${args} --threads 1
-    --report ${OUT}/${domain}_threads1.csv)
+    --report ${OUT}/${domain}_threads1.csv --metrics-out ${OUT}/${domain}_threads1.json)
   string(REGEX MATCH "controller ([0-9.]+) s" phase "${last_stdout}")
   if(NOT phase OR CMAKE_MATCH_1 EQUAL 0)
     message(FATAL_ERROR "${domain}: the run never reached the controller\n${last_stdout}")
   endif()
   message(STATUS "${domain}: controller phase ${CMAKE_MATCH_1} s")
   run_cli("${domain}: threads 4" ${VERIFY} ${args} --threads 4
-    --report ${OUT}/${domain}_threads4.csv)
+    --report ${OUT}/${domain}_threads4.csv --metrics-out ${OUT}/${domain}_threads4.json)
   expect_identical("${domain}: threads 1 vs threads 4"
     ${OUT}/${domain}_threads1.csv ${OUT}/${domain}_threads4.csv)
+  # Wall clock differs between the runs, so only the canonical section
+  # gates: any drift there exits 2.
+  run_cli("${domain}: threads 1 vs threads 4 artifacts" ${COMPARE} --quiet
+    --max-regress 1000000 ${OUT}/${domain}_threads1.json ${OUT}/${domain}_threads4.json)
 endforeach()

@@ -18,6 +18,7 @@
 #include "core/report_io.hpp"
 #include "core/run_report.hpp"
 #include "core/verifier.hpp"
+#include "obs/artifact.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -34,6 +35,9 @@ namespace nncs::tools {
 namespace {
 
 volatile std::sig_atomic_t g_interrupted = 0;
+
+/// Minimum seconds between two --progress-json heartbeat lines.
+constexpr double kHeartbeatPeriodSeconds = 0.25;
 
 void handle_sigint(int) {
   g_interrupted = 1;
@@ -209,16 +213,14 @@ int verify_driver_main(int argc, char** argv) {
   VerifyConfig& config = engine_config.verify;
   config = scen->default_config();
   config.threads = env_threads();
-  engine_config.time_budget_seconds = env_seconds("NNCS_TIME_BUDGET");
   int taylor_order = scen->default_taylor_order();
   scenario::SystemConfig system_config;
-  system_config.nn_cache = nn_cache_config_from_env();
   std::string report_path;
-  std::string checkpoint_path = env_path("NNCS_CHECKPOINT");
+  std::string checkpoint_path;
   std::string resume_path;
-  std::string trace_path = env_path("NNCS_TRACE_OUT");
-  std::string metrics_path = env_path("NNCS_METRICS_OUT");
-  std::string artifact_dir = env_path("NNCS_ARTIFACT_DIR");
+  std::string trace_path;
+  std::string metrics_path;
+  std::string artifact_dir;
   std::string progress_json_path;
   std::string profile_path;
   bool canonical_report = false;
@@ -325,11 +327,16 @@ int verify_driver_main(int argc, char** argv) {
 
   partition = scenario::resolve(*scen, partition);
   // The zonotope loop produces different frontiers/leaves than the boxed
-  // one, so its checkpoints must not resume into (or from) a box run. Box
+  // one, and the widest-dim strategy splits into 2 children where all-dims
+  // makes 2^k (the resumed run weighs every leaf by its own split factor),
+  // so neither may resume into a run that differs in them. Box, all-dims
   // runs keep the unsuffixed fingerprint — existing checkpoints stay valid.
   std::string run_fingerprint = scenario::fingerprint(*scen, partition);
   if (config.reach.domain == LoopDomain::kZonotope) {
     run_fingerprint += ";domain=zonotope";
+  }
+  if (config.split_strategy == SplitStrategy::kWidestDim) {
+    run_fingerprint += ";strategy=widest";
   }
   obs::set_scenario(scen->name(), run_fingerprint);
 
@@ -456,8 +463,7 @@ int verify_driver_main(int argc, char** argv) {
                    progress_json_path.c_str());
       return 1;
     }
-    heartbeat = std::make_shared<HeartbeatSink>(std::move(stream),
-                                                env_seconds("NNCS_HEARTBEAT_PERIOD", 0.25));
+    heartbeat = std::make_shared<HeartbeatSink>(std::move(stream), kHeartbeatPeriodSeconds);
   }
   if (show_progress || heartbeat) {
     engine_config.on_progress = [heartbeat, show_progress, watch = Stopwatch{},
@@ -604,6 +610,40 @@ int verify_driver_main(int argc, char** argv) {
                   checkpoint_path.c_str());
     });
   }
+  // Before the report: --canonical-report strips the timings from it.
+  if (!metrics_path.empty()) {
+    guarded([&] {
+      const auto axes = scen->axis_names();
+      std::map<std::string, double> scale = {
+          {"num_" + axes.first, static_cast<double>(partition.axis0)},
+          {"num_" + axes.second, static_cast<double>(partition.axis1)},
+          {"max_depth", config.max_refinement_depth},
+          {"control_steps", config.reach.control_steps},
+          {"integration_steps", config.reach.integration_steps},
+          {"gamma", static_cast<double>(config.reach.gamma)},
+          {"taylor_order", taylor_order}};
+      // Non-default analysis choices, so runs that differ in them are
+      // never compared.
+      if (config.reach.domain == LoopDomain::kZonotope) {
+        scale["domain.zonotope"] = 1;
+      }
+      if (system_config.domain == NnDomain::kInterval) {
+        scale["nn_domain.interval"] = 1;
+      } else if (system_config.domain == NnDomain::kAffine) {
+        scale["nn_domain.affine"] = 1;
+      }
+      if (system_config.nn_cache.mode == NnCacheMode::kContainment) {
+        scale["nn_cache.containment"] = 1;
+      }
+      if (config.split_strategy == SplitStrategy::kWidestDim) {
+        scale["strategy.widest"] = 1;
+      }
+      obs::write_artifact(
+          make_run_artifact("nncs_verify_" + scen->name(), std::move(scale), report),
+          std::filesystem::path{metrics_path});
+      std::printf("run artifact written to %s\n", metrics_path.c_str());
+    });
+  }
   if (!report_path.empty()) {
     guarded([&] {
       if (canonical_report) {
@@ -635,17 +675,6 @@ int verify_driver_main(int argc, char** argv) {
         std::printf("span self-profile (inclusive/exclusive, heaviest first):\n");
         obs::write_profile_tree(profile, std::cout);
       }
-    });
-  }
-  if (!metrics_path.empty()) {
-    guarded([&] {
-      RunScenarioMeta meta;
-      meta.name = scen->name();
-      meta.fingerprint = run_fingerprint;
-      meta.parameters = scen->parameters();
-      write_run_report(std::filesystem::path{metrics_path}, "nncs_verify", report, config,
-                       &meta);
-      std::printf("run report written to %s\n", metrics_path.c_str());
     });
   }
   if (status == 0 && result.stop_reason == EngineStopReason::kStopped) {
