@@ -59,7 +59,7 @@ std::vector<scenario::Cell> acas_cells(const BenchScale& scale) {
   return acas_scenario().make_cells(acas_partition(scale));
 }
 
-VerifyReport run_or_load_verification(const BenchScale& scale) {
+VerifyReport run_or_load_verification(const BenchScale& scale, std::size_t* threads) {
   // Stamp scenario identity into provenance even on the cache-hit path, so
   // every BENCH_*.json carries the workload fingerprint it reports on.
   const scenario::Scenario& scen = acas_scenario();
@@ -67,6 +67,9 @@ VerifyReport run_or_load_verification(const BenchScale& scale) {
   obs::set_scenario(scen.name(), scenario::fingerprint(scen, partition));
   const auto cells = scen.make_cells(partition);
   const auto path = cache_path(scale);
+  if (threads != nullptr) {
+    *threads = 0;
+  }
   if (std::filesystem::exists(path)) {
     try {
       VerifyReport cached = load_report(path);
@@ -113,6 +116,9 @@ VerifyReport run_or_load_verification(const BenchScale& scale) {
   obs::set_enabled(true);
   const VerificationEngine engine(system.loop, *error, *target);
   VerifyReport report = engine.run(scenario::to_symbolic_set(cells), engine_config).report;
+  if (threads != nullptr) {
+    *threads = engine_config.verify.threads;
+  }
   try {
     save_report(report, path);
   } catch (const std::exception& e) {

@@ -56,8 +56,11 @@ std::vector<scenario::Cell> acas_cells(const BenchScale& scale);
 /// `acas_fig9_cache_<arcs>x<headings>d<depth>.csv` in the working directory.
 /// The cache is an `nncs-report` file (`save_report`), so it keeps the
 /// original run's wall clock and stats; a file that does not load as one
-/// is recomputed and overwritten.
-VerifyReport run_or_load_verification(const BenchScale& scale);
+/// is recomputed and overwritten. A non-null `threads` receives the engine
+/// thread count of a run made in this process, or 0 for a cached report,
+/// which does not record the count it ran with.
+VerifyReport run_or_load_verification(const BenchScale& scale,
+                                      std::size_t* threads = nullptr);
 
 /// Artifact output directory for a bench main: `--artifact-dir DIR` when
 /// present in argv, else the working directory. Created (recursively) when

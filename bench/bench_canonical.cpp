@@ -9,9 +9,9 @@
 //
 // Flags: --nets DIR (network cache directory, default the scenario's),
 // --artifact-dir DIR (output directory for the artifact),
-// --domain box|zonotope (loop domain; zonotope writes
-// BENCH_canonical_acasxu_zonotope.json so both domains keep independent
-// committed baselines and the perf gate can watch the relational path).
+// --domain interval|symbolic|zonotope (default symbolic; any other value
+// writes BENCH_canonical_acasxu_<domain>.json, so the committed symbolic and
+// zonotope baselines stay independent).
 
 #include <cstdio>
 #include <cstdlib>
@@ -49,23 +49,22 @@ int main(int argc, char** argv) {
 
   const std::filesystem::path artifact_dir = bench::artifact_dir_from_args(argc, argv);
   std::string nets_dir;
-  LoopDomain loop_domain = LoopDomain::kBox;
+  DomainChoice domain;
   for (int i = 1; i + 1 < argc; ++i) {
     if (!std::strcmp(argv[i], "--nets")) {
       nets_dir = argv[i + 1];
     } else if (!std::strcmp(argv[i], "--domain")) {
-      const auto parsed = parse_loop_domain(argv[i + 1]);
+      const auto parsed = parse_domain(argv[i + 1]);
       if (!parsed) {
-        std::fprintf(stderr, "[bench-canonical] unknown --domain '%s' (box|zonotope)\n",
-                     argv[i + 1]);
+        std::fprintf(stderr, "[bench-canonical] unknown --domain '%s'\n", argv[i + 1]);
         return 2;
       }
-      loop_domain = *parsed;
+      domain = *parsed;
     }
   }
-  const std::string bench_name = loop_domain == LoopDomain::kZonotope
-                                     ? "canonical_acasxu_zonotope"
-                                     : "canonical_acasxu";
+  const std::string domain_name = to_string(domain);
+  const std::string bench_name =
+      domain_name == "symbolic" ? "canonical_acasxu" : "canonical_acasxu_" + domain_name;
 
   obs::set_enabled(true);
   obs::Registry::instance().reset();
@@ -76,6 +75,7 @@ int main(int argc, char** argv) {
   obs::set_scenario(scen.name(), scenario::fingerprint(scen, partition));
 
   scenario::SystemConfig system_config;
+  system_config.domain = domain.nn;
   if (!nets_dir.empty()) {
     system_config.nets_dir = nets_dir;
   }
@@ -100,14 +100,14 @@ int main(int argc, char** argv) {
   engine_config.verify.reach.gamma = kGamma;
   engine_config.verify.reach.integrator = &integrator;
   engine_config.verify.reach.nn_cache = system_config.nn_cache;
-  engine_config.verify.reach.domain = loop_domain;
+  engine_config.verify.reach.domain = domain.loop;
   engine_config.verify.max_refinement_depth = kDepth;
   engine_config.verify.threads = kThreads;
 
   std::printf("[bench-canonical] %zux%zu cells, depth %d, q=%d, M=%d, gamma=%zu, %zu threads, "
               "%s domain\n",
               kArcs, kHeadings, kDepth, kControlSteps, kIntegrationSteps, kGamma, kThreads,
-              to_string(loop_domain));
+              domain_name.c_str());
 
   const VerificationEngine engine(system.loop, *error, *target);
   const VerifyReport report =

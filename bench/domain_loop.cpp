@@ -2,6 +2,8 @@
 // run once per LoopDomain (box vs zonotope), measuring what threading the
 // relational abstraction through the closed loop actually buys — proved
 // leaves, coverage, refinement splits (engine.cells_refined) and wall clock.
+// Each leg's nonzero canonical counters (`obs::is_canonical_counter`) enter
+// the canonical section, so the gate also fails on a change in work done.
 //
 // Two workloads, both fixed-scale and fixed-thread (the artifact's canonical
 // section is compared exactly across machines, like bench_canonical):
@@ -19,6 +21,7 @@
 // Flags: --acas-nets DIR / --pendulum-nets DIR (network cache directories,
 // default the scenarios' relative paths), --artifact-dir DIR.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -66,7 +69,7 @@ struct DomainResult {
   std::size_t proved = 0;
   std::size_t leaves = 0;
   double coverage_percent = 0.0;
-  std::uint64_t cells_refined = 0;
+  std::map<std::string, std::uint64_t> counters;  // nonzero canonical counters
   double seconds = 0.0;
   double controller_seconds = 0.0;
 };
@@ -77,7 +80,6 @@ DomainResult run_workload(const Workload& w, LoopDomain domain,
   const scenario::Partition partition = scenario::resolve(scen, w.partition);
 
   scenario::SystemConfig system_config;
-  system_config.domain = NnDomain::kSymbolic;
   if (!nets_dir.empty()) {
     system_config.nets_dir = nets_dir;
   }
@@ -117,13 +119,15 @@ DomainResult run_workload(const Workload& w, LoopDomain domain,
   for (const auto& leaf : report.leaves) {
     result.proved += leaf.outcome == ReachOutcome::kProvedSafe ? 1 : 0;
   }
-  result.cells_refined = obs::Registry::instance().snapshot().counter("engine.cells_refined");
+  // Earlier legs' counters stay registered at zero; as in
+  // `obs::fill_artifact_metrics`, zeros are left out.
+  for (const auto& c : obs::Registry::instance().snapshot().counters) {
+    if (c.value != 0 && obs::is_canonical_counter(c.name)) {
+      result.counters[c.name] = c.value;
+    }
+  }
   result.controller_seconds = aggregate_stats(report).phases.controller_seconds;
   return result;
-}
-
-const char* to_name(LoopDomain domain) {
-  return domain == LoopDomain::kZonotope ? "zonotope" : "box";
 }
 
 /// One artifact leg: kWallReps runs, canonical numbers asserted identical
@@ -135,7 +139,7 @@ DomainResult run_leg(const Workload& w, LoopDomain domain,
     const DomainResult again = run_workload(w, domain, nets_dir);
     if (again.proved != best.proved || again.leaves != best.leaves ||
         again.coverage_percent != best.coverage_percent ||
-        again.cells_refined != best.cells_refined) {
+        again.counters != best.counters) {
       throw std::runtime_error(std::string(w.scenario) +
                                ": canonical results varied across repeat runs");
     }
@@ -182,14 +186,18 @@ int main(int argc, char** argv) {
     artifact.canonical_results[prefix + "proved"] = static_cast<double>(result.proved);
     artifact.canonical_results[prefix + "leaves"] = static_cast<double>(result.leaves);
     artifact.canonical_results[prefix + "coverage_percent"] = result.coverage_percent;
-    artifact.canonical_counters[prefix + "engine.cells_refined"] = result.cells_refined;
+    for (const auto& [name, value] : result.counters) {
+      artifact.canonical_counters[prefix + name] = value;
+    }
+    const auto refined = result.counters.find("engine.cells_refined");
+    const std::uint64_t splits = refined == result.counters.end() ? 0 : refined->second;
     artifact.wall_results[prefix + "seconds"] = result.seconds;
     artifact.wall_results[prefix + "controller_s"] = result.controller_seconds;
     total_seconds += result.seconds;
     std::printf("[bench-domain] %-8s %-15s coverage %6.2f %%  proved %4zu/%-4zu  "
                 "splits %4llu  %.2f s (controller %.2f s)\n",
                 w.scenario, leg, result.coverage_percent, result.proved, result.leaves,
-                static_cast<unsigned long long>(result.cells_refined), result.seconds,
+                static_cast<unsigned long long>(splits), result.seconds,
                 result.controller_seconds);
   };
   for (const Workload& w : kWorkloads) {
@@ -198,11 +206,11 @@ int main(int argc, char** argv) {
       try {
         result = run_leg(w, domain, nets_dirs[w.scenario]);
       } catch (const std::exception& e) {
-        std::fprintf(stderr, "[bench-domain] %s/%s failed: %s\n", w.scenario, to_name(domain),
+        std::fprintf(stderr, "[bench-domain] %s/%s failed: %s\n", w.scenario, to_string(domain),
                      e.what());
         return 1;
       }
-      record(w, to_name(domain), result);
+      record(w, to_string(domain), result);
     }
   }
   artifact.wall_seconds = total_seconds;

@@ -379,15 +379,10 @@ std::vector<AbstractControlStep> NeuralController::step_abstract_batch(
       }
       const Network& net = networks_[net_id];
       std::vector<NnQueryCache::Reuse> reuse(lanes.size());
-      if (tag == kRelationalTag || domain_ == NnDomain::kAffine) {
-        // Box lanes are lifted with the fresh-symbol sequence the boxed
-        // scalar transformer runs, so their bounds are bit-identical to it.
+      if (tag == kRelationalTag) {
         std::vector<const AffineSet*> inputs;
         inputs.reserve(lanes.size());
         for (const std::size_t i : lanes) {
-          if (!pre_images[i]) {
-            pre_images[i].emplace(AffineSet::from_box(results[i].network_input));
-          }
           inputs.push_back(&*pre_images[i]);
         }
         std::vector<ZonotopeBounds> all;
@@ -395,9 +390,7 @@ std::vector<AbstractControlStep> NeuralController::step_abstract_batch(
           NNCS_SPAN("nn.zonotope");
           all = zonotope_propagate_batch(net, inputs);
         }
-        if (tag == kRelationalTag) {
-          NNCS_COUNT("nn.relational_steps", lanes.size());
-        }
+        NNCS_COUNT("nn.relational_steps", lanes.size());
         for (std::size_t k = 0; k < lanes.size(); ++k) {
           AbstractControlStep& result = results[lanes[k]];
           result.commands = prune(all[k]);

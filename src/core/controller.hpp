@@ -62,11 +62,12 @@ class IdentityPre final : public Preprocessor {
   std::size_t dim_;
 };
 
-/// Abstract domain used for the network transformer F#.
+/// Abstract domain of the network transformer F# on box queries.
+/// Relational queries (the zonotope loop domain) always take the zonotope
+/// transformer, affine arithmetic after Stolfi & Figueiredo [15].
 enum class NnDomain {
   kInterval,  ///< rigorous outward-rounded interval propagation
   kSymbolic,  ///< affine-bound propagation (ReluVal/DeepPoly family)
-  kAffine     ///< affine arithmetic / zonotopes (Stolfi & Figueiredo [15])
 };
 
 /// One abstract controller execution: the reachable command indices plus
@@ -133,7 +134,6 @@ class NeuralController final : public Controller {
 
   [[nodiscard]] const CommandSet& commands() const override { return commands_; }
   [[nodiscard]] const std::vector<Network>& networks() const { return networks_; }
-  [[nodiscard]] NnDomain domain() const { return domain_; }
   [[nodiscard]] std::size_t state_dim() const override { return pre_->input_dim(); }
 
   /// Replace the NN query cache (drops any cached state). Not thread-safe
@@ -164,9 +164,8 @@ class NeuralController final : public Controller {
   /// consulted per state. Remaining misses are grouped by selected network
   /// and transformer, equal box inputs are propagated once, and each group
   /// gets one transformer call followed by Post# (and, with a cache, the
-  /// insert). Relational states, and box states under `NnDomain::kAffine`
-  /// (lifted with `AffineSet::from_box`), go through the batched zonotope
-  /// transformer; other boxes through the batched symbolic one, or lane by
+  /// insert). Relational states go through the batched zonotope
+  /// transformer; box states through the batched symbolic one, or lane by
   /// lane through the scalar interval one. The batched transformers
   /// replicate the scalar rounding sequence per lane, so every result is
   /// bit-identical to the scalar transformer's.

@@ -20,12 +20,20 @@ const char* to_string(LoopDomain domain) {
   return "?";
 }
 
-std::optional<LoopDomain> parse_loop_domain(std::string_view text) {
-  if (text == "box") {
-    return LoopDomain::kBox;
+const char* to_string(const DomainChoice& domain) {
+  if (domain.loop == LoopDomain::kZonotope) {
+    return "zonotope";
   }
-  if (text == "zonotope") {
-    return LoopDomain::kZonotope;
+  return domain.nn == NnDomain::kInterval ? "interval" : "symbolic";
+}
+
+std::optional<DomainChoice> parse_domain(std::string_view text) {
+  for (const DomainChoice domain : {DomainChoice{LoopDomain::kBox, NnDomain::kInterval},
+                                    DomainChoice{LoopDomain::kBox, NnDomain::kSymbolic},
+                                    DomainChoice{LoopDomain::kZonotope, NnDomain::kSymbolic}}) {
+    if (text == to_string(domain)) {
+      return domain;
+    }
   }
   return std::nullopt;
 }

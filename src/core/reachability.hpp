@@ -42,8 +42,20 @@ enum class LoopDomain {
 
 [[nodiscard]] const char* to_string(LoopDomain domain);
 
-/// Parse "box" / "zonotope"; nullopt on anything else.
-[[nodiscard]] std::optional<LoopDomain> parse_loop_domain(std::string_view text);
+/// The drivers' one abstract-domain axis (`--domain`): the loop domain and
+/// the network transformer its box queries take.
+struct DomainChoice {
+  LoopDomain loop = LoopDomain::kBox;
+  NnDomain nn = NnDomain::kSymbolic;
+};
+
+/// "interval" and "symbolic" run the box loop with that network
+/// transformer; "zonotope" runs the relational loop, whose every query
+/// takes the zonotope transformer (`nn` keeps its unused default).
+[[nodiscard]] const char* to_string(const DomainChoice& domain);
+
+/// Inverse of `to_string`; nullopt on anything else.
+[[nodiscard]] std::optional<DomainChoice> parse_domain(std::string_view text);
 
 /// Parameters of the reachability procedure (Algorithm 3).
 struct ReachConfig {

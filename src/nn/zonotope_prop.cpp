@@ -261,16 +261,6 @@ std::vector<ZonotopeBounds> zonotope_propagate_batch(
   }
   std::vector<ZonotopeBounds> results;
   results.reserve(inputs.size());
-  if (inputs.size() == 1) {
-    // Single-lane batches skip the SoA pack/extract entirely: the batched
-    // kernels execute the exact scalar op sequence per lane, so the scalar
-    // transformer returns bit-identical bounds and the bypass is purely a
-    // perf fix for width-1 net groups (e.g. ACAS Xu's per-advisory nets,
-    // where a symbolic set rarely holds same-net siblings).
-    NoiseSource source = inputs.front()->noise();
-    results.push_back(zonotope_propagate(net, inputs.front()->components(), source));
-    return results;
-  }
   const std::span<const AffineSet* const> sets(inputs);
   for (std::size_t begin = 0; begin < sets.size(); begin += kern::kMaxLanes) {
     const std::size_t lanes = std::min(kern::kMaxLanes, sets.size() - begin);

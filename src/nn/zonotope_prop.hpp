@@ -19,12 +19,14 @@ struct ZonotopeBounds {
 };
 
 /// Affine-arithmetic abstract transformer for ReLU networks — the
-/// "affine arithmetics" alternative the paper names in §6.2 [15]. Affine
-/// layers are exact on the noise symbols (linear correlations survive);
-/// unstable ReLUs use the minimal zonotope relaxation with one fresh noise
-/// symbol each. Complements the two existing domains: typically tighter
+/// "affine arithmetics" alternative the paper names in §6.2 [15] — on the
+/// sparse scalar `Affine` forms. Affine layers are exact on the noise
+/// symbols (linear correlations survive); unstable ReLUs use the minimal
+/// zonotope relaxation with one fresh noise symbol each. Typically tighter
 /// than plain intervals and incomparable with the symbolic affine-bound
 /// domain (which keeps per-neuron lower AND upper input-space bounds).
+/// No production path calls these two overloads: they are the bit-identity
+/// reference of `zonotope_propagate_batch`'s tests.
 ZonotopeBounds zonotope_propagate(const Network& net, const Box& input);
 
 /// Relational variant: propagate affine-form inputs directly, preserving
@@ -36,8 +38,9 @@ ZonotopeBounds zonotope_propagate(const Network& net, const Box& input);
 ZonotopeBounds zonotope_propagate(const Network& net, std::vector<Affine> inputs,
                                   NoiseSource& source);
 
-/// Batched transformer: propagate several affine sets through one
-/// lane-minor SoA layer sweep (`kern::AffineFormBatch`). Lane i propagates
+/// The zonotope transformer of every controller query: propagate one or
+/// more affine sets through one lane-minor SoA layer sweep
+/// (`kern::AffineFormBatch`), a single set included. Lane i propagates
 /// `inputs[i]`'s affine forms (preserving their correlations), bit-identical
 /// to
 ///   NoiseSource scratch = inputs[i]->noise();

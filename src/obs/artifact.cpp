@@ -15,14 +15,20 @@ namespace {
 
 constexpr std::string_view kSchemaV2 = "nncs-bench v2";
 
-/// The engine.cells_* counters mirror the refinement tree, which is
-/// deterministic for a fixed workload regardless of thread count or
-/// scheduling (the engine sorts leaves into a canonical order; counts are
-/// order-free). engine.cells_cancelled is excluded: it depends on where a
-/// time budget happened to land.
+/// Counters that are deterministic for a fixed workload regardless of
+/// thread count or scheduling: the engine.cells_* refinement tree (the
+/// engine sorts leaves into a canonical order; counts are order-free) and
+/// the integrator, NN and join work, sums of per-cell work no other cell
+/// influences. engine.cells_cancelled is excluded: it depends on where a
+/// time budget landed. With the containment NN cache on, what a query
+/// reuses depends on scheduling, so such runs' counts vary.
 constexpr std::string_view kCanonicalCounters[] = {
-    "engine.cells_done",    "engine.cells_proved",   "engine.cells_failed",
-    "engine.cells_refined", "engine.stalled_splits",
+    "engine.cells_done",         "engine.cells_proved",        "engine.cells_failed",
+    "engine.cells_refined",      "engine.stalled_splits",      "ode.substeps",
+    "ode.enclosure_attempts",    "ode.picard_retries",         "ode.picard_failures",
+    "ode.step_rejections",       "ode.affine_boxed_fallbacks", "ode.affine_dim_fallbacks",
+    "ode.affine_tail_fallbacks", "nn.relaxed_relus",           "nn.relational_steps",
+    "nn.crossed_bounds",         "join.joins",                 "core.join_relational_drops",
 };
 
 double number_or(const JsonValue* v, double fallback) {
@@ -114,7 +120,9 @@ bool is_canonical_counter(std::string_view name) {
 void fill_artifact_metrics(BenchArtifact& artifact, const MetricsSnapshot& snap) {
   for (const auto& c : snap.counters) {
     artifact.counters[c.name] = c.value;
-    if (is_canonical_counter(c.name)) {
+    // A counter stays registered at zero after `Registry::reset`, so a zero
+    // is left out: the canonical keys do not depend on what ran before.
+    if (c.value != 0 && is_canonical_counter(c.name)) {
       artifact.canonical_counters[c.name] = c.value;
     }
   }

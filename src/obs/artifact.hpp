@@ -49,12 +49,14 @@ struct BenchArtifact {
 };
 
 /// Whether a registry counter is scheduling-independent for a fixed
-/// workload, and therefore belongs in `canonical_counters` (the
-/// engine.cells_* refinement-tree family; cache hit counts, by contrast,
-/// depend on thread interleaving).
+/// workload, and therefore belongs in `canonical_counters`: the
+/// engine.cells_* refinement-tree family and the integrator, NN and join
+/// work counts (ode.*, nn.relaxed_relus, nn.relational_steps,
+/// nn.crossed_bounds, join.joins, core.join_relational_drops). Cache hit
+/// counts, by contrast, depend on thread interleaving.
 [[nodiscard]] bool is_canonical_counter(std::string_view name);
 
-/// Populate phases/counters/gauges (and the canonical counter subset) from
+/// Populate phases/counters/gauges (and the nonzero canonical counters) from
 /// a registry snapshot.
 void fill_artifact_metrics(BenchArtifact& artifact, const MetricsSnapshot& snap);
 

@@ -10,6 +10,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/report_io.hpp"
@@ -174,16 +175,21 @@ TEST(ArtifactRoundTrip, FillMetricsSortsCanonicalCountersOut) {
   set_enabled(true);
   Registry::instance().counter("engine.cells_done").add(42);
   Registry::instance().counter("nn.cache.hits").add(7);
+  Registry::instance().counter("join.joins").add(0);
   Registry::instance().gauge("engine.queue_depth").add(3);
   BenchArtifact a;
   fill_artifact_metrics(a, Registry::instance().snapshot());
   EXPECT_EQ(a.counters.at("engine.cells_done"), 42u);
   EXPECT_EQ(a.counters.at("nn.cache.hits"), 7u);
-  // Only the deterministic engine family is promoted to canonical.
+  // Only the deterministic counters are promoted to canonical, and only
+  // when they counted something.
   EXPECT_EQ(a.canonical_counters.count("engine.cells_done"), 1u);
   EXPECT_EQ(a.canonical_counters.count("nn.cache.hits"), 0u);
+  EXPECT_EQ(a.counters.at("join.joins"), 0u);
+  EXPECT_EQ(a.canonical_counters.count("join.joins"), 0u);
   EXPECT_EQ(a.gauges.at("engine.queue_depth"), 3);
   EXPECT_TRUE(is_canonical_counter("engine.stalled_splits"));
+  EXPECT_TRUE(is_canonical_counter("ode.substeps"));
   EXPECT_FALSE(is_canonical_counter("engine.cells_cancelled"));
 }
 
@@ -435,24 +441,50 @@ std::set<std::string> keys(const Map& map) {
 }
 
 TEST(RunArtifact, CanonicalKeysFromReport) {
-  TelemetryGuard guard;
-  set_enabled(true);
-  for (const char* name : {"engine.cells_done", "engine.cells_proved", "engine.cells_failed",
-                           "engine.cells_refined", "nn.relaxed_relus"}) {
-    Registry::instance().counter(name).add(1);
+  // The work counters the two committed bench_canonical runs increment, on
+  // top of the engine.cells_* family; each must land in the canonical
+  // section, next to a scheduling-dependent counter that must not.
+  const std::vector<const char*> box_work = {"join.joins", "nn.relaxed_relus",
+                                             "ode.enclosure_attempts", "ode.substeps"};
+  const std::vector<const char*> zonotope_work = {
+      "core.join_relational_drops", "join.joins",   "nn.relational_steps",
+      "ode.affine_boxed_fallbacks", "ode.substeps", "ode.enclosure_attempts"};
+  for (const auto& [file, work] :
+       {std::pair{"BENCH_canonical_acasxu.json", box_work},
+        std::pair{"BENCH_canonical_acasxu_zonotope.json", zonotope_work}}) {
+    TelemetryGuard guard;
+    set_enabled(true);
+    for (const char* name : {"engine.cells_done", "engine.cells_proved",
+                             "engine.cells_failed", "engine.cells_refined"}) {
+      Registry::instance().counter(name).add(1);
+    }
+    for (const char* name : work) {
+      Registry::instance().counter(name).add(2);
+    }
+    Registry::instance().counter("nn.cache.hits").add(3);
+    const BenchArtifact a = make_run_artifact(
+        "canonical_acasxu", {{"num_arcs", 2.0}, {"num_headings", 1.0}, {"max_depth", 1.0}},
+        refined_report());
+
+    // Exactly the keys of the committed baseline the compare gate reads.
+    const BenchArtifact baseline =
+        load_artifact(std::filesystem::path(NNCS_SOURCE_DIR) / "bench/baselines" / file);
+    EXPECT_EQ(keys(a.scale), keys(baseline.scale)) << file;
+    EXPECT_EQ(keys(a.canonical_results), keys(baseline.canonical_results)) << file;
+    // The previous pass's counters stay registered at zero, and stay out.
+    EXPECT_EQ(keys(a.canonical_counters), keys(baseline.canonical_counters)) << file;
+    EXPECT_EQ(keys(a.wall_results), keys(baseline.wall_results)) << file;
+    EXPECT_EQ(a.canonical_counters.at("engine.cells_done"), 1u);
+    for (const char* name : work) {
+      EXPECT_EQ(a.canonical_counters.at(name), 2u) << name;
+    }
+    EXPECT_EQ(a.canonical_counters.count("nn.cache.hits"), 0u);
+    EXPECT_EQ(a.counters.at("nn.cache.hits"), 3u);
   }
+
   const BenchArtifact a = make_run_artifact(
       "canonical_acasxu", {{"num_arcs", 2.0}, {"num_headings", 1.0}, {"max_depth", 1.0}},
       refined_report());
-
-  // Exactly the keys of the committed baseline the compare gate reads.
-  const BenchArtifact baseline = load_artifact(std::filesystem::path(NNCS_SOURCE_DIR) /
-                                               "bench/baselines/BENCH_canonical_acasxu.json");
-  EXPECT_EQ(keys(a.scale), keys(baseline.scale));
-  EXPECT_EQ(keys(a.canonical_results), keys(baseline.canonical_results));
-  EXPECT_EQ(keys(a.canonical_counters), keys(baseline.canonical_counters));
-  EXPECT_EQ(keys(a.wall_results), keys(baseline.wall_results));
-
   const auto& r = a.canonical_results;
   EXPECT_EQ(r.at("root_cells"), 2.0);
   EXPECT_EQ(r.at("coverage_percent"), 75.0);
@@ -464,8 +496,6 @@ TEST(RunArtifact, CanonicalKeysFromReport) {
   EXPECT_EQ(r.at("aggregate.joins"), 4.0 + 5.0 + 1.0 + 30.0);
   EXPECT_EQ(r.at("aggregate.max_states"), 5.0);
   EXPECT_EQ(r.at("aggregate.total_simulations"), 40.0 + 41.0 + 9.0 + 18.0);
-  EXPECT_EQ(a.canonical_counters.at("engine.cells_done"), 1u);
-  EXPECT_EQ(a.counters.at("nn.relaxed_relus"), 1u);
 
   EXPECT_EQ(a.wall_seconds, 1.75);
   EXPECT_EQ(a.wall_results.at("aggregate.cell_seconds"), 0.5 * 3 + 1.0);

@@ -33,9 +33,10 @@ TEST(IdentityPre, PassesThrough) {
 
 // Post is argmin: through an identity network the controller selects the
 // smallest state coordinate, and Post# keeps every coordinate that can be
-// minimal on the box, in each NN domain.
+// minimal on the box, in each NN domain and in the relational step on the
+// box's lift.
 TEST(ArgminPost, ConcreteAndAbstract) {
-  for (const NnDomain domain : {NnDomain::kInterval, NnDomain::kSymbolic, NnDomain::kAffine}) {
+  for (const NnDomain domain : {NnDomain::kInterval, NnDomain::kSymbolic}) {
     Network identity = make_zero_network({3, 3});
     for (std::size_t i = 0; i < 3; ++i) {
       identity.layer(0).weights(i, i) = 1.0;
@@ -48,8 +49,12 @@ TEST(ArgminPost, ConcreteAndAbstract) {
     EXPECT_EQ(ctrl.step(Vec{1.0, 1.0, 2.0}, 0), 0u);  // first-index tie-break
     const Box separated{Interval{0.0, 1.0}, Interval{2.0, 3.0}, Interval{4.0, 5.0}};
     EXPECT_EQ(ctrl.step_abstract(separated, 0).commands, (std::vector<std::size_t>{0}));
+    EXPECT_EQ(ctrl.step_abstract_relational(AffineSet::from_box(separated), 0).commands,
+              (std::vector<std::size_t>{0}));
     const Box overlapping{Interval{0.0, 2.0}, Interval{1.0, 3.0}, Interval{4.0, 5.0}};
     EXPECT_EQ(ctrl.step_abstract(overlapping, 0).commands, (std::vector<std::size_t>{0, 1}));
+    EXPECT_EQ(ctrl.step_abstract_relational(AffineSet::from_box(overlapping), 0).commands,
+              (std::vector<std::size_t>{0, 1}));
   }
 }
 

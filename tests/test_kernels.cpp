@@ -208,9 +208,14 @@ TEST(Kernels, BatchedTransformersContainConcreteSamples) {
   return boxes_bitwise_eq(a.output_box, b.output_box);
 }
 
+/// ACAS Xu's network shape (5 inputs, three hidden layers of 32, 5 scores):
+/// the zonotope loop sends its queries one per advisory network, so most
+/// kernel calls on it have width 1.
+const std::vector<std::size_t> kAcasShape = {5, 32, 32, 32, 5};
+
 TEST(Kernels, ZonotopeBoxBatchBitwiseEqualsScalar) {
   const std::vector<std::vector<std::size_t>> shapes = {
-      {3, 8, 8, 2}, {2, 5, 5, 5, 3}, {1, 4, 1}, {5, 16, 5}};
+      {3, 8, 8, 2}, {2, 5, 5, 5, 3}, {1, 4, 1}, {5, 16, 5}, kAcasShape};
   for (const kern::Isa isa : compiled_isas()) {
     for (std::size_t s = 0; s < shapes.size(); ++s) {
       const Network net = random_network(500 + s, shapes[s]);
@@ -236,6 +241,12 @@ TEST(Kernels, ZonotopeBoxBatchBitwiseEqualsScalar) {
         const ZonotopeBounds scalar = zonotope_propagate(net, inputs[i]);
         EXPECT_TRUE(zonotopes_bitwise_eq(batched[i], scalar))
             << "isa=" << to_string(isa) << " shape=" << s << " input=" << i;
+        // A single-set batch runs the same SoA kernel at width 1.
+        const std::vector<ZonotopeBounds> single =
+            zonotope_propagate_batch(net, {ptrs[i]}, isa);
+        ASSERT_EQ(single.size(), 1U);
+        EXPECT_TRUE(zonotopes_bitwise_eq(single.front(), scalar))
+            << "isa=" << to_string(isa) << " shape=" << s << " input=" << i << " width 1";
         // The command-pruning consumer must agree too (it is a pure
         // function of the forms, but this pins the end-to-end contract).
         EXPECT_EQ(possible_argmin(batched[i]), possible_argmin(scalar));
@@ -245,7 +256,8 @@ TEST(Kernels, ZonotopeBoxBatchBitwiseEqualsScalar) {
 }
 
 TEST(Kernels, ZonotopeRelationalBatchBitwiseEqualsScalar) {
-  const std::vector<std::vector<std::size_t>> shapes = {{3, 8, 8, 2}, {2, 5, 5, 5, 3}, {5, 16, 5}};
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {3, 8, 8, 2}, {2, 5, 5, 5, 3}, {5, 16, 5}, kAcasShape};
   for (const kern::Isa isa : compiled_isas()) {
     for (std::size_t s = 0; s < shapes.size(); ++s) {
       const Network net = random_network(700 + s, shapes[s]);
@@ -280,6 +292,11 @@ TEST(Kernels, ZonotopeRelationalBatchBitwiseEqualsScalar) {
         const ZonotopeBounds scalar = zonotope_propagate(net, sets[i].components(), scratch);
         EXPECT_TRUE(zonotopes_bitwise_eq(batched[i], scalar))
             << "isa=" << to_string(isa) << " shape=" << s << " input=" << i;
+        const std::vector<ZonotopeBounds> single =
+            zonotope_propagate_batch(net, {ptrs[i]}, isa);
+        ASSERT_EQ(single.size(), 1U);
+        EXPECT_TRUE(zonotopes_bitwise_eq(single.front(), scalar))
+            << "isa=" << to_string(isa) << " shape=" << s << " input=" << i << " width 1";
         EXPECT_EQ(possible_argmin(batched[i]), possible_argmin(scalar));
       }
     }
@@ -312,29 +329,23 @@ NeuralController make_controller(NnDomain domain, NnCacheMode cache_mode, std::u
 
 /// Pre# → F# → Post# for one state from the scalar transformers: the
 /// zonotope transformer on the relational pre-image (with a copied noise
-/// source) or on the `from_box` lift, else the symbolic or interval one.
-AbstractControlStep oracle_step(const NeuralController& ctrl, const AbstractState& state,
-                                std::size_t previous_command) {
+/// source), else `domain`'s symbolic or interval one.
+AbstractControlStep oracle_step(const NeuralController& ctrl, NnDomain domain,
+                                const AbstractState& state, std::size_t previous_command) {
   const IdentityPre pre(kStateDim);
   const Network& net = ctrl.networks()[kSelector[previous_command]];
   AbstractControlStep step;
-  const auto zonotope = [&](const AffineSet& input) {
-    NoiseSource scratch = input.noise();
-    const ZonotopeBounds bounds = zonotope_propagate(net, input.components(), scratch);
-    step.commands = possible_argmin(bounds);
-    step.network_output = bounds.output_box;
-  };
   if (state.has_relational()) {
     const AffineSet image = pre.eval_abstract(*state.relational());
     step.network_input = image.concretize();
-    zonotope(image);
+    NoiseSource scratch = image.noise();
+    const ZonotopeBounds bounds = zonotope_propagate(net, image.components(), scratch);
+    step.commands = possible_argmin(bounds);
+    step.network_output = bounds.output_box;
     return step;
   }
   step.network_input = pre.eval_abstract(state.box());
-  switch (ctrl.domain()) {
-    case NnDomain::kAffine:
-      zonotope(AffineSet::from_box(step.network_input));
-      break;
+  switch (domain) {
     case NnDomain::kSymbolic: {
       const SymbolicBounds bounds = symbolic_propagate(net, step.network_input);
       step.commands = possible_argmin(bounds);
@@ -382,19 +393,25 @@ AbstractState lifted_state(const Box& box) {
   return AbstractState{box, std::make_shared<const AffineSet>(AffineSet::from_box(box))};
 }
 
-void expect_batch_matches_oracle(NnDomain domain) {
+/// With `lift`, the plain boxes enter as their `from_box` lifts: the
+/// relational view the zonotope loop gives a box after a split or a join.
+void expect_batch_matches_oracle(NnDomain domain, bool lift = false) {
   const NeuralController ctrl = make_controller(domain, NnCacheMode::kOff, 900);
   Rng rng(901);
   std::vector<AbstractState> states;
   std::vector<std::size_t> commands;
   for (int k = 0; k < 13; ++k) {
     const Box box = random_box(rng, kStateDim);
-    states.push_back(k % 3 == 2 ? correlated_state(rng, box) : AbstractState{box});
+    if (k % 3 == 2) {
+      states.push_back(correlated_state(rng, box));
+    } else {
+      states.push_back(lift ? lifted_state(box) : AbstractState{box});
+    }
     commands.push_back(static_cast<std::size_t>(rng.uniform_int(0, 3)));
   }
-  // Duplicates: a box under the same command (propagated once), the same
-  // box under the other network (never shared across networks), and a
-  // repeated relational state (never deduplicated).
+  // Duplicates: a state under the same command (a box is propagated once),
+  // the same state under the other network (never shared across networks),
+  // and a repeated relational state (never deduplicated).
   states.push_back(states[0]);
   commands.push_back(commands[0]);
   states.push_back(states[0]);
@@ -405,7 +422,7 @@ void expect_batch_matches_oracle(NnDomain domain) {
   const std::vector<AbstractControlStep> batched = ctrl.step_abstract_batch(states, commands);
   ASSERT_EQ(batched.size(), states.size());
   for (std::size_t i = 0; i < states.size(); ++i) {
-    const AbstractControlStep expected = oracle_step(ctrl, states[i], commands[i]);
+    const AbstractControlStep expected = oracle_step(ctrl, domain, states[i], commands[i]);
     EXPECT_TRUE(steps_bitwise_eq(batched[i], expected)) << "state " << i;
     // The scalar entry points are batches of one through the same body.
     const AbstractControlStep single =
@@ -427,15 +444,15 @@ TEST(ControllerBatch, IntervalNoCache) {
 }
 
 TEST(ControllerBatch, AffineDomainNoCache) {
-  // Box states in the affine domain are lifted and batch through the
-  // zonotope SoA kernel.
-  expect_batch_matches_oracle(NnDomain::kAffine);
+  // A box reaches the zonotope transformer as its `from_box` lift: such
+  // states batch through the zonotope SoA kernel, next to correlated ones.
+  expect_batch_matches_oracle(NnDomain::kSymbolic, /*lift=*/true);
 }
 
 TEST(ControllerBatch, RelationalStatesMatchScalarRelationalStep) {
   // Relational states route through the zonotope transformer whatever the
   // NN domain, next to box states of the domain's own transformer.
-  for (const NnDomain domain : {NnDomain::kSymbolic, NnDomain::kAffine, NnDomain::kInterval}) {
+  for (const NnDomain domain : {NnDomain::kSymbolic, NnDomain::kInterval}) {
     const NeuralController ctrl = make_controller(domain, NnCacheMode::kOff, 920);
     Rng rng(921);
     std::vector<AbstractState> states;
@@ -451,7 +468,8 @@ TEST(ControllerBatch, RelationalStatesMatchScalarRelationalStep) {
     const std::vector<AbstractControlStep> batched = ctrl.step_abstract_batch(states, commands);
     ASSERT_EQ(batched.size(), states.size());
     for (std::size_t i = 0; i < states.size(); ++i) {
-      EXPECT_TRUE(steps_bitwise_eq(batched[i], oracle_step(ctrl, states[i], commands[i])))
+      const AbstractControlStep expected = oracle_step(ctrl, domain, states[i], commands[i]);
+      EXPECT_TRUE(steps_bitwise_eq(batched[i], expected))
           << "domain " << static_cast<int>(domain) << " state " << i;
     }
   }
@@ -470,8 +488,9 @@ Box random_sub_box(Rng& rng, const Box& outer) {
 
 /// Containment mode runs the body one state at a time, so a batch must
 /// replay a loop of single-state calls on a fresh controller exactly:
-/// results and cache statistics alike.
-void expect_containment_batch_matches_loop(NnDomain domain) {
+/// results and cache statistics alike. Without `boxes`, every query is
+/// relational, as in the zonotope loop.
+void expect_containment_batch_matches_loop(NnDomain domain, bool boxes = true) {
   const NeuralController batch_ctrl = make_controller(domain, NnCacheMode::kContainment, 930);
   const NeuralController loop_ctrl = make_controller(domain, NnCacheMode::kContainment, 930);
   Rng rng(931);
@@ -486,15 +505,21 @@ void expect_containment_batch_matches_loop(NnDomain domain) {
     // both kinds (containment reuse or its fallback), and an exact repeat.
     const Box parent = random_box(rng, kStateDim);
     const auto command = static_cast<std::size_t>(rng.uniform_int(0, 3));
-    add(AbstractState{parent}, command);
+    if (boxes) {
+      add(AbstractState{parent}, command);
+    }
     add(lifted_state(parent), command);
     for (int c = 0; c < 3; ++c) {
       const Box child = random_sub_box(rng, parent);
-      add(AbstractState{child}, command);
+      if (boxes) {
+        add(AbstractState{child}, command);
+      }
       add(lifted_state(child), command);
     }
     add(correlated_state(rng, random_sub_box(rng, parent)), command);
-    add(AbstractState{parent}, command);
+    if (boxes) {
+      add(AbstractState{parent}, command);
+    }
   }
   const std::vector<AbstractControlStep> batched =
       batch_ctrl.step_abstract_batch(states, commands);
@@ -515,7 +540,9 @@ void expect_containment_batch_matches_loop(NnDomain domain) {
   EXPECT_EQ(batch.containment_hits, loop.containment_hits);
   EXPECT_EQ(batch.reuse_fallbacks, loop.reuse_fallbacks);
   EXPECT_EQ(batch.lookups(), states.size());
-  EXPECT_GT(batch.hits - batch.containment_hits, 0U) << "exact repeats must replay";
+  if (boxes) {
+    EXPECT_GT(batch.hits - batch.containment_hits, 0U) << "exact repeats must replay";
+  }
   EXPECT_GT(batch.containment_hits + batch.reuse_fallbacks, 0U)
       << "relational children must attempt reuse of their lifted parents";
 }
@@ -525,7 +552,9 @@ TEST(ControllerBatch, SymbolicContainmentCacheFallsBackToScalarLoop) {
 }
 
 TEST(ControllerBatch, AffineContainmentCacheMatchesSingleStateLoop) {
-  expect_containment_batch_matches_loop(NnDomain::kAffine);
+  // Relational queries only: lifted parents and children reuse one
+  // another's box-valid zonotope propagations.
+  expect_containment_batch_matches_loop(NnDomain::kSymbolic, /*boxes=*/false);
 }
 
 TEST(ControllerBatch, IntervalContainmentCacheMatchesSingleStateLoop) {

@@ -281,27 +281,31 @@ TEST(QueryCache, ContainmentReuseIsSoundOnSampledPoints) {
 }
 
 TEST(QueryCache, ContainmentAffineDomainReuseNeverOverPrunes) {
-  // Affine-domain containment reuse restricts a cached box-valid zonotope
-  // propagation to the child's sub-ranges. The restricted bounds are valid
-  // for the child but generally looser than a fresh propagation of the
-  // child itself, so the reused command set may only be a superset of what
-  // full propagation keeps — never prune a command it would retain.
-  const auto ctrl = threshold_controller(5.0, -8.0, NnDomain::kAffine);
+  // Containment reuse of a zonotope propagation restricts a cached
+  // box-valid one (a lifted parent box) to the child's sub-ranges. The
+  // restricted bounds are valid for the child but generally looser than a
+  // fresh propagation of the child itself, so the reused command set may
+  // only be a superset of what full propagation keeps — never prune a
+  // command it would retain. The child re-lifts from its box, as the
+  // zonotope loop does after a split.
+  const auto ctrl = threshold_controller(5.0, -8.0);
   NnCacheConfig cache;
   cache.mode = NnCacheMode::kContainment;
   ctrl->configure_cache(cache);
-  const auto fresh = threshold_controller(5.0, -8.0, NnDomain::kAffine);
+  const auto fresh = threshold_controller(5.0, -8.0);
   fresh->configure_cache(NnCacheConfig{NnCacheMode::kOff});
 
   const Box parent{Interval{0.0, 2.0}, Interval{-1.0, 1.0}};
-  (void)ctrl->step_abstract(parent, 0);  // populate with the covering entry
+  // Populate with the covering entry.
+  (void)ctrl->step_abstract_relational(AffineSet::from_box(parent), 0);
   const Box child{Interval{0.5, 1.0}, Interval{0.0, 0.5}};
-  const AbstractControlStep reused = ctrl->step_abstract(child, 0);
+  const AffineSet lifted_child = AffineSet::from_box(child);
+  const AbstractControlStep reused = ctrl->step_abstract_relational(lifted_child, 0);
   ASSERT_NE(ctrl->query_cache(), nullptr);
   EXPECT_EQ(ctrl->query_cache()->stats().containment_hits, 1u)
       << "child box should reuse the parent's affine propagation";
 
-  const AbstractControlStep full = fresh->step_abstract(child, 0);
+  const AbstractControlStep full = fresh->step_abstract_relational(lifted_child, 0);
   for (const std::size_t cmd : full.commands) {
     EXPECT_NE(std::find(reused.commands.begin(), reused.commands.end(), cmd),
               reused.commands.end())
@@ -324,11 +328,11 @@ TEST(QueryCache, ContainmentRelationalReuseNeverOverPrunes) {
   // box-valid propagation in containment mode. Same contract as the box
   // path: the reused command set must contain every command a full
   // relational propagation of the same set keeps.
-  const auto ctrl = threshold_controller(5.0, -8.0, NnDomain::kAffine);
+  const auto ctrl = threshold_controller(5.0, -8.0);
   NnCacheConfig cache;
   cache.mode = NnCacheMode::kContainment;
   ctrl->configure_cache(cache);
-  const auto fresh = threshold_controller(5.0, -8.0, NnDomain::kAffine);
+  const auto fresh = threshold_controller(5.0, -8.0);
   fresh->configure_cache(NnCacheConfig{NnCacheMode::kOff});
 
   // Populate: a box-lifted parent set is box-valid, so its propagation is

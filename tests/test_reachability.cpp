@@ -207,6 +207,28 @@ TEST(Reachability, OutcomeToString) {
   EXPECT_STREQ(to_string(ReachOutcome::kEnclosureFailure), "enclosure-failure");
 }
 
+TEST(Reachability, DomainAxisParsesThreeValues) {
+  // One value sets both the loop domain and the box queries' NN domain.
+  const auto interval = parse_domain("interval");
+  ASSERT_TRUE(interval.has_value());
+  EXPECT_EQ(interval->loop, LoopDomain::kBox);
+  EXPECT_EQ(interval->nn, NnDomain::kInterval);
+  const auto symbolic = parse_domain("symbolic");
+  ASSERT_TRUE(symbolic.has_value());
+  EXPECT_EQ(symbolic->loop, LoopDomain::kBox);
+  EXPECT_EQ(symbolic->nn, NnDomain::kSymbolic);
+  const auto zonotope = parse_domain("zonotope");
+  ASSERT_TRUE(zonotope.has_value());
+  EXPECT_EQ(zonotope->loop, LoopDomain::kZonotope);
+  for (const char* name : {"interval", "symbolic", "zonotope"}) {
+    EXPECT_STREQ(to_string(*parse_domain(name)), name);
+  }
+  // The retired values of the two-axis flag are unknown like any other.
+  for (const char* name : {"affine", "box", "", "Symbolic"}) {
+    EXPECT_FALSE(parse_domain(name).has_value()) << name;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Soundness property (the essence of Theorem 1): every concrete closed-loop
 // trajectory sampled from the initial cell is covered, at each sampling

@@ -1,6 +1,6 @@
 // Tests for the zonotope network transformer: containment properties,
 // tightness vs plain intervals, the zonotope argmin refinement and the
-// controller integration (NnDomain::kAffine).
+// controller integration (relational steps on lifted boxes).
 
 #include <gtest/gtest.h>
 
@@ -158,7 +158,8 @@ TEST(ZonotopeArgminProperty, SoundOnRandomNetworks) {
   }
 }
 
-// Controller integration: the kAffine domain is sound end to end.
+// Controller integration: the relational step on a lifted box is sound end
+// to end.
 TEST(ZonotopeController, ConcreteCommandAlwaysInAbstractSet) {
   Rng rng(24);
   std::vector<Network> nets;
@@ -166,13 +167,13 @@ TEST(ZonotopeController, ConcreteCommandAlwaysInAbstractSet) {
     nets.push_back(random_network(700 + n, {2, 6, 2}));
   }
   const NeuralController ctrl(CommandSet({Vec{0.0}, Vec{1.0}}), std::move(nets), {0, 1},
-                              std::make_unique<IdentityPre>(2), NnDomain::kAffine);
+                              std::make_unique<IdentityPre>(2));
   for (int b = 0; b < 20; ++b) {
     const double lo0 = rng.uniform(-1.0, 1.0);
     const double lo1 = rng.uniform(-1.0, 1.0);
     const Box box{Interval{lo0, lo0 + 0.3}, Interval{lo1, lo1 + 0.3}};
     for (std::size_t prev = 0; prev < 2; ++prev) {
-      const auto abstract = ctrl.step_abstract(box, prev);
+      const auto abstract = ctrl.step_abstract_relational(AffineSet::from_box(box), prev);
       for (int s = 0; s < 20; ++s) {
         const Vec x{rng.uniform(box[0].lo(), box[0].hi()),
                     rng.uniform(box[1].lo(), box[1].hi())};

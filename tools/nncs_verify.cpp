@@ -13,7 +13,8 @@
 ///     --steps N        control steps q (τ = q·T)
 ///     --m N            validated integration steps M
 ///     --order N        Taylor order of the integrator
-///     --domain D       nn domain: interval | symbolic | affine (default symbolic)
+///     --domain D       interval | symbolic (box loop) | zonotope (relational
+///                      loop); default the scenario's (zonotope for pendulum)
 ///     --nn-cache M     NN query cache: off (default) | containment
 ///     --strategy S     refinement: all | widest
 ///     --threads N      worker threads                        (default: hw)
@@ -27,10 +28,12 @@
 ///     --checkpoint FILE  where to write the resume checkpoint when the run
 ///                      is interrupted
 ///     --resume FILE    continue from a checkpoint written by an earlier run
-///                      of the SAME scenario, partition, loop domain and
+///                      of the SAME scenario, partition, domain and
 ///                      strategy; a mismatched checkpoint is refused with
 ///                      exit code 4
 ///     --progress       print a progress line (done/proved/queue) every ~2 s
+///     --progress-json FILE  write an NDJSON heartbeat ("nncs-heartbeat v1")
+///     --profile-out FILE  write the span self-profile as folded stack lines
 ///     --trace-out FILE write a chrome://tracing / Perfetto trace-event JSON
 ///     --metrics-out FILE write the run's "nncs-bench v2" artifact (bench
 ///                      `nncs_verify_<scenario>`; results, counters, wall

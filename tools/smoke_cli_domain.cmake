@@ -1,19 +1,20 @@
-# End-to-end smoke for the loop-domain knob (`--domain box|zonotope`), run
-# as a ctest `cmake -P` script (see tools/CMakeLists.txt):
+# End-to-end smoke for the domain axis (`--domain interval|symbolic|zonotope`),
+# run as a ctest `cmake -P` script (see tools/CMakeLists.txt):
 #
-#   1. the default acasxu run and an explicit `--domain box` run produce
-#      byte-identical canonical reports (box is the default and the
-#      refactor must not perturb the original pipeline)
+#   1. the default acasxu run and an explicit `--domain symbolic` run
+#      produce byte-identical canonical reports (symbolic is the default)
 #   2. a pendulum run under the zonotope domain completes with every leaf
 #      proved-safe (no error-reachable rows)
-#   3. the same pendulum workload under `--domain box` wraps the rotating
-#      flow and reports error-reachable leaves — the domains are really
-#      being threaded through the loop
+#   3. the same pendulum workload under `--domain symbolic` (the box loop)
+#      reports error-reachable leaves
 #   4. a checkpoint taken under the zonotope domain refuses to resume under
-#      box (exit 4): the run fingerprint carries the domain
+#      symbolic (exit 4): the run fingerprint carries the domain
 #   5. a checkpoint taken under `--strategy widest` refuses to resume under
 #      the default all-dims strategy (exit 4), whose split factor would
 #      weigh its leaves wrongly, and resumes under `--strategy widest`
+#   6. an interval checkpoint refuses to resume under symbolic (exit 4)
+#      and resumes under interval
+#   7. the retired values `affine` and `box` are usage errors (exit 2)
 #
 # Required -D variables: VERIFY (binary), ACAS_NETS and PEND_NETS (network
 # cache dirs), OUT (scratch directory).
@@ -37,22 +38,22 @@ function(run_cli expected_code log)
   message(STATUS "${log}: exit ${code} (as expected)")
 endfunction()
 
-# 1. `--domain box` is the default: canonical acasxu reports byte-identical.
+# 1. `--domain symbolic` is the default: canonical reports byte-identical.
 set(ACAS_FLAGS --scenario acasxu --arcs 4 --headings 4 --depth 0 --steps 10
     --m 4 --order 3 --nets ${ACAS_NETS} --threads 4 --quiet --canonical-report)
 run_cli(0 "acasxu default domain" ${VERIFY} ${ACAS_FLAGS}
   --report ${OUT}/acas_default.csv)
-run_cli(0 "acasxu explicit --domain box" ${VERIFY} ${ACAS_FLAGS} --domain box
-  --report ${OUT}/acas_box.csv)
+run_cli(0 "acasxu explicit --domain symbolic" ${VERIFY} ${ACAS_FLAGS} --domain symbolic
+  --report ${OUT}/acas_symbolic.csv)
 execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-  ${OUT}/acas_default.csv ${OUT}/acas_box.csv RESULT_VARIABLE same)
+  ${OUT}/acas_default.csv ${OUT}/acas_symbolic.csv RESULT_VARIABLE same)
 if(NOT same EQUAL 0)
-  message(FATAL_ERROR "canonical acasxu report differs between the default and --domain box")
+  message(FATAL_ERROR "canonical acasxu report differs from --domain symbolic")
 endif()
-message(STATUS "default and --domain box canonical reports byte-identical")
+message(STATUS "default and --domain symbolic canonical reports byte-identical")
 
 # 2./3. The pendulum discriminates the domains on the same partition and
-#       budget: zonotope proves every leaf, box reports error-reachable ones.
+#       budget: zonotope proves every leaf, symbolic reports error-reachable ones.
 set(PEND_FLAGS --scenario pendulum --nets ${PEND_NETS} --threads 4 --quiet
     --canonical-report)
 run_cli(0 "pendulum --domain zonotope" ${VERIFY} ${PEND_FLAGS} --domain zonotope
@@ -64,24 +65,24 @@ endif()
 if(NOT zonotope_report MATCHES "proved-safe")
   message(FATAL_ERROR "zonotope pendulum run proved nothing:\n${zonotope_report}")
 endif()
-run_cli(0 "pendulum --domain box" ${VERIFY} ${PEND_FLAGS} --domain box
-  --report ${OUT}/pendulum_box.csv)
-file(READ ${OUT}/pendulum_box.csv box_report)
+run_cli(0 "pendulum --domain symbolic" ${VERIFY} ${PEND_FLAGS} --domain symbolic
+  --report ${OUT}/pendulum_symbolic.csv)
+file(READ ${OUT}/pendulum_symbolic.csv box_report)
 if(NOT box_report MATCHES "error-reachable")
-  message(FATAL_ERROR "box pendulum run shows no error-reachable leaves — the\n"
+  message(FATAL_ERROR "symbolic pendulum run shows no error-reachable leaves — the\n"
                       "loop domain is not being threaded through:\n${box_report}")
 endif()
-message(STATUS "pendulum verifies under zonotope and fails under box")
+message(STATUS "pendulum verifies under zonotope and fails under symbolic")
 
-# 4. The run fingerprint carries the loop domain, so a zonotope checkpoint
-#    must not resume under box. The microscopic budget interrupts the run
+# 4. The run fingerprint carries the domain, so a zonotope checkpoint must
+#    not resume under symbolic. The microscopic budget interrupts the run
 #    immediately (exit 3).
 run_cli(3 "budget-interrupted zonotope run" ${VERIFY} ${PEND_FLAGS} --domain zonotope
   --time-budget 0.000001 --checkpoint ${OUT}/pendulum_checkpoint.csv)
 if(NOT EXISTS ${OUT}/pendulum_checkpoint.csv)
   message(FATAL_ERROR "interrupted pendulum run left no checkpoint file")
 endif()
-run_cli(4 "cross-domain resume refused" ${VERIFY} ${PEND_FLAGS} --domain box
+run_cli(4 "cross-domain resume refused" ${VERIFY} ${PEND_FLAGS} --domain symbolic
   --resume ${OUT}/pendulum_checkpoint.csv)
 message(STATUS "cross-domain resume refused with exit code 4")
 
@@ -93,3 +94,18 @@ run_cli(4 "cross-strategy resume refused" ${VERIFY} ${PEND_FLAGS}
 run_cli(0 "same-strategy resume" ${VERIFY} ${PEND_FLAGS} --strategy widest
   --resume ${OUT}/pendulum_widest_checkpoint.csv)
 message(STATUS "cross-strategy resume refused with exit code 4, same-strategy resume completes")
+
+# 6. The fingerprint tells the two box-loop values apart.
+run_cli(3 "budget-interrupted interval run" ${VERIFY} ${PEND_FLAGS} --domain interval
+  --time-budget 0.000001 --checkpoint ${OUT}/pendulum_interval_checkpoint.csv)
+run_cli(4 "interval checkpoint refused under symbolic" ${VERIFY} ${PEND_FLAGS}
+  --domain symbolic --resume ${OUT}/pendulum_interval_checkpoint.csv)
+run_cli(0 "interval checkpoint resumes under interval" ${VERIFY} ${PEND_FLAGS}
+  --domain interval --resume ${OUT}/pendulum_interval_checkpoint.csv)
+message(STATUS "interval checkpoint refused under symbolic (exit 4), resumes under interval")
+
+# 7. One flag, one axis.
+foreach(retired affine box)
+  run_cli(2 "retired --domain ${retired}" ${VERIFY} ${ACAS_FLAGS} --domain ${retired})
+endforeach()
+message(STATUS "--domain affine and --domain box exit 2")

@@ -1,9 +1,9 @@
 # End-to-end smoke for the batched NN-propagation path under the engine's
 # scheduling, run as a ctest `cmake -P` script (see tools/CMakeLists.txt):
 # the acasxu canonical report at --threads 1 must byte-match the one at
-# --threads 4 at depth 1, in the zonotope loop domain (zonotope SoA kernels)
-# and in the box loop domain (symbolic SoA kernels; it needs 8 arcs, since
-# the 4x4 cells fail at t=0 before reaching the controller). The two runs'
+# --threads 4 at depth 1, in the zonotope domain (zonotope SoA kernels) and
+# in the symbolic domain (the box loop on the symbolic SoA kernels; it needs
+# 8 arcs, since the 4x4 cells fail at t=0 before reaching the controller). The two runs'
 # --metrics-out artifacts must compare clean: no thread count enters their
 # scale, and their canonical results and counters match exactly. The
 # single-threaded runs must spend nonzero time in the controller, so the
@@ -43,7 +43,7 @@ endfunction()
 set(FLAGS --scenario acasxu --headings 4 --depth 1 --steps 10 --m 4 --order 3
     --nets ${NETS} --quiet --canonical-report)
 
-foreach(leg "zonotope;4" "box;8")
+foreach(leg "zonotope;4" "symbolic;8")
   list(GET leg 0 domain)
   list(GET leg 1 arcs)
   set(args ${FLAGS} --domain ${domain} --arcs ${arcs})

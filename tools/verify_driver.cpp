@@ -49,7 +49,7 @@ void handle_sigint(int) {
   std::fprintf(stderr,
                "usage: %s [--scenario NAME] [--list-scenarios] [--arcs N] [--headings N]\n"
                "          [--depth N] [--gamma N] [--steps N] [--m N] [--order 1..15]\n"
-               "          [--domain interval|symbolic|affine|box|zonotope]\n"
+               "          [--domain interval|symbolic|zonotope]\n"
                "          [--nn-cache off|containment]\n"
                "          [--strategy all|widest] [--threads N] [--nets DIR]\n"
                "          [--report FILE] [--canonical-report] [--time-budget SEC]\n"
@@ -259,21 +259,12 @@ int verify_driver_main(int argc, char** argv) {
       taylor_order = static_cast<int>(parse_int(argv[0], arg, need_value(i), 1,
                                                 static_cast<long>(TaylorSeries::kMaxOrder)));
     } else if (!std::strcmp(arg, "--domain")) {
-      const std::string v = need_value(i);
-      if (v == "interval") {
-        system_config.domain = NnDomain::kInterval;
-      } else if (v == "symbolic") {
-        system_config.domain = NnDomain::kSymbolic;
-      } else if (v == "affine") {
-        system_config.domain = NnDomain::kAffine;
-      } else if (const auto loop = parse_loop_domain(v)) {
-        // box|zonotope select the *loop* domain (what flows between the
-        // integrator and the controller); the NN-transformer values above
-        // only matter for the boxed loop.
-        config.reach.domain = *loop;
-      } else {
+      const auto domain = parse_domain(need_value(i));
+      if (!domain) {
         usage(argv[0]);
       }
+      config.reach.domain = domain->loop;
+      system_config.domain = domain->nn;
     } else if (!std::strcmp(arg, "--nn-cache")) {
       const auto mode = parse_nn_cache_mode(need_value(i));
       if (!mode) {
@@ -326,14 +317,15 @@ int verify_driver_main(int argc, char** argv) {
   }
 
   partition = scenario::resolve(*scen, partition);
-  // The zonotope loop produces different frontiers/leaves than the boxed
-  // one, and the widest-dim strategy splits into 2 children where all-dims
-  // makes 2^k (the resumed run weighs every leaf by its own split factor),
-  // so neither may resume into a run that differs in them. Box, all-dims
-  // runs keep the unsuffixed fingerprint — existing checkpoints stay valid.
+  const std::string domain = to_string(DomainChoice{config.reach.domain, system_config.domain});
+  // Each domain produces different frontiers/leaves, and the widest-dim
+  // strategy splits into 2 children where all-dims makes 2^k (the resumed
+  // run weighs every leaf by its own split factor), so neither may resume
+  // into a run that differs in them. Symbolic, all-dims runs keep the
+  // unsuffixed fingerprint — existing checkpoints stay valid.
   std::string run_fingerprint = scenario::fingerprint(*scen, partition);
-  if (config.reach.domain == LoopDomain::kZonotope) {
-    run_fingerprint += ";domain=zonotope";
+  if (domain != "symbolic") {
+    run_fingerprint += ";domain=" + domain;
   }
   if (config.split_strategy == SplitStrategy::kWidestDim) {
     run_fingerprint += ";strategy=widest";
@@ -432,7 +424,7 @@ int verify_driver_main(int argc, char** argv) {
               "domain %s\n",
               partition.axis0, partition.axis1, config.max_refinement_depth, config.reach.gamma,
               config.reach.control_steps, config.reach.integration_steps, taylor_order,
-              to_string(config.reach.domain));
+              domain.c_str());
   if (!resume_path.empty()) {
     std::printf("resuming from %s: %zu leaves done, %zu cells pending\n", resume_path.c_str(),
                 resume_checkpoint.leaves.size(), resume_checkpoint.frontier.size());
@@ -624,13 +616,8 @@ int verify_driver_main(int argc, char** argv) {
           {"taylor_order", taylor_order}};
       // Non-default analysis choices, so runs that differ in them are
       // never compared.
-      if (config.reach.domain == LoopDomain::kZonotope) {
-        scale["domain.zonotope"] = 1;
-      }
-      if (system_config.domain == NnDomain::kInterval) {
-        scale["nn_domain.interval"] = 1;
-      } else if (system_config.domain == NnDomain::kAffine) {
-        scale["nn_domain.affine"] = 1;
+      if (domain != "symbolic") {
+        scale["domain." + domain] = 1;
       }
       if (system_config.nn_cache.mode == NnCacheMode::kContainment) {
         scale["nn_cache.containment"] = 1;
