@@ -13,23 +13,18 @@
 int main() {
   using namespace nncs;
   using namespace nncs::bench;
-  namespace ax = nncs::acasxu;
 
-  AcasSystem system = make_acas_system();
-  ax::ScenarioConfig scenario;
-  scenario.num_arcs = 16;
-  scenario.num_headings = 4;
-  const auto cells = ax::make_initial_cells(scenario);
-  const auto error = ax::make_error_region(scenario);
-  const auto target = ax::make_target_region(scenario);
+  const scenario::Scenario& scen = acas_scenario();
+  const scenario::System system = scen.make_system({});
+  const auto cells = scen.make_cells({16, 4});
+  const auto error = scen.make_error_region();
+  const auto target = scen.make_target_region();
   const TaylorIntegrator integrator;
 
   Table table("ablation_gamma",
               {"gamma", "proved", "joins", "max_states", "time_s"});
   for (const std::size_t gamma : {5u, 8u, 16u, 32u}) {
-    ReachConfig config;
-    config.control_steps = 20;
-    config.integration_steps = 10;
+    ReachConfig config = scen.default_config().reach;
     config.gamma = gamma;
     config.integrator = &integrator;
     int proved = 0;
@@ -38,7 +33,7 @@ int main() {
     Stopwatch watch;
     for (const auto& cell : cells) {
       const auto result =
-          reach_analyze(system.loop, SymbolicSet{cell.state}, error, target, config);
+          reach_analyze(system.loop, SymbolicSet{cell.state}, *error, *target, config);
       proved += result.outcome == ReachOutcome::kProvedSafe ? 1 : 0;
       joins += result.stats.joins;
       max_states = std::max(max_states, result.stats.max_states);

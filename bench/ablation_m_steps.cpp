@@ -15,24 +15,19 @@
 int main() {
   using namespace nncs;
   using namespace nncs::bench;
-  namespace ax = nncs::acasxu;
 
-  AcasSystem system = make_acas_system();
-  ax::ScenarioConfig scenario;
-  scenario.num_arcs = 16;
-  scenario.num_headings = 4;
-  const auto cells = ax::make_initial_cells(scenario);
-  const auto error = ax::make_error_region(scenario);
-  const auto target = ax::make_target_region(scenario);
+  const scenario::Scenario& scen = acas_scenario();
+  const scenario::System system = scen.make_system({});
+  const auto cells = scen.make_cells({16, 4});
+  const auto error = scen.make_error_region();
+  const auto target = scen.make_target_region();
   const TaylorIntegrator integrator;
 
   Table table("ablation_m_steps",
               {"M", "proved", "error_reachable", "horizon_exhausted", "time_s"});
   for (const int m : {1, 2, 5, 10, 20}) {
-    ReachConfig config;
-    config.control_steps = 20;
+    ReachConfig config = scen.default_config().reach;
     config.integration_steps = m;
-    config.gamma = 5;
     config.integrator = &integrator;
     int proved = 0;
     int error_hit = 0;
@@ -40,7 +35,7 @@ int main() {
     Stopwatch watch;
     for (const auto& cell : cells) {
       const auto result =
-          reach_analyze(system.loop, SymbolicSet{cell.state}, error, target, config);
+          reach_analyze(system.loop, SymbolicSet{cell.state}, *error, *target, config);
       switch (result.outcome) {
         case ReachOutcome::kProvedSafe:
           ++proved;

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
 
   const auto artifact_dir = artifact_dir_from_args(argc, argv);
 
-  const scenario::Scenario& scen = scenario::Registry::global().at("acasxu");
+  const scenario::Scenario& scen = acas_scenario();
   const BenchScale scale{16, 4, 0};
   const auto cells = acas_cells(scale);
   const auto error = scen.make_error_region();
@@ -37,7 +37,9 @@ int main(int argc, char** argv) {
                "time_s"});
   for (const std::string name : {"interval", "symbolic", "zonotope"}) {
     const DomainChoice domain = *parse_domain(name);
-    AcasSystem system = make_acas_system(domain.nn);
+    scenario::SystemConfig system_config;
+    system_config.domain = domain.nn;
+    const scenario::System system = scen.make_system(system_config);
     // Tightness of one abstract controller execution per cell.
     double total_commands = 0.0;
     double total_width = 0.0;

@@ -15,10 +15,10 @@ int main() {
   namespace ax = nncs::acasxu;
 
   const auto plant = ax::make_dynamics();
-  ax::ScenarioConfig scenario;
-  const Vec center = ax::initial_state(scenario, 0.6, 0.5);
+  const Vec center = ax::initial_state(0.6, 0.5);
   const Box cell{Interval::centered(center[0], 40.0), Interval::centered(center[1], 40.0),
-                 Interval::centered(center[2], 0.005), Interval{700.0}, Interval{600.0}};
+                 Interval::centered(center[2], 0.005), Interval{ax::kVown},
+                 Interval{ax::kVint}};
   const Vec command{ax::turn_rate(ax::kSL)};
   constexpr int kSteps = 10;
   constexpr int kRepeats = 50;

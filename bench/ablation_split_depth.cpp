@@ -15,31 +15,24 @@
 int main() {
   using namespace nncs;
   using namespace nncs::bench;
-  namespace ax = nncs::acasxu;
 
-  AcasSystem system = make_acas_system();
-  ax::ScenarioConfig scenario;
-  scenario.num_arcs = 16;
-  scenario.num_headings = 4;
-  const auto cells = ax::make_initial_cells(scenario);
-  const auto error = ax::make_error_region(scenario);
-  const auto target = ax::make_target_region(scenario);
+  const scenario::Scenario& scen = acas_scenario();
+  const scenario::System system = scen.make_system({});
+  const auto cells = scenario::to_symbolic_set(scen.make_cells({16, 4}));
+  const auto error = scen.make_error_region();
+  const auto target = scen.make_target_region();
   const TaylorIntegrator integrator;
-  const VerificationEngine engine(system.loop, error, target);
+  const VerificationEngine engine(system.loop, *error, *target);
 
   Table table("ablation_split_depth",
               {"max_depth", "coverage_pct", "leaves", "proved_leaves", "time_s"});
   for (const int depth : {0, 1, 2}) {
-    VerifyConfig config;
-    config.reach.control_steps = 20;
-    config.reach.integration_steps = 10;
-    config.reach.gamma = 5;
+    VerifyConfig config = scen.default_config();
     config.reach.integrator = &integrator;
     config.max_refinement_depth = depth;
-    config.split_dims = ax::split_dimensions();
     config.threads = env_threads();
     Stopwatch watch;
-    const auto report = engine.run(ax::to_symbolic_set(cells), EngineConfig{config}).report;
+    const auto report = engine.run(cells, EngineConfig{config}).report;
     table.add_row({std::to_string(depth), Table::num(report.coverage_percent, 4),
                    std::to_string(report.leaves.size()),
                    std::to_string(report.proved_leaves), Table::num(watch.seconds(), 4)});

@@ -18,9 +18,9 @@
 
 namespace nncs::bench {
 
-namespace {
-
 const scenario::Scenario& acas_scenario() { return scenario::Registry::global().at("acasxu"); }
+
+namespace {
 
 scenario::Partition acas_partition(const BenchScale& scale) {
   return scenario::resolve(acas_scenario(),
@@ -33,18 +33,6 @@ std::filesystem::path cache_path(const BenchScale& scale) {
 }
 
 }  // namespace
-
-AcasSystem make_acas_system(NnDomain domain, const NnCacheConfig& nn_cache) {
-  scenario::SystemConfig config;
-  config.domain = domain;
-  config.nn_cache = nn_cache;
-  scenario::System assembled = acas_scenario().make_system(config);
-  AcasSystem system;
-  system.plant = std::move(assembled.plant);
-  system.controller = std::move(assembled.controller);
-  system.loop = assembled.loop;
-  return system;
-}
 
 BenchScale default_scale() {
   const double scale = env_scale();
@@ -94,7 +82,7 @@ VerifyReport run_or_load_verification(const BenchScale& scale, std::size_t* thre
 
   std::printf("[acas-bench] running verification (%zu arcs x %zu headings, depth %d)...\n",
               scale.num_arcs, scale.num_headings, scale.max_depth);
-  AcasSystem system = make_acas_system();
+  const scenario::System system = scen.make_system({});
   const auto error = scen.make_error_region();
   const auto target = scen.make_target_region();
 

@@ -1,40 +1,29 @@
 #pragma once
 
-// Shared infrastructure for the ACAS Xu benches: the registered "acasxu"
-// scenario's closed loop (networks cached on disk), the standard figure
-// verification run (cached as an `nncs-report` file so fig9a / fig9b /
-// headline share one expensive computation), and the `BENCH_<name>.json`
-// artifact every bench writes through `make_run_artifact`.
+// Shared infrastructure for the ACAS Xu benches. Every bench takes its
+// workload from the registered "acasxu" scenario (`acas_scenario()`): the
+// closed loop from `make_system` (networks cached on disk), the Fig 8 cells
+// and the E/T regions, and a `VerifyConfig` that starts from
+// `default_config()` (the paper's q=20, M=10, Γ=5) and overrides only what
+// the bench sweeps. Here too: the standard figure verification run (cached
+// as an `nncs-report` file so fig9a / fig9b / headline share one expensive
+// computation), and the `BENCH_<name>.json` artifact every bench writes
+// through `make_run_artifact`.
 
 #include <filesystem>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "acasxu/controller.hpp"
 #include "acasxu/dynamics.hpp"
+#include "acasxu/policy.hpp"
 #include "acasxu/scenario.hpp"
-#include "acasxu/training_pipeline.hpp"
 #include "core/verifier.hpp"
 #include "scenario/scenario.hpp"
 
 namespace nncs::bench {
 
-/// The assembled ACAS Xu closed loop (owning all parts). Benches that sweep
-/// individual knobs still drive `loop` directly with their own cells and
-/// regions (via the `acasxu::` helpers included above).
-struct AcasSystem {
-  std::unique_ptr<Dynamics> plant;
-  std::unique_ptr<NeuralController> controller;
-  ClosedLoop loop;
-};
-
-/// Assemble the registered "acasxu" scenario's closed loop — loading (or
-/// training once and caching) the 5 advisory networks with the paper's
-/// parameters (T = 1 s). The NN query cache is off unless a config is
-/// passed (the nn_cache bench sweeps the modes).
-AcasSystem make_acas_system(NnDomain domain = NnDomain::kSymbolic,
-                            const NnCacheConfig& nn_cache = {});
+/// The registered "acasxu" scenario.
+const scenario::Scenario& acas_scenario();
 
 /// Partition and refinement depth of a bench run (the artifact's `scale`).
 struct BenchScale {

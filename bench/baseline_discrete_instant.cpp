@@ -82,25 +82,24 @@ int main() {
 
   // --- Scenario 2: ACAS Xu head-on pass within one period. -----------------
   {
-    AcasSystem system = make_acas_system();
-    ax::ScenarioConfig scenario;
-    const auto error = ax::make_error_region(scenario);
+    const scenario::Scenario& scen = acas_scenario();
+    const scenario::System system = scen.make_system({});
+    const auto error = scen.make_error_region();
     const EmptyRegion target;  // keep the horizon fixed
     // Head-on at 700 ft: closing speed 1300 ft/s crosses the entire 1000 ft
     // collision cylinder between two samples (enters and exits within T=1).
     const Box cell{Interval::centered(0.0, 5.0), Interval::centered(700.0, 5.0),
-                   Interval::centered(std::numbers::pi, 0.002), Interval{700.0},
-                   Interval{600.0}};
+                   Interval::centered(std::numbers::pi, 0.002), Interval{ax::kVown},
+                   Interval{ax::kVint}};
     const TaylorIntegrator integrator;
-    ReachConfig config;
+    ReachConfig config = scen.default_config().reach;
     config.control_steps = 2;
     config.integration_steps = 20;
-    config.gamma = 5;
     config.integrator = &integrator;
     for (const bool sound : {true, false}) {
       config.check_intermediate = sound;
       const auto result =
-          reach_analyze(system.loop, SymbolicSet{{cell, ax::kCoc}}, error, target, config);
+          reach_analyze(system.loop, SymbolicSet{{cell, ax::kCoc}}, *error, target, config);
       const bool flags_error = result.outcome == ReachOutcome::kErrorReachable;
       table.add_row({"acasxu_fast_crossing", sound ? "sound" : "discrete-instant[7]",
                      to_string(result.outcome), flags_error ? "yes" : "MISSED-VIOLATION"});

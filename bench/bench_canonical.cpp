@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   obs::set_enabled(true);
   obs::Registry::instance().reset();
 
-  const scenario::Scenario& scen = scenario::Registry::global().at("acasxu");
+  const scenario::Scenario& scen = bench::acas_scenario();
   const scenario::Partition partition =
       scenario::resolve(scen, scenario::Partition{kArcs, kHeadings});
   obs::set_scenario(scen.name(), scenario::fingerprint(scen, partition));

@@ -43,9 +43,8 @@ const char* verdict_name(Verdict v) {
 int main() {
   using namespace nncs::bench;
 
-  AcasSystem system = make_acas_system();
+  const scenario::System system = acas_scenario().make_system({});
   const auto& networks = system.controller->networks();
-  const ax::Normalization norm;
 
   struct Geometry {
     const char* name;
@@ -63,8 +62,7 @@ int main() {
   Table table("ext_network_properties",
               {"geometry", "center_advisory", "radius", "verdict", "boxes", "time_ms"});
   for (const auto& g : geometries) {
-    const Vec center =
-        ax::normalize_features(Vec{g.rho, g.theta, g.psi, 700.0, 600.0}, norm);
+    const Vec center = ax::normalize_features(Vec{g.rho, g.theta, g.psi, ax::kVown, ax::kVint});
     const Network& net = networks[g.previous];
     const std::size_t advisory = concrete_argmin(net.eval(center));
     // Radii in normalized input units (1e-3 of the angle range ~ 0.36 deg).

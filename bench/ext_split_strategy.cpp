@@ -17,17 +17,14 @@
 int main() {
   using namespace nncs;
   using namespace nncs::bench;
-  namespace ax = nncs::acasxu;
 
-  AcasSystem system = make_acas_system();
-  ax::ScenarioConfig scenario;
-  scenario.num_arcs = 16;
-  scenario.num_headings = 4;
-  const auto cells = ax::make_initial_cells(scenario);
-  const auto error = ax::make_error_region(scenario);
-  const auto target = ax::make_target_region(scenario);
+  const scenario::Scenario& scen = acas_scenario();
+  const scenario::System system = scen.make_system({});
+  const auto cells = scenario::to_symbolic_set(scen.make_cells({16, 4}));
+  const auto error = scen.make_error_region();
+  const auto target = scen.make_target_region();
   const TaylorIntegrator integrator;
-  const VerificationEngine engine(system.loop, error, target);
+  const VerificationEngine engine(system.loop, *error, *target);
 
   Table table("ext_split_strategy",
               {"strategy", "max_depth", "coverage_pct", "analyses", "time_s"});
@@ -40,17 +37,13 @@ int main() {
                        Case{SplitStrategy::kWidestDim, 3, "widest-dim(2x)"},
                        Case{SplitStrategy::kAllDims, 2, "all-dims(8x)"},
                        Case{SplitStrategy::kWidestDim, 6, "widest-dim(2x)"}}) {
-    VerifyConfig config;
-    config.reach.control_steps = 20;
-    config.reach.integration_steps = 10;
-    config.reach.gamma = 5;
+    VerifyConfig config = scen.default_config();
     config.reach.integrator = &integrator;
     config.max_refinement_depth = c.depth;
-    config.split_dims = ax::split_dimensions();
     config.split_strategy = c.strategy;
     config.threads = env_threads();
     Stopwatch watch;
-    const auto report = engine.run(ax::to_symbolic_set(cells), EngineConfig{config}).report;
+    const auto report = engine.run(cells, EngineConfig{config}).report;
     table.add_row({c.name, std::to_string(c.depth), Table::num(report.coverage_percent, 4),
                    std::to_string(report.leaves.size()), Table::num(watch.seconds(), 4)});
   }

@@ -18,11 +18,11 @@ int main() {
   namespace ax = nncs::acasxu;
   constexpr double kPi = std::numbers::pi;
 
-  AcasSystem system = make_acas_system();
-  ax::ScenarioConfig scenario;
-  const auto error = ax::make_error_region(scenario);
-  const auto target = ax::make_target_region(scenario);
-  const auto robustness = ax::make_robustness(scenario);
+  const scenario::Scenario& scen = acas_scenario();
+  const scenario::System system = scen.make_system({});
+  const auto error = scen.make_error_region();
+  const auto target = scen.make_target_region();
+  const auto robustness = ax::make_robustness();
 
   Table table("falsification", {"bearing_region", "simulations", "min_separation_ft",
                                 "collision_found", "time_s"});
@@ -42,7 +42,7 @@ int main() {
   for (const auto& region : regions) {
     const double frac_lo = (region.lo + 1.0) / 2.0;  // bearing/pi -> sampler fraction
     const double frac_hi = (region.hi + 1.0) / 2.0;
-    const InitialSampler base = ax::make_sampler(scenario);
+    const InitialSampler base = ax::make_sampler();
     const InitialSampler restricted = [&base, frac_lo, frac_hi](const Vec& p) {
       return base(Vec{frac_lo + (frac_hi - frac_lo) * p[0], p[1]});
     };
@@ -54,9 +54,9 @@ int main() {
     config.substeps = 10;
     Stopwatch watch;
     const auto result =
-        Falsifier(config).run(system.loop, restricted, error, target, robustness);
+        Falsifier(config).run(system.loop, restricted, *error, *target, robustness);
     table.add_row({region.name, std::to_string(result.simulations),
-                   Table::num(result.best_robustness + scenario.collision_radius, 5),
+                   Table::num(result.best_robustness + ax::kCollisionRadius, 5),
                    result.falsified ? "YES" : "no", Table::num(watch.seconds(), 4)});
   }
   table.print_all(std::cout);

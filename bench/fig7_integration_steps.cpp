@@ -23,10 +23,10 @@ int main() {
 
   // A representative initial cell: intruder ahead-left on the sensor circle,
   // closing, with the paper's partition granularity (80 ft x 0.01 rad).
-  ax::ScenarioConfig scenario;
-  const Vec center = ax::initial_state(scenario, 0.6, 0.5);
+  const Vec center = ax::initial_state(0.6, 0.5);
   const Box cell{Interval::centered(center[0], 40.0), Interval::centered(center[1], 40.0),
-                 Interval::centered(center[2], 0.005), Interval{700.0}, Interval{600.0}};
+                 Interval::centered(center[2], 0.005), Interval{ax::kVown},
+                 Interval{ax::kVint}};
   const Vec command{ax::turn_rate(ax::kWL)};
 
   Table table("fig7_integration_steps",

@@ -14,7 +14,6 @@
 
 int main() {
   using namespace nncs;
-  namespace ax = nncs::acasxu;
   constexpr double kPi = std::numbers::pi;
 
   Table table("fig8_partition", {"partition", "arcs", "headings", "cells", "arc_length_ft",
@@ -22,10 +21,7 @@ int main() {
 
   auto add = [&table](const char* name, std::size_t arcs, std::size_t headings,
                       double radius) {
-    ax::ScenarioConfig config;
-    config.num_arcs = arcs;
-    config.num_headings = headings;
-    const auto cells = ax::make_initial_cells(config);
+    const auto cells = nncs::bench::acas_scenario().make_cells({arcs, headings});
     const double arc_len = 2.0 * kPi * radius / static_cast<double>(arcs);
     // Heading cells divide the (π + arc_width)-wide penetration cone.
     const double cone = kPi + 2.0 * kPi / static_cast<double>(arcs);

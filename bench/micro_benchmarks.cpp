@@ -17,16 +17,15 @@ namespace ax = nncs::acasxu;
 
 const Box& acas_cell() {
   static const Box cell = [] {
-    ax::ScenarioConfig scenario;
-    const Vec center = ax::initial_state(scenario, 0.6, 0.5);
+    const Vec center = ax::initial_state(0.6, 0.5);
     return Box{Interval::centered(center[0], 40.0), Interval::centered(center[1], 40.0),
-               Interval::centered(center[2], 0.005), Interval{700.0}, Interval{600.0}};
+               Interval::centered(center[2], 0.005), Interval{ax::kVown}, Interval{ax::kVint}};
   }();
   return cell;
 }
 
-bench::AcasSystem& acas_system() {
-  static bench::AcasSystem system = bench::make_acas_system();
+const scenario::System& acas_system() {
+  static const scenario::System system = bench::acas_scenario().make_system({});
   return system;
 }
 
@@ -119,7 +118,7 @@ void BM_NetworkSymbolicPropBatch(benchmark::State& state) {
 BENCHMARK(BM_NetworkSymbolicPropBatch)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_AbstractControllerStepBatch(benchmark::State& state) {
-  auto& system = acas_system();
+  const auto& system = acas_system();
   const auto count = static_cast<std::size_t>(state.range(0));
   std::vector<Box> cells;
   std::vector<std::size_t> prev;
@@ -139,7 +138,7 @@ void BM_AbstractControllerStepBatch(benchmark::State& state) {
 BENCHMARK(BM_AbstractControllerStepBatch)->Arg(1)->Arg(8);
 
 void BM_AbstractControllerStep(benchmark::State& state) {
-  auto& system = acas_system();
+  const auto& system = acas_system();
   for (auto _ : state) {
     auto step = system.controller->step_abstract(acas_cell(), ax::kCoc);
     benchmark::DoNotOptimize(step);
@@ -148,7 +147,7 @@ void BM_AbstractControllerStep(benchmark::State& state) {
 BENCHMARK(BM_AbstractControllerStep);
 
 void BM_ValidatedControlPeriod(benchmark::State& state) {
-  auto& system = acas_system();
+  const auto& system = acas_system();
   const TaylorIntegrator integrator;
   const Vec command{ax::turn_rate(ax::kCoc)};
   for (auto _ : state) {

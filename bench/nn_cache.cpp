@@ -38,29 +38,27 @@ ModeResult run_mode(NnCacheMode mode, std::size_t arcs, std::size_t headings, in
   obs::Registry::instance().reset();
   NnCacheConfig cache_config;
   cache_config.mode = mode;
-  bench::AcasSystem system = bench::make_acas_system(NnDomain::kSymbolic, cache_config);
-
-  acasxu::ScenarioConfig scenario;
-  scenario.num_arcs = arcs;
-  scenario.num_headings = headings;
-  const auto cells = acasxu::make_initial_cells(scenario);
-  const auto error = acasxu::make_error_region(scenario);
-  const auto target = acasxu::make_target_region(scenario);
+  const scenario::Scenario& scen = bench::acas_scenario();
+  scenario::SystemConfig system_config;
+  system_config.nn_cache = cache_config;
+  const scenario::System system = scen.make_system(system_config);
+  const auto cells = scen.make_cells({arcs, headings});
+  const auto error = scen.make_error_region();
+  const auto target = scen.make_target_region();
 
   const TaylorIntegrator integrator(TaylorIntegrator::Config{3, {}});
   EngineConfig config;
+  config.verify = scen.default_config();
   config.verify.reach.control_steps = 10;
   config.verify.reach.integration_steps = 4;
-  config.verify.reach.gamma = 5;
   config.verify.reach.integrator = &integrator;
   config.verify.reach.nn_cache = cache_config;
   config.verify.max_refinement_depth = depth;
-  config.verify.split_dims = acasxu::split_dimensions();
   config.verify.threads = threads;
 
   Stopwatch watch;
-  const VerificationEngine engine(system.loop, error, target);
-  const VerifyReport report = engine.run(acasxu::to_symbolic_set(cells), config).report;
+  const VerificationEngine engine(system.loop, *error, *target);
+  const VerifyReport report = engine.run(scenario::to_symbolic_set(cells), config).report;
 
   ModeResult result;
   result.mode = mode;

@@ -24,6 +24,7 @@
 #include "core/engine.hpp"
 #include "core/product_controller.hpp"
 #include "core/simulate.hpp"
+#include "scenario/scenario.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
 
@@ -35,7 +36,9 @@ int main() {
   const ax::TrainingConfig training;
   const auto networks = ax::ensure_networks("acasxu_nets_cache", training);
 
-  // One NeuralController per aircraft (same trained networks).
+  // One NeuralController per aircraft (same trained networks), so the
+  // closed loop is assembled here rather than by the registered scenario,
+  // which supplies the cells, the regions and the analysis knobs.
   const auto own_ctrl = ax::make_controller(networks);
   const auto int_ctrl = ax::make_controller(networks);
   const StateView mirror{[](const Vec& s) { return ax::mirror_state(s); },
@@ -49,10 +52,10 @@ int main() {
   const auto single_plant = ax::make_dynamics();
   const ClosedLoop single_loop{single_plant.get(), own_ctrl.get(), 1.0};
 
-  ax::ScenarioConfig scenario;
-  const auto error = ax::make_error_region(scenario);
-  const auto target = ax::make_target_region(scenario);
-  const auto robustness = ax::make_robustness(scenario);
+  const scenario::Scenario& scen = scenario::Registry::global().at("acasxu");
+  const auto error = scen.make_error_region();
+  const auto target = scen.make_target_region();
+  const auto robustness = ax::make_robustness();
 
   // (a) Concrete comparison over random crossing encounters.
   Rng rng(2021);
@@ -64,12 +67,12 @@ int main() {
   for (int i = 0; i < kTrials; ++i) {
     const double bearing = rng.uniform(-2.0, 2.0);
     const double heading_frac = rng.uniform(0.2, 0.8);
-    const Vec s0 = ax::initial_state(scenario, bearing, heading_frac);
+    const Vec s0 = ax::initial_state(bearing, heading_frac);
     const auto single =
-        simulate_closed_loop(single_loop, s0, ax::kCoc, error, target, 20, 10, robustness);
+        simulate_closed_loop(single_loop, s0, ax::kCoc, *error, *target, 20, 10, robustness);
     // Dual initial command: both COC (index 0 of the product).
     const auto both =
-        simulate_closed_loop(dual_loop, s0, 0, error, target, 20, 10, robustness);
+        simulate_closed_loop(dual_loop, s0, 0, *error, *target, 20, 10, robustness);
     single_min = std::min(single_min, single.min_robustness);
     dual_min = std::min(dual_min, both.min_robustness);
     single_collisions += single.reached_error ? 1 : 0;
@@ -87,21 +90,15 @@ int main() {
 
   // (b) Reachability on a small slice of initial cells (behind arcs — the
   // provable region at this coarse scale).
-  scenario.num_arcs = 16;
-  scenario.num_headings = 4;
-  auto cells = ax::make_initial_cells(scenario);
+  auto cells = scen.make_cells({16, 4});
   cells.resize(8);  // first bearing arcs only, to keep the demo quick
   const TaylorIntegrator integrator;
-  VerifyConfig config;
-  config.reach.control_steps = 20;
-  config.reach.integration_steps = 10;
+  VerifyConfig config = scen.default_config();
   config.reach.gamma = 25;  // Remark 3: gamma >= |U| = 25 command pairs
   config.reach.integrator = &integrator;
-  config.max_refinement_depth = 1;
-  config.split_dims = ax::split_dimensions();
   config.threads = env_threads();
-  const VerificationEngine engine(dual_loop, error, target);
-  const auto report = engine.run(ax::to_symbolic_set(cells), EngineConfig{config}).report;
+  const VerificationEngine engine(dual_loop, *error, *target);
+  const auto report = engine.run(scenario::to_symbolic_set(cells), EngineConfig{config}).report;
   std::printf("\nreachability on %zu dual-equipage cells: %zu proved, %zu not proved "
               "(coverage %.1f %%, %.1f s)\n",
               report.root_cells, report.proved_leaves, report.failed_leaves,

@@ -6,13 +6,12 @@
 
 #include <cstdio>
 
-#include "acasxu/controller.hpp"
 #include "acasxu/dynamics.hpp"
 #include "acasxu/scenario.hpp"
-#include "acasxu/training_pipeline.hpp"
 #include "core/engine.hpp"
 #include "core/falsifier.hpp"
 #include "core/monitor.hpp"
+#include "scenario/scenario.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
 
@@ -21,16 +20,11 @@ int main() {
   namespace ax = nncs::acasxu;
 
   std::printf("ACAS Xu falsification + runtime monitor demo\n\n");
-  const ax::TrainingConfig training;
-  const auto networks = ax::ensure_networks("acasxu_nets_cache", training);
-
-  const auto plant = ax::make_dynamics();
-  const auto controller = ax::make_controller(networks);
-  const ClosedLoop system{plant.get(), controller.get(), 1.0};
-
-  ax::ScenarioConfig scenario;
-  const auto error = ax::make_error_region(scenario);
-  const auto target = ax::make_target_region(scenario);
+  const scenario::Scenario& scen = scenario::Registry::global().at("acasxu");
+  const scenario::System assembled = scen.make_system({});
+  const ClosedLoop& system = assembled.loop;
+  const auto error = scen.make_error_region();
+  const auto target = scen.make_target_region();
 
   // --- Falsification: can random + local search find a collision? ---
   FalsifierConfig fc;
@@ -40,8 +34,8 @@ int main() {
   fc.max_steps = 20;
   fc.substeps = 20;
   const Falsifier falsifier(fc);
-  const auto fr = falsifier.run(system, ax::make_sampler(scenario), error, target,
-                                ax::make_robustness(scenario));
+  const auto fr = falsifier.run(system, ax::make_sampler(), *error, *target,
+                                ax::make_robustness());
   std::printf("falsifier: %d simulations, min separation margin %.1f ft => %s\n",
               fr.simulations, fr.best_robustness,
               fr.falsified ? "COLLISION FOUND" : "no collision found");
@@ -50,20 +44,13 @@ int main() {
               fr.initial_state[ax::kIdxPsi]);
 
   // --- Verify a coarse partition, build a monitor from the report. ---
-  scenario.num_arcs = 16;
-  scenario.num_headings = 4;
-  const auto cells = ax::make_initial_cells(scenario);
+  const auto cells = scen.make_cells({16, 4});
   const TaylorIntegrator integrator;
-  VerifyConfig vc;
-  vc.reach.control_steps = 20;
-  vc.reach.integration_steps = 10;
-  vc.reach.gamma = 5;
+  VerifyConfig vc = scen.default_config();
   vc.reach.integrator = &integrator;
-  vc.max_refinement_depth = 1;
-  vc.split_dims = ax::split_dimensions();
   vc.threads = env_threads();
-  const VerificationEngine engine(system, error, target);
-  const auto report = engine.run(ax::to_symbolic_set(cells), EngineConfig{vc}).report;
+  const VerificationEngine engine(system, *error, *target);
+  const auto report = engine.run(scenario::to_symbolic_set(cells), EngineConfig{vc}).report;
   std::printf("\nverification: coverage %.1f %% (%zu proved cells)\n", report.coverage_percent,
               report.proved_leaves);
 
@@ -74,7 +61,7 @@ int main() {
   int proved = 0, unknown = 0;
   for (int i = 0; i < 1000; ++i) {
     const Vec params{rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)};
-    const auto [s0, u0] = ax::make_sampler(scenario)(params);
+    const auto [s0, u0] = ax::make_sampler()(params);
     if (monitor.query(s0, u0) == SafetyMonitor::Answer::kProvedSafe) {
       ++proved;
     } else {

@@ -17,8 +17,6 @@ CommandSet make_command_set() {
   return CommandSet{std::move(commands)};
 }
 
-AcasPre::AcasPre(Normalization norm) : norm_(norm) {}
-
 std::size_t AcasPre::input_dim() const { return kStateDim; }
 
 std::size_t AcasPre::output_dim() const { return kStateDim; }
@@ -26,17 +24,17 @@ std::size_t AcasPre::output_dim() const { return kStateDim; }
 Vec AcasPre::eval(const Vec& state) const {
   const Vec polar{rho(state[kIdxX], state[kIdxY]), theta(state[kIdxX], state[kIdxY]),
                   state[kIdxPsi], state[kIdxVown], state[kIdxVint]};
-  return normalize_features(polar, norm_);
+  return normalize_features(polar);
 }
 
 Box AcasPre::eval_abstract(const Box& state) const {
   const Box polar{rho(state[kIdxX], state[kIdxY]), theta(state[kIdxX], state[kIdxY]),
                   state[kIdxPsi], state[kIdxVown], state[kIdxVint]};
-  return normalize_features(polar, norm_);
+  return normalize_features(polar);
 }
 
-std::unique_ptr<NeuralController> make_controller(std::vector<Network> networks, NnDomain domain,
-                                                  Normalization norm) {
+std::unique_ptr<NeuralController> make_controller(std::vector<Network> networks,
+                                                  NnDomain domain) {
   if (networks.size() != kNumAdvisories) {
     throw std::invalid_argument("make_controller: expected exactly 5 networks");
   }
@@ -48,7 +46,7 @@ std::unique_ptr<NeuralController> make_controller(std::vector<Network> networks,
   std::vector<std::size_t> selector(kNumAdvisories);
   std::iota(selector.begin(), selector.end(), 0);  // λ: advisory i → network i
   return std::make_unique<NeuralController>(make_command_set(), std::move(networks),
-                                            std::move(selector), std::make_unique<AcasPre>(norm),
+                                            std::move(selector), std::make_unique<AcasPre>(),
                                             domain);
 }
 

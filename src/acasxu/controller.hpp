@@ -18,15 +18,10 @@ CommandSet make_command_set();
 /// interval arithmetic (including the sound interval atan2).
 class AcasPre final : public Preprocessor {
  public:
-  explicit AcasPre(Normalization norm = {});
-
   [[nodiscard]] std::size_t input_dim() const override;
   [[nodiscard]] std::size_t output_dim() const override;
   [[nodiscard]] Vec eval(const Vec& state) const override;
   [[nodiscard]] Box eval_abstract(const Box& state) const override;
-
- private:
-  Normalization norm_;
 };
 
 /// Assemble the full ACAS Xu controller N (Fig 5): λ maps advisory i to
@@ -34,7 +29,6 @@ class AcasPre final : public Preprocessor {
 /// 45-network collection), AcasPre in front, argmin Post behind.
 /// `networks` must contain exactly 5 networks with 5 inputs and 5 outputs.
 std::unique_ptr<NeuralController> make_controller(std::vector<Network> networks,
-                                                  NnDomain domain = NnDomain::kSymbolic,
-                                                  Normalization norm = {});
+                                                  NnDomain domain = NnDomain::kSymbolic);
 
 }  // namespace nncs::acasxu

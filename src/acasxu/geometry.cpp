@@ -23,7 +23,8 @@ constexpr std::size_t kNumFeatures = 5;
 
 }  // namespace
 
-Vec normalize_features(const Vec& polar, const Normalization& norm) {
+Vec normalize_features(const Vec& polar) {
+  const Normalization& norm = kNormalization;
   if (polar.size() != kNumFeatures) {
     throw std::invalid_argument("normalize_features: expected 5 features");
   }
@@ -34,7 +35,8 @@ Vec normalize_features(const Vec& polar, const Normalization& norm) {
              (polar[4] - norm.vint_mean) / norm.vint_range};
 }
 
-Box normalize_features(const Box& polar, const Normalization& norm) {
+Box normalize_features(const Box& polar) {
+  const Normalization& norm = kNormalization;
   if (polar.dim() != kNumFeatures) {
     throw std::invalid_argument("normalize_features: expected 5 features");
   }

@@ -22,22 +22,34 @@ Vec circle_point(double radius, double bearing);
 
 /// Normalization applied to the network inputs (ρ, θ, ψ, v_own, v_int) —
 /// the same affine (value − mean)/range scheme as the public ACAS Xu
-/// networks.
+/// networks. One constant, `kNormalization`: the cached networks were
+/// trained under it, and their cache stamp (`config_stamp`) does not record
+/// it.
 struct Normalization {
-  double rho_mean = 19791.091;
-  double rho_range = 60261.0;
-  double angle_mean = 0.0;
-  double angle_range = 6.28318530718;
-  double vown_mean = 650.0;
-  double vown_range = 1100.0;
-  double vint_mean = 600.0;
-  double vint_range = 1200.0;
+  double rho_mean;
+  double rho_range;
+  double angle_mean;
+  double angle_range;
+  double vown_mean;
+  double vown_range;
+  double vint_mean;
+  double vint_range;
+};
+inline constexpr Normalization kNormalization{
+    .rho_mean = 19791.091,
+    .rho_range = 60261.0,
+    .angle_mean = 0.0,
+    .angle_range = 6.28318530718,
+    .vown_mean = 650.0,
+    .vown_range = 1100.0,
+    .vint_mean = 600.0,
+    .vint_range = 1200.0,
 };
 
-/// Normalize the 5 polar features in place (generic over double/Interval
-/// via the two overloads).
-Vec normalize_features(const Vec& polar, const Normalization& norm);
-Box normalize_features(const Box& polar, const Normalization& norm);
+/// Normalize the 5 polar features with `kNormalization` (generic over
+/// double/Interval via the two overloads).
+Vec normalize_features(const Vec& polar);
+Box normalize_features(const Box& polar);
 
 /// Frame mirror for the dual-equipage extension: express the encounter from
 /// the *intruder's* point of view. Given the global state

@@ -14,101 +14,31 @@ namespace {
 
 constexpr double kPi = std::numbers::pi;
 
-/// Center of the penetration cone for bearing b ∈ [−π, π): the heading
-/// pointing straight at the ownship, shifted into the principal range so ψ0
-/// stays within the networks' trained domain. The representative is chosen
-/// by the *sign of the bearing* (b + π for b < 0, b − π for b >= 0), which
-/// is continuous on each half-circle; the partition aligns its arc grid on
-/// b = 0 so every arc uses a single branch — keeping the sampler and the
-/// cells consistent (ψ is a plain real number in the plant model, so the
-/// representative choice must match everywhere).
+}  // namespace
+
 double cone_center(double bearing) {
   return bearing < 0.0 ? bearing + kPi : bearing - kPi;
 }
 
-}  // namespace
-
-std::vector<InitialCell> make_initial_cells(const ScenarioConfig& config) {
-  if (config.num_arcs == 0 || config.num_headings == 0) {
-    throw std::invalid_argument("make_initial_cells: need at least one arc and heading cell");
-  }
-  // Round the arc count up to even so the grid has a boundary at bearing 0,
-  // where the ψ-representative branch switches (see cone_center).
-  const std::size_t num_arcs = config.num_arcs + (config.num_arcs % 2);
-  std::vector<InitialCell> cells;
-  cells.reserve(num_arcs * config.num_headings);
-  const double arc_width = 2.0 * kPi / static_cast<double>(num_arcs);
-  for (std::size_t a = 0; a < num_arcs; ++a) {
-    const double b_lo = -kPi + static_cast<double>(a) * arc_width;
-    const double b_hi = b_lo + arc_width;
-    const Interval bearing{b_lo, b_hi};
-    // Sound enclosure of the arc segment {(−r sin b, r cos b) | b ∈ [b]}.
-    const Interval x = Interval{-config.sensor_range} * sin(bearing);
-    const Interval y = Interval{config.sensor_range} * cos(bearing);
-    // Penetration cone over the whole bearing segment: headings within
-    // ±π/2 of pointing at the ownship. The center is continuous in b
-    // across the segment (no wrap inside one small arc).
-    const double c_lo = cone_center(b_lo);
-    const double c_hi = c_lo + arc_width;  // cone_center is b + π (mod 2π)
-    const double psi_min = c_lo - kPi / 2.0;
-    const double psi_max = c_hi + kPi / 2.0;
-    const double psi_width = (psi_max - psi_min) / static_cast<double>(config.num_headings);
-    for (std::size_t h = 0; h < config.num_headings; ++h) {
-      const double p_lo = psi_min + static_cast<double>(h) * psi_width;
-      const double p_hi = p_lo + psi_width;
-      InitialCell cell;
-      cell.state.abstract = Box{x, y, Interval{p_lo, p_hi}, Interval{config.vown},
-                           Interval{config.vint}};
-      cell.state.command = kCoc;
-      cell.bearing_lo = b_lo;
-      cell.bearing_hi = b_hi;
-      cell.psi_lo = p_lo;
-      cell.psi_hi = p_hi;
-      cells.push_back(std::move(cell));
-    }
-  }
-  return cells;
+RobustnessFn make_robustness() {
+  return [](const Vec& s) { return std::hypot(s[kIdxX], s[kIdxY]) - kCollisionRadius; };
 }
 
-SymbolicSet to_symbolic_set(const std::vector<InitialCell>& cells) {
-  SymbolicSet set;
-  set.reserve(cells.size());
-  for (const auto& cell : cells) {
-    set.push_back(cell.state);
-  }
-  return set;
-}
-
-RadialRegion make_error_region(const ScenarioConfig& config) {
-  return RadialRegion{kIdxX, kIdxY, config.collision_radius, RadialRegion::Mode::kInner};
-}
-
-RadialRegion make_target_region(const ScenarioConfig& config) {
-  return RadialRegion{kIdxX, kIdxY, config.sensor_range, RadialRegion::Mode::kOuter};
-}
-
-RobustnessFn make_robustness(const ScenarioConfig& config) {
-  const double radius = config.collision_radius;
-  return [radius](const Vec& s) { return std::hypot(s[kIdxX], s[kIdxY]) - radius; };
-}
-
-Vec initial_state(const ScenarioConfig& config, double bearing, double heading_fraction) {
-  const Vec position = circle_point(config.sensor_range, bearing);
+Vec initial_state(double bearing, double heading_fraction) {
+  const Vec position = circle_point(kSensorRange, bearing);
   const double center = cone_center(bearing);
   const double psi = center - kPi / 2.0 + kPi * heading_fraction;
-  return Vec{position[0], position[1], psi, config.vown, config.vint};
+  return Vec{position[0], position[1], psi, kVown, kVint};
 }
 
-InitialSampler make_sampler(const ScenarioConfig& config) {
-  return [config](const Vec& params01) -> std::pair<Vec, std::size_t> {
+InitialSampler make_sampler() {
+  return [](const Vec& params01) -> std::pair<Vec, std::size_t> {
     if (params01.size() != 2) {
       throw std::invalid_argument("acasxu sampler: expected 2 parameters");
     }
     const double bearing = -kPi + 2.0 * kPi * params01[0];
-    return {initial_state(config, bearing, params01[1]), kCoc};
+    return {initial_state(bearing, params01[1]), kCoc};
   };
 }
-
-std::vector<std::size_t> split_dimensions() { return {kIdxX, kIdxY, kIdxPsi}; }
 
 }  // namespace nncs::acasxu

@@ -61,7 +61,7 @@ Dataset make_dataset(std::size_t previous_advisory, const TrainingConfig& config
     for (double& s : scores) {
       s -= mean;
     }
-    data.add(normalize_features(polar, config.norm), std::move(scores));
+    data.add(normalize_features(polar), std::move(scores));
   }
   return data;
 }

@@ -6,6 +6,7 @@
 
 #include "acasxu/geometry.hpp"
 #include "acasxu/policy.hpp"
+#include "acasxu/scenario.hpp"
 #include "nn/trainer.hpp"
 #include "util/rng.hpp"
 
@@ -18,7 +19,6 @@ namespace nncs::acasxu {
 struct TrainingConfig {
   TrainerConfig trainer{.epochs = 60};
   PolicyConfig policy;
-  Normalization norm;
   std::size_t samples_per_network = 30000;
   /// Sampling ranges for the encounter geometry. ψ is sampled (and the
   /// networks are therefore valid) well beyond [−π, π] because the plant
@@ -26,8 +26,8 @@ struct TrainingConfig {
   double rho_min = 100.0;
   double rho_max = 9500.0;
   double psi_range = 6.0;
-  double vown = 700.0;
-  double vint = 600.0;
+  double vown = kVown;
+  double vint = kVint;
   std::uint64_t seed = 7;
 };
 

@@ -11,6 +11,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/atomic_file.hpp"
+
 namespace nncs {
 
 namespace {
@@ -188,11 +190,7 @@ void save_report(const VerifyReport& report, std::ostream& os) {
 }
 
 void save_report(const VerifyReport& report, const std::filesystem::path& path) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("report_io: cannot open for writing: " + path.string());
-  }
-  save_report(report, out);
+  write_file_atomically(path, "report", [&](std::ostream& os) { save_report(report, os); });
 }
 
 VerifyReport load_report(std::istream& is) {
@@ -274,11 +272,8 @@ void save_checkpoint(const EngineCheckpoint& checkpoint, std::ostream& os) {
 }
 
 void save_checkpoint(const EngineCheckpoint& checkpoint, const std::filesystem::path& path) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("report_io: cannot open for writing: " + path.string());
-  }
-  save_checkpoint(checkpoint, out);
+  write_file_atomically(path, "checkpoint",
+                        [&](std::ostream& os) { save_checkpoint(checkpoint, os); });
 }
 
 EngineCheckpoint load_checkpoint(std::istream& is) {

@@ -64,4 +64,11 @@ bool BoxRegion::possibly_intersects(const Box& state, std::size_t /*command*/) c
   return true;
 }
 
+UnionRegion::UnionRegion(std::unique_ptr<StateRegion> a, std::unique_ptr<StateRegion> b)
+    : a_(std::move(a)), b_(std::move(b)) {
+  if (!a_ || !b_) {
+    throw std::invalid_argument("UnionRegion: both parts are required");
+  }
+}
+
 }  // namespace nncs

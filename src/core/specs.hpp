@@ -73,13 +73,13 @@ class EmptyRegion final : public StateRegion {
   [[nodiscard]] bool possibly_intersects(const Box&, std::size_t) const override { return false; }
 };
 
-/// Union of two regions (non-owning views; both must outlive this object).
-/// The box tests compose soundly: a box is certainly inside the union if it
-/// is certainly inside either part (sufficient, possibly incomplete), and
-/// possibly intersects it if it possibly intersects either part.
+/// Union of two regions, owning both parts. The box tests compose soundly:
+/// a box is certainly inside the union if it is certainly inside either part
+/// (sufficient, possibly incomplete), and possibly intersects it if it
+/// possibly intersects either part.
 class UnionRegion final : public StateRegion {
  public:
-  UnionRegion(const StateRegion& a, const StateRegion& b) : a_(&a), b_(&b) {}
+  UnionRegion(std::unique_ptr<StateRegion> a, std::unique_ptr<StateRegion> b);
 
   [[nodiscard]] bool contains_point(const Vec& s, std::size_t c) const override {
     return a_->contains_point(s, c) || b_->contains_point(s, c);
@@ -92,53 +92,8 @@ class UnionRegion final : public StateRegion {
   }
 
  private:
-  const StateRegion* a_;
-  const StateRegion* b_;
-};
-
-/// Intersection of two regions (non-owning). Certainly inside iff certainly
-/// inside both; possibly intersecting if possibly intersecting both (a sound
-/// over-approximation of the "exists" test).
-class IntersectionRegion final : public StateRegion {
- public:
-  IntersectionRegion(const StateRegion& a, const StateRegion& b) : a_(&a), b_(&b) {}
-
-  [[nodiscard]] bool contains_point(const Vec& s, std::size_t c) const override {
-    return a_->contains_point(s, c) && b_->contains_point(s, c);
-  }
-  [[nodiscard]] bool certainly_contains(const Box& s, std::size_t c) const override {
-    return a_->certainly_contains(s, c) && b_->certainly_contains(s, c);
-  }
-  [[nodiscard]] bool possibly_intersects(const Box& s, std::size_t c) const override {
-    return a_->possibly_intersects(s, c) && b_->possibly_intersects(s, c);
-  }
-
- private:
-  const StateRegion* a_;
-  const StateRegion* b_;
-};
-
-/// Restriction of a region to one command: inside iff the command matches
-/// and the base region holds. Use cases where E or T depend on the active
-/// command (the paper's sets live in R^l × U).
-class CommandGatedRegion final : public StateRegion {
- public:
-  CommandGatedRegion(const StateRegion& base, std::size_t command)
-      : base_(&base), command_(command) {}
-
-  [[nodiscard]] bool contains_point(const Vec& s, std::size_t c) const override {
-    return c == command_ && base_->contains_point(s, c);
-  }
-  [[nodiscard]] bool certainly_contains(const Box& s, std::size_t c) const override {
-    return c == command_ && base_->certainly_contains(s, c);
-  }
-  [[nodiscard]] bool possibly_intersects(const Box& s, std::size_t c) const override {
-    return c == command_ && base_->possibly_intersects(s, c);
-  }
-
- private:
-  const StateRegion* base_;
-  std::size_t command_;
+  std::unique_ptr<StateRegion> a_;
+  std::unique_ptr<StateRegion> b_;
 };
 
 }  // namespace nncs

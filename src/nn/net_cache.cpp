@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "nn/nnet_io.hpp"
+#include "util/atomic_file.hpp"
 
 namespace nncs {
 
@@ -61,12 +62,7 @@ std::vector<Network> ensure_networks(const std::filesystem::path& cache_dir,
   for (std::size_t i = 0; i < count; ++i) {
     save_network(networks[i], net_path(cache_dir, stem, i));
   }
-  std::ofstream out(stamp_path(cache_dir));
-  out << stamp;
-  out.close();
-  if (!out) {
-    throw std::runtime_error("net_cache: cannot write stamp in " + cache_dir.string());
-  }
+  write_file_atomically(stamp_path(cache_dir), "stamp", [&](std::ostream& os) { os << stamp; });
   return networks;
 }
 

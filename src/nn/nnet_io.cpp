@@ -6,6 +6,8 @@
 #include <sstream>
 #include <string>
 
+#include "util/atomic_file.hpp"
+
 namespace nncs {
 
 namespace {
@@ -71,11 +73,7 @@ void save_network(const Network& net, std::ostream& os) {
 }
 
 void save_network(const Network& net, const std::filesystem::path& path) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("nnet_io: cannot open for writing: " + path.string());
-  }
-  save_network(net, out);
+  write_file_atomically(path, "network", [&](std::ostream& os) { save_network(net, os); });
 }
 
 Network load_network(std::istream& is) {

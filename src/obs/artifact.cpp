@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "obs/json.hpp"
+#include "util/atomic_file.hpp"
 
 namespace nncs::obs {
 
@@ -200,14 +201,8 @@ void write_artifact(const BenchArtifact& artifact, std::ostream& os) {
 }
 
 void write_artifact(const BenchArtifact& artifact, const std::filesystem::path& path) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("artifact: cannot open for writing: " + path.string());
-  }
-  write_artifact(artifact, out);
-  if (!out) {
-    throw std::runtime_error("artifact: stream failure while writing: " + path.string());
-  }
+  write_file_atomically(path, "artifact",
+                        [&](std::ostream& os) { write_artifact(artifact, os); });
 }
 
 BenchArtifact parse_artifact(std::string_view json) {

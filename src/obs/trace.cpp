@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <ostream>
-#include <stdexcept>
 #include <vector>
 
 #include "obs/json.hpp"
+#include "util/atomic_file.hpp"
 
 namespace nncs::obs {
 
@@ -172,14 +171,7 @@ void TraceRecorder::write_json(std::ostream& os) const {
 }
 
 void TraceRecorder::write_json(const std::filesystem::path& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("trace: cannot open for writing: " + path.string());
-  }
-  write_json(out);
-  if (!out) {
-    throw std::runtime_error("trace: stream failure while writing: " + path.string());
-  }
+  write_file_atomically(path, "trace", [this](std::ostream& os) { write_json(os); });
 }
 
 }  // namespace nncs::obs

@@ -1,16 +1,20 @@
 #include "scenario/acasxu_scenario.hpp"
 
 #include <algorithm>
+#include <numbers>
 #include <sstream>
 
 #include "acasxu/controller.hpp"
 #include "acasxu/dynamics.hpp"
+#include "acasxu/policy.hpp"
 #include "acasxu/scenario.hpp"
 #include "acasxu/training_pipeline.hpp"
 
 namespace nncs::scenario {
 
 namespace {
+
+constexpr double kPi = std::numbers::pi;
 
 class AcasxuScenario final : public Scenario {
  public:
@@ -24,12 +28,11 @@ class AcasxuScenario final : public Scenario {
   [[nodiscard]] std::string version() const override { return "1"; }
 
   [[nodiscard]] std::vector<std::pair<std::string, std::string>> parameters() const override {
-    const acasxu::ScenarioConfig config = scenario_config();
     std::vector<std::pair<std::string, std::string>> params;
-    params.emplace_back("sensor_range", num(config.sensor_range));
-    params.emplace_back("collision_radius", num(config.collision_radius));
-    params.emplace_back("vown", num(config.vown));
-    params.emplace_back("vint", num(config.vint));
+    params.emplace_back("sensor_range", num(acasxu::kSensorRange));
+    params.emplace_back("collision_radius", num(acasxu::kCollisionRadius));
+    params.emplace_back("vown", num(acasxu::kVown));
+    params.emplace_back("vint", num(acasxu::kVint));
     // config_stamp uses commas; parameter values must be comma-free so they
     // embed in fingerprints and checkpoint/CSV headers.
     std::string stamp = acasxu::config_stamp(acasxu::TrainingConfig{});
@@ -65,26 +68,56 @@ class AcasxuScenario final : public Scenario {
     return system;
   }
 
+  /// E: the collision cylinder ρ < kCollisionRadius.
   [[nodiscard]] std::unique_ptr<StateRegion> make_error_region() const override {
-    return std::make_unique<RadialRegion>(acasxu::make_error_region(scenario_config()));
+    return std::make_unique<RadialRegion>(acasxu::kIdxX, acasxu::kIdxY,
+                                          acasxu::kCollisionRadius,
+                                          RadialRegion::Mode::kInner);
   }
 
+  /// T: sensor escape ρ > kSensorRange.
   [[nodiscard]] std::unique_ptr<StateRegion> make_target_region() const override {
-    return std::make_unique<RadialRegion>(acasxu::make_target_region(scenario_config()));
+    return std::make_unique<RadialRegion>(acasxu::kIdxX, acasxu::kIdxY, acasxu::kSensorRange,
+                                          RadialRegion::Mode::kOuter);
   }
 
+  /// The ribbon partition of the initial set (Fig 8): `axis0` bearing arcs
+  /// of the sensor circle × `axis1` heading segments within each arc's
+  /// penetration cone (the half-circle of headings pointing into R). The
+  /// arc count is rounded up to even so the grid has a boundary at bearing
+  /// 0, where the ψ-representative branch switches (`acasxu::cone_center`).
+  /// Every cell carries the COC command; its bin is the arc's bearing range.
   [[nodiscard]] std::vector<Cell> make_cells(const Partition& partition) const override {
     const Partition p = resolve(*this, partition);
-    acasxu::ScenarioConfig config = scenario_config();
-    config.num_arcs = p.axis0;
-    config.num_headings = p.axis1;
+    const std::size_t num_arcs = p.axis0 + (p.axis0 % 2);
     std::vector<Cell> cells;
-    for (auto& legacy : acasxu::make_initial_cells(config)) {
-      Cell cell;
-      cell.state = std::move(legacy.state);
-      cell.bin_lo = legacy.bearing_lo;
-      cell.bin_hi = legacy.bearing_hi;
-      cells.push_back(std::move(cell));
+    cells.reserve(num_arcs * p.axis1);
+    const double arc_width = 2.0 * kPi / static_cast<double>(num_arcs);
+    for (std::size_t a = 0; a < num_arcs; ++a) {
+      const double b_lo = -kPi + static_cast<double>(a) * arc_width;
+      const double b_hi = b_lo + arc_width;
+      const Interval bearing{b_lo, b_hi};
+      // Sound enclosure of the arc segment {(−r sin b, r cos b) | b ∈ [b]}.
+      const Interval x = Interval{-acasxu::kSensorRange} * sin(bearing);
+      const Interval y = Interval{acasxu::kSensorRange} * cos(bearing);
+      // Penetration cone over the whole bearing segment: headings within
+      // ±π/2 of pointing at the ownship. The center is continuous in b
+      // across the segment (no wrap inside one small arc).
+      const double c_lo = acasxu::cone_center(b_lo);
+      const double c_hi = c_lo + arc_width;  // cone_center is b + π (mod 2π)
+      const double psi_min = c_lo - kPi / 2.0;
+      const double psi_max = c_hi + kPi / 2.0;
+      const double psi_width = (psi_max - psi_min) / static_cast<double>(p.axis1);
+      for (std::size_t h = 0; h < p.axis1; ++h) {
+        const double p_lo = psi_min + static_cast<double>(h) * psi_width;
+        Cell cell;
+        cell.state.abstract = Box{x, y, Interval{p_lo, p_lo + psi_width},
+                                  Interval{acasxu::kVown}, Interval{acasxu::kVint}};
+        cell.state.command = acasxu::kCoc;
+        cell.bin_lo = b_lo;
+        cell.bin_hi = b_hi;
+        cells.push_back(std::move(cell));
+      }
     }
     return cells;
   }
@@ -95,7 +128,8 @@ class AcasxuScenario final : public Scenario {
     config.reach.integration_steps = 10;  // M = 10 (paper)
     config.reach.gamma = 5;               // Γ = P = 5 (paper)
     config.max_refinement_depth = 1;
-    config.split_dims = acasxu::split_dimensions();
+    // Split refinement bisects x0, y0 and ψ0 (§7.1).
+    config.split_dims = {acasxu::kIdxX, acasxu::kIdxY, acasxu::kIdxPsi};
     return config;
   }
 
@@ -114,10 +148,6 @@ class AcasxuScenario final : public Scenario {
   }
 
  private:
-  [[nodiscard]] static acasxu::ScenarioConfig scenario_config() {
-    return acasxu::ScenarioConfig{};  // partition resolution filled per call
-  }
-
   [[nodiscard]] static std::string num(double value) {
     std::ostringstream oss;
     oss << value;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "nn/net_cache.hpp"
 #include "nn/trainer.hpp"
 #include "util/rng.hpp"
 
@@ -108,27 +107,9 @@ class CruiseControlScenario final : public Scenario {
   }
 
   [[nodiscard]] System make_system(const SystemConfig& config) const override {
-    const auto nets_dir = config.nets_dir.empty()
-                              ? std::filesystem::path{"cruise_control_nets_cache"}
-                              : config.nets_dir;
-    auto networks = ensure_networks(nets_dir, "net_", kTrainingStamp, 1, [] {
-      std::vector<Network> nets;
-      nets.push_back(train_policy_network());
-      return nets;
-    });
-    std::vector<Vec> commands;
-    for (const double a : accels()) {
-      commands.push_back(Vec{a});
-    }
-    std::vector<std::size_t> selector(commands.size(), 0);  // one shared network
-    System system;
-    system.plant = make_plant();
-    system.controller = std::make_unique<NeuralController>(
-        CommandSet{std::move(commands)}, std::move(networks), std::move(selector),
-        std::make_unique<AccPre>(), config.domain);
-    system.controller->configure_cache(config.nn_cache);
-    system.loop = ClosedLoop{system.plant.get(), system.controller.get(), kPeriod};
-    return system;
+    return make_single_network_system(config, name(), kTrainingStamp, train_policy_network,
+                                      accels(), std::make_unique<AccPre>(), make_plant(),
+                                      kPeriod);
   }
 
   [[nodiscard]] std::unique_ptr<StateRegion> make_error_region() const override {
@@ -142,24 +123,8 @@ class CruiseControlScenario final : public Scenario {
   }
 
   [[nodiscard]] std::vector<Cell> make_cells(const Partition& partition) const override {
-    const Partition p = resolve(*this, partition);
-    const double gap_width = (kGapMax - kGapMin) / static_cast<double>(p.axis0);
-    const double vr_width = (kVrMax - kVrMin) / static_cast<double>(p.axis1);
-    std::vector<Cell> cells;
-    cells.reserve(p.axis0 * p.axis1);
-    for (std::size_t i = 0; i < p.axis0; ++i) {
-      const double d_lo = kGapMin + static_cast<double>(i) * gap_width;
-      for (std::size_t j = 0; j < p.axis1; ++j) {
-        const double v_lo = kVrMin + static_cast<double>(j) * vr_width;
-        Cell cell;
-        cell.state.abstract = Box{Interval{d_lo, d_lo + gap_width}, Interval{v_lo, v_lo + vr_width}};
-        cell.state.command = kCoastCommand;
-        cell.bin_lo = d_lo;
-        cell.bin_hi = d_lo + gap_width;
-        cells.push_back(std::move(cell));
-      }
-    }
-    return cells;
+    return grid_cells(resolve(*this, partition), {0, kGapMin, kGapMax}, {1, kVrMin, kVrMax},
+                      Vec(2), kCoastCommand);
   }
 
   [[nodiscard]] VerifyConfig default_config() const override {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "nn/net_cache.hpp"
 #include "nn/trainer.hpp"
 #include "util/rng.hpp"
 
@@ -125,27 +124,6 @@ class TiltPre final : public Preprocessor {
   }
 };
 
-/// |θ| >= kThetaFail as an owning union of the two half-space boxes.
-class TippedRegion final : public StateRegion {
- public:
-  TippedRegion()
-      : left_({{0, Interval{-1e6, -kThetaFail}}}), right_({{0, Interval{kThetaFail, 1e6}}}) {}
-
-  [[nodiscard]] bool contains_point(const Vec& s, std::size_t c) const override {
-    return left_.contains_point(s, c) || right_.contains_point(s, c);
-  }
-  [[nodiscard]] bool certainly_contains(const Box& s, std::size_t c) const override {
-    return left_.certainly_contains(s, c) || right_.certainly_contains(s, c);
-  }
-  [[nodiscard]] bool possibly_intersects(const Box& s, std::size_t c) const override {
-    return left_.possibly_intersects(s, c) || right_.possibly_intersects(s, c);
-  }
-
- private:
-  BoxRegion left_;
-  BoxRegion right_;
-};
-
 class PendulumScenario final : public Scenario {
  public:
   [[nodiscard]] std::string name() const override { return "pendulum"; }
@@ -185,30 +163,16 @@ class PendulumScenario final : public Scenario {
   }
 
   [[nodiscard]] System make_system(const SystemConfig& config) const override {
-    const auto nets_dir =
-        config.nets_dir.empty() ? std::filesystem::path{"pendulum_nets_cache"} : config.nets_dir;
-    auto networks = ensure_networks(nets_dir, "net_", kTrainingStamp, 1, [] {
-      std::vector<Network> nets;
-      nets.push_back(train_policy_network());
-      return nets;
-    });
-    std::vector<Vec> commands;
-    for (const double torque : torques()) {
-      commands.push_back(Vec{torque});
-    }
-    std::vector<std::size_t> selector(commands.size(), 0);  // one shared network
-    System system;
-    system.plant = make_plant();
-    system.controller = std::make_unique<NeuralController>(
-        CommandSet{std::move(commands)}, std::move(networks), std::move(selector),
-        std::make_unique<TiltPre>(), config.domain);
-    system.controller->configure_cache(config.nn_cache);
-    system.loop = ClosedLoop{system.plant.get(), system.controller.get(), kPeriod};
-    return system;
+    return make_single_network_system(config, name(), kTrainingStamp, train_policy_network,
+                                      torques(), std::make_unique<TiltPre>(), make_plant(),
+                                      kPeriod);
   }
 
   [[nodiscard]] std::unique_ptr<StateRegion> make_error_region() const override {
-    return std::make_unique<TippedRegion>();
+    // E: |θ| >= kThetaFail.
+    return std::make_unique<UnionRegion>(
+        std::make_unique<BoxRegion>(BoxRegion({{0, Interval{-1e6, -kThetaFail}}})),
+        std::make_unique<BoxRegion>(BoxRegion({{0, Interval{kThetaFail, 1e6}}})));
   }
 
   [[nodiscard]] std::unique_ptr<StateRegion> make_target_region() const override {
@@ -217,25 +181,8 @@ class PendulumScenario final : public Scenario {
   }
 
   [[nodiscard]] std::vector<Cell> make_cells(const Partition& partition) const override {
-    const Partition p = resolve(*this, partition);
-    const double theta_width = 2.0 * kInit / static_cast<double>(p.axis0);
-    const double omega_width = 2.0 * kInit / static_cast<double>(p.axis1);
-    std::vector<Cell> cells;
-    cells.reserve(p.axis0 * p.axis1);
-    for (std::size_t i = 0; i < p.axis0; ++i) {
-      const double theta_lo = -kInit + static_cast<double>(i) * theta_width;
-      for (std::size_t j = 0; j < p.axis1; ++j) {
-        const double omega_lo = -kInit + static_cast<double>(j) * omega_width;
-        Cell cell;
-        cell.state.abstract = Box{Interval{theta_lo, theta_lo + theta_width},
-                             Interval{omega_lo, omega_lo + omega_width}};
-        cell.state.command = kZeroTorque;
-        cell.bin_lo = theta_lo;
-        cell.bin_hi = theta_lo + theta_width;
-        cells.push_back(std::move(cell));
-      }
-    }
-    return cells;
+    return grid_cells(resolve(*this, partition), {0, -kInit, kInit}, {1, -kInit, kInit},
+                      Vec(2), kZeroTorque);
   }
 
   [[nodiscard]] VerifyConfig default_config() const override {

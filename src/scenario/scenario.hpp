@@ -1,7 +1,6 @@
 #pragma once
 
 #include <filesystem>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -144,6 +143,35 @@ class Scenario {
 /// artifact provenance; a resume under a different fingerprint is refused.
 [[nodiscard]] std::string fingerprint(const Scenario& scenario, Partition partition);
 
+/// One tiled dimension of a grid partition: state dimension `dim` over
+/// [lo, hi].
+struct GridAxis {
+  std::size_t dim;
+  double lo;
+  double hi;
+};
+
+/// A grid partition: `axis0` and `axis1` tiled into `partition.axis0` x
+/// `partition.axis1` equal cells (axis 0 varies slowest and is the bin
+/// axis), every other dimension held at its value in `fixed`, which also
+/// sets the state dimension. Every cell carries `command`. `partition` must
+/// already be resolved.
+[[nodiscard]] std::vector<Cell> grid_cells(const Partition& partition, GridAxis axis0,
+                                           GridAxis axis1, const Vec& fixed,
+                                           std::size_t command);
+
+/// A closed loop whose controller runs one network for every command:
+/// `commands` holds the scalar command values, the network comes from the
+/// on-disk cache `config.nets_dir` (default `./<name>_nets_cache`), trained
+/// by `train` when the cache is missing or its stamp differs from
+/// `training_stamp`.
+[[nodiscard]] System make_single_network_system(const SystemConfig& config,
+                                                const std::string& name,
+                                                const std::string& training_stamp,
+                                                Network (*train)(), const Vec& commands,
+                                                std::unique_ptr<Preprocessor> pre,
+                                                std::unique_ptr<Dynamics> plant, double period);
+
 /// Name-keyed scenario registry. `global()` is the process-wide instance,
 /// pre-populated with the built-in scenarios; tests may build their own.
 class Registry {
@@ -159,7 +187,6 @@ class Registry {
 
   /// All scenarios, sorted by name.
   [[nodiscard]] std::vector<const Scenario*> all() const;
-  void for_each(const std::function<void(const Scenario&)>& fn) const;
   [[nodiscard]] std::size_t size() const { return scenarios_.size(); }
   /// Comma-separated sorted names (for error messages and --list help).
   [[nodiscard]] std::string names() const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "nn/net_cache.hpp"
 #include "nn/trainer.hpp"
 #include "util/rng.hpp"
 
@@ -87,28 +86,6 @@ class SteerPre final : public Preprocessor {
   }
 };
 
-/// |y| > kCorridor as an owning union of the two half-space boxes (the core
-/// UnionRegion is a non-owning view).
-class OffCorridorRegion final : public StateRegion {
- public:
-  OffCorridorRegion()
-      : left_({{1, Interval{-1e6, -kCorridor}}}), right_({{1, Interval{kCorridor, 1e6}}}) {}
-
-  [[nodiscard]] bool contains_point(const Vec& s, std::size_t c) const override {
-    return left_.contains_point(s, c) || right_.contains_point(s, c);
-  }
-  [[nodiscard]] bool certainly_contains(const Box& s, std::size_t c) const override {
-    return left_.certainly_contains(s, c) || right_.certainly_contains(s, c);
-  }
-  [[nodiscard]] bool possibly_intersects(const Box& s, std::size_t c) const override {
-    return left_.possibly_intersects(s, c) || right_.possibly_intersects(s, c);
-  }
-
- private:
-  BoxRegion left_;
-  BoxRegion right_;
-};
-
 class UnicycleScenario final : public Scenario {
  public:
   [[nodiscard]] std::string name() const override { return "unicycle"; }
@@ -144,30 +121,16 @@ class UnicycleScenario final : public Scenario {
   }
 
   [[nodiscard]] System make_system(const SystemConfig& config) const override {
-    const auto nets_dir =
-        config.nets_dir.empty() ? std::filesystem::path{"unicycle_nets_cache"} : config.nets_dir;
-    auto networks = ensure_networks(nets_dir, "net_", kTrainingStamp, 1, [] {
-      std::vector<Network> nets;
-      nets.push_back(train_policy_network());
-      return nets;
-    });
-    std::vector<Vec> commands;
-    for (const double rate : turn_rates()) {
-      commands.push_back(Vec{rate});
-    }
-    std::vector<std::size_t> selector(commands.size(), 0);  // one shared network
-    System system;
-    system.plant = make_plant();
-    system.controller = std::make_unique<NeuralController>(
-        CommandSet{std::move(commands)}, std::move(networks), std::move(selector),
-        std::make_unique<SteerPre>(), config.domain);
-    system.controller->configure_cache(config.nn_cache);
-    system.loop = ClosedLoop{system.plant.get(), system.controller.get(), kPeriod};
-    return system;
+    return make_single_network_system(config, name(), kTrainingStamp, train_policy_network,
+                                      turn_rates(), std::make_unique<SteerPre>(), make_plant(),
+                                      kPeriod);
   }
 
   [[nodiscard]] std::unique_ptr<StateRegion> make_error_region() const override {
-    return std::make_unique<OffCorridorRegion>();
+    // E: |y| >= kCorridor.
+    return std::make_unique<UnionRegion>(
+        std::make_unique<BoxRegion>(BoxRegion({{1, Interval{-1e6, -kCorridor}}})),
+        std::make_unique<BoxRegion>(BoxRegion({{1, Interval{kCorridor, 1e6}}})));
   }
 
   [[nodiscard]] std::unique_ptr<StateRegion> make_target_region() const override {
@@ -175,25 +138,9 @@ class UnicycleScenario final : public Scenario {
   }
 
   [[nodiscard]] std::vector<Cell> make_cells(const Partition& partition) const override {
-    const Partition p = resolve(*this, partition);
-    const double offset_width = (kOffsetMax - kOffsetMin) / static_cast<double>(p.axis0);
-    const double heading_width = (kHeadingMax - kHeadingMin) / static_cast<double>(p.axis1);
-    std::vector<Cell> cells;
-    cells.reserve(p.axis0 * p.axis1);
-    for (std::size_t i = 0; i < p.axis0; ++i) {
-      const double y_lo = kOffsetMin + static_cast<double>(i) * offset_width;
-      for (std::size_t j = 0; j < p.axis1; ++j) {
-        const double psi_lo = kHeadingMin + static_cast<double>(j) * heading_width;
-        Cell cell;
-        cell.state.abstract = Box{Interval{0.0, 0.0}, Interval{y_lo, y_lo + offset_width},
-                             Interval{psi_lo, psi_lo + heading_width}};
-        cell.state.command = kStraightCommand;
-        cell.bin_lo = y_lo;
-        cell.bin_hi = y_lo + offset_width;
-        cells.push_back(std::move(cell));
-      }
-    }
-    return cells;
+    // x0 = 0: the along-track position cannot matter for corridor keeping.
+    return grid_cells(resolve(*this, partition), {1, kOffsetMin, kOffsetMax},
+                      {2, kHeadingMin, kHeadingMax}, Vec(3), kStraightCommand);
   }
 
   [[nodiscard]] VerifyConfig default_config() const override {

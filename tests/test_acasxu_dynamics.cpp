@@ -215,17 +215,17 @@ TEST(AcasDualDynamics, IntruderTurnDrivesRelativeHeading) {
 }
 
 TEST(AcasGeometry, NormalizationRoundTrip) {
-  const Normalization norm;
+  const Normalization& norm = kNormalization;
   const Vec polar{8000.0, 0.5, -1.0, 700.0, 600.0};
-  const Vec n = normalize_features(polar, norm);
+  const Vec n = normalize_features(polar);
   EXPECT_NEAR(n[0], (8000.0 - norm.rho_mean) / norm.rho_range, 1e-12);
   EXPECT_NEAR(n[1], 0.5 / norm.angle_range, 1e-12);
   EXPECT_NEAR(n[3], 50.0 / norm.vown_range, 1e-12);
-  EXPECT_THROW(normalize_features(Vec{1.0}, norm), std::invalid_argument);
+  EXPECT_THROW(normalize_features(Vec{1.0}), std::invalid_argument);
 
   const Box polar_box{Interval{7000.0, 8000.0}, Interval{-0.5, 0.5}, Interval{0.0, 0.1},
                       Interval{700.0}, Interval{600.0}};
-  const Box nb = normalize_features(polar_box, norm);
+  const Box nb = normalize_features(polar_box);
   EXPECT_TRUE(nb[0].contains((7500.0 - norm.rho_mean) / norm.rho_range));
 }
 

@@ -98,7 +98,7 @@ TEST(AcasController, CommandSetMatchesPolicy) {
 
 TEST(AcasController, PreComputesNormalizedPolarFeatures) {
   const AcasPre pre;
-  const Normalization norm;
+  const Normalization& norm = kNormalization;
   const Vec state{0.0, 8000.0, 1.0, 700.0, 600.0};
   const Vec x = pre.eval(state);
   ASSERT_EQ(x.size(), 5u);

@@ -13,6 +13,7 @@
 #include "acasxu/training_pipeline.hpp"
 #include "core/product_controller.hpp"
 #include "core/reachability.hpp"
+#include "scenario/scenario.hpp"
 
 namespace nncs::acasxu {
 namespace {
@@ -35,16 +36,15 @@ struct Fixture {
   std::unique_ptr<Dynamics> plant = make_dynamics();
   std::unique_ptr<NeuralController> controller = make_controller(tiny_networks());
   ClosedLoop loop{plant.get(), controller.get(), 1.0};
-  ScenarioConfig scenario;
-  RadialRegion error = make_error_region(scenario);
-  RadialRegion target = make_target_region(scenario);
+  const scenario::Scenario& scen = scenario::Registry::global().at("acasxu");
+  std::unique_ptr<StateRegion> error_region = scen.make_error_region();
+  std::unique_ptr<StateRegion> target_region = scen.make_target_region();
+  const StateRegion& error = *error_region;
+  const StateRegion& target = *target_region;
   TaylorIntegrator integrator;
 
   ReachConfig config() const {
-    ReachConfig rc;
-    rc.control_steps = 20;
-    rc.integration_steps = 10;
-    rc.gamma = 5;
+    ReachConfig rc = scen.default_config().reach;
     rc.integrator = &integrator;
     return rc;
   }
@@ -55,7 +55,7 @@ TEST(AcasReach, OvertakingCellProvesSafeWithTermination) {
   // Intruder directly behind (bearing -pi), flying the same direction as
   // the ownship: the faster ownship pulls away and the intruder leaves the
   // sensor circle.
-  const Vec center = initial_state(f.scenario, -kPi + 0.01, 0.5);
+  const Vec center = initial_state(-kPi + 0.01, 0.5);
   const Box cell{Interval::centered(center[0], 30.0), Interval::centered(center[1], 30.0),
                  Interval::centered(center[2], 0.005), Interval{700.0}, Interval{600.0}};
   const auto result =
@@ -70,7 +70,7 @@ TEST(AcasReach, CoarseHeadOnCellIsNotProvable) {
   Fixture f;
   // A cell as wide as the paper-scale experiment is *fine*, but a 2000 ft
   // wide head-on cell necessarily sweeps through the collision cylinder.
-  const Vec center = initial_state(f.scenario, 0.0, 0.5);
+  const Vec center = initial_state(0.0, 0.5);
   const Box cell{Interval::centered(center[0], 1000.0),
                  Interval::centered(center[1], 1000.0), Interval::centered(center[2], 0.2),
                  Interval{700.0}, Interval{600.0}};
@@ -81,7 +81,7 @@ TEST(AcasReach, CoarseHeadOnCellIsNotProvable) {
 
 TEST(AcasReach, GammaIsRespectedAcrossTheHorizon) {
   Fixture f;
-  const Vec center = initial_state(f.scenario, 1.2, 0.3);
+  const Vec center = initial_state(1.2, 0.3);
   const Box cell{Interval::centered(center[0], 200.0), Interval::centered(center[1], 200.0),
                  Interval::centered(center[2], 0.05), Interval{700.0}, Interval{600.0}};
   auto rc = f.config();
@@ -97,7 +97,7 @@ TEST(AcasReach, SampledSetsStayOnPlausibleGeometry) {
   Fixture f;
   // rho can never exceed the initial 8000 ft by more than the worst closing
   // speed times the elapsed time (plus enclosure growth).
-  const Vec center = initial_state(f.scenario, 2.0, 0.5);
+  const Vec center = initial_state(2.0, 0.5);
   const Box cell{Interval::centered(center[0], 50.0), Interval::centered(center[1], 50.0),
                  Interval::centered(center[2], 0.01), Interval{700.0}, Interval{600.0}};
   const auto result =
@@ -119,7 +119,7 @@ TEST(AcasReach, DualEquipageLoopRunsTheSameMachinery) {
   const ProductController dual(*f.controller, *intruder_controller, identity_view(), mirror,
                                kStateDim);
   const ClosedLoop dual_loop{dual_plant.get(), &dual, 1.0};
-  const Vec center = initial_state(f.scenario, -kPi + 0.01, 0.5);
+  const Vec center = initial_state(-kPi + 0.01, 0.5);
   const Box cell{Interval::centered(center[0], 30.0), Interval::centered(center[1], 30.0),
                  Interval::centered(center[2], 0.005), Interval{700.0}, Interval{600.0}};
   auto rc = f.config();
@@ -132,7 +132,7 @@ TEST(AcasReach, DualEquipageLoopRunsTheSameMachinery) {
 
 TEST(AcasReach, RecordsOffendingStateOnFailure) {
   Fixture f;
-  const Vec center = initial_state(f.scenario, 0.0, 0.5);
+  const Vec center = initial_state(0.0, 0.5);
   const Box cell{Interval::centered(center[0], 1500.0),
                  Interval::centered(center[1], 1500.0), Interval::centered(center[2], 0.3),
                  Interval{700.0}, Interval{600.0}};

@@ -1,72 +1,25 @@
-// Tests for the verification scenario: the ribbon partition of the initial
-// set (Fig 8), the error/target regions, the falsification sampler and the
-// split dimensions.
+// Tests for the falsifier's view of the verification scenario: the
+// on-circle initial states, the sampler over the penetration cone and the
+// robustness margin. The Fig 8 partition and the E/T regions belong to the
+// registered "acasxu" scenario and are tested in test_scenario.cpp.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <numbers>
 
 #include "acasxu/dynamics.hpp"
-#include "acasxu/policy.hpp"
 #include "acasxu/scenario.hpp"
-#include "acasxu/training_pipeline.hpp"
 #include "util/rng.hpp"
 
 namespace nncs::acasxu {
 namespace {
-
-constexpr double kPi = std::numbers::pi;
-
-TEST(Scenario, PartitionHasExpectedShape) {
-  ScenarioConfig config;
-  config.num_arcs = 12;
-  config.num_headings = 5;
-  const auto cells = make_initial_cells(config);
-  EXPECT_EQ(cells.size(), 60u);
-  for (const auto& cell : cells) {
-    EXPECT_EQ(cell.state.command, kCoc);
-    EXPECT_EQ(cell.state.box().dim(), kStateDim);
-    // Velocities are fixed.
-    EXPECT_TRUE(cell.state.box()[kIdxVown].is_degenerate());
-    EXPECT_DOUBLE_EQ(cell.state.box()[kIdxVown].lo(), config.vown);
-    // Position boxes stay near the sensor circle.
-    EXPECT_LE(cell.state.box()[kIdxX].mag(), config.sensor_range * 1.001);
-  }
-  EXPECT_THROW(make_initial_cells(ScenarioConfig{.num_arcs = 0}), std::invalid_argument);
-}
-
-TEST(Scenario, CellsCoverTheSensorCircleRibbon) {
-  // Soundness of the partition: every concrete initial state (on-circle
-  // position + penetrating heading) generated by the sampler lies in some
-  // cell with the same command.
-  ScenarioConfig config;
-  config.num_arcs = 24;
-  config.num_headings = 8;
-  const auto cells = make_initial_cells(config);
-  const auto sampler = make_sampler(config);
-  Rng rng(37);
-  for (int trial = 0; trial < 500; ++trial) {
-    const Vec params{rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)};
-    const auto [state, command] = sampler(params);
-    bool covered = false;
-    for (const auto& cell : cells) {
-      if (cell.state.command == command && cell.state.box().contains(state)) {
-        covered = true;
-        break;
-      }
-    }
-    ASSERT_TRUE(covered) << "initial state escaped the partition";
-  }
-}
 
 TEST(Scenario, SampledHeadingsPenetrateTheCircle) {
   // Every sampled initial heading must point into the sensor circle:
   // d/dt rho < 0 at t=0 when both aircraft velocities are accounted for is
   // not guaranteed, but the *intruder velocity* must have negative radial
   // component (the geometric cone of Fig 1).
-  ScenarioConfig config;
-  const auto sampler = make_sampler(config);
+  const auto sampler = make_sampler();
   Rng rng(41);
   for (int trial = 0; trial < 500; ++trial) {
     // Keep a margin from the tangential boundary of the cone.
@@ -83,73 +36,28 @@ TEST(Scenario, SampledHeadingsPenetrateTheCircle) {
 }
 
 TEST(Scenario, InitialStateOnCircle) {
-  ScenarioConfig config;
   for (const double bearing : {0.0, 1.0, -2.5, 3.0}) {
-    const Vec s = initial_state(config, bearing, 0.5);
-    EXPECT_NEAR(std::hypot(s[kIdxX], s[kIdxY]), config.sensor_range, 1e-6);
+    const Vec s = initial_state(bearing, 0.5);
+    EXPECT_NEAR(std::hypot(s[kIdxX], s[kIdxY]), kSensorRange, 1e-6);
     // Heading fraction 0.5 = pointing straight at the ownship.
     const double radial =
         (-std::sin(s[kIdxPsi])) * s[kIdxX] + std::cos(s[kIdxPsi]) * s[kIdxY];
-    EXPECT_NEAR(radial, -config.sensor_range, 1e-6);
-  }
-}
-
-TEST(Scenario, HeadingsStayWithinTrainedRange) {
-  ScenarioConfig config;
-  config.num_arcs = 64;
-  config.num_headings = 8;
-  const TrainingConfig training;
-  for (const auto& cell : make_initial_cells(config)) {
-    EXPECT_GE(cell.psi_lo, -training.psi_range);
-    EXPECT_LE(cell.psi_hi, training.psi_range);
-  }
-}
-
-TEST(Scenario, ErrorAndTargetRegions) {
-  ScenarioConfig config;
-  const auto error = make_error_region(config);
-  const auto target = make_target_region(config);
-  EXPECT_TRUE(error.contains_point(Vec{100.0, 100.0, 0.0, 700.0, 600.0}, 0));
-  EXPECT_FALSE(error.contains_point(Vec{600.0, 0.0, 0.0, 700.0, 600.0}, 0));
-  EXPECT_TRUE(target.contains_point(Vec{8100.0, 0.0, 0.0, 700.0, 600.0}, 0));
-  EXPECT_FALSE(target.contains_point(Vec{7900.0, 0.0, 0.0, 700.0, 600.0}, 0));
-  // T and E must be disjoint (paper requirement T ∩ E = ∅).
-  Rng rng(43);
-  for (int i = 0; i < 200; ++i) {
-    const Vec s{rng.uniform(-9000.0, 9000.0), rng.uniform(-9000.0, 9000.0), 0.0, 700.0,
-                600.0};
-    EXPECT_FALSE(error.contains_point(s, 0) && target.contains_point(s, 0));
+    EXPECT_NEAR(radial, -kSensorRange, 1e-6);
+    EXPECT_EQ(s[kIdxVown], kVown);
+    EXPECT_EQ(s[kIdxVint], kVint);
   }
 }
 
 TEST(Scenario, RobustnessMatchesSeparationMargin) {
-  ScenarioConfig config;
-  const auto robustness = make_robustness(config);
+  const auto robustness = make_robustness();
   EXPECT_NEAR(robustness(Vec{300.0, 400.0, 0.0, 700.0, 600.0}), 0.0, 1e-9);
   EXPECT_GT(robustness(Vec{3000.0, 4000.0, 0.0, 700.0, 600.0}), 0.0);
   EXPECT_LT(robustness(Vec{100.0, 100.0, 0.0, 700.0, 600.0}), 0.0);
 }
 
 TEST(Scenario, SamplerValidatesParams) {
-  const auto sampler = make_sampler(ScenarioConfig{});
+  const auto sampler = make_sampler();
   EXPECT_THROW(sampler(Vec{0.5}), std::invalid_argument);
-}
-
-TEST(Scenario, SplitDimensionsArePositionAndHeading) {
-  EXPECT_EQ(split_dimensions(), (std::vector<std::size_t>{kIdxX, kIdxY, kIdxPsi}));
-}
-
-TEST(Scenario, ToSymbolicSetStripsMetadata) {
-  ScenarioConfig config;
-  config.num_arcs = 4;
-  config.num_headings = 2;
-  const auto cells = make_initial_cells(config);
-  const auto set = to_symbolic_set(cells);
-  ASSERT_EQ(set.size(), cells.size());
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    EXPECT_EQ(set[i].box(), cells[i].state.box());
-    EXPECT_EQ(set[i].command, cells[i].state.command);
-  }
 }
 
 }  // namespace

@@ -10,13 +10,13 @@
 #include "acasxu/controller.hpp"
 #include "acasxu/dynamics.hpp"
 #include "acasxu/policy.hpp"
-#include "acasxu/scenario.hpp"
 #include "acasxu/training_pipeline.hpp"
 #include "core/engine.hpp"
 #include "core/falsifier.hpp"
 #include "core/monitor.hpp"
 #include "core/simulate.hpp"
 #include "nn/trainer.hpp"
+#include "scenario/scenario.hpp"
 #include "util/rng.hpp"
 
 namespace nncs {
@@ -136,32 +136,28 @@ TEST(Integration, AcasXuMiniVerificationIsSoundAgainstSimulation) {
   const auto controller = ax::make_controller(networks);
   const ClosedLoop system{plant.get(), controller.get(), 1.0};
 
-  ax::ScenarioConfig scenario;
-  scenario.num_arcs = 60;
-  scenario.num_headings = 12;
-  auto all_cells = ax::make_initial_cells(scenario);
+  const scenario::Scenario& scen = scenario::Registry::global().at("acasxu");
+  auto all_cells = scen.make_cells({60, 12});
   // Keep only the "intruder behind" arcs (bearing near −π): overtaking
   // geometries keep a large separation, so these cells are provable even
   // without refinement — which is what this test needs to have teeth.
-  std::vector<ax::InitialCell> cells;
+  std::vector<scenario::Cell> cells;
   for (auto& cell : all_cells) {
-    if (cell.bearing_hi < -std::numbers::pi + 3.0 * (2.0 * std::numbers::pi / 60.0)) {
+    if (cell.bin_hi < -std::numbers::pi + 3.0 * (2.0 * std::numbers::pi / 60.0)) {
       cells.push_back(std::move(cell));
     }
   }
   ASSERT_FALSE(cells.empty());
-  const auto error = ax::make_error_region(scenario);
-  const auto target = ax::make_target_region(scenario);
+  const auto error = scen.make_error_region();
+  const auto target = scen.make_target_region();
 
-  VerifyConfig config;
-  config.reach.control_steps = 20;
+  VerifyConfig config = scen.default_config();
   config.reach.integration_steps = 5;
-  config.reach.gamma = 5;
   config.reach.integrator = &kIntegrator;
   config.max_refinement_depth = 0;  // keep runtime small
   config.threads = 2;
-  const auto report = VerificationEngine(system, error, target)
-                          .run(ax::to_symbolic_set(cells), EngineConfig{config})
+  const auto report = VerificationEngine(system, *error, *target)
+                          .run(scenario::to_symbolic_set(cells), EngineConfig{config})
                           .report;
   ASSERT_EQ(report.leaves.size(), cells.size());
 
@@ -178,7 +174,7 @@ TEST(Integration, AcasXuMiniVerificationIsSoundAgainstSimulation) {
       for (std::size_t d = 0; d < ax::kStateDim; ++d) {
         s0[d] = rng.uniform(leaf.initial.box()[d].lo(), leaf.initial.box()[d].hi());
       }
-      const auto sim = simulate_closed_loop(system, s0, leaf.initial.command, error, target,
+      const auto sim = simulate_closed_loop(system, s0, leaf.initial.command, *error, *target,
                                             20, 20);
       EXPECT_FALSE(sim.reached_error) << "proved-safe cell produced a concrete collision";
       ++checked;

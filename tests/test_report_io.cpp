@@ -5,6 +5,7 @@
 
 #include <filesystem>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "core/report_io.hpp"
@@ -265,6 +266,26 @@ TEST(ReportIo, CheckpointFileRoundTrip) {
   save_checkpoint(sample_checkpoint(), path);
   const EngineCheckpoint loaded = load_checkpoint(path);
   EXPECT_EQ(loaded.frontier.size(), 2u);
+  std::filesystem::remove(path);
+}
+
+TEST(ReportIo, RejectedSaveKeepsTheOldFile) {
+  // `nncs_verify --checkpoint F --resume F` overwrites the checkpoint it
+  // resumed from, so a save that fails must leave the old file loadable.
+  const auto path = std::filesystem::temp_directory_path() / "nncs_checkpoint_rejected.csv";
+  auto tmp = path;
+  tmp += ".tmp";
+  EngineCheckpoint good = sample_checkpoint();
+  good.scenario = "acasxu";
+  good.fingerprint = "acasxu;1";
+  save_checkpoint(good, path);
+  EngineCheckpoint bad = good;
+  bad.scenario = "a,b";  // commas would split the header: the save throws
+  EXPECT_THROW(save_checkpoint(bad, path), std::invalid_argument);
+  const EngineCheckpoint loaded = load_checkpoint(path);
+  EXPECT_EQ(loaded.scenario, "acasxu");
+  EXPECT_EQ(loaded.frontier.size(), 2u);
+  EXPECT_FALSE(std::filesystem::exists(tmp));
   std::filesystem::remove(path);
 }
 

@@ -5,18 +5,22 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
+#include <numbers>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 
+#include "acasxu/dynamics.hpp"
+#include "acasxu/policy.hpp"
 #include "acasxu/scenario.hpp"
+#include "acasxu/training_pipeline.hpp"
 #include "core/engine.hpp"
 #include "core/report_io.hpp"
 #include "obs/provenance.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/unicycle.hpp"
+#include "util/rng.hpp"
 
 namespace nncs::scenario {
 namespace {
@@ -67,17 +71,11 @@ TEST(ScenarioRegistry, DuplicateAddThrows) {
   EXPECT_THROW(registry.add(make_unicycle_scenario()), std::invalid_argument);
 }
 
-TEST(ScenarioRegistry, ForEachVisitsAllSorted) {
-  std::vector<std::string> names;
-  Registry::global().for_each([&](const Scenario& s) { names.push_back(s.name()); });
-  EXPECT_EQ(names.size(), Registry::global().size());
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
-}
-
 // ------------------------------------------------------- metadata contract
 
 TEST(ScenarioContract, MetadataIsWellFormed) {
-  Registry::global().for_each([](const Scenario& s) {
+  for (const Scenario* scen : Registry::global().all()) {
+    const Scenario& s = *scen;
     SCOPED_TRACE(s.name());
     EXPECT_FALSE(s.name().empty());
     EXPECT_EQ(s.name().find(','), std::string::npos);
@@ -94,7 +92,7 @@ TEST(ScenarioContract, MetadataIsWellFormed) {
     const Partition def = s.default_partition();
     EXPECT_GT(def.axis0, 0u);
     EXPECT_GT(def.axis1, 0u);
-  });
+  }
 }
 
 TEST(ScenarioContract, ResolveFillsZeroAxesFromDefaults) {
@@ -111,7 +109,8 @@ TEST(ScenarioContract, ResolveFillsZeroAxesFromDefaults) {
 // ---------------------------------------------------------------- partitions
 
 TEST(ScenarioCells, DeterministicAcrossCalls) {
-  Registry::global().for_each([](const Scenario& s) {
+  for (const Scenario* scen : Registry::global().all()) {
+    const Scenario& s = *scen;
     SCOPED_TRACE(s.name());
     const auto a = s.make_cells(Partition{4, 3});
     const auto b = s.make_cells(Partition{4, 3});
@@ -124,21 +123,25 @@ TEST(ScenarioCells, DeterministicAcrossCalls) {
       EXPECT_EQ(a[i].bin_hi, b[i].bin_hi);
       EXPECT_LT(a[i].bin_lo, a[i].bin_hi);
     }
-  });
+  }
 }
 
-TEST(ScenarioCells, AcasxuMatchesLegacyGenerator) {
-  const auto cells = Registry::global().at("acasxu").make_cells(Partition{8, 4});
-  acasxu::ScenarioConfig config;
-  config.num_arcs = 8;
-  config.num_headings = 4;
-  const auto legacy = acasxu::make_initial_cells(config);
-  ASSERT_EQ(cells.size(), legacy.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_EQ(cells[i].state.box(), legacy[i].state.box());
-    EXPECT_EQ(cells[i].state.command, legacy[i].state.command);
-    EXPECT_EQ(cells[i].bin_lo, legacy[i].bearing_lo);
-    EXPECT_EQ(cells[i].bin_hi, legacy[i].bearing_hi);
+TEST(ScenarioCells, GridTilesTwoDimensionsAroundFixedValues) {
+  const auto cells = grid_cells(Partition{2, 3}, {1, -1.0, 1.0}, {2, 0.0, 0.75},
+                                Vec{5.0, 0.0, 0.0}, 4);
+  ASSERT_EQ(cells.size(), 6u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) {
+      // Axis 0 varies slowest and is the bin axis.
+      const Cell& cell = cells[i * 3 + j];
+      const double lo0 = -1.0 + static_cast<double>(i) * 1.0;
+      const double lo1 = static_cast<double>(j) * 0.25;
+      EXPECT_EQ(cell.state.box(), (Box{Interval{5.0}, Interval{lo0, lo0 + 1.0},
+                                       Interval{lo1, lo1 + 0.25}}));
+      EXPECT_EQ(cell.state.command, 4u);
+      EXPECT_EQ(cell.bin_lo, lo0);
+      EXPECT_EQ(cell.bin_hi, lo0 + 1.0);
+    }
   }
 }
 
@@ -152,17 +155,131 @@ TEST(ScenarioCells, ToSymbolicSetStripsBinMetadata) {
   }
 }
 
+// ------------------------------------------- acasxu: the Fig 8 partition
+
+const Scenario& acas() { return Registry::global().at("acasxu"); }
+
+TEST(Scenario, PartitionHasExpectedShape) {
+  const auto cells = acas().make_cells(Partition{12, 5});
+  EXPECT_EQ(cells.size(), 60u);
+  EXPECT_EQ(cells.front().bin_lo, -std::numbers::pi);
+  for (const auto& cell : cells) {
+    EXPECT_EQ(cell.state.command, acasxu::kCoc);
+    EXPECT_EQ(cell.state.box().dim(), acasxu::kStateDim);
+    // Velocities are fixed.
+    EXPECT_TRUE(cell.state.box()[acasxu::kIdxVown].is_degenerate());
+    EXPECT_DOUBLE_EQ(cell.state.box()[acasxu::kIdxVown].lo(), acasxu::kVown);
+    // Position boxes stay near the sensor circle.
+    EXPECT_LE(cell.state.box()[acasxu::kIdxX].mag(), acasxu::kSensorRange * 1.001);
+  }
+  // Odd arc counts round up to even, so bearing 0 is an arc boundary.
+  EXPECT_EQ(acas().make_cells(Partition{7, 3}).size(), 8u * 3u);
+}
+
+TEST(Scenario, CellsCoverTheSensorCircleRibbon) {
+  // Soundness of the partition: every concrete initial state (on-circle
+  // position + penetrating heading) generated by the sampler lies in some
+  // cell with the same command, and that cell's bin holds its bearing.
+  const auto cells = acas().make_cells(Partition{24, 8});
+  const auto sampler = acasxu::make_sampler();
+  Rng rng(37);
+  for (int trial = 0; trial < 500; ++trial) {
+    const Vec params{rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)};
+    const auto [state, command] = sampler(params);
+    const double bearing = -std::numbers::pi + 2.0 * std::numbers::pi * params[0];
+    bool covered = false;
+    for (const auto& cell : cells) {
+      if (cell.state.command == command && cell.state.box().contains(state)) {
+        EXPECT_LE(cell.bin_lo, bearing + 1e-12);
+        EXPECT_GE(cell.bin_hi, bearing - 1e-12);
+        covered = true;
+        break;
+      }
+    }
+    ASSERT_TRUE(covered) << "initial state escaped the partition";
+  }
+}
+
+TEST(Scenario, HeadingsStayWithinTrainedRange) {
+  const acasxu::TrainingConfig training;
+  for (const auto& cell : acas().make_cells(Partition{64, 8})) {
+    EXPECT_GE(cell.state.box()[acasxu::kIdxPsi].lo(), -training.psi_range);
+    EXPECT_LE(cell.state.box()[acasxu::kIdxPsi].hi(), training.psi_range);
+  }
+}
+
+TEST(Scenario, ErrorAndTargetRegions) {
+  const auto error = acas().make_error_region();
+  const auto target = acas().make_target_region();
+  EXPECT_TRUE(error->contains_point(Vec{100.0, 100.0, 0.0, 700.0, 600.0}, 0));
+  EXPECT_FALSE(error->contains_point(Vec{600.0, 0.0, 0.0, 700.0, 600.0}, 0));
+  EXPECT_TRUE(target->contains_point(Vec{8100.0, 0.0, 0.0, 700.0, 600.0}, 0));
+  EXPECT_FALSE(target->contains_point(Vec{7900.0, 0.0, 0.0, 700.0, 600.0}, 0));
+  // T and E must be disjoint (paper requirement T ∩ E = ∅).
+  Rng rng(43);
+  for (int i = 0; i < 200; ++i) {
+    const Vec s{rng.uniform(-9000.0, 9000.0), rng.uniform(-9000.0, 9000.0), 0.0, 700.0,
+                600.0};
+    EXPECT_FALSE(error->contains_point(s, 0) && target->contains_point(s, 0));
+  }
+}
+
+TEST(Scenario, SplitDimensionsArePositionAndHeading) {
+  EXPECT_EQ(acas().default_config().split_dims,
+            (std::vector<std::size_t>{acasxu::kIdxX, acasxu::kIdxY, acasxu::kIdxPsi}));
+}
+
+TEST(Scenario, ToSymbolicSetStripsMetadata) {
+  const auto cells = acas().make_cells(Partition{4, 2});
+  const auto set = to_symbolic_set(cells);
+  ASSERT_EQ(set.size(), cells.size());
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    EXPECT_EQ(set[i].box(), cells[i].state.box());
+    EXPECT_EQ(set[i].command, cells[i].state.command);
+  }
+}
+
 // -------------------------------------------------------------- fingerprint
 
 TEST(ScenarioFingerprint, DeterministicAndCsvSafe) {
-  Registry::global().for_each([](const Scenario& s) {
+  for (const Scenario* scen : Registry::global().all()) {
+    const Scenario& s = *scen;
     SCOPED_TRACE(s.name());
     const std::string fp = fingerprint(s, Partition{});
     EXPECT_EQ(fp, fingerprint(s, Partition{}));
     EXPECT_NE(fp.find(s.name()), std::string::npos);
     EXPECT_EQ(fp.find(','), std::string::npos);
     EXPECT_EQ(fp.find('\n'), std::string::npos);
-  });
+  }
+}
+
+TEST(ScenarioFingerprint, BuiltinsArePinned) {
+  // Checkpoints record the fingerprint and `--resume` refuses any other
+  // (exit 4), so a changed parameter string strands every saved run. Change
+  // these only together with the scenario's version().
+  const std::pair<const char*, const char*> pinned[] = {
+      {"acasxu",
+       "acasxu;1;arcs=32;headings=8;sensor_range=8000;collision_radius=500;vown=700;"
+       "vint=600;training=v3;hidden=32|32|32|;epochs=60;batch=64;lr=0.001;tseed=42;"
+       "samples=30000;seed=7;rho=100:9500;psi=6;v=700:600;"
+       "policy=12|0.25|500|4000|25|25|0.4|0.5|0.7|0.1"},
+      {"cruise_control",
+       "cruise_control;1;gap-cells=10;speed-cells=8;period=0.25;gap0=30:80;vr0=-6:2;"
+       "gap_floor=2;training=v1;hidden=24|24;epochs=50;lr=0.002;seed=22;samples=12000;"
+       "rngseed=21"},
+      {"pendulum",
+       "pendulum;1;theta-cells=8;omega-cells=8;period=0.1;g_over_l=5;damping=1;"
+       "theta0=-0.3:0.3;omega0=-0.3:0.3;theta_fail=0.8;theta_settle=0.15;omega_settle=0.3;"
+       "training=v4;hidden=16|16;epochs=40;lr=0.002;seed=7;samples=8000;rngseed=13;"
+       "expert=2|2;torques=2|0;damping=1"},
+      {"unicycle",
+       "unicycle;1;offset-cells=8;heading-cells=8;period=0.25;speed=1;y0=-1:1;"
+       "psi0=-0.7:0.7;corridor=3;training=v1;hidden=16|16;epochs=40;lr=0.002;seed=5;"
+       "samples=10000;rngseed=11;steer=0.6|2"},
+  };
+  for (const auto& [name, expected] : pinned) {
+    EXPECT_EQ(fingerprint(Registry::global().at(name), Partition{}), expected);
+  }
 }
 
 TEST(ScenarioFingerprint, ChangesWithPartition) {

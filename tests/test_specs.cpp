@@ -78,9 +78,8 @@ TEST(EmptyRegion, NeverMatchesAnything) {
 }
 
 TEST(UnionRegion, CombinesBothParts) {
-  const BoxRegion left({{0, Interval{-1e9, -0.6}}});
-  const BoxRegion right({{0, Interval{0.6, 1e9}}});
-  const UnionRegion cone(left, right);
+  const UnionRegion cone(std::make_unique<BoxRegion>(BoxRegion({{0, Interval{-1e9, -0.6}}})),
+                         std::make_unique<BoxRegion>(BoxRegion({{0, Interval{0.6, 1e9}}})));
   EXPECT_TRUE(cone.contains_point(Vec{0.7}, 0));
   EXPECT_TRUE(cone.contains_point(Vec{-0.7}, 0));
   EXPECT_FALSE(cone.contains_point(Vec{0.0}, 0));
@@ -90,27 +89,7 @@ TEST(UnionRegion, CombinesBothParts) {
   EXPECT_FALSE(cone.certainly_contains(Box{Interval{-0.9, 0.9}}, 0));
   EXPECT_TRUE(cone.possibly_intersects(Box{Interval{-0.9, 0.9}}, 0));
   EXPECT_FALSE(cone.possibly_intersects(Box{Interval{-0.1, 0.1}}, 0));
-}
-
-TEST(IntersectionRegion, RequiresBothParts) {
-  const BoxRegion a({{0, Interval{0.0, 2.0}}});
-  const BoxRegion b({{1, Interval{0.0, 2.0}}});
-  const IntersectionRegion square(a, b);
-  EXPECT_TRUE(square.contains_point(Vec{1.0, 1.0}, 0));
-  EXPECT_FALSE(square.contains_point(Vec{1.0, 3.0}, 0));
-  EXPECT_TRUE(square.certainly_contains(Box{Interval{0.5, 1.5}, Interval{0.5, 1.5}}, 0));
-  EXPECT_FALSE(square.certainly_contains(Box{Interval{0.5, 3.0}, Interval{0.5, 1.5}}, 0));
-  EXPECT_FALSE(square.possibly_intersects(Box{Interval{3.0, 4.0}, Interval{0.5, 1.5}}, 0));
-}
-
-TEST(CommandGatedRegion, OnlyMatchesItsCommand) {
-  const BoxRegion base({{0, Interval{0.0, 1.0}}});
-  const CommandGatedRegion gated(base, 2);
-  EXPECT_TRUE(gated.contains_point(Vec{0.5}, 2));
-  EXPECT_FALSE(gated.contains_point(Vec{0.5}, 1));
-  EXPECT_TRUE(gated.certainly_contains(Box{Interval{0.2, 0.8}}, 2));
-  EXPECT_FALSE(gated.certainly_contains(Box{Interval{0.2, 0.8}}, 0));
-  EXPECT_FALSE(gated.possibly_intersects(Box{Interval{0.2, 0.8}}, 0));
+  EXPECT_THROW(UnionRegion(std::make_unique<EmptyRegion>(), nullptr), std::invalid_argument);
 }
 
 // Soundness property: for random boxes,

@@ -1,11 +1,15 @@
 // Tests for the utility substrate: deterministic RNG, tables, stopwatch,
-// env knobs.
+// env knobs, atomic file writes.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <stdexcept>
 
+#include "util/atomic_file.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -157,6 +161,58 @@ TEST(Env, ThreadsDefaultsAndParsing) {
   setenv("NNCS_THREADS", "0", 1);
   EXPECT_GE(env_threads(), 1u);
   unsetenv("NNCS_THREADS");
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(AtomicFile, FailedWriteLeavesTheOldFile) {
+  const auto dir = std::filesystem::temp_directory_path() / "nncs_atomic_file_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto path = dir / "out.txt";
+  write_file_atomically(path, "test", [](std::ostream& os) { os << "old"; });
+  EXPECT_EQ(read_file(path), "old");
+  // A writer that throws, and one that leaves the stream bad.
+  EXPECT_THROW(write_file_atomically(path, "test",
+                                     [](std::ostream& os) {
+                                       os << "partial";
+                                       throw std::invalid_argument("writer gave up");
+                                     }),
+               std::invalid_argument);
+  EXPECT_THROW(write_file_atomically(path, "test",
+                                     [](std::ostream& os) {
+                                       os << "partial";
+                                       os.setstate(std::ios::badbit);
+                                     }),
+               std::runtime_error);
+  EXPECT_EQ(read_file(path), "old");
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                          std::filesystem::directory_iterator{}),
+            1);  // no temporary left behind
+  write_file_atomically(path, "test", [](std::ostream& os) { os << "new"; });
+  EXPECT_EQ(read_file(path), "new");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(AtomicFile, WritesThroughASymlink) {
+  const auto dir = std::filesystem::temp_directory_path() / "nncs_atomic_link_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::filesystem::create_symlink(dir / "real.txt", dir / "link.txt");
+  // Dangling: the file the link names does not exist yet.
+  EXPECT_THROW(
+      write_file_atomically(dir / "link.txt", "test", [](std::ostream& os) { os << "new"; }),
+      std::runtime_error);
+  write_file_atomically(dir / "real.txt", "test", [](std::ostream& os) { os << "old"; });
+  write_file_atomically(dir / "link.txt", "test", [](std::ostream& os) { os << "new"; });
+  EXPECT_TRUE(std::filesystem::is_symlink(dir / "link.txt"));
+  EXPECT_EQ(read_file(dir / "real.txt"), "new");
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

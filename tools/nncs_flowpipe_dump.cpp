@@ -4,49 +4,90 @@
 /// the same initial cell (which must stay inside the tube).
 ///
 ///   nncs_flowpipe_dump [bearing_rad] [heading_frac] [steps] [M] > pipe.csv
+///
+/// Every argument must parse as a whole token (steps and M as integers
+/// >= 1); anything else exits 2 with the usage line.
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 
-#include "acasxu/controller.hpp"
 #include "acasxu/dynamics.hpp"
+#include "acasxu/policy.hpp"
 #include "acasxu/scenario.hpp"
-#include "acasxu/training_pipeline.hpp"
 #include "core/reachability.hpp"
 #include "core/simulate.hpp"
+#include "scenario/scenario.hpp"
+
+namespace {
+
+[[noreturn]] void usage(const char* argv0) {
+  std::fprintf(stderr, "usage: %s [bearing_rad] [heading_frac] [steps>=1] [M>=1] > pipe.csv\n",
+               argv0);
+  std::exit(2);
+}
+
+double parse_number(const char* argv0, const char* text) {
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (errno != 0 || end == text || *end != '\0' || !std::isfinite(value)) {
+    usage(argv0);
+  }
+  return value;
+}
+
+int parse_count(const char* argv0, const char* text) {
+  errno = 0;
+  char* end = nullptr;
+  const long value = std::strtol(text, &end, 10);
+  if (errno != 0 || end == text || *end != '\0' || value < 1 || value > 1 << 20) {
+    usage(argv0);
+  }
+  return static_cast<int>(value);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace nncs;
   namespace ax = nncs::acasxu;
 
-  const double bearing = argc > 1 ? std::atof(argv[1]) : 0.6;
-  const double heading_frac = argc > 2 ? std::atof(argv[2]) : 0.5;
-  const int steps = argc > 3 ? std::atoi(argv[3]) : 20;
-  const int m = argc > 4 ? std::atoi(argv[4]) : 10;
+  if (argc > 5) {
+    usage(argv[0]);
+  }
+  const double bearing = argc > 1 ? parse_number(argv[0], argv[1]) : 0.6;
+  const double heading_frac = argc > 2 ? parse_number(argv[0], argv[2]) : 0.5;
+  const int steps = argc > 3 ? parse_count(argv[0], argv[3]) : 20;
+  const int m = argc > 4 ? parse_count(argv[0], argv[4]) : 10;
 
-  const ax::TrainingConfig training;
-  const auto networks = ax::ensure_networks("acasxu_nets_cache", training);
-  const auto plant = ax::make_dynamics();
-  const auto controller = ax::make_controller(networks);
-  const ClosedLoop system{plant.get(), controller.get(), 1.0};
+  const scenario::Scenario& scen = scenario::Registry::global().at("acasxu");
+  scenario::System assembled;
+  try {
+    assembled = scen.make_system({});
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: cannot assemble scenario 'acasxu': %s\n", argv[0], e.what());
+    return 1;
+  }
+  const ClosedLoop& system = assembled.loop;
 
-  ax::ScenarioConfig scenario;
-  const Vec center = ax::initial_state(scenario, bearing, heading_frac);
+  const Vec center = ax::initial_state(bearing, heading_frac);
   const Box cell{Interval::centered(center[0], 40.0), Interval::centered(center[1], 40.0),
-                 Interval::centered(center[2], 0.005), Interval{scenario.vown},
-                 Interval{scenario.vint}};
+                 Interval::centered(center[2], 0.005), Interval{ax::kVown},
+                 Interval{ax::kVint}};
 
-  const auto error = ax::make_error_region(scenario);
-  const auto target = ax::make_target_region(scenario);
+  const auto error = scen.make_error_region();
+  const auto target = scen.make_target_region();
   const TaylorIntegrator integrator;
-  ReachConfig config;
+  ReachConfig config = scen.default_config().reach;
   config.control_steps = steps;
   config.integration_steps = m;
-  config.gamma = 5;
   config.integrator = &integrator;
   config.record_flowpipes = true;
   const auto result =
-      reach_analyze(system, SymbolicSet{{cell, ax::kCoc}}, error, target, config);
+      reach_analyze(system, SymbolicSet{{cell, ax::kCoc}}, *error, *target, config);
 
   std::fprintf(stderr, "outcome: %s after %d steps\n", to_string(result.outcome),
                result.stats.steps_executed);
@@ -69,7 +110,7 @@ int main(int argc, char** argv) {
 
   // A concrete trajectory from the cell center for visual comparison.
   const auto sim =
-      simulate_closed_loop(system, center, ax::kCoc, error, target, steps, m);
+      simulate_closed_loop(system, center, ax::kCoc, *error, *target, steps, m);
   for (const auto& point : sim.trajectory) {
     std::printf("trajectory,%g,%g,%g,%g,%g,%g,%g,%g\n", point.t, point.t,
                 point.state[ax::kIdxX], point.state[ax::kIdxX], point.state[ax::kIdxY],

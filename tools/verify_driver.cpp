@@ -26,6 +26,7 @@
 #include "obs/trace.hpp"
 #include "ode/taylor_series.hpp"
 #include "scenario/scenario.hpp"
+#include "util/atomic_file.hpp"
 #include "util/env.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
@@ -401,10 +402,12 @@ int verify_driver_main(int argc, char** argv) {
   }
 
   // Fail fast on unwritable output paths — verification can run for hours
-  // and the results would be lost at the final write otherwise.
+  // and the results would be lost at the final write otherwise. Append mode
+  // leaves an existing file as it is until its final write replaces it
+  // (`--checkpoint` may name the file `--resume` just read).
   for (const std::string* out : {&report_path, &checkpoint_path, &trace_path, &metrics_path,
                                  &progress_json_path, &profile_path}) {
-    if (!out->empty() && !std::ofstream(*out)) {
+    if (!out->empty() && !std::ofstream(*out, std::ios::app)) {
       std::fprintf(stderr, "%s: cannot open for writing: %s\n", argv[0], out->c_str());
       return 1;
     }
@@ -651,11 +654,8 @@ int verify_driver_main(int argc, char** argv) {
   if (!profile_path.empty()) {
     guarded([&] {
       const obs::ProfileNode profile = obs::build_profile(obs::TraceRecorder::instance());
-      std::ofstream folded(profile_path, std::ios::trunc);
-      if (!folded) {
-        throw std::runtime_error("cannot open for writing: " + profile_path);
-      }
-      obs::write_folded(profile, folded);
+      write_file_atomically(profile_path, "profile",
+                            [&](std::ostream& os) { obs::write_folded(profile, os); });
       std::printf("folded profile written to %s (%zu spans)\n", profile_path.c_str(),
                   obs::TraceRecorder::instance().event_count());
       if (!quiet && profile.inclusive_ns > 0) {
