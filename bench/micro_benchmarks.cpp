@@ -1,14 +1,16 @@
 // M1: google-benchmark micro-benchmarks for the computational kernels:
 // interval arithmetic, Taylor steps, network propagation (concrete,
-// interval, symbolic), the abstract controller step and one full validated
-// control period.
+// interval, symbolic), the abstract controller step, one full validated
+// control period and the Algorithm 2 Resize.
 
 #include <benchmark/benchmark.h>
 
 #include "acas_bench_common.hpp"
+#include "core/symbolic_state.hpp"
 #include "nn/interval_prop.hpp"
 #include "nn/symbolic_prop.hpp"
 #include "ode/concrete_integrator.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -156,6 +158,53 @@ void BM_ValidatedControlPeriod(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ValidatedControlPeriod);
+
+/// A seeded symbolic set to resize: `count` states spread uniformly over
+/// `commands`, centres uniform in `centers`, half-widths uniform in
+/// [0, `half_width`] per dimension (0 keeps a dimension a point).
+struct ResizeShape {
+  std::size_t count;
+  std::size_t commands;
+  std::size_t gamma;
+  std::vector<Interval> centers;
+  std::vector<double> half_width;
+};
+
+SymbolicSet resize_input(const ResizeShape& shape) {
+  Rng rng(7);
+  SymbolicSet set;
+  for (std::size_t k = 0; k < shape.count; ++k) {
+    std::vector<Interval> dims;
+    for (std::size_t d = 0; d < shape.centers.size(); ++d) {
+      const double c = rng.uniform(shape.centers[d].lo(), shape.centers[d].hi());
+      dims.push_back(Interval::centered(c, rng.uniform(0.0, shape.half_width[d])));
+    }
+    set.push_back(SymbolicState{Box{std::move(dims)}, k % shape.commands});
+  }
+  return set;
+}
+
+/// One `resize` call, including the copy of its input set.
+void BM_Resize(benchmark::State& state, const ResizeShape& shape) {
+  const SymbolicSet input = resize_input(shape);
+  for (auto _ : state) {
+    SymbolicSet set = input;
+    const ResizeStats stats = resize(set, shape.gamma);
+    benchmark::DoNotOptimize(stats);
+  }
+}
+// Cruise control: Γ = 24, the set grows to about 96 states over 4 commands.
+BENCHMARK_CAPTURE(BM_Resize, cruise_like,
+                  ResizeShape{96, 4, 24, {Interval{40.0, 45.0}, Interval{-2.0, -1.0}},
+                              {0.5, 0.1}});
+// ACAS Xu: Γ = 5 commands, about 25 states, v_own and v_int points.
+BENCHMARK_CAPTURE(BM_Resize, acas_like,
+                  ResizeShape{25,
+                              5,
+                              5,
+                              {Interval{500.0, 1500.0}, Interval{6700.0, 7300.0},
+                               Interval{2.9, 3.1}, Interval{ax::kVown}, Interval{ax::kVint}},
+                              {40.0, 40.0, 0.005, 0.0, 0.0}});
 
 }  // namespace
 

@@ -65,7 +65,9 @@ struct ReachConfig {
   /// "Improving precision").
   int integration_steps = 10;
   /// Symbolic-set size threshold Γ of Algorithm 2 ("Improving time
-  /// complexity"); must be >= the number of commands (Remark 3).
+  /// complexity"); must be >= 1. A Γ below the number of distinct commands
+  /// in a set is allowed: `resize` stops at that number (Remark 3), so the
+  /// set keeps one state per command.
   std::size_t gamma = 5;
   /// Validated one-step integrator; must be non-null.
   const ValidatedIntegrator* integrator = nullptr;

@@ -173,21 +173,25 @@ std::vector<Box> Box::split(const std::vector<std::size_t>& dims_to_split) const
 }
 
 double Box::center_distance(const Box& other) const {
-  if (other.dim() != dims_.size()) {
-    throw std::invalid_argument("Box::center_distance: dimension mismatch");
-  }
-  double sum = 0.0;
-  for (std::size_t i = 0; i < dims_.size(); ++i) {
-    const double d = dims_[i].mid() - other[i].mid();
-    sum += d * d;
-  }
-  return std::sqrt(sum);
+  return euclidean_distance(midpoint(), other.midpoint());
 }
 
 std::string Box::str() const {
   std::ostringstream oss;
   oss << *this;
   return oss.str();
+}
+
+double euclidean_distance(std::span<const double> a, std::span<const double> b) {
+  if (a.size() != b.size()) {
+    throw std::invalid_argument("euclidean_distance: dimension mismatch");
+  }
+  double sum = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double d = a[i] - b[i];
+    sum += d * d;
+  }
+  return std::sqrt(sum);
 }
 
 Box hull(const Box& a, const Box& b) {

@@ -4,6 +4,7 @@
 #include <initializer_list>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -82,7 +83,8 @@ class Box {
   [[nodiscard]] std::vector<Box> split(const std::vector<std::size_t>& dims_to_split) const;
 
   /// Euclidean distance between the midpoints of two equal-dimension boxes
-  /// (the paper's Def 9 distance between symbolic states).
+  /// (the paper's Def 9 distance between symbolic states):
+  /// `euclidean_distance(midpoint(), other.midpoint())`.
   [[nodiscard]] double center_distance(const Box& other) const;
 
   bool operator==(const Box& other) const = default;
@@ -92,6 +94,12 @@ class Box {
  private:
   std::vector<Interval> dims_;
 };
+
+/// sqrt(Σ(a_i − b_i)²), summed in index order. The one formula behind
+/// `Box::center_distance`; `resize` applies it to cached midpoints, so both
+/// compare the same doubles. Throws `std::invalid_argument` on a size
+/// mismatch.
+[[nodiscard]] double euclidean_distance(std::span<const double> a, std::span<const double> b);
 
 /// Smallest box containing both arguments (Def 10 join on boxes).
 Box hull(const Box& a, const Box& b);

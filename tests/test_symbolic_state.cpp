@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/symbolic_state.hpp"
 #include "interval/affine_set.hpp"
@@ -118,6 +124,199 @@ TEST(Resize, ReachesExactThreshold) {
 TEST(Resize, RejectsZeroGamma) {
   SymbolicSet set{state(0, 1, 0, 1, 0)};
   EXPECT_THROW(resize(set, 0), std::invalid_argument);
+}
+
+// The greedy scan `resize` replaced, kept as the bit-identity reference:
+// after every join it rescans every same-command pair of the shrunken set,
+// O(n³) per call.
+std::size_t greedy_scan_resize(SymbolicSet& set, std::size_t gamma) {
+  std::size_t joins = 0;
+  while (set.size() > gamma) {
+    std::size_t best_i = set.size();
+    std::size_t best_j = set.size();
+    double best_d = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < set.size(); ++i) {
+      for (std::size_t j = i + 1; j < set.size(); ++j) {
+        if (set[i].command != set[j].command) {
+          continue;
+        }
+        const double d = distance(set[i], set[j]);
+        if (d < best_d) {
+          best_d = d;
+          best_i = i;
+          best_j = j;
+        }
+      }
+    }
+    if (best_i == set.size()) {
+      break;
+    }
+    set[best_i] = join(set[best_i], set[best_j]);
+    set.erase(set.begin() + static_cast<std::ptrdiff_t>(best_j));
+    ++joins;
+  }
+  return joins;
+}
+
+// A seeded symbolic set that exercises every tie and special case of the
+// greedy choice: centres on a small integer lattice (equal distances) with
+// duplicate boxes, pairs whose squared distances differ by an ulp but round
+// to the same sqrt (2 + 2^-51 against a lattice diagonal's 2), point boxes,
+// random real boxes, half-infinite, entire and overflowing intervals
+// (`Interval::mid`'s ±max, 0 and halved-sum branches), and relational parts.
+SymbolicSet tie_heavy_set(Rng& rng, std::size_t n, std::size_t dims, std::size_t commands) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto lattice = [&](double max_half_width) {
+    std::vector<Interval> box(dims);
+    for (auto& iv : box) {
+      const auto c = static_cast<double>(rng.uniform_int(0, 3));
+      const double r = max_half_width * static_cast<double>(rng.uniform_int(0, 2)) / 2.0;
+      iv = Interval{c - r, c + r};
+    }
+    return box;
+  };
+  const auto pick = [&](std::size_t size) {
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(size) - 1));
+  };
+  SymbolicSet set;
+  while (set.size() < n) {
+    const std::size_t command = pick(commands);
+    std::vector<Interval> box;
+    bool bounded = true;
+    switch (rng.uniform_int(0, 9)) {
+      case 0:
+      case 1:
+      case 2:
+        box = lattice(1.0);
+        break;
+      case 3:  // a duplicate of an earlier state, relational part included
+        if (!set.empty()) {
+          set.push_back(set[pick(set.size())]);
+          continue;
+        }
+        box = lattice(1.0);
+        break;
+      case 4:
+      case 5:
+        box.resize(dims);
+        for (auto& iv : box) {
+          const double lo = rng.uniform(-1.0, 4.0);
+          iv = Interval{lo, lo + rng.uniform(0.0, 2.0)};
+        }
+        break;
+      case 6:  // point box on or off the lattice
+        box.resize(dims);
+        for (auto& iv : box) {
+          iv = Interval{rng.chance(0.5) ? static_cast<double>(rng.uniform_int(0, 3))
+                                        : rng.uniform(-1.0, 4.0)};
+        }
+        break;
+      case 7: {  // one unbounded or overflowing dimension
+        box = lattice(1.0);
+        bounded = false;
+        Interval& iv = box[pick(dims)];
+        switch (rng.uniform_int(0, 3)) {
+          case 0:
+            iv = Interval{-kInf, iv.hi()};
+            break;
+          case 1:
+            iv = Interval{iv.lo(), kInf};
+            break;
+          case 2:
+            iv = Interval::entire();
+            break;
+          default:
+            iv = Interval{1e308, 1.5e308};
+            break;
+        }
+        break;
+      }
+      default: {  // a rounded tie: |(1, 1 + 2^-52)|² = 2 + 2^-51, sqrt equal to sqrt(2)
+        box = lattice(0.5);
+        box[1] = Interval{0.0};
+        std::vector<Interval> partner = box;
+        partner[0] = Interval{box[0].mid() + 1.0};
+        partner[1] = Interval{1.0 + 0x1p-52};
+        if (set.size() + 1 < n) {
+          set.push_back(SymbolicState{Box{std::move(partner)}, command});
+        }
+        break;
+      }
+    }
+    Box b{std::move(box)};
+    SymbolicState s{b, command};
+    if (bounded && rng.chance(0.25)) {
+      s.abstract = AbstractState{b, std::make_shared<const AffineSet>(AffineSet::from_box(b))};
+    }
+    set.push_back(std::move(s));
+  }
+  return set;
+}
+
+// First difference between two symbolic sets: order, commands, relational
+// flags and the bits of every bound.
+::testing::AssertionResult same_bits(const SymbolicSet& got, const SymbolicSet& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure() << "size " << got.size() << " != " << want.size();
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const SymbolicState& g = got[i];
+    const SymbolicState& w = want[i];
+    if (g.command != w.command || g.abstract.has_relational() != w.abstract.has_relational() ||
+        g.box().dim() != w.box().dim()) {
+      return ::testing::AssertionFailure() << "state " << i << " differs in command, "
+                                           << "relational part or dimension";
+    }
+    for (std::size_t d = 0; d < g.box().dim(); ++d) {
+      if (std::bit_cast<std::uint64_t>(g.box()[d].lo()) !=
+              std::bit_cast<std::uint64_t>(w.box()[d].lo()) ||
+          std::bit_cast<std::uint64_t>(g.box()[d].hi()) !=
+              std::bit_cast<std::uint64_t>(w.box()[d].hi())) {
+        return ::testing::AssertionFailure() << "state " << i << " dim " << d << ": "
+                                             << g.box()[d] << " != " << w.box()[d];
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(Resize, MatchesGreedyScanBitForBit) {
+  // The construction behind the rounded ties: distinct squared sums, one sqrt.
+  ASSERT_LT(2.0, 1.0 + (1.0 + 0x1p-52) * (1.0 + 0x1p-52));
+  ASSERT_EQ(std::sqrt(2.0), std::sqrt(1.0 + (1.0 + 0x1p-52) * (1.0 + 0x1p-52)));
+
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const auto drops = [] {
+    return obs::Registry::instance().snapshot().counter("core.join_relational_drops");
+  };
+  Rng rng(2026);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 120));
+    const auto gamma =
+        static_cast<std::size_t>(rng.uniform_int(1, static_cast<std::int64_t>(n) + 1));
+    const auto commands = static_cast<std::size_t>(rng.uniform_int(1, 5));
+    const auto dims = static_cast<std::size_t>(rng.uniform_int(2, 5));
+    const SymbolicSet input = tie_heavy_set(rng, n, dims, commands);
+    SCOPED_TRACE("trial " + std::to_string(trial) + ": n=" + std::to_string(n) +
+                 " gamma=" + std::to_string(gamma) + " commands=" + std::to_string(commands) +
+                 " dims=" + std::to_string(dims));
+
+    SymbolicSet want = input;
+    const auto want_drops_before = drops();
+    const std::size_t want_joins = greedy_scan_resize(want, gamma);
+    const auto want_drops = drops() - want_drops_before;
+
+    SymbolicSet got = input;
+    const auto got_drops_before = drops();
+    const ResizeStats stats = resize(got, gamma);
+    const auto got_drops = drops() - got_drops_before;
+
+    EXPECT_EQ(stats.joins, want_joins);
+    EXPECT_EQ(got_drops, want_drops);
+    EXPECT_TRUE(same_bits(got, want));
+  }
+  obs::set_enabled(was_enabled);
 }
 
 // Soundness property: the union of boxes after resize covers the union

@@ -10,8 +10,9 @@
 #   build-test    Release configure/build + full ctest, plus a  (always)
 #                 configure-only -DNNCS_BUILD_BENCHES=OFF check
 #   sanitizers    tools/run_sanitizers.sh asan + tsan           (--skip-sanitizers)
-#   perf-gate     bench_canonical and domain_loop vs            (--skip-bench)
-#                 bench/baselines, python3 perfbench/run.py --test
+#   perf-gate     bench_canonical, domain_loop and cruise       (--skip-bench)
+#                 control nncs_verify vs bench/baselines,
+#                 python3 perfbench/run.py --test
 #   format        clang-format --dry-run on the CI-pinned list  (--skip-format)
 #
 # Stages whose tools are missing (clang-format, sanitizer-capable compiler)
@@ -22,7 +23,7 @@ set -uo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,19p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'
   exit 0
 }
 
@@ -83,7 +84,12 @@ if [ "$run_bench" -eq 1 ]; then
           build-ci/bench-out/BENCH_canonical_acasxu_zonotope.json \
       && build-ci/bench/domain_loop --artifact-dir build-ci/bench-out \
       && build-ci/tools/nncs_bench_compare --max-regress 300 \
-          bench/baselines/BENCH_domain.json build-ci/bench-out/BENCH_domain.json; then
+          bench/baselines/BENCH_domain.json build-ci/bench-out/BENCH_domain.json \
+      && build-ci/tools/nncs_verify --scenario cruise_control --threads 2 --quiet \
+          --metrics-out build-ci/bench-out/BENCH_nncs_verify_cruise_control.json \
+      && build-ci/tools/nncs_bench_compare --max-regress 300 \
+          bench/baselines/BENCH_nncs_verify_cruise_control.json \
+          build-ci/bench-out/BENCH_nncs_verify_cruise_control.json; then
     note "perf-gate OK"
   else
     stage_fail "perf-gate"
