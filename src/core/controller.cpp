@@ -1,16 +1,11 @@
 #include "core/controller.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <utility>
-#include <variant>
 
-#include "interval/rounding.hpp"
 #include "nn/argmin_analysis.hpp"
 #include "nn/interval_prop.hpp"
 #include "obs/span.hpp"
@@ -18,12 +13,6 @@
 namespace nncs {
 
 namespace {
-
-/// Domain tag for relational (zonotope-hull-keyed) cache entries. Distinct
-/// from every NnDomain enumerator, so `find_exact` on a box query can never
-/// replay a result that was only proved for one particular zonotope inside
-/// that hull.
-constexpr NnQueryCache::DomainTag kRelationalTag = 0x80;
 
 /// Post# sanity checks.
 void validate_commands(const AbstractControlStep& result, std::size_t command_count) {
@@ -43,114 +32,6 @@ template <class Bounds>
 std::vector<std::size_t> prune(const Bounds& bounds) {
   NNCS_SPAN("nn.argmin");
   return possible_argmin(bounds);
-}
-
-/// True when the affine forms represent exactly their hull box: at most one
-/// noise term per form and pairwise-distinct term symbols (the `AffineReuse`
-/// precondition).
-bool box_valid_inputs(const std::vector<Affine>& inputs) {
-  std::vector<std::uint32_t> ids;
-  for (const Affine& form : inputs) {
-    if (form.terms().size() > 1) {
-      return false;
-    }
-    if (!form.terms().empty()) {
-      ids.push_back(form.terms().front().first);
-    }
-  }
-  std::sort(ids.begin(), ids.end());
-  return std::adjacent_find(ids.begin(), ids.end()) == ids.end();
-}
-
-/// Substitute ε_id = m + w·ε_id (w >= 0) into `form` for every id in `sub`,
-/// folding all rounding slack into the error term: the returned form over
-/// ε ∈ [-1,1] covers the original form over the restricted ranges. Symbol
-/// ids are preserved, so shared symbols still cancel in output differences.
-Affine restrict_form(const Affine& form,
-                     const std::unordered_map<std::uint32_t, std::pair<double, double>>& sub) {
-  double center_lo = form.center();
-  double center_hi = form.center();
-  double err = form.error();
-  std::vector<std::pair<std::uint32_t, double>> terms;
-  terms.reserve(form.terms().size());
-  for (const auto& term : form.terms()) {
-    const auto it = sub.find(term.first);
-    if (it == sub.end()) {
-      terms.push_back(term);
-      continue;
-    }
-    const double a = term.second;
-    const double m = it->second.first;
-    const double w = it->second.second;
-    // center += a·m, tracked as an interval to absorb the rounding.
-    const double p = a * m;
-    center_lo = rnd::add_down(center_lo, rnd::next_down(p));
-    center_hi = rnd::add_up(center_hi, rnd::next_up(p));
-    // Coefficient a·w: the rounded product can be one step off; the defect
-    // is bounded by next_up(|a·w|) - |a·w| and goes into err.
-    const double c = a * w;
-    if (c != 0.0) {
-      terms.emplace_back(term.first, c);
-      err = rnd::add_up(err, rnd::sub_up(rnd::next_up(std::fabs(c)), std::fabs(c)));
-    } else if (a != 0.0 && w != 0.0) {
-      err = rnd::add_up(err, rnd::next_up(0.0));  // whole product underflowed
-    }
-  }
-  const double center = 0.5 * (center_lo + center_hi);
-  err = rnd::add_up(err, std::max(rnd::sub_up(center_hi, center), rnd::sub_up(center, center_lo)));
-  return Affine::from_parts(center, std::move(terms), err);
-}
-
-/// Restrict a cached box-valid propagation to a tighter query box. Null when
-/// the query is not provably covered by the represented set (the cache key
-/// is the outward-rounded hull, which can be strictly wider than the set
-/// the cached forms actually parameterize).
-std::optional<ZonotopeBounds> restrict_affine_reuse(const AffineReuse& base, const Box& query) {
-  if (base.inputs.size() != query.dim()) {
-    return std::nullopt;
-  }
-  std::unordered_map<std::uint32_t, std::pair<double, double>> sub;
-  for (std::size_t d = 0; d < query.dim(); ++d) {
-    const Affine& in = base.inputs[d];
-    const double c = in.center();
-    const double e = in.error();
-    const double r = in.terms().empty() ? 0.0 : std::fabs(in.terms().front().second);
-    // Representability: query_d must sit inside [c - r - e, c + r + e],
-    // compared against inner bounds of that interval.
-    if (query[d].lo() < rnd::sub_up(rnd::sub_up(c, r), e) ||
-        query[d].hi() > rnd::add_down(rnd::add_down(c, r), e)) {
-      return std::nullopt;
-    }
-    if (r == 0.0) {
-      continue;  // constant dimension, nothing to restrict
-    }
-    // ε sub-range reproducing query_d: ((query_d + [-e, e]) - c) / coeff,
-    // outward rounded, clamped to [-1, 1].
-    const double coeff = in.terms().front().second;
-    const Interval eps =
-        (Interval{query[d].lo(), query[d].hi()} + Interval{-e, e} - Interval{c}) / Interval{coeff};
-    const double lo = std::max(eps.lo(), -1.0);
-    const double hi = std::min(eps.hi(), 1.0);
-    if (lo > hi) {
-      return std::nullopt;  // rounding artefact: no usable sub-range
-    }
-    if (lo <= -1.0 && hi >= 1.0) {
-      continue;  // no tightening on this symbol
-    }
-    const double m = 0.5 * (lo + hi);
-    const double w = std::max({rnd::sub_up(hi, m), rnd::sub_up(m, lo), 0.0});
-    sub.emplace(in.terms().front().first, std::pair<double, double>{m, w});
-  }
-  ZonotopeBounds bounds;
-  bounds.outputs.reserve(base.outputs.size());
-  std::vector<Interval> dims;
-  dims.reserve(base.outputs.size());
-  for (const Affine& out : base.outputs) {
-    bounds.outputs.push_back(sub.empty() ? out : restrict_form(out, sub));
-    dims.push_back(bounds.outputs.back().range());
-  }
-  bounds.output_box = Box{std::move(dims)};
-  return bounds;
 }
 
 }  // namespace
@@ -251,56 +132,41 @@ AbstractControlStep NeuralController::step_abstract_relational(
   return std::move(step_abstract_batch({query}, {previous_command}).front());
 }
 
-bool NeuralController::reuse_cached(std::size_t net_id, NnQueryCache::DomainTag tag,
-                                    AbstractControlStep& result) const {
+bool NeuralController::reuse_cached(std::size_t net_id, AbstractControlStep& result) const {
+  const auto tag = static_cast<NnQueryCache::DomainTag>(domain_);
   const Box& input = result.network_input;
-  if (tag != kRelationalTag) {
-    if (auto hit = cache_->find_exact(net_id, tag, input)) {
-      // Exact match replays the propagation's own result.
-      result.commands = std::move(hit->commands);
-      result.network_output = std::move(hit->output_box);
-      cache_->count_hit(/*containment=*/false);
-      return true;
-    }
+  if (auto hit = cache_->find_exact(net_id, tag, input)) {
+    // Exact match replays the propagation's own result.
+    result.commands = std::move(hit->commands);
+    result.network_output = std::move(hit->output_box);
+    cache_->count_hit(/*containment=*/false);
+    return true;
   }
-  // Containment reuse: bounds valid on a covering box stay valid on the
-  // query box — for a relational query, on every zonotope inside its hull,
-  // whose own correlations simply go unused. Symbolic bounds are
-  // re-concretized on the query box (output box and the argmin's symbolic
-  // differences); a box-valid affine propagation is restricted to the
-  // query's noise-symbol sub-ranges (see restrict_affine_reuse).
+  // Containment reuse: symbolic bounds valid on a covering box stay valid on
+  // the query box, so they are re-concretized there (output box and the
+  // argmin's symbolic differences).
   const NnQueryCache::Reuse reuse = cache_->find_containing(net_id, tag, input);
-  bool attempted = false;
-  std::vector<std::size_t> commands;
-  Box output;
-  if (const auto* symbolic = std::get_if<std::shared_ptr<const SymbolicBounds>>(&reuse)) {
-    const SymbolicBounds reused{input, (*symbolic)->outputs,
-                                concretize_output_box((*symbolic)->outputs, input)};
-    commands = prune(reused);
-    output = reused.output_box;
-    attempted = true;
-  } else if (const auto* affine = std::get_if<std::shared_ptr<const AffineReuse>>(&reuse)) {
-    if (const std::optional<ZonotopeBounds> restricted =
-            restrict_affine_reuse(**affine, input)) {
-      commands = prune(*restricted);
-      output = restricted->output_box;
-      attempted = true;
-    }
+  if (!reuse) {
+    cache_->count_miss(/*after_reuse_attempt=*/false);
+    return false;
   }
-  if (!attempted || commands.size() >= commands_.size()) {
-    // Nothing to reuse, or the widened bounds pruned nothing: propagate from
-    // scratch instead of accepting a worthless (though sound) full set.
-    cache_->count_miss(/*after_reuse_attempt=*/attempted);
+  const SymbolicBounds reused{input, reuse->outputs,
+                              concretize_output_box(reuse->outputs, input)};
+  std::vector<std::size_t> commands = prune(reused);
+  if (commands.size() >= commands_.size()) {
+    // The widened bounds pruned nothing: propagate from scratch instead of
+    // accepting a worthless (though sound) full set.
+    cache_->count_miss(/*after_reuse_attempt=*/true);
     return false;
   }
   result.commands = commands;
-  result.network_output = output;
+  result.network_output = reused.output_box;
   cache_->count_hit(/*containment=*/true);
   // The new entry shares the covering payload: reuse re-derives everything
   // from the payload and the key box, so it stays valid for any later query
   // this tighter box contains.
   cache_->insert(net_id, tag, input,
-                 NnQueryCache::Result{std::move(commands), std::move(output), reuse});
+                 NnQueryCache::Result{std::move(commands), reused.output_box, reuse});
   return true;
 }
 
@@ -311,12 +177,12 @@ std::vector<AbstractControlStep> NeuralController::step_abstract_batch(
     throw std::invalid_argument(
         "NeuralController::step_abstract_batch: states/commands size mismatch");
   }
-  /// A query the cache did not answer. Its tag (relational, or the NN
-  /// domain for box states) also selects the transformer.
+  /// A query the cache did not answer, or a relational one it never sees.
+  /// `relational` also selects the transformer.
   struct Miss {
     std::size_t index;
     std::size_t net_id;
-    NnQueryCache::DomainTag tag;
+    bool relational;
   };
   const std::size_t n = states.size();
   std::vector<AbstractControlStep> results(n);
@@ -327,38 +193,38 @@ std::vector<AbstractControlStep> NeuralController::step_abstract_batch(
   // time.
   const std::size_t chunk = cache_ ? 1 : n;
   for (std::size_t begin = 0; begin < n; begin += chunk) {
-    // Pre# and the cache consult, per state in order.
+    // Pre# and the cache consult, per state in order. Relational states
+    // bypass the cache.
     misses.clear();
     for (std::size_t i = begin; i < std::min(n, begin + chunk); ++i) {
       if (previous_commands[i] >= commands_.size()) {
         throw std::out_of_range("NeuralController: bad previous command index");
       }
       const std::size_t net_id = selector_[previous_commands[i]];
-      auto tag = static_cast<NnQueryCache::DomainTag>(domain_);
-      if (states[i].has_relational()) {
+      const bool relational = states[i].has_relational();
+      if (relational) {
         pre_images[i].emplace(pre_->eval_abstract(*states[i].relational()));
         results[i].network_input = pre_images[i]->concretize();
-        tag = kRelationalTag;
       } else {
         results[i].network_input = pre_->eval_abstract(states[i].box());
       }
-      if (!cache_ || !reuse_cached(net_id, tag, results[i])) {
-        misses.push_back(Miss{i, net_id, tag});
+      if (relational || !cache_ || !reuse_cached(net_id, results[i])) {
+        misses.push_back(Miss{i, net_id, relational});
       }
     }
-    // One batched transformer call per (network, tag) group, in order of
-    // first appearance.
+    // One batched transformer call per (network, transformer) group, in
+    // order of first appearance.
     std::vector<bool> grouped(misses.size(), false);
     for (std::size_t m0 = 0; m0 < misses.size(); ++m0) {
       if (grouped[m0]) {
         continue;
       }
       const std::size_t net_id = misses[m0].net_id;
-      const NnQueryCache::DomainTag tag = misses[m0].tag;
+      const bool relational = misses[m0].relational;
       std::vector<std::size_t> lanes;                          // state propagated per lane
       std::vector<std::pair<std::size_t, std::size_t>> twins;  // (state, lane state it copies)
       for (std::size_t m = m0; m < misses.size(); ++m) {
-        if (grouped[m] || misses[m].net_id != net_id || misses[m].tag != tag) {
+        if (grouped[m] || misses[m].net_id != net_id || misses[m].relational != relational) {
           continue;
         }
         grouped[m] = true;
@@ -366,11 +232,10 @@ std::vector<AbstractControlStep> NeuralController::step_abstract_batch(
         // Equal box inputs share one propagation. Relational pre-images
         // never do: equal hulls do not imply equal zonotopes.
         const auto twin =
-            tag == kRelationalTag
-                ? lanes.end()
-                : std::find_if(lanes.begin(), lanes.end(), [&](std::size_t k) {
-                    return results[k].network_input == results[i].network_input;
-                  });
+            relational ? lanes.end()
+                       : std::find_if(lanes.begin(), lanes.end(), [&](std::size_t k) {
+                           return results[k].network_input == results[i].network_input;
+                         });
         if (twin == lanes.end()) {
           lanes.push_back(i);
         } else {
@@ -379,7 +244,7 @@ std::vector<AbstractControlStep> NeuralController::step_abstract_batch(
       }
       const Network& net = networks_[net_id];
       std::vector<NnQueryCache::Reuse> reuse(lanes.size());
-      if (tag == kRelationalTag) {
+      if (relational) {
         std::vector<const AffineSet*> inputs;
         inputs.reserve(lanes.size());
         for (const std::size_t i : lanes) {
@@ -395,12 +260,6 @@ std::vector<AbstractControlStep> NeuralController::step_abstract_batch(
           AbstractControlStep& result = results[lanes[k]];
           result.commands = prune(all[k]);
           result.network_output = std::move(all[k].output_box);
-          // Only box-valid inputs are reusable (see AffineReuse): a general
-          // zonotope's hull admits points the propagation never covered.
-          if (cache_ && box_valid_inputs(inputs[k]->components())) {
-            reuse[k] = std::make_shared<const AffineReuse>(
-                AffineReuse{inputs[k]->components(), std::move(all[k].outputs)});
-          }
         }
       } else if (domain_ == NnDomain::kSymbolic) {
         std::vector<Box> inputs;
@@ -425,13 +284,11 @@ std::vector<AbstractControlStep> NeuralController::step_abstract_batch(
           results[i].commands = prune(results[i].network_output);
         }
       }
-      for (std::size_t k = 0; k < lanes.size(); ++k) {
-        const AbstractControlStep& result = results[lanes[k]];
-        // A relational entry without a payload could only serve exact
-        // replay, which relational queries never use.
-        const bool payload = !std::holds_alternative<std::monostate>(reuse[k]);
-        if (cache_ && (payload || tag != kRelationalTag)) {
-          cache_->insert(net_id, tag, result.network_input,
+      if (cache_ && !relational) {
+        for (std::size_t k = 0; k < lanes.size(); ++k) {
+          const AbstractControlStep& result = results[lanes[k]];
+          cache_->insert(net_id, static_cast<NnQueryCache::DomainTag>(domain_),
+                         result.network_input,
                          NnQueryCache::Result{result.commands, result.network_output,
                                               std::move(reuse[k])});
         }

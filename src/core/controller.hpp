@@ -161,14 +161,15 @@ class NeuralController final : public Controller {
 
   /// The one implementation of Pre# → F#_λ(u) → Post#. Pre# runs per state
   /// (on the affine pre-image for relational states), then the cache is
-  /// consulted per state. Remaining misses are grouped by selected network
-  /// and transformer, equal box inputs are propagated once, and each group
-  /// gets one transformer call followed by Post# (and, with a cache, the
-  /// insert). Relational states go through the batched zonotope
-  /// transformer; box states through the batched symbolic one, or lane by
-  /// lane through the scalar interval one. The batched transformers
-  /// replicate the scalar rounding sequence per lane, so every result is
-  /// bit-identical to the scalar transformer's.
+  /// consulted per box state; relational states bypass the cache, so they
+  /// are never looked up or inserted. Remaining misses are grouped by
+  /// selected network and transformer, equal box inputs are propagated
+  /// once, and each group gets one transformer call followed by Post# (and,
+  /// for box states with a cache, the insert). Relational states go through
+  /// the batched zonotope transformer; box states through the batched
+  /// symbolic one, or lane by lane through the scalar interval one. The
+  /// batched transformers replicate the scalar rounding sequence per lane,
+  /// so every result is bit-identical to the scalar transformer's.
   /// Containment reuse is query-order-dependent (a step may insert the
   /// entry a later query reuses), so with a cache the states run through
   /// this body one at a time.
@@ -177,11 +178,10 @@ class NeuralController final : public Controller {
       const std::vector<std::size_t>& previous_commands) const override;
 
  private:
-  /// Containment-mode consult for one query under `tag`: exact replay (box
-  /// queries only), else reuse of a covering entry's payload when it still
-  /// prunes a command. Fills commands/network_output on a hit.
-  [[nodiscard]] bool reuse_cached(std::size_t net_id, NnQueryCache::DomainTag tag,
-                                  AbstractControlStep& result) const;
+  /// Containment-mode consult for one box query: exact replay, else reuse
+  /// of a covering entry's symbolic bounds when they still prune a command.
+  /// Fills commands/network_output on a hit.
+  [[nodiscard]] bool reuse_cached(std::size_t net_id, AbstractControlStep& result) const;
 
   CommandSet commands_;
   std::vector<Network> networks_;

@@ -34,23 +34,15 @@ int box_compare(const Box& a, const Box& b) {
   return 0;
 }
 
-}  // namespace
+/// One cell's place in the deterministic order: (root_index, depth, box
+/// lower corner, box upper corner, command).
+struct CellKey {
+  std::size_t root_index;
+  int depth;
+  const SymbolicState& cell;
+};
 
-bool cell_outcome_less(const CellOutcome& a, const CellOutcome& b) {
-  if (a.root_index != b.root_index) {
-    return a.root_index < b.root_index;
-  }
-  if (a.depth != b.depth) {
-    return a.depth < b.depth;
-  }
-  const int boxes = box_compare(a.initial.box(), b.initial.box());
-  if (boxes != 0) {
-    return boxes < 0;
-  }
-  return a.initial.command < b.initial.command;
-}
-
-bool verify_job_less(const VerifyJob& a, const VerifyJob& b) {
+bool key_less(const CellKey& a, const CellKey& b) {
   if (a.root_index != b.root_index) {
     return a.root_index < b.root_index;
   }
@@ -62,6 +54,16 @@ bool verify_job_less(const VerifyJob& a, const VerifyJob& b) {
     return boxes < 0;
   }
   return a.cell.command < b.cell.command;
+}
+
+}  // namespace
+
+bool cell_outcome_less(const CellOutcome& a, const CellOutcome& b) {
+  return key_less({a.root_index, a.depth, a.initial}, {b.root_index, b.depth, b.initial});
+}
+
+bool verify_job_less(const VerifyJob& a, const VerifyJob& b) {
+  return key_less({a.root_index, a.depth, a.cell}, {b.root_index, b.depth, b.cell});
 }
 
 VerificationEngine::VerificationEngine(const ClosedLoop& system, const StateRegion& error,

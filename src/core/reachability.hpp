@@ -78,7 +78,8 @@ struct ReachConfig {
   /// NN query cache policy for the abstract controller steps. The cache
   /// itself lives on the `NeuralController` (drivers apply this config via
   /// `configure_cache` before analysis); carried here so a driver holding
-  /// only the config can apply it.
+  /// only the config can apply it. It serves the box loop's queries only:
+  /// the zonotope loop's relational queries bypass it.
   NnCacheConfig nn_cache;
   /// Record every flowpipe (memory-heavy; for plots and tests).
   bool record_flowpipes = false;

@@ -35,22 +35,12 @@ std::size_t entry_bytes(const Box& input, const NnQueryCache::Result& result) {
   std::size_t bytes = 2 * input.dim() * sizeof(Interval);  // entry key + index key
   bytes += result.commands.size() * sizeof(std::size_t);
   bytes += result.output_box.dim() * sizeof(Interval);
-  if (const auto* symbolic =
-          std::get_if<std::shared_ptr<const SymbolicBounds>>(&result.reuse)) {
-    const SymbolicBounds& sb = **symbolic;
+  if (const SymbolicBounds* sb = result.reuse.get()) {
     bytes += sizeof(SymbolicBounds);
-    bytes += (sb.input.dim() + sb.output_box.dim()) * sizeof(Interval);
-    for (const NeuronBounds& nb : sb.outputs) {
+    bytes += (sb->input.dim() + sb->output_box.dim()) * sizeof(Interval);
+    for (const NeuronBounds& nb : sb->outputs) {
       bytes += sizeof(NeuronBounds);
       bytes += (nb.lower.coeffs.size() + nb.upper.coeffs.size()) * sizeof(double);
-    }
-  } else if (const auto* affine =
-                 std::get_if<std::shared_ptr<const AffineReuse>>(&result.reuse)) {
-    bytes += sizeof(AffineReuse);
-    for (const auto* forms : {&(*affine)->inputs, &(*affine)->outputs}) {
-      for (const Affine& form : *forms) {
-        bytes += sizeof(Affine) + form.terms().size() * sizeof(form.terms().front());
-      }
     }
   }
   return bytes;
@@ -132,15 +122,14 @@ NnQueryCache::Reuse NnQueryCache::find_containing(std::size_t net_id, DomainTag 
       if (++scanned > kContainmentWindow) {
         break;
       }
-      if (entry.key.net_id != net_id || entry.key.domain != domain ||
-          std::holds_alternative<std::monostate>(entry.result.reuse)) {
+      if (entry.key.net_id != net_id || entry.key.domain != domain || !entry.result.reuse) {
         continue;
       }
       if (!entry.key.input.contains(input)) {
         continue;
       }
       const double volume = entry.key.input.volume();
-      if (std::holds_alternative<std::monostate>(best) || volume < best_volume) {
+      if (!best || volume < best_volume) {
         best = entry.result.reuse;
         best_volume = volume;
       }

@@ -10,29 +10,25 @@
 #include <optional>
 #include <string_view>
 #include <unordered_map>
-#include <variant>
 #include <vector>
 
-#include "interval/affine.hpp"
 #include "interval/box.hpp"
 #include "nn/symbolic_prop.hpp"
 
 namespace nncs {
 
-/// Reuse policy of the NN query cache sitting in front of the abstract
-/// network transformers (interval / symbolic / zonotope propagation).
+/// Reuse policy of the NN query cache sitting in front of the box queries'
+/// abstract network transformers (interval / symbolic propagation).
 enum class NnCacheMode {
   /// No cache: every abstract controller step propagates from scratch.
   kOff,
-  /// Exact-match replay on (network id, input box) plus containment reuse:
-  /// a cached entry whose input box contains the query box is
-  /// re-concretized on the tighter query box. For the symbolic domain the
-  /// cached `SymbolicBounds` are re-evaluated on the query box; for the
-  /// affine/zonotope domain a cached box-valid propagation (`AffineReuse`)
-  /// is restricted to the query box's noise-symbol sub-ranges. Sound —
-  /// bounds valid on B ⊇ B' are valid on B' — but wider than fresh
-  /// propagation, so enclosures (and therefore reports) may differ from
-  /// `kOff`.
+  /// Box queries only: exact-match replay on (network id, input box) plus
+  /// containment reuse, where the cached `SymbolicBounds` of a covering
+  /// entry are re-concretized on the tighter query box. Sound — bounds
+  /// valid on B ⊇ B' are valid on B' — but wider than fresh propagation, so
+  /// enclosures (and therefore reports) may differ from `kOff`. Relational
+  /// queries (the zonotope loop) bypass the cache, so a zonotope run's
+  /// reports equal `kOff`'s and its statistics read 0 lookups.
   kContainment,
 };
 
@@ -51,33 +47,15 @@ struct NnCacheConfig {
   }
 };
 
-/// Cached affine-arithmetic propagation, retained so containment mode can
-/// restrict it to tighter query boxes. Only *box-valid* propagations are
-/// cached this way: every input form has at most one noise term and the
-/// term symbols are pairwise distinct, so the set the inputs represent is
-/// exactly an axis-aligned box (per dimension `c_i + r_i·ε_i ± err_i`).
-/// That makes two things decidable that are not for a general zonotope:
-/// whether a query box is covered by the represented set, and which
-/// sub-range of each ε_i reproduces it. The outputs are the propagation's
-/// affine forms over those input symbols (plus fresh ReLU symbols, which
-/// restriction leaves at [-1, 1]).
-struct AffineReuse {
-  std::vector<Affine> inputs;
-  std::vector<Affine> outputs;
-};
-
 /// Sharded, thread-safe, LRU-bounded store of abstract NN controller-step
-/// results, keyed by (network id, domain tag, pre-processed input box). One
-/// instance is shared by every thread analyzing cells of one verification
-/// run (it hangs off the `NeuralController`), so reuse crosses cell and
-/// thread boundaries. The domain tag keeps entries of different transformers
-/// apart: an interval-domain result replayed for a symbolic-domain query (or
-/// vice versa) would silently substitute one transformer's enclosure for
-/// another's. Relational (affine-input) queries live under a dedicated tag
-/// and never use exact-match replay — a box key cannot distinguish two
-/// zonotopes with the same hull — but reuse covering entries through
-/// `find_containing` on the concretized hull, which is sound because the
-/// query zonotope is contained in its hull.
+/// results for box queries, keyed by (network id, domain tag, pre-processed
+/// input box). One instance is shared by every thread analyzing cells of one
+/// verification run (it hangs off the `NeuralController`), so reuse crosses
+/// cell and thread boundaries. The domain tag keeps entries of different
+/// transformers apart: an interval-domain result replayed for a
+/// symbolic-domain query (or vice versa) would silently substitute one
+/// transformer's enclosure for another's. Relational (affine-input) queries
+/// never reach the cache.
 ///
 /// Box keys hash their bounds' bit patterns with -0.0 canonicalized to 0.0,
 /// matching `Box::operator==` (which compares doubles, so -0.0 == 0.0).
@@ -87,10 +65,9 @@ class NnQueryCache {
   /// enumerator value; the cache only needs distinctness).
   using DomainTag = std::uint8_t;
   /// What containment reuse re-concretizes on a tighter box: the affine
-  /// bounds of a symbolic-domain propagation or a box-valid zonotope
-  /// propagation. Empty for entries only exact replay can use.
-  using Reuse = std::variant<std::monostate, std::shared_ptr<const SymbolicBounds>,
-                             std::shared_ptr<const AffineReuse>>;
+  /// bounds of a symbolic-domain propagation. Null for interval-domain
+  /// entries, which only exact replay uses.
+  using Reuse = std::shared_ptr<const SymbolicBounds>;
   /// One cached abstract step: the pruned command set and output enclosure,
   /// plus the reuse payload.
   struct Result {
@@ -139,10 +116,7 @@ class NnQueryCache {
 
   /// Reuse payload of the tightest cached entry of the same network and
   /// domain (within the kContainmentWindow MRU window of each shard) whose
-  /// input box contains `input`; empty when none carries one. For an
-  /// `AffineReuse` the caller still has to verify the payload's represented
-  /// set covers the query (the key box is the outward-rounded hull, which
-  /// can be strictly wider) before restricting it.
+  /// input box contains `input`; null when none carries one.
   [[nodiscard]] Reuse find_containing(std::size_t net_id, DomainTag domain, const Box& input);
 
   /// Insert (or refresh) an entry; evicts least-recently-used entries past

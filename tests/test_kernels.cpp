@@ -388,7 +388,7 @@ AbstractState correlated_state(Rng& rng, const Box& box) {
   return AbstractState{set->concretize(), set};
 }
 
-/// A box-valid relational state: the plain lift of `box`.
+/// A relational state that is the plain lift of `box`.
 AbstractState lifted_state(const Box& box) {
   return AbstractState{box, std::make_shared<const AffineSet>(AffineSet::from_box(box))};
 }
@@ -488,38 +488,35 @@ Box random_sub_box(Rng& rng, const Box& outer) {
 
 /// Containment mode runs the body one state at a time, so a batch must
 /// replay a loop of single-state calls on a fresh controller exactly:
-/// results and cache statistics alike. Without `boxes`, every query is
-/// relational, as in the zonotope loop.
-void expect_containment_batch_matches_loop(NnDomain domain, bool boxes = true) {
+/// results and cache statistics alike. Only the box states consult the
+/// cache; the relational ones mixed in bypass it.
+void expect_containment_batch_matches_loop(NnDomain domain) {
   const NeuralController batch_ctrl = make_controller(domain, NnCacheMode::kContainment, 930);
   const NeuralController loop_ctrl = make_controller(domain, NnCacheMode::kContainment, 930);
   Rng rng(931);
   std::vector<AbstractState> states;
   std::vector<std::size_t> commands;
+  std::size_t box_states = 0;
   const auto add = [&](AbstractState state, std::size_t command) {
+    box_states += state.has_relational() ? 0 : 1;
     states.push_back(std::move(state));
     commands.push_back(command);
   };
   for (int k = 0; k < 4; ++k) {
-    // A parent as a box and as a box-valid relational state, children of
-    // both kinds (containment reuse or its fallback), and an exact repeat.
+    // A parent as a box and as its lift, children of both kinds, a
+    // correlated set and an exact repeat of the box: box children reuse the
+    // parent's entry (or fall back), relational states bypass the cache.
     const Box parent = random_box(rng, kStateDim);
     const auto command = static_cast<std::size_t>(rng.uniform_int(0, 3));
-    if (boxes) {
-      add(AbstractState{parent}, command);
-    }
+    add(AbstractState{parent}, command);
     add(lifted_state(parent), command);
     for (int c = 0; c < 3; ++c) {
       const Box child = random_sub_box(rng, parent);
-      if (boxes) {
-        add(AbstractState{child}, command);
-      }
+      add(AbstractState{child}, command);
       add(lifted_state(child), command);
     }
     add(correlated_state(rng, random_sub_box(rng, parent)), command);
-    if (boxes) {
-      add(AbstractState{parent}, command);
-    }
+    add(AbstractState{parent}, command);
   }
   const std::vector<AbstractControlStep> batched =
       batch_ctrl.step_abstract_batch(states, commands);
@@ -539,26 +536,56 @@ void expect_containment_batch_matches_loop(NnDomain domain, bool boxes = true) {
   EXPECT_EQ(batch.misses, loop.misses);
   EXPECT_EQ(batch.containment_hits, loop.containment_hits);
   EXPECT_EQ(batch.reuse_fallbacks, loop.reuse_fallbacks);
-  EXPECT_EQ(batch.lookups(), states.size());
-  if (boxes) {
-    EXPECT_GT(batch.hits - batch.containment_hits, 0U) << "exact repeats must replay";
+  EXPECT_EQ(batch.lookups(), box_states);
+  EXPECT_GT(batch.hits - batch.containment_hits, 0U) << "exact repeats must replay";
+  if (domain == NnDomain::kSymbolic) {
+    EXPECT_GT(batch.containment_hits + batch.reuse_fallbacks, 0U)
+        << "box children must attempt reuse of their parents' bounds";
+  } else {
+    EXPECT_EQ(batch.containment_hits + batch.reuse_fallbacks, 0U)
+        << "interval entries carry no bounds to reuse";
   }
-  EXPECT_GT(batch.containment_hits + batch.reuse_fallbacks, 0U)
-      << "relational children must attempt reuse of their lifted parents";
 }
 
 TEST(ControllerBatch, SymbolicContainmentCacheFallsBackToScalarLoop) {
   expect_containment_batch_matches_loop(NnDomain::kSymbolic);
 }
 
-TEST(ControllerBatch, AffineContainmentCacheMatchesSingleStateLoop) {
-  // Relational queries only: lifted parents and children reuse one
-  // another's box-valid zonotope propagations.
-  expect_containment_batch_matches_loop(NnDomain::kSymbolic, /*boxes=*/false);
-}
-
 TEST(ControllerBatch, IntervalContainmentCacheMatchesSingleStateLoop) {
   expect_containment_batch_matches_loop(NnDomain::kInterval);
+}
+
+TEST(ControllerBatch, RelationalQueriesBypassTheCache) {
+  // Lifted parents, their lifted children and correlated sets: a
+  // containment controller never looks them up or inserts them, so it
+  // answers them bit for bit as an uncached controller does.
+  const NeuralController cached =
+      make_controller(NnDomain::kSymbolic, NnCacheMode::kContainment, 940);
+  const NeuralController bare = make_controller(NnDomain::kSymbolic, NnCacheMode::kOff, 940);
+  Rng rng(941);
+  std::vector<AbstractState> states;
+  std::vector<std::size_t> commands;
+  for (int k = 0; k < 4; ++k) {
+    const Box parent = random_box(rng, kStateDim);
+    const auto command = static_cast<std::size_t>(rng.uniform_int(0, 3));
+    states.push_back(lifted_state(parent));
+    for (int c = 0; c < 3; ++c) {
+      states.push_back(lifted_state(random_sub_box(rng, parent)));
+    }
+    states.push_back(correlated_state(rng, random_sub_box(rng, parent)));
+    commands.resize(states.size(), command);
+  }
+  const std::vector<AbstractControlStep> with_cache =
+      cached.step_abstract_batch(states, commands);
+  const std::vector<AbstractControlStep> without = bare.step_abstract_batch(states, commands);
+  ASSERT_EQ(with_cache.size(), states.size());
+  ASSERT_EQ(without.size(), states.size());
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    EXPECT_TRUE(steps_bitwise_eq(with_cache[i], without[i])) << "state " << i;
+  }
+  ASSERT_NE(cached.query_cache(), nullptr);
+  EXPECT_EQ(cached.query_cache()->stats().lookups(), 0U);
+  EXPECT_EQ(cached.query_cache()->stats().entries, 0U);
 }
 
 TEST(ControllerBatch, BaseDefaultLoopsScalarStep) {

@@ -1,20 +1,18 @@
 // Tests for the NN query cache: exact-match replay (replay-identical
 // results, LRU bounds, -0.0/0.0 key canonicalization), the containment scan
-// over both reuse payloads, containment reuse soundness, cache statistics,
-// thread-safety under a concurrent hammer, and containment-mode engine runs
-// that stay sound.
+// over symbolic reuse payloads, containment reuse soundness, cache
+// statistics, thread-safety under a concurrent hammer, and containment-mode
+// engine runs that stay sound.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <thread>
-#include <variant>
 #include <vector>
 
 #include "closed_loop_fixtures.hpp"
 #include "core/engine.hpp"
-#include "interval/affine_set.hpp"
 #include "nn/query_cache.hpp"
 #include "util/rng.hpp"
 
@@ -106,7 +104,7 @@ TEST(QueryCache, FindContainingPrefersTightestCoveringBox) {
   const auto bounds_for = [](const Box& box) {
     auto sb = std::make_shared<SymbolicBounds>();
     sb->input = box;
-    return NnQueryCache::Reuse{std::shared_ptr<const SymbolicBounds>(std::move(sb))};
+    return NnQueryCache::Reuse{std::move(sb)};
   };
   const Box wide{Interval{-10.0, 10.0}};
   const Box tight{Interval{-1.0, 1.0}};
@@ -118,32 +116,15 @@ TEST(QueryCache, FindContainingPrefersTightestCoveringBox) {
   cache.insert(0, 0, Box{Interval{-20.0, 20.0}}, make_result({0}, Box{Interval{0.0}}));
 
   const Box query{Interval{-0.5, 0.5}};
-  const auto found = cache.find_containing(0, 0, query);
-  const auto* symbolic = std::get_if<std::shared_ptr<const SymbolicBounds>>(&found);
-  ASSERT_NE(symbolic, nullptr);
-  EXPECT_EQ((*symbolic)->input, tight);
-  const auto none = [](const NnQueryCache::Reuse& reuse) {
-    return std::holds_alternative<std::monostate>(reuse);
-  };
+  const NnQueryCache::Reuse found = cache.find_containing(0, 0, query);
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->input, tight);
   // Other network id: nothing to reuse.
-  EXPECT_TRUE(none(cache.find_containing(1, 0, query)));
+  EXPECT_EQ(cache.find_containing(1, 0, query), nullptr);
   // Other domain tag: a covering symbolic entry of domain 0 must not leak.
-  EXPECT_TRUE(none(cache.find_containing(0, 1, query)));
+  EXPECT_EQ(cache.find_containing(0, 1, query), nullptr);
   // Query not covered by any entry: no reuse.
-  EXPECT_TRUE(none(cache.find_containing(0, 0, Box{Interval{9.0, 11.0}})));
-
-  // The same scan serves affine payloads: the tightest covering one wins.
-  const auto affine_for = [](double marker) {
-    auto reuse = std::make_shared<AffineReuse>();
-    reuse->outputs.emplace_back(marker);
-    return NnQueryCache::Reuse{std::shared_ptr<const AffineReuse>(std::move(reuse))};
-  };
-  cache.insert(0, 2, wide, make_result({0}, Box{Interval{0.0}}, affine_for(1.0)));
-  cache.insert(0, 2, tight, make_result({0}, Box{Interval{0.0}}, affine_for(2.0)));
-  const auto found_affine = cache.find_containing(0, 2, query);
-  const auto* affine = std::get_if<std::shared_ptr<const AffineReuse>>(&found_affine);
-  ASSERT_NE(affine, nullptr);
-  EXPECT_EQ((*affine)->outputs.front().center(), 2.0);
+  EXPECT_EQ(cache.find_containing(0, 0, Box{Interval{9.0, 11.0}}), nullptr);
 }
 
 TEST(QueryCache, StatsCountHitsMissesAndKinds) {
@@ -274,105 +255,6 @@ TEST(QueryCache, ContainmentReuseIsSoundOnSampledPoints) {
   for (int i = 0; i < 200; ++i) {
     const Vec point{rng.uniform(child[0].lo(), child[0].hi()),
                     rng.uniform(child[1].lo(), child[1].hi())};
-    const std::size_t cmd = ctrl->step(point, 0);
-    EXPECT_NE(std::find(reused.commands.begin(), reused.commands.end(), cmd),
-              reused.commands.end());
-  }
-}
-
-TEST(QueryCache, ContainmentAffineDomainReuseNeverOverPrunes) {
-  // Containment reuse of a zonotope propagation restricts a cached
-  // box-valid one (a lifted parent box) to the child's sub-ranges. The
-  // restricted bounds are valid for the child but generally looser than a
-  // fresh propagation of the child itself, so the reused command set may
-  // only be a superset of what full propagation keeps — never prune a
-  // command it would retain. The child re-lifts from its box, as the
-  // zonotope loop does after a split.
-  const auto ctrl = threshold_controller(5.0, -8.0);
-  NnCacheConfig cache;
-  cache.mode = NnCacheMode::kContainment;
-  ctrl->configure_cache(cache);
-  const auto fresh = threshold_controller(5.0, -8.0);
-  fresh->configure_cache(NnCacheConfig{NnCacheMode::kOff});
-
-  const Box parent{Interval{0.0, 2.0}, Interval{-1.0, 1.0}};
-  // Populate with the covering entry.
-  (void)ctrl->step_abstract_relational(AffineSet::from_box(parent), 0);
-  const Box child{Interval{0.5, 1.0}, Interval{0.0, 0.5}};
-  const AffineSet lifted_child = AffineSet::from_box(child);
-  const AbstractControlStep reused = ctrl->step_abstract_relational(lifted_child, 0);
-  ASSERT_NE(ctrl->query_cache(), nullptr);
-  EXPECT_EQ(ctrl->query_cache()->stats().containment_hits, 1u)
-      << "child box should reuse the parent's affine propagation";
-
-  const AbstractControlStep full = fresh->step_abstract_relational(lifted_child, 0);
-  for (const std::size_t cmd : full.commands) {
-    EXPECT_NE(std::find(reused.commands.begin(), reused.commands.end(), cmd),
-              reused.commands.end())
-        << "reuse pruned command " << cmd << " that full propagation keeps";
-  }
-  // And concrete soundness on sampled points.
-  Rng rng(101);
-  for (int i = 0; i < 200; ++i) {
-    const Vec point{rng.uniform(child[0].lo(), child[0].hi()),
-                    rng.uniform(child[1].lo(), child[1].hi())};
-    const std::size_t cmd = ctrl->step(point, 0);
-    EXPECT_NE(std::find(reused.commands.begin(), reused.commands.end(), cmd),
-              reused.commands.end());
-  }
-}
-
-TEST(QueryCache, ContainmentRelationalReuseNeverOverPrunes) {
-  // The relational (zonotope loop domain) query path never replays exact
-  // matches — a hull cannot identify a zonotope — but may reuse a covering
-  // box-valid propagation in containment mode. Same contract as the box
-  // path: the reused command set must contain every command a full
-  // relational propagation of the same set keeps.
-  const auto ctrl = threshold_controller(5.0, -8.0);
-  NnCacheConfig cache;
-  cache.mode = NnCacheMode::kContainment;
-  ctrl->configure_cache(cache);
-  const auto fresh = threshold_controller(5.0, -8.0);
-  fresh->configure_cache(NnCacheConfig{NnCacheMode::kOff});
-
-  // Populate: a box-lifted parent set is box-valid, so its propagation is
-  // cached with a reusable affine payload under the relational domain tag.
-  const Box parent{Interval{0.0, 2.0}, Interval{-1.0, 1.0}};
-  (void)ctrl->step_abstract_relational(AffineSet::from_box(parent), 0);
-
-  // Query: a correlated child set whose hull sits inside the parent.
-  AffineSet child = AffineSet::from_box(Box{Interval{0.5, 1.0}, Interval{0.0, 0.4}});
-  IntervalMatrix mix(2, 2);
-  mix.at(0, 0) = Interval{1.0};
-  mix.at(0, 1) = Interval{0.2};
-  mix.at(1, 0) = Interval{-0.1};
-  mix.at(1, 1) = Interval{1.0};
-  child = child.linear_image(mix);
-  ASSERT_TRUE(parent.contains(child.concretize()));
-
-  const AbstractControlStep reused = ctrl->step_abstract_relational(child, 0);
-  const AbstractControlStep full = fresh->step_abstract_relational(child, 0);
-  for (const std::size_t cmd : full.commands) {
-    EXPECT_NE(std::find(reused.commands.begin(), reused.commands.end(), cmd),
-              reused.commands.end())
-        << "relational reuse pruned command " << cmd
-        << " that full propagation keeps";
-  }
-  ASSERT_NE(ctrl->query_cache(), nullptr);
-  const auto stats = ctrl->query_cache()->stats();
-  // Either the reuse pruned (containment hit) or it fell back to the full
-  // propagation (reuse fallback); both are sound, silence is a bug.
-  EXPECT_GE(stats.containment_hits + stats.reuse_fallbacks, 1u);
-
-  // Concrete soundness: sample points from the child zonotope itself.
-  Rng rng(102);
-  const Box hull = child.concretize();
-  for (int i = 0; i < 200; ++i) {
-    const Vec point{rng.uniform(hull[0].lo(), hull[0].hi()),
-                    rng.uniform(hull[1].lo(), hull[1].hi())};
-    if (!hull.contains(point)) {
-      continue;
-    }
     const std::size_t cmd = ctrl->step(point, 0);
     EXPECT_NE(std::find(reused.commands.begin(), reused.commands.end(), cmd),
               reused.commands.end());

@@ -5,7 +5,8 @@
 # in the symbolic domain (the box loop on the symbolic SoA kernels; it needs
 # 8 arcs, since the 4x4 cells fail at t=0 before reaching the controller). The two runs'
 # --metrics-out artifacts must compare clean: no thread count enters their
-# scale, and their canonical results and counters match exactly. The
+# scale, and their canonical results and counters match exactly. Each
+# artifact's provenance records the thread count its run used. The
 # single-threaded runs must spend nonzero time in the controller, so the
 # comparison covers the NN path.
 #
@@ -58,6 +59,15 @@ foreach(leg "zonotope;4" "symbolic;8")
     --report ${OUT}/${domain}_threads4.csv --metrics-out ${OUT}/${domain}_threads4.json)
   expect_identical("${domain}: threads 1 vs threads 4"
     ${OUT}/${domain}_threads1.csv ${OUT}/${domain}_threads4.csv)
+  foreach(threads 1 4)
+    file(READ ${OUT}/${domain}_threads${threads}.json artifact)
+    string(JSON recorded GET "${artifact}" provenance nncs_threads)
+    if(NOT recorded EQUAL threads)
+      message(FATAL_ERROR "${domain}: the --threads ${threads} artifact records "
+                          "nncs_threads ${recorded}")
+    endif()
+  endforeach()
+  message(STATUS "${domain}: each artifact records its own thread count")
   # Wall clock differs between the runs, so only the canonical section
   # gates: any drift there exits 2.
   run_cli("${domain}: threads 1 vs threads 4 artifacts" ${COMPARE} --quiet

@@ -13,13 +13,19 @@
 #      containment reuse must actually fire (reuse only counts as a hit when
 #      the re-concretized bounds prune a command) — the stats line on stdout
 #      must report a nonzero hit count
+#   5. pendulum --domain zonotope: relational queries bypass the cache, so
+#      the containment run's canonical report byte-matches the off run's and
+#      its stats line reads 0 lookups
 #
-# Required -D variables: CLI (the nncs_verify binary), NETS (network cache
-# dir), OUT (scratch directory for the generated files).
+# Required -D variables: CLI (the nncs_verify binary), NETS and PEND_NETS
+# (acasxu and pendulum network cache dirs), OUT (scratch directory for the
+# generated files).
 
-if(NOT DEFINED CLI OR NOT DEFINED NETS OR NOT DEFINED OUT)
-  message(FATAL_ERROR "smoke_cli_nn_cache: pass -DCLI=... -DNETS=... -DOUT=...")
-endif()
+foreach(var CLI NETS PEND_NETS OUT)
+  if(NOT DEFINED ${var})
+    message(FATAL_ERROR "smoke_cli_nn_cache: pass -D${var}=...")
+  endif()
+endforeach()
 
 file(MAKE_DIRECTORY ${OUT})
 set(COMMON --scenario acasxu --steps 10 --m 4 --order 3 --threads 4
@@ -77,3 +83,20 @@ if(CMAKE_MATCH_1 EQUAL 0)
                       "refinement run:\n${cont_stdout}")
 endif()
 message(STATUS "containment reuse fired: ${CMAKE_MATCH_1} hits")
+
+set(PEND_FLAGS --scenario pendulum --domain zonotope --threads 4 --nets ${PEND_NETS}
+    --quiet --canonical-report)
+run_cli(0 "pendulum zonotope, nn-cache off" pend_off_stdout ${PEND_FLAGS} --nn-cache off
+  --report ${OUT}/pendulum_off.csv)
+run_cli(0 "pendulum zonotope, nn-cache containment" pend_cont_stdout ${PEND_FLAGS}
+  --nn-cache containment --report ${OUT}/pendulum_containment.csv)
+if(NOT pend_cont_stdout MATCHES "nn-cache \\(containment\\): 0 hits / 0 lookups")
+  message(FATAL_ERROR "zonotope containment run looked up the cache:\n${pend_cont_stdout}")
+endif()
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+  ${OUT}/pendulum_off.csv ${OUT}/pendulum_containment.csv RESULT_VARIABLE same)
+if(NOT same EQUAL 0)
+  message(FATAL_ERROR "pendulum zonotope canonical report differs between --nn-cache "
+                      "containment and off")
+endif()
+message(STATUS "pendulum zonotope: containment bypassed (0 lookups), report byte-identical to off")

@@ -628,9 +628,12 @@ int verify_driver_main(int argc, char** argv) {
       if (config.split_strategy == SplitStrategy::kWidestDim) {
         scale["strategy.widest"] = 1;
       }
-      obs::write_artifact(
-          make_run_artifact("nncs_verify_" + scen->name(), std::move(scale), report),
-          std::filesystem::path{metrics_path});
+      obs::BenchArtifact artifact =
+          make_run_artifact("nncs_verify_" + scen->name(), std::move(scale), report);
+      // The count this run used, which --threads may set apart from
+      // NNCS_THREADS.
+      artifact.provenance.nncs_threads = config.threads;
+      obs::write_artifact(artifact, std::filesystem::path{metrics_path});
       std::printf("run artifact written to %s\n", metrics_path.c_str());
     });
   }
