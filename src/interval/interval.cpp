@@ -115,6 +115,9 @@ Interval operator+(const Interval& a, const Interval& b) {
 }
 
 Interval operator-(const Interval& a, const Interval& b) {
+  if (a.is_degenerate() && a == b && std::isfinite(a.lo())) {
+    return Interval{};
+  }
   return make_unchecked(rnd::sub_down(a.lo(), b.hi()), rnd::sub_up(a.hi(), b.lo()));
 }
 
@@ -151,6 +154,9 @@ Interval operator*(const Interval& a, const Interval& b) {
 Interval operator/(const Interval& a, const Interval& b) {
   if (b.contains(0.0)) {
     throw std::domain_error("Interval division by interval containing zero: " + b.str());
+  }
+  if (a.is_zero()) {
+    return Interval{};
   }
   const double c1 = a.lo() / b.lo();
   const double c2 = a.lo() / b.hi();

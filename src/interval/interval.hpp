@@ -16,7 +16,11 @@ namespace nncs {
 /// feeds a safety verdict (validated ODE enclosures, abstract network
 /// outputs, error/target set tests) is represented as an `Interval`, and
 /// every operation over-approximates the true real-arithmetic image
-/// (see `rounding.hpp` for the rounding model).
+/// (see `rounding.hpp` for the rounding model). A few operations return an
+/// exact identity instead of rounding (documented at each operator): a
+/// result that is exactly 0 stays [0, 0] rather than widening to
+/// [-4.9e-324, 4.9e-324], whose subnormal bounds make every later product
+/// take the CPU's slow path.
 ///
 /// Invariants: `lo() <= hi()`, neither bound is NaN. Infinite bounds are
 /// allowed (`Interval::entire()`). There is no empty interval; operations
@@ -56,6 +60,8 @@ class Interval {
   [[nodiscard]] double mag() const;
 
   [[nodiscard]] bool is_degenerate() const { return lo_ == hi_; }
+  /// True for exactly [0, 0] (either sign of zero).
+  [[nodiscard]] bool is_zero() const { return lo_ == 0.0 && hi_ == 0.0; }
   [[nodiscard]] bool is_finite() const;
 
   [[nodiscard]] bool contains(double v) const { return lo_ <= v && v <= hi_; }
@@ -101,10 +107,19 @@ inline Interval make_unchecked(double lo, double hi) {
   return Interval{lo, hi, Interval::Unchecked{}};
 }
 
+/// Sum, rounded outward by one ulp per bound, even when one side is
+/// [0, 0]: this operator has no zero test, because the NN transformers'
+/// accumulations would pay for the branch. Callers that produce exact zeros
+/// (the Taylor series) skip them themselves.
 Interval operator+(const Interval& a, const Interval& b);
+/// Difference, rounded outward; x - x is exactly [0, 0] when x is
+/// degenerate and finite (a feature normalized at its own mean).
 Interval operator-(const Interval& a, const Interval& b);
+/// Product, rounded outward; a degenerate 1 returns the other operand and
+/// a degenerate 0 times a finite operand returns [0, 0], both exactly.
 Interval operator*(const Interval& a, const Interval& b);
-/// Division; throws `std::domain_error` if `b` contains zero.
+/// Quotient, rounded outward; [0, 0] / b is exactly [0, 0]. Throws
+/// `std::domain_error` if `b` contains zero (whatever `a` is).
 Interval operator/(const Interval& a, const Interval& b);
 
 /// Smallest interval containing both arguments.

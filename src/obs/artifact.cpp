@@ -27,10 +27,10 @@ constexpr std::string_view kCanonicalCounters[] = {
     "engine.cells_done",         "engine.cells_proved",        "engine.cells_failed",
     "engine.cells_refined",      "engine.stalled_splits",      "ode.substeps",
     "ode.enclosure_attempts",    "ode.picard_retries",         "ode.picard_failures",
-    "ode.step_rejections",       "ode.affine_boxed_fallbacks", "ode.affine_dim_fallbacks",
-    "ode.affine_tail_fallbacks", "nn.relaxed_relus",           "nn.relational_steps",
-    "nn.crossed_bounds",         "join.joins",                 "join.distance_evals",
-    "core.join_relational_drops",
+    "ode.step_rejections",       "ode.field_evals",            "ode.affine_boxed_fallbacks",
+    "ode.affine_dim_fallbacks",  "ode.affine_tail_fallbacks",  "nn.relaxed_relus",
+    "nn.relational_steps",       "nn.crossed_bounds",          "join.joins",
+    "join.distance_evals",       "core.join_relational_drops",
 };
 
 double number_or(const JsonValue* v, double fallback) {

@@ -14,6 +14,40 @@ void check_same_order(const TaylorSeries& a, const TaylorSeries& b) {
   }
 }
 
+// Exact zeros are common here (a constant's higher coefficients, a zero
+// command, a field with zero rows) and cost nothing: x ± [0, 0] = x, and a
+// product term with a [0, 0] factor is skipped. Rounding them outward
+// instead would give [-4.9e-324, 4.9e-324], and every later product with
+// such a bound takes the CPU's slow subnormal path. A sum of no terms stays
+// exactly [0, 0].
+
+Interval add(const Interval& a, const Interval& b) {
+  if (a.is_zero()) {
+    return b;
+  }
+  if (b.is_zero()) {
+    return a;
+  }
+  return a + b;
+}
+
+Interval sub(const Interval& a, const Interval& b) {
+  if (b.is_zero()) {
+    return a;
+  }
+  if (a.is_zero()) {
+    return -b;
+  }
+  return a - b;
+}
+
+/// acc += x * y, skipping the term when either factor is exactly [0, 0].
+void add_product(Interval& acc, const Interval& x, const Interval& y) {
+  if (!x.is_zero() && !y.is_zero()) {
+    acc = add(acc, x * y);
+  }
+}
+
 }  // namespace
 
 TaylorSeries::TaylorSeries(std::size_t order) : size_(order + 1) {
@@ -39,7 +73,7 @@ Interval TaylorSeries::eval(const Interval& t) const {
   }
   Interval acc = coeffs_[size_ - 1];
   for (std::size_t k = size_ - 1; k-- > 0;) {
-    acc = coeffs_[k] + t * acc;
+    acc = add(coeffs_[k], t * acc);
   }
   return acc;
 }
@@ -47,7 +81,7 @@ Interval TaylorSeries::eval(const Interval& t) const {
 TaylorSeries& TaylorSeries::operator+=(const TaylorSeries& rhs) {
   check_same_order(*this, rhs);
   for (std::size_t k = 0; k < size_; ++k) {
-    coeffs_[k] += rhs.coeffs_[k];
+    coeffs_[k] = add(coeffs_[k], rhs.coeffs_[k]);
   }
   return *this;
 }
@@ -55,7 +89,7 @@ TaylorSeries& TaylorSeries::operator+=(const TaylorSeries& rhs) {
 TaylorSeries& TaylorSeries::operator-=(const TaylorSeries& rhs) {
   check_same_order(*this, rhs);
   for (std::size_t k = 0; k < size_; ++k) {
-    coeffs_[k] -= rhs.coeffs_[k];
+    coeffs_[k] = sub(coeffs_[k], rhs.coeffs_[k]);
   }
   return *this;
 }
@@ -86,7 +120,7 @@ TaylorSeries operator*(const TaylorSeries& a, const TaylorSeries& b) {
   for (std::size_t k = 0; k <= a.order(); ++k) {
     Interval acc{};
     for (std::size_t i = 0; i <= k; ++i) {
-      acc += a[i] * b[k - i];
+      add_product(acc, a[i], b[k - i]);
     }
     r[k] = acc;
   }
@@ -105,7 +139,7 @@ TaylorSeries operator*(const TaylorSeries& a, const Interval& k) { return k * a;
 
 TaylorSeries operator+(const TaylorSeries& a, const Interval& k) {
   TaylorSeries r = a;
-  r[0] += k;
+  r[0] = add(r[0], k);
   return r;
 }
 
@@ -113,7 +147,7 @@ TaylorSeries operator+(const Interval& k, const TaylorSeries& a) { return a + k;
 
 TaylorSeries operator-(const TaylorSeries& a, const Interval& k) {
   TaylorSeries r = a;
-  r[0] -= k;
+  r[0] = sub(r[0], k);
   return r;
 }
 
@@ -129,11 +163,11 @@ std::pair<TaylorSeries, TaylorSeries> sincos(const TaylorSeries& u) {
     Interval c_acc{};
     for (std::size_t j = 1; j <= k; ++j) {
       const Interval ju = Interval{static_cast<double>(j)} * u[j];
-      s_acc += ju * c[k - j];
-      c_acc += ju * s[k - j];
+      add_product(s_acc, ju, c[k - j]);
+      add_product(c_acc, ju, s[k - j]);
     }
     // 1/k is not exactly representable for all k; divide in interval
-    // arithmetic to stay sound.
+    // arithmetic to stay sound ([0, 0] / k stays exact).
     const Interval k_iv{static_cast<double>(k)};
     s[k] = s_acc / k_iv;
     c[k] = -(c_acc / k_iv);

@@ -103,6 +103,7 @@ namespace {
 /// and command alike: coefficient k of f(s) depends only on coefficients
 /// 0..k of s, so a higher order would only compute terms the pass discards.
 /// `u_series` and `fs` are scratch buffers sized to the command and state.
+/// Counts its `last` passes as `ode.field_evals`.
 void solution_coefficients(const Dynamics& f, const Box& seed, const Vec& u, std::size_t last,
                            std::vector<TaylorSeries>& s, std::vector<TaylorSeries>& u_series,
                            std::vector<TaylorSeries>& fs) {
@@ -112,14 +113,16 @@ void solution_coefficients(const Dynamics& f, const Box& seed, const Vec& u, std
   for (std::size_t j = 0; j < u_series.size(); ++j) {
     u_series[j] = TaylorSeries(0, Interval{u[j]});
   }
+  NNCS_COUNT("ode.field_evals", last);
   for (std::size_t k = 0; k < last; ++k) {
     f.eval(s, u_series, fs);
     const Interval divisor{static_cast<double>(k + 1)};
     for (std::size_t i = 0; i < s.size(); ++i) {
       s[i].push_back(fs[i][k] / divisor);
     }
-    // The command series keeps its zero coefficients: adding [0, 0] still
-    // rounds outward, so dropping them would change bits.
+    // The command series grows with the state (series arithmetic needs equal
+    // orders); its zero coefficients are exact, and series arithmetic skips
+    // them.
     for (TaylorSeries& uc : u_series) {
       uc.push_back(Interval{});
     }
@@ -157,8 +160,13 @@ std::optional<ValidatedStep> TaylorIntegrator::step(const Dynamics& f, const Box
   flow_dims.reserve(dim);
   for (std::size_t i = 0; i < dim; ++i) {
     const Interval rem = remainder[i][order];
-    Interval end_i = prefix[i].eval(t_end) + rem * pow(t_end, config_.order);
-    Interval flow_i = prefix[i].eval(t_flow) + rem * pow(t_flow, config_.order);
+    Interval end_i = prefix[i].eval(t_end);
+    Interval flow_i = prefix[i].eval(t_flow);
+    // An exactly-zero remainder adds nothing; adding it would round outward.
+    if (!rem.is_zero()) {
+      end_i += rem * pow(t_end, config_.order);
+      flow_i += rem * pow(t_flow, config_.order);
+    }
     // Both the Taylor form and the a-priori enclosure are sound, so their
     // intersection is too (and is never empty: both contain the true set).
     if (auto tight = intersect(flow_i, b[i])) {

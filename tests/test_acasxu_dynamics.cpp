@@ -5,12 +5,14 @@
 
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 #include "acasxu/dynamics.hpp"
 #include "acasxu/policy.hpp"
 #include "acasxu/geometry.hpp"
 #include "ode/concrete_integrator.hpp"
 #include "ode/validated_integrator.hpp"
+#include "scenario/scenario.hpp"
 #include "util/rng.hpp"
 
 namespace nncs::acasxu {
@@ -91,6 +93,52 @@ TEST(AcasDynamics, ValidatedStepContainsConcreteTrajectories) {
     ASSERT_TRUE(pipe.end.contains(end))
         << "end state escaped validated enclosure";
   }
+}
+
+bool has_subnormal_bound(const Box& box) {
+  for (const Interval& iv : box.intervals()) {
+    if (std::fpclassify(iv.lo()) == FP_SUBNORMAL || std::fpclassify(iv.hi()) == FP_SUBNORMAL) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// v_own' = v_int' = 0 and zero Taylor coefficients stay exactly [0, 0], so
+// one control period (the paper's M = 10 sub-steps of T = 1 s) keeps both
+// speeds degenerate and never rounds a zero out to ±4.9e-324, whose
+// products take the CPU's slow subnormal path. Measures no time: a return
+// to rounding the zeros fails here. The arcs that end at bearing 0 or ±π
+// start with a subnormal x bound (8000 · sin 0 rounded outward), which the
+// flow segments inherit; the subnormal check skips those cells.
+TEST(AcasDynamics, ControlPeriodKeepsSpeedsExactAndNoBoundSubnormal) {
+  const scenario::Scenario& acas = scenario::Registry::global().at("acasxu");
+  const auto f = acas.make_plant();
+  const TaylorIntegrator integrator(TaylorIntegrator::Config{acas.default_taylor_order(), {}});
+  const int m = acas.default_config().reach.integration_steps;
+  ASSERT_EQ(m, 10);
+  int checked = 0;
+  for (const scenario::Cell& cell : acas.make_cells(scenario::Partition{8, 4})) {
+    const Box& s0 = cell.state.box();
+    if (has_subnormal_bound(s0)) {
+      continue;
+    }
+    for (const std::size_t advisory : {kCoc, kWL}) {
+      const Flowpipe pipe = simulate(*f, integrator, s0, Vec{turn_rate(advisory)}, 1.0, m);
+      ASSERT_TRUE(pipe.ok);
+      ASSERT_EQ(pipe.segments.size(), static_cast<std::size_t>(m));
+      std::vector<Box> boxes = pipe.segments;
+      boxes.push_back(pipe.end);
+      for (const Box& box : boxes) {
+        for (const std::size_t d : {kIdxVown, kIdxVint}) {
+          EXPECT_EQ(box[d], s0[d]) << advisory_name(advisory) << " dim " << d << ": " << box[d];
+        }
+        EXPECT_FALSE(has_subnormal_bound(box)) << advisory_name(advisory) << ": " << box;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GE(checked, 16 * 2 * 11);
 }
 
 TEST(AcasGeometry, RhoAndTheta) {

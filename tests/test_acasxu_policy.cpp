@@ -130,6 +130,19 @@ TEST(AcasController, PreAbstractContainsConcrete) {
   }
 }
 
+// v_int = 600 is the normalization mean, so Pre#'s v_int feature is
+// (600 − 600) / 1200: exactly [0, 0], not ±4.9e−324, which would send the
+// NN transformers' first layer down the slow subnormal path.
+TEST(AcasController, PreAbstractKeepsMeanSpeedFeatureExactlyZero) {
+  const AcasPre pre;
+  ASSERT_EQ(kNormalization.vint_mean, 600.0);
+  const Box box{Interval{-100.0, 100.0}, Interval{7900.0, 8100.0}, Interval{3.0, 3.2},
+                Interval{700.0}, Interval{600.0}};
+  const Box features = pre.eval_abstract(box);
+  EXPECT_EQ(features[4].lo(), 0.0) << features[4];
+  EXPECT_EQ(features[4].hi(), 0.0) << features[4];
+}
+
 TEST(AcasController, MakeControllerValidatesNetworks) {
   EXPECT_THROW(make_controller({}), std::invalid_argument);
   std::vector<Network> wrong_shape(kNumAdvisories, make_zero_network({4, 5}));

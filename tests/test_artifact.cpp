@@ -444,13 +444,13 @@ TEST(RunArtifact, CanonicalKeysFromReport) {
   // The work counters the two committed bench_canonical runs increment, on
   // top of the engine.cells_* family; each must land in the canonical
   // section, next to a scheduling-dependent counter that must not.
-  const std::vector<const char*> box_work = {"join.joins", "join.distance_evals",
+  const std::vector<const char*> box_work = {"join.joins",       "join.distance_evals",
                                              "nn.relaxed_relus", "ode.enclosure_attempts",
-                                             "ode.substeps"};
+                                             "ode.field_evals",  "ode.substeps"};
   const std::vector<const char*> zonotope_work = {
-      "core.join_relational_drops", "join.joins",   "join.distance_evals",
-      "nn.relational_steps",        "ode.substeps", "ode.affine_boxed_fallbacks",
-      "ode.enclosure_attempts"};
+      "core.join_relational_drops", "join.joins",      "join.distance_evals",
+      "nn.relational_steps",        "ode.substeps",    "ode.affine_boxed_fallbacks",
+      "ode.enclosure_attempts",     "ode.field_evals"};
   for (const auto& [file, work] :
        {std::pair{"BENCH_canonical_acasxu.json", box_work},
         std::pair{"BENCH_canonical_acasxu_zonotope.json", zonotope_work}}) {

@@ -9,7 +9,9 @@
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numbers>
+#include <utility>
 #include <vector>
 
 #include "interval/interval.hpp"
@@ -144,6 +146,44 @@ TEST(Interval, SubtractionAntisymmetric) {
   EXPECT_GE(d.hi(), 1.0);
 }
 
+/// The plain outward-rounded difference, bound by bound: what every case
+/// outside the degenerate x - x rule returns.
+std::pair<double, double> outward_difference(const Interval& a, const Interval& b) {
+  return {rnd::sub_down(a.lo(), b.hi()), rnd::sub_up(a.hi(), b.lo())};
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(Interval, DegenerateSelfDifferenceIsExactZero) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  for (const double v : {600.0, -3.5, 0.0, -0.0, 1e308, -1e-300, tiny}) {
+    const Interval d = Interval{v} - Interval{v};
+    EXPECT_EQ(d.lo(), 0.0) << v;
+    EXPECT_EQ(d.hi(), 0.0) << v;
+    EXPECT_TRUE(d.is_zero()) << v;
+  }
+}
+
+TEST(Interval, OtherDifferencesStayOutward) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<Interval, Interval> cases[] = {
+      {Interval{1.0, 2.0}, Interval{1.0, 2.0}},            // non-degenerate x - x
+      {Interval{inf}, Interval{inf}},                      // ∞ − ∞
+      {Interval{-inf}, Interval{-inf}},                    // −∞ − (−∞)
+      {Interval{1.0}, Interval{2.0}},                      // unequal degenerate
+      {Interval{0.1}, Interval{std::nextafter(0.1, 1.0)}}  // one ulp apart
+  };
+  for (const auto& [a, b] : cases) {
+    const Interval d = a - b;
+    const auto [lo, hi] = outward_difference(a, b);
+    EXPECT_TRUE(same_bits(d.lo(), lo) && same_bits(d.hi(), hi))
+        << a << " - " << b << " = " << d;
+    EXPECT_FALSE(d.is_zero()) << a << " - " << b;
+  }
+}
+
 TEST(Interval, MultiplicationSignCases) {
   EXPECT_TRUE((Interval(2.0, 3.0) * Interval(4.0, 5.0)).contains(Interval(8.0, 15.0)));
   EXPECT_TRUE((Interval(-3.0, -2.0) * Interval(4.0, 5.0)).contains(Interval(-15.0, -8.0)));
@@ -159,6 +199,26 @@ TEST(Interval, MultiplicationZeroTimesEntireIsZeroish) {
 TEST(Interval, DivisionByZeroThrows) {
   EXPECT_THROW(Interval(1.0) / Interval(-1.0, 1.0), std::domain_error);
   EXPECT_THROW(Interval(1.0) / Interval(0.0), std::domain_error);
+}
+
+TEST(Interval, ZeroDividedIsExactZero) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Interval& b : {Interval{3.0}, Interval{-7.0}, Interval{0.5, 2.0},
+                            Interval{-2.0, -1e-300}, Interval{1.0, inf},
+                            Interval{-inf, -4.0}}) {
+    for (const Interval& zero : {Interval{0.0}, Interval{-0.0}}) {
+      const Interval q = zero / b;
+      EXPECT_EQ(q.lo(), 0.0) << b;
+      EXPECT_EQ(q.hi(), 0.0) << b;
+    }
+  }
+}
+
+TEST(Interval, ZeroDividedByIntervalContainingZeroThrows) {
+  for (const Interval& b :
+       {Interval{0.0}, Interval{-1.0, 1.0}, Interval{0.0, 2.0}, Interval{-3.0, 0.0}}) {
+    EXPECT_THROW(Interval{0.0} / b, std::domain_error) << b;
+  }
 }
 
 TEST(Interval, DivisionEncloses) {

@@ -535,6 +535,9 @@ std::vector<TaylorSeries> full_order_coefficients(const Dynamics& f, const Box& 
 
 /// Reference step: the full-order prefix seeded at s0, evaluated through
 /// coefficient K-1, plus the order-K coefficient seeded at the a-priori box.
+/// The evaluation applies the series' exact-zero rules (Horner through
+/// `TaylorSeries::eval`, and an exactly-zero remainder adds nothing), so
+/// only the coefficients are under comparison.
 std::optional<ValidatedStep> full_order_step(const Dynamics& f, const Box& s0, const Vec& u,
                                              double h, int order) {
   const auto apriori = picard_enclosure(f, s0, u, h);
@@ -548,16 +551,17 @@ std::optional<ValidatedStep> full_order_step(const Dynamics& f, const Box& s0, c
   std::vector<Interval> end_dims;
   std::vector<Interval> flow_dims;
   for (std::size_t i = 0; i < f.state_dim(); ++i) {
-    const auto horner = [&](const Interval& t) {
-      Interval acc = prefix[i][k_max - 1];
-      for (std::size_t k = k_max - 1; k-- > 0;) {
-        acc = prefix[i][k] + t * acc;
-      }
-      return acc;
-    };
+    TaylorSeries head(k_max - 1);
+    for (std::size_t k = 0; k < k_max; ++k) {
+      head[k] = prefix[i][k];
+    }
     const Interval rem = remainder[i][k_max];
-    Interval end_i = horner(Interval{h}) + rem * pow(Interval{h}, order);
-    Interval flow_i = horner(Interval{0.0, h}) + rem * pow(Interval{0.0, h}, order);
+    const auto taylor_form = [&](const Interval& t) {
+      const Interval poly = head.eval(t);
+      return rem.is_zero() ? poly : poly + rem * pow(t, order);
+    };
+    Interval end_i = taylor_form(Interval{h});
+    Interval flow_i = taylor_form(Interval{0.0, h});
     if (auto tight = intersect(flow_i, b[i])) {
       flow_i = *tight;
     }
