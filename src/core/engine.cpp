@@ -92,22 +92,34 @@ EngineResult VerificationEngine::resume(const SymbolicSet& initial_cells,
   }
   // A run under this configuration only makes cells of depth
   // 0..max_refinement_depth; anything else would also index past the
-  // report's proved_by_depth.
-  auto check_entry = [&](std::size_t root_index, int depth, const char* what) {
+  // report's proved_by_depth. Refinement bisects a root cell into exact
+  // subsets that keep its command, and bounds round-trip bit for bit, so a
+  // cell outside its root cell was never made by a run: verifying it (or
+  // counting its leaf) would report coverage of states the partition does
+  // not hold.
+  auto check_entry = [&](std::size_t root_index, int depth, const SymbolicState& cell,
+                         const char* what) {
+    const auto refuse = [&](const std::string& why) {
+      throw std::invalid_argument(std::string("VerificationEngine::resume: corrupt ") + what +
+                                  " entry (root " + std::to_string(root_index) + ", depth " +
+                                  std::to_string(depth) + "): " + why);
+    };
     if (root_index >= initial_cells.size() || depth < 0 ||
         depth > config.verify.max_refinement_depth) {
-      throw std::invalid_argument(
-          std::string("VerificationEngine::resume: corrupt ") + what + " entry (root " +
-          std::to_string(root_index) + ", depth " + std::to_string(depth) + "; this run has " +
-          std::to_string(initial_cells.size()) + " root cells and depths 0.." +
-          std::to_string(config.verify.max_refinement_depth) + ")");
+      refuse("this run has " + std::to_string(initial_cells.size()) +
+             " root cells and depths 0.." +
+             std::to_string(config.verify.max_refinement_depth));
+    }
+    const SymbolicState& root = initial_cells[root_index];
+    if (cell.command != root.command || !root.box().contains(cell.box())) {
+      refuse("the cell is not inside its root cell");
     }
   };
   for (const VerifyJob& job : checkpoint.frontier) {
-    check_entry(job.root_index, job.depth, "frontier");
+    check_entry(job.root_index, job.depth, job.cell, "frontier");
   }
   for (const CellOutcome& leaf : checkpoint.leaves) {
-    check_entry(leaf.root_index, leaf.depth, "leaf");
+    check_entry(leaf.root_index, leaf.depth, leaf.initial, "leaf");
   }
   return drive(initial_cells, checkpoint, config, control);
 }

@@ -128,7 +128,10 @@ class VerificationEngine {
 
   /// Continue a checkpointed run. `initial_cells` must be the same depth-0
   /// partition the checkpoint was taken from (checked against
-  /// `checkpoint.root_cells`; needed to normalize kWidestDim splits).
+  /// `checkpoint.root_cells`; needed to normalize kWidestDim splits). Every
+  /// leaf and frontier cell must lie inside its root cell, with the root's
+  /// command, at a depth this configuration can reach; otherwise throws
+  /// `std::invalid_argument` before any cell is analyzed.
   [[nodiscard]] EngineResult resume(const SymbolicSet& initial_cells,
                                     const EngineCheckpoint& checkpoint,
                                     const EngineConfig& config,

@@ -125,7 +125,9 @@ ReachResult reach_analyze(const ClosedLoop& system, const SymbolicSet& initial,
     phases.join_seconds += phase_watch.lap();
     result.stats.joins += rs.joins;
     result.stats.max_states = std::max(result.stats.max_states, current.size());
-    result.sampled_sets.push_back(current);
+    if (config.record) {
+      result.sampled_sets.push_back(current);
+    }
 
     // Drop states absorbed by the target set (they are not propagated).
     phase_watch.reset();
@@ -254,11 +256,11 @@ ReachResult reach_analyze(const ClosedLoop& system, const SymbolicSet& initial,
       for (const std::size_t cmd : ctrl_steps[k].commands) {
         next.push_back(SymbolicState{successor, cmd});
       }
-      if (config.record_flowpipes) {
+      if (config.record) {
         step_pipes.push_back(std::move(pipes[k]));
       }
     }
-    if (config.record_flowpipes) {
+    if (config.record) {
       result.flowpipes.push_back(std::move(step_pipes));
     }
     result.stats.steps_executed = j + 1;
@@ -268,7 +270,9 @@ ReachResult reach_analyze(const ClosedLoop& system, const SymbolicSet& initial,
   if (!terminated) {
     // Horizon exhausted; the final sampled set may still be fully absorbed
     // by T (termination detected exactly at t = qT).
-    result.sampled_sets.push_back(current);
+    if (config.record) {
+      result.sampled_sets.push_back(current);
+    }
     terminated = true;
     phase_watch.reset();
     for (const auto& state : current) {

@@ -81,8 +81,9 @@ struct ReachConfig {
   /// only the config can apply it. It serves the box loop's queries only:
   /// the zonotope loop's relational queries bypass it.
   NnCacheConfig nn_cache;
-  /// Record every flowpipe (memory-heavy; for plots and tests).
-  bool record_flowpipes = false;
+  /// Record the run in `ReachResult::sampled_sets` and `flowpipes`
+  /// (memory-heavy; for plots and tests). Off, both stay empty.
+  bool record = false;
   /// Abstract controller steps per batched call, in both loop domains: up
   /// to this many sibling states go to `Controller::step_abstract_batch` in
   /// one SoA kernel sweep. Results are bit-identical at any width (see
@@ -157,10 +158,11 @@ struct ReachResult {
   ReachOutcome outcome = ReachOutcome::kHorizonExhausted;
   ReachStats stats;
   /// Sampled-instant symbolic sets R̃_0, R̃_1, ..., up to the last executed
-  /// step (after resize, before propagation).
+  /// step (after resize, before propagation). Only filled under
+  /// `ReachConfig::record`.
   std::vector<SymbolicSet> sampled_sets;
-  /// Per step, per propagated symbolic state: the validated flowpipe
-  /// (only filled when config.record_flowpipes).
+  /// Per step, per propagated symbolic state: the validated flowpipe. Only
+  /// filled under `ReachConfig::record`.
   std::vector<std::vector<Flowpipe>> flowpipes;
   /// For kErrorReachable: the symbolic state whose enclosure met E, and the
   /// control step at which it happened.

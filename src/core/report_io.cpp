@@ -1,6 +1,5 @@
 #include "core/report_io.hpp"
 
-#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -48,13 +47,12 @@ std::vector<std::string> split_csv(const std::string& line) {
 double parse_double(const std::string& s) {
   // Not std::stod: it throws out_of_range on underflow to subnormal, and
   // box bounds near zero legitimately round-trip through subnormal values.
-  // strtod returns the correctly rounded subnormal (flagging ERANGE, which
-  // only matters together with an overflow to ±HUGE_VAL).
-  errno = 0;
+  // strtod returns the correctly rounded subnormal. Every number these
+  // formats store is finite, so an overflow to ±HUGE_VAL and the "inf" and
+  // "nan" that strtod also takes are malformed.
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0' ||
-      (errno == ERANGE && (v == HUGE_VAL || v == -HUGE_VAL))) {
+  if (end == s.c_str() || *end != '\0' || !std::isfinite(v)) {
     throw ReportFormatError("report_io: expected a number, got '" + s + "'");
   }
   return v;

@@ -14,7 +14,9 @@
 namespace nncs::obs {
 
 /// Versioned, diffable perf artifact ("nncs-bench v2") written as
-/// `BENCH_<bench>.json` by the figure benches and `bench_canonical`.
+/// `BENCH_<bench>.json` by the figure benches and by `nncs_verify
+/// --metrics-out`, whose runs make the committed perf-gate baselines
+/// (tools/perf_gate.cmake).
 ///
 /// The schema separates two classes of data so artifacts from different
 /// commits can be compared mechanically (tools/nncs_bench_compare):

@@ -86,8 +86,10 @@ TEST(AcasReach, GammaIsRespectedAcrossTheHorizon) {
                  Interval::centered(center[2], 0.05), Interval{700.0}, Interval{600.0}};
   auto rc = f.config();
   rc.gamma = 5;
+  rc.record = true;
   const auto result =
       reach_analyze(f.loop, SymbolicSet{{cell, kCoc}}, f.error, f.target, rc);
+  ASSERT_GE(result.sampled_sets.size(), 2u);
   for (std::size_t j = 0; j + 1 < result.sampled_sets.size(); ++j) {
     EXPECT_LE(result.sampled_sets[j].size(), 5u);
   }
@@ -100,8 +102,11 @@ TEST(AcasReach, SampledSetsStayOnPlausibleGeometry) {
   const Vec center = initial_state(2.0, 0.5);
   const Box cell{Interval::centered(center[0], 50.0), Interval::centered(center[1], 50.0),
                  Interval::centered(center[2], 0.01), Interval{700.0}, Interval{600.0}};
+  auto rc = f.config();
+  rc.record = true;
   const auto result =
-      reach_analyze(f.loop, SymbolicSet{{cell, kCoc}}, f.error, f.target, f.config());
+      reach_analyze(f.loop, SymbolicSet{{cell, kCoc}}, f.error, f.target, rc);
+  ASSERT_FALSE(result.sampled_sets.empty());
   for (std::size_t j = 0; j < result.sampled_sets.size(); ++j) {
     for (const auto& state : result.sampled_sets[j]) {
       const Interval r = rho(state.box()[kIdxX], state.box()[kIdxY]);

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -441,7 +443,7 @@ std::set<std::string> keys(const Map& map) {
 }
 
 TEST(RunArtifact, CanonicalKeysFromReport) {
-  // The work counters the two committed bench_canonical runs increment, on
+  // The work counters the two committed acasxu perf-gate runs increment, on
   // top of the engine.cells_* family; each must land in the canonical
   // section, next to a scheduling-dependent counter that must not.
   const std::vector<const char*> box_work = {"join.joins",       "join.distance_evals",
@@ -451,9 +453,16 @@ TEST(RunArtifact, CanonicalKeysFromReport) {
       "core.join_relational_drops", "join.joins",      "join.distance_evals",
       "nn.relational_steps",        "ode.substeps",    "ode.affine_boxed_fallbacks",
       "ode.enclosure_attempts",     "ode.field_evals"};
-  for (const auto& [file, work] :
-       {std::pair{"BENCH_canonical_acasxu.json", box_work},
-        std::pair{"BENCH_canonical_acasxu_zonotope.json", zonotope_work}}) {
+  // nncs_verify's scale keys; a non-default domain adds its own.
+  const std::map<std::string, double> scale = {
+      {"num_arcs", 2.0},         {"num_headings", 1.0},      {"max_depth", 1.0},
+      {"control_steps", 10.0},   {"integration_steps", 4.0}, {"gamma", 5.0},
+      {"taylor_order", 4.0}};
+  std::map<std::string, double> zonotope_scale = scale;
+  zonotope_scale["domain.zonotope"] = 1.0;
+  for (const auto& [file, work, file_scale] :
+       {std::tuple{"BENCH_nncs_verify_acasxu_symbolic.json", box_work, scale},
+        std::tuple{"BENCH_nncs_verify_acasxu_zonotope.json", zonotope_work, zonotope_scale}}) {
     TelemetryGuard guard;
     set_enabled(true);
     for (const char* name : {"engine.cells_done", "engine.cells_proved",
@@ -464,9 +473,7 @@ TEST(RunArtifact, CanonicalKeysFromReport) {
       Registry::instance().counter(name).add(2);
     }
     Registry::instance().counter("nn.cache.hits").add(3);
-    const BenchArtifact a = make_run_artifact(
-        "canonical_acasxu", {{"num_arcs", 2.0}, {"num_headings", 1.0}, {"max_depth", 1.0}},
-        refined_report());
+    const BenchArtifact a = make_run_artifact("nncs_verify_acasxu", file_scale, refined_report());
 
     // Exactly the keys of the committed baseline the compare gate reads.
     const BenchArtifact baseline =
@@ -485,7 +492,7 @@ TEST(RunArtifact, CanonicalKeysFromReport) {
   }
 
   const BenchArtifact a = make_run_artifact(
-      "canonical_acasxu", {{"num_arcs", 2.0}, {"num_headings", 1.0}, {"max_depth", 1.0}},
+      "nncs_verify_acasxu", {{"num_arcs", 2.0}, {"num_headings", 1.0}, {"max_depth", 1.0}},
       refined_report());
   const auto& r = a.canonical_results;
   EXPECT_EQ(r.at("root_cells"), 2.0);

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -495,24 +496,47 @@ TEST(Engine, ResumeValidatesCheckpoint) {
     EXPECT_THROW(s.engine().resume(cells, bad_job, s.config()), std::invalid_argument)
         << "job depth " << depth;
   }
+
+  // Cells a run never makes: outside their root cell (wholly, in part, or
+  // at an infinite bound) or under another command. Analyzing one, or
+  // counting its leaf, would report coverage the partition does not hold.
+  const double inf = std::numeric_limits<double>::infinity();
+  SymbolicState outside = cells[0];
+  outside.abstract = Box{Interval{9.0, 9.5}, Interval{-2.0, 2.0}};
+  SymbolicState straddling = cells[0];
+  straddling.abstract = Box{Interval{4.5, 5.5}, Interval{-2.0, 2.0}};
+  SymbolicState infinite = cells[0];
+  infinite.abstract = Box{Interval{inf, inf}, Interval{-2.0, 2.0}};
+  SymbolicState other_command = cells[0];
+  other_command.command = 1;
+  for (const SymbolicState& cell : {outside, straddling, infinite, other_command}) {
+    EngineCheckpoint bad_leaf;
+    bad_leaf.root_cells = cells.size();
+    CellOutcome leaf;
+    leaf.initial = cell;
+    leaf.outcome = ReachOutcome::kProvedSafe;
+    bad_leaf.leaves.push_back(leaf);
+    EXPECT_THROW(s.engine().resume(cells, bad_leaf, s.config()), std::invalid_argument)
+        << "leaf " << cell.box();
+    EngineCheckpoint bad_job;
+    bad_job.root_cells = cells.size();
+    bad_job.frontier.push_back(VerifyJob{cell, 0, 0});
+    EXPECT_THROW(s.engine().resume(cells, bad_job, s.config()), std::invalid_argument)
+        << "job " << cell.box();
+  }
 }
 
 TEST(Engine, WorkerExceptionReachesTheCaller) {
-  // A frontier cell whose command index is outside U (as a crafted
-  // checkpoint can hold) makes reach_analyze throw on a worker thread. The
-  // run must stop and hand the exception to the caller instead of
-  // terminating the process.
+  // A cell whose command index is outside U makes reach_analyze throw on a
+  // worker thread. The run must stop and hand the exception to the caller
+  // instead of terminating the process. (`resume` refuses such a cell
+  // before any worker starts, since it differs from its root cell.)
   EngineSetup s;
-  const auto cells = mixed_cells(4);
-  EngineCheckpoint bad;
-  bad.root_cells = cells.size();
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    bad.frontier.push_back(VerifyJob{cells[i], 0, i});
-  }
-  bad.frontier[2].cell.command = 99;
+  auto cells = mixed_cells(4);
+  cells[2].command = 99;
   EngineConfig ec = s.config();
   ec.verify.threads = 4;
-  EXPECT_THROW(s.engine().resume(cells, bad, ec), std::invalid_argument);
+  EXPECT_THROW((void)s.engine().run(cells, ec), std::invalid_argument);
 }
 
 TEST(Engine, RunControlStateMachine) {

@@ -30,6 +30,14 @@ ReachConfig base_config(int steps) {
   return config;
 }
 
+/// `base_config` that records R̃_j and the flowpipes, for tests that read
+/// them.
+ReachConfig recording_config(int steps) {
+  ReachConfig config = base_config(steps);
+  config.record = true;
+  return config;
+}
+
 TEST(Reachability, DetectsErrorOnCollisionCourse) {
   const auto plant = braking_plant();
   const auto ctrl = threshold_controller(-1e9, -8.0);  // never brakes
@@ -66,7 +74,7 @@ TEST(Reachability, HorizonExhaustedWithoutTarget) {
   const BoxRegion error({{0, Interval{-1e9, 0.0}}});
   const EmptyRegion target;
   const SymbolicSet initial{{Box{Interval{100.0, 101.0}, Interval{1.0, 1.0}}, 0}};
-  const auto result = reach_analyze(system, initial, error, target, base_config(5));
+  const auto result = reach_analyze(system, initial, error, target, recording_config(5));
   EXPECT_EQ(result.outcome, ReachOutcome::kHorizonExhausted);
   EXPECT_EQ(result.stats.steps_executed, 5);
   // Sampled sets recorded for steps 0..5.
@@ -81,7 +89,7 @@ TEST(Reachability, BranchesOnDecisionBoundary) {
   const EmptyRegion target;
   // The box straddles the threshold p = 50 -> both commands reachable.
   const SymbolicSet initial{{Box{Interval{49.0, 51.0}, Interval{0.0, 0.0}}, 0}};
-  const auto result = reach_analyze(system, initial, error, target, base_config(2));
+  const auto result = reach_analyze(system, initial, error, target, recording_config(2));
   ASSERT_GE(result.sampled_sets.size(), 2u);
   EXPECT_EQ(result.sampled_sets[1].size(), 2u);  // branched into coast + brake
 }
@@ -92,7 +100,7 @@ TEST(Reachability, GammaBoundsSampledSets) {
   const ClosedLoop system{plant.get(), ctrl.get(), 1.0};
   const BoxRegion error({{0, Interval{-1e9, -1000.0}}});
   const EmptyRegion target;
-  ReachConfig config = base_config(6);
+  ReachConfig config = recording_config(6);
   config.gamma = 2;
   // Many initial states near the boundary create joins.
   SymbolicSet initial;
@@ -101,6 +109,7 @@ TEST(Reachability, GammaBoundsSampledSets) {
   }
   const auto result = reach_analyze(system, initial, error, target, config);
   EXPECT_GT(result.stats.joins, 0u);
+  ASSERT_GE(result.sampled_sets.size(), 2u);
   // Resize runs at the top of each loop iteration, so every *propagated*
   // set respects Γ; the final set (recorded after the last step, before any
   // further resize — exactly as in Algorithm 3) may exceed it.
@@ -115,10 +124,16 @@ TEST(Reachability, RecordsFlowpipesWhenAsked) {
   const ClosedLoop system{plant.get(), ctrl.get(), 1.0};
   const BoxRegion error({{0, Interval{-1e9, -1000.0}}});
   const EmptyRegion target;
-  ReachConfig config = base_config(3);
-  config.record_flowpipes = true;
   const SymbolicSet initial{{Box{Interval{10.0, 11.0}, Interval{1.0, 1.0}}, 0}};
-  const auto result = reach_analyze(system, initial, error, target, config);
+  // Off (the production default), a run records neither field.
+  const auto plain = reach_analyze(system, initial, error, target, base_config(3));
+  EXPECT_EQ(plain.outcome, ReachOutcome::kHorizonExhausted);
+  EXPECT_TRUE(plain.sampled_sets.empty());
+  EXPECT_TRUE(plain.flowpipes.empty());
+
+  const auto result = reach_analyze(system, initial, error, target, recording_config(3));
+  EXPECT_EQ(result.outcome, plain.outcome);
+  EXPECT_EQ(result.sampled_sets.size(), 4u);
   ASSERT_EQ(result.flowpipes.size(), 3u);
   ASSERT_EQ(result.flowpipes[0].size(), 1u);
   EXPECT_EQ(result.flowpipes[0][0].segments.size(), 4u);
@@ -247,7 +262,7 @@ TEST_P(ReachabilitySoundness, SampledTrajectoriesCoveredAtSampleInstants) {
   const Box cell{Interval{48.0, 52.0}, Interval{-0.5, 0.5}};
   const int q = 8;
   const auto result =
-      reach_analyze(system, SymbolicSet{{cell, 0}}, error, target, base_config(q));
+      reach_analyze(system, SymbolicSet{{cell, 0}}, error, target, recording_config(q));
   ASSERT_EQ(result.outcome, ReachOutcome::kHorizonExhausted);
   ASSERT_EQ(result.sampled_sets.size(), static_cast<std::size_t>(q) + 1);
 
@@ -305,7 +320,7 @@ TEST(ReachabilityLoopDomain, ZonotopeSoundAtSampleInstants) {
   const EmptyRegion target;
   const Box cell{Interval{0.9, 1.1}, Interval{-0.1, 0.1}};
   const int q = 6;
-  ReachConfig config = base_config(q);
+  ReachConfig config = recording_config(q);
   config.domain = LoopDomain::kZonotope;
   const auto result =
       reach_analyze(system, SymbolicSet{{cell, 0}}, error, target, config);
@@ -348,9 +363,9 @@ TEST(ReachabilityLoopDomain, ZonotopeTighterThanBoxOnRotation) {
   const Box cell{Interval{0.9, 1.1}, Interval{-0.1, 0.1}};
   const int q = 6;
 
-  ReachConfig box_config = base_config(q);
+  ReachConfig box_config = recording_config(q);
   box_config.domain = LoopDomain::kBox;
-  ReachConfig zono_config = base_config(q);
+  ReachConfig zono_config = recording_config(q);
   zono_config.domain = LoopDomain::kZonotope;
   const auto boxed = reach_analyze(system, SymbolicSet{{cell, 0}}, error, target, box_config);
   const auto zono = reach_analyze(system, SymbolicSet{{cell, 0}}, error, target, zono_config);

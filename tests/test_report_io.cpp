@@ -152,6 +152,17 @@ TEST(ReportIo, MalformedLeafThrows) {
       "nncs-report v3,1,0,0,0\ninterior,0,0,0,0,0,0,0,0,0\n"
       "1,0,proved-safe,0.5,30,7,5,60,0.25,0.125,0.0625,0.03125,3,-1,2\n");
   EXPECT_THROW(load_report(stray_root), ReportFormatError);
+  // Non-finite numbers, which strtod takes: every stored number is finite.
+  for (const char* bad : {"inf", "-inf", "nan", "1e999"}) {
+    std::stringstream bound("nncs-report v3,1,0,0,0\ninterior,0,0,0,0,0,0,0,0,0\n"
+                            "0,0,proved-safe,0.5,30,7,5,60,0.25,0.125,0.0625,0.03125,3," +
+                            std::string(bad) + "," + bad + "\n");
+    EXPECT_THROW(load_report(bound), ReportFormatError) << "bound " << bad;
+    std::stringstream seconds("nncs-report v3,1,0,0,0\ninterior,0,0,0,0,0,0,0,0,0\n"
+                              "0,0,proved-safe," +
+                              std::string(bad) + ",30,7,5,60,0.25,0.125,0.0625,0.03125,3,-1,2\n");
+    EXPECT_THROW(load_report(seconds), ReportFormatError) << "seconds " << bad;
+  }
 }
 
 TEST(ReportIo, UnknownOutcomeThrows) {
@@ -314,6 +325,16 @@ TEST(ReportIo, MalformedCheckpointThrows) {
       "frontier,1\n"
       "0,0,0,1.0\n");
   EXPECT_THROW(load_checkpoint(bad_frontier), ReportFormatError);
+  // Non-finite frontier bounds: strtod takes them, but no run stores one.
+  for (const char* bad : {"inf", "-inf", "nan", "INF", "1e999"}) {
+    std::stringstream frontier("nncs-checkpoint v1,1\n"
+                               "interior,0,0,0,0,0,0,0,0,0\n"
+                               "leaves,0\n"
+                               "frontier,1\n"
+                               "0,0,0," +
+                               std::string(bad) + "," + bad + "\n");
+    EXPECT_THROW(load_checkpoint(frontier), ReportFormatError) << "bound " << bad;
+  }
   EXPECT_THROW(load_checkpoint(std::filesystem::path{"/nonexistent/checkpoint.csv"}),
                std::runtime_error);
 }

@@ -10,9 +10,8 @@
 #   build-test    Release configure/build + full ctest, plus a  (always)
 #                 configure-only -DNNCS_BUILD_BENCHES=OFF check
 #   sanitizers    tools/run_sanitizers.sh asan + tsan           (--skip-sanitizers)
-#   perf-gate     bench_canonical, domain_loop and cruise       (--skip-bench)
-#                 control nncs_verify vs bench/baselines,
-#                 python3 perfbench/run.py --test
+#   perf-gate     tools/perf_gate.cmake at 300% vs              (--skip-bench)
+#                 bench/baselines, python3 perfbench/run.py --test
 #   format        clang-format --dry-run on the CI-pinned list  (--skip-format)
 #
 # Stages whose tools are missing (clang-format, sanitizer-capable compiler)
@@ -72,24 +71,8 @@ fi
 
 # --- perf-gate --------------------------------------------------------------
 if [ "$run_bench" -eq 1 ]; then
-  if [ -x build-ci/bench/bench_canonical ] \
-      && build-ci/bench/bench_canonical --nets acasxu_nets_cache --artifact-dir build-ci/bench-out \
-      && build-ci/tools/nncs_bench_compare --max-regress 300 \
-          bench/baselines/BENCH_canonical_acasxu.json \
-          build-ci/bench-out/BENCH_canonical_acasxu.json \
-      && build-ci/bench/bench_canonical --domain zonotope \
-          --nets acasxu_nets_cache --artifact-dir build-ci/bench-out \
-      && build-ci/tools/nncs_bench_compare --max-regress 300 \
-          bench/baselines/BENCH_canonical_acasxu_zonotope.json \
-          build-ci/bench-out/BENCH_canonical_acasxu_zonotope.json \
-      && build-ci/bench/domain_loop --artifact-dir build-ci/bench-out \
-      && build-ci/tools/nncs_bench_compare --max-regress 300 \
-          bench/baselines/BENCH_domain.json build-ci/bench-out/BENCH_domain.json \
-      && build-ci/tools/nncs_verify --scenario cruise_control --threads 2 --quiet \
-          --metrics-out build-ci/bench-out/BENCH_nncs_verify_cruise_control.json \
-      && build-ci/tools/nncs_bench_compare --max-regress 300 \
-          bench/baselines/BENCH_nncs_verify_cruise_control.json \
-          build-ci/bench-out/BENCH_nncs_verify_cruise_control.json; then
+  if cmake -DVERIFY=build-ci/tools/nncs_verify -DCOMPARE=build-ci/tools/nncs_bench_compare \
+      -DSOURCE="$PWD" -DOUT=build-ci/bench-out -DMAX_REGRESS=300 -P tools/perf_gate.cmake; then
     note "perf-gate OK"
   else
     stage_fail "perf-gate"

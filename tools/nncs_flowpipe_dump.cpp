@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   config.control_steps = steps;
   config.integration_steps = m;
   config.integrator = &integrator;
-  config.record_flowpipes = true;
+  config.record = true;
   const auto result =
       reach_analyze(system, SymbolicSet{{cell, ax::kCoc}}, *error, *target, config);
 

@@ -9,8 +9,9 @@
 #   4. --resume from that checkpoint: must exit 0 and reproduce the
 #      reference report byte-for-byte
 #   5. --resume from crafted checkpoints whose leaf depth is -1, 2^32-1,
-#      or deeper than --depth, or whose frontier cell does not fit the
-#      system: must exit 1 with a message, not crash
+#      or deeper than --depth, or whose frontier cell has the wrong
+#      dimension, lies outside its root cell or has an infinite bound: must
+#      exit 1 with a message, not crash
 #
 # Required -D variables: CLI (the nncs_verify binary), NETS (network cache
 # dir), OUT (scratch directory for the generated files).
@@ -73,9 +74,18 @@ foreach(depth -1 4294967295 1)
   run_cli(1 "resume from a leaf at depth ${depth}" ${COMMON} --threads 2
     --resume ${OUT}/crafted_depth.ckpt)
 endforeach()
-# A frontier cell of the wrong dimension makes the cell analysis throw on
-# an engine worker; the engine hands the error back to the CLI.
-file(WRITE ${OUT}/crafted_cell.ckpt
-  "nncs-checkpoint v1,16\ninterior,0,0,0,0,0,0,0,0,0\nleaves,0\nfrontier,1\n0,0,0,-0.3,0\n")
-run_cli(1 "resume from a frontier cell of the wrong dimension" ${COMMON} --threads 2
-  --resume ${OUT}/crafted_cell.ckpt)
+# Frontier cells a run never makes: the engine refuses a cell of the wrong
+# dimension and one outside its root cell (root 0 spans x in [0, 8000]),
+# and the parser refuses a non-finite bound. Analyzed, either of the last
+# two would come out proved-safe and count as coverage.
+set(CRAFTED_CELL_HEAD
+  "nncs-checkpoint v1,16\ninterior,0,0,0,0,0,0,0,0,0\nleaves,0\nfrontier,1\n0,0,0,")
+set(ROOT0_TAIL "-8000,0,-1.5707963267948966,-0.39269908169872414,700,700,600,600\n")
+function(refuse_cell what bounds)
+  file(WRITE ${OUT}/crafted_cell.ckpt "${CRAFTED_CELL_HEAD}${bounds}")
+  run_cli(1 "resume from a frontier cell: ${what}" ${COMMON} --threads 2
+    --resume ${OUT}/crafted_cell.ckpt)
+endfunction()
+refuse_cell("wrong dimension" "-0.3,0\n")
+refuse_cell("x outside its root cell" "9000,9500,${ROOT0_TAIL}")
+refuse_cell("x = [inf, inf]" "inf,inf,${ROOT0_TAIL}")
