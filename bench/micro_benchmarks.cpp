@@ -1,6 +1,6 @@
 // M1: google-benchmark micro-benchmarks for the computational kernels:
 // interval arithmetic, Taylor steps, network propagation (concrete,
-// interval, symbolic), the abstract controller step, one full validated
+// interval, symbolic, zonotope), the abstract controller step, one full validated
 // control period and the Algorithm 2 Resize.
 
 #include <benchmark/benchmark.h>
@@ -9,6 +9,7 @@
 #include "core/symbolic_state.hpp"
 #include "nn/interval_prop.hpp"
 #include "nn/symbolic_prop.hpp"
+#include "nn/zonotope_prop.hpp"
 #include "ode/concrete_integrator.hpp"
 #include "util/rng.hpp"
 
@@ -118,6 +119,46 @@ void BM_NetworkSymbolicPropBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_NetworkSymbolicPropBatch)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
+
+// Zonotope transformer over `range(0)` correlated sets per call, drawn in
+// turn from a pool of 256: each is a `from_box` lift of a small random box
+// mixed through a random interval linear image, so its forms share noise
+// symbols as the integrator's sets do. Per-query cost = time / range(0).
+void BM_NetworkZonotopePropBatch(benchmark::State& state) {
+  const auto& net = acas_system().controller->networks().front();
+  const std::size_t dim = net.input_dim();
+  Rng rng(27);
+  std::vector<AffineSet> pool;
+  for (int k = 0; k < 256; ++k) {
+    std::vector<Interval> dims;
+    for (std::size_t d = 0; d < dim; ++d) {
+      const double center = rng.uniform(-0.5, 0.5);
+      dims.emplace_back(center - 0.05, center + 0.05);
+    }
+    IntervalMatrix m(dim, dim);
+    for (std::size_t r = 0; r < dim; ++r) {
+      for (std::size_t c = 0; c < dim; ++c) {
+        const double mid = (r == c) ? 1.0 : rng.uniform(-0.4, 0.4);
+        const double rad = rng.chance(0.5) ? 0.0 : 1e-6;
+        m.at(r, c) = Interval{mid - rad, mid + rad};
+      }
+    }
+    pool.push_back(AffineSet::from_box(Box{std::move(dims)}).linear_image(m));
+  }
+  const auto width = static_cast<std::size_t>(state.range(0));
+  std::vector<std::vector<const AffineSet*>> calls(pool.size() / width);
+  for (std::size_t k = 0; k < calls.size() * width; ++k) {
+    calls[k / width].push_back(&pool[k]);
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    auto bounds = zonotope_propagate_batch(net, calls[next]);
+    benchmark::DoNotOptimize(bounds);
+    next = (next + 1) % calls.size();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_NetworkZonotopePropBatch)->Arg(1)->Arg(8);
 
 void BM_AbstractControllerStepBatch(benchmark::State& state) {
   const auto& system = acas_system();

@@ -115,11 +115,42 @@ EngineResult VerificationEngine::resume(const SymbolicSet& initial_cells,
       refuse("the cell is not inside its root cell");
     }
   };
+  // Bisection children share at most a face, so the cells of one root
+  // (leaves and frontier together) never overlap in a checkpoint a run
+  // wrote. Cells that do would verify, or count as coverage, the same
+  // states twice. Two cells overlap when their intersection has positive
+  // width in every dimension where the root has positive width.
+  std::vector<std::vector<const Box*>> cells_of_root(initial_cells.size());
   for (const VerifyJob& job : checkpoint.frontier) {
     check_entry(job.root_index, job.depth, job.cell, "frontier");
+    cells_of_root[job.root_index].push_back(&job.cell.box());
   }
   for (const CellOutcome& leaf : checkpoint.leaves) {
     check_entry(leaf.root_index, leaf.depth, leaf.initial, "leaf");
+    cells_of_root[leaf.root_index].push_back(&leaf.initial.box());
+  }
+  for (std::size_t r = 0; r < cells_of_root.size(); ++r) {
+    const Box& root = initial_cells[r].box();
+    const auto overlap = [&](const Box& a, const Box& b) {
+      for (std::size_t d = 0; d < root.dim(); ++d) {
+        if (root[d].lo() < root[d].hi() &&
+            !(std::max(a[d].lo(), b[d].lo()) < std::min(a[d].hi(), b[d].hi()))) {
+          return false;
+        }
+      }
+      return true;
+    };
+    const std::vector<const Box*>& cells = cells_of_root[r];
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      for (std::size_t j = i + 1; j < cells.size(); ++j) {
+        if (overlap(*cells[i], *cells[j])) {
+          throw std::invalid_argument(
+              "VerificationEngine::resume: corrupt checkpoint: two cells of root " +
+              std::to_string(r) + " overlap (" + cells[i]->str() + " and " +
+              cells[j]->str() + ")");
+        }
+      }
+    }
   }
   return drive(initial_cells, checkpoint, config, control);
 }

@@ -13,9 +13,6 @@ namespace nncs {
 class NoiseSource {
  public:
   NoiseSource() = default;
-  /// Start allocating at `start` — used to replay a source's position when
-  /// the batched transformer simulates one independent source per lane.
-  explicit NoiseSource(std::uint32_t start) : next_(start) {}
 
   std::uint32_t fresh() { return next_++; }
   [[nodiscard]] std::uint32_t count() const { return next_; }
@@ -53,8 +50,8 @@ class Affine {
   static Affine variable(double lo, double hi, NoiseSource& source);
 
   /// Reassemble a form from raw parts (the batched zonotope transformer
-  /// extracts SoA lanes back into `Affine`s through this). Trusted and
-  /// unchecked so the reconstruction cannot perturb a single bit.
+  /// builds its output forms through this). Trusted and unchecked so the
+  /// reconstruction cannot perturb a single bit.
   /// Precondition: `terms` sorted by strictly increasing id with nonzero
   /// values, `err >= 0`.
   static Affine from_parts(double center, std::vector<std::pair<std::uint32_t, double>> terms,

@@ -13,7 +13,8 @@ namespace nncs::kern {
 namespace avx2 {
 void symbolic_affine_layer_impl(const Layer& layer, const SymbolicBatch& in,
                                 SymbolicBatch& out);
-void affine_form_layer_impl(const Layer& layer, const AffineFormBatch& in, AffineFormBatch& out);
+void zonotope_affine_layer_impl(const PackedLayer& layer, const ZonotopeForms& in,
+                                ZonotopeForms& out);
 }  // namespace avx2
 #endif
 
@@ -54,17 +55,6 @@ void SymbolicBatch::resize(std::size_t width, std::size_t n_in, std::size_t lane
   upper.resize(width, n_in, lanes);
 }
 
-void AffineFormBatch::resize(std::size_t new_width, std::size_t new_capacity,
-                             std::size_t new_lanes) {
-  width = new_width;
-  capacity = new_capacity;
-  lanes = new_lanes;
-  n_slots = 0;
-  coeffs.assign(width * capacity * lanes, 0.0);
-  center.assign(width * lanes, 0.0);
-  err.assign(width * lanes, 0.0);
-}
-
 void symbolic_affine_layer(const Layer& layer, const SymbolicBatch& in, SymbolicBatch& out,
                            Isa isa) {
   out.resize(layer.weights.rows(), in.lower.n_in, in.lower.lanes);
@@ -79,26 +69,43 @@ void symbolic_affine_layer(const Layer& layer, const SymbolicBatch& in, Symbolic
   portable::symbolic_affine_layer_impl(layer, in, out);
 }
 
-void affine_form_layer(const Layer& layer, const AffineFormBatch& in, AffineFormBatch& out,
-                       Isa isa) {
-  // The caller preallocates `out` with the shared slot capacity; only the
-  // logical shape changes per layer, so no buffer ever reallocates (and the
-  // per-lane slot -> symbol maps stay valid).
-  if (out.capacity != in.capacity || out.lanes != in.lanes ||
-      out.coeffs.size() < layer.weights.rows() * out.capacity * out.lanes) {
-    throw std::invalid_argument("affine_form_layer: output batch not preallocated");
+PackedLayer pack_layer(const Layer& layer, std::size_t stride) {
+  const std::size_t rows = layer.weights.rows();
+  const std::size_t cols = layer.weights.cols();
+  if (stride % kNeuronBlock != 0 || stride < rows) {
+    throw std::invalid_argument("pack_layer: stride must be a block multiple >= rows");
   }
-  out.width = layer.weights.rows();
+  PackedLayer packed{rows, cols, stride, std::vector<double>(cols * stride, 0.0),
+                     std::vector<double>(stride, 0.0)};
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* wrow = layer.weights.row_data(r);
+    for (std::size_t c = 0; c < cols; ++c) {
+      packed.weights[c * stride + r] = wrow[c];
+    }
+    packed.biases[r] = layer.biases[r];
+  }
+  return packed;
+}
+
+void zonotope_affine_layer(const PackedLayer& layer, const ZonotopeForms& in,
+                           ZonotopeForms& out, Isa isa) {
+  if (layer.cols != in.width || layer.stride != in.stride ||
+      out.coeffs.size() < in.n_slots * in.stride || out.center.size() < in.stride ||
+      out.err.size() < in.stride) {
+    throw std::invalid_argument("zonotope_affine_layer: shape mismatch");
+  }
+  out.width = layer.rows;
+  out.stride = in.stride;
   out.n_slots = in.n_slots;
 #ifdef NNCS_HAVE_AVX2
   if (isa == Isa::kAvx2) {
-    avx2::affine_form_layer_impl(layer, in, out);
+    avx2::zonotope_affine_layer_impl(layer, in, out);
     return;
   }
 #else
   (void)isa;
 #endif
-  portable::affine_form_layer_impl(layer, in, out);
+  portable::zonotope_affine_layer_impl(layer, in, out);
 }
 
 void dense_affine(const Matrix& weights, const Vec& biases, const double* x, double* out) {

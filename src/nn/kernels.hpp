@@ -5,29 +5,32 @@
 
 #include "nn/network.hpp"
 
-/// Batched, vectorization-friendly layer kernels for the NN abstract
-/// transformers (ROADMAP item "SIMD + batched propagation on the NN hot
-/// path").
+/// Vectorized layer kernels for the NN abstract transformers.
 ///
 /// The design constraint that shapes everything here is *bit-exactness*:
 /// canonical reports are byte-compared against the scalar propagators, so a
-/// batched sweep may reorganize memory and process several cells at once,
-/// but per cell it must execute the exact double-precision operation
-/// sequence of `symbolic_propagate` / `zonotope_propagate`. We therefore
-/// vectorize *across* cells (SIMD lane = cell) instead of across neurons:
-/// each lane performs the scalar algorithm's operations in the scalar
-/// algorithm's order, so any vector width — including the AVX2 path —
-/// produces bitwise-identical results.
+/// kernel may reorganize memory and run several forms at once, but per form
+/// it must execute the exact double-precision operation sequence of
+/// `symbolic_propagate` / `zonotope_propagate`. Each SIMD lane therefore
+/// runs one form's scalar operations in the scalar order, so any vector
+/// width — including the AVX2 path — gives bitwise-identical results. The
+/// two sweeps put different things in a lane:
 ///
-/// Layout: structure-of-arrays over the batch. For `lanes` cells propagated
-/// together, a per-neuron quantity is stored as `lanes` consecutive doubles
-/// (lane-minor), so the innermost loop of every kernel walks contiguous
-/// memory with a uniform (weight-derived) scalar operand.
+/// - The symbolic sweep vectorizes *across cells* (lane = cell): every
+///   cell's forms are over the same n input coefficients, so one query's
+///   neuron rows line up with its batch-mates'. Layout is structure-of-
+///   arrays over the batch, lane-minor (`coeffs[(r·n_in + i)·lanes + l]`).
+/// - The zonotope sweep vectorizes *across one query's neurons* (lane =
+///   neuron): each query carries its own noise symbols, so batch-mates'
+///   coefficient columns do not line up, while one query's neurons all
+///   share its symbol slots. Layout is neuron-minor
+///   (`coeffs[slot·stride + neuron]`), so a query fills the SIMD width on
+///   its own and a batch of one costs nothing extra.
 namespace nncs::kern {
 
-/// Hard cap on the number of cells per batched kernel call; callers chunk
+/// Hard cap on the number of cells per symbolic kernel call; callers chunk
 /// larger groups. Bounds the SoA working set (keeps a full symbolic layer
-/// sweep inside L2) and the kernels' stack scratch.
+/// sweep inside L2).
 inline constexpr std::size_t kMaxLanes = 64;
 
 /// Instruction-set back end for the kernels. Both produce bitwise-identical
@@ -78,38 +81,6 @@ struct SymbolicBatch {
   void resize(std::size_t width, std::size_t n_in, std::size_t lanes);
 };
 
-/// A batch of affine-arithmetic forms (the zonotope domain's `Affine`),
-/// SoA over the lanes: `width` forms per lane, each with a center, an
-/// anonymous error term, and up to `capacity` noise-symbol coefficient
-/// slots of which `n_slots` are active. Slot -> noise-symbol-id mapping is
-/// per lane and owned by the orchestrator (zonotope_prop.cpp); the kernel
-/// only sees dense slot columns. Inactive/absent coefficients are +0.0,
-/// which the scalar `Affine` term-dropping semantics treat identically
-/// (proved by the slot-zero invariant: acc slots never hold -0.0).
-struct AffineFormBatch {
-  std::size_t width = 0;     ///< forms (neurons) per lane
-  std::size_t capacity = 0;  ///< allocated slot columns (>= n_slots, stable)
-  std::size_t n_slots = 0;   ///< active slot columns
-  std::size_t lanes = 0;
-  /// `coeffs[(f * capacity + s) * lanes + l]`: form f, slot s, lane l.
-  std::vector<double> coeffs;
-  /// `center[f * lanes + l]`, `err[f * lanes + l]`.
-  std::vector<double> center;
-  std::vector<double> err;
-
-  /// Resize and zero-fill. `capacity` must be sized by the caller to the
-  /// final slot count (input slots + one per potentially-unstable ReLU) so
-  /// the layout never reshuffles mid-propagation.
-  void resize(std::size_t new_width, std::size_t new_capacity, std::size_t new_lanes);
-
-  [[nodiscard]] double* form_coeffs(std::size_t f) {
-    return coeffs.data() + f * capacity * lanes;
-  }
-  [[nodiscard]] const double* form_coeffs(std::size_t f) const {
-    return coeffs.data() + f * capacity * lanes;
-  }
-};
-
 /// Batched symbolic affine sweep: per lane and output row r, exactly the
 /// scalar propagator's
 ///   lower_r/upper_r = bias_r; then per column c with w = W(r,c) != 0:
@@ -120,21 +91,60 @@ struct AffineFormBatch {
 void symbolic_affine_layer(const Layer& layer, const SymbolicBatch& in, SymbolicBatch& out,
                            Isa isa);
 
-/// Batched affine-arithmetic layer sweep (zonotope domain): per lane and
-/// output row r, exactly the scalar `zonotope_propagate` inner loop
-///   acc = Affine{bias_r}; per column c with w = W(r,c) != 0:
-///   acc += w * in_c
-/// where `w * in_c` replicates `operator*(double, Affine)` (per-slot scale
-/// feeding a running |·| sum, then the error update) and `acc += tmp`
-/// replicates `operator+` (per-slot merge feeding a second independent |·|
-/// sum, then the error update) — two abs accumulators, interleaved per slot,
-/// which is bitwise equal to the scalar tmp-then-merge order because the
-/// accumulators never interact. ReLU is NOT applied here; the orchestrator
-/// extracts lanes and runs the scalar `Affine::relu`. Weights are assumed
-/// finite (the scalar affine path produces NaN on infinite weights anyway).
-/// `out.n_slots` is set to `in.n_slots`.
-void affine_form_layer(const Layer& layer, const AffineFormBatch& in, AffineFormBatch& out,
-                       Isa isa);
+/// Neurons per block of the zonotope sweep. A query's neuron columns are
+/// padded to a multiple of this; the AVX2 body keeps each per-neuron
+/// accumulator of one block in four 256-bit registers.
+inline constexpr std::size_t kNeuronBlock = 16;
+
+/// One zonotope query's affine-arithmetic forms (the zonotope domain's
+/// `Affine`), one per neuron, stored neuron-minor: `coeffs[s·stride + n]` is
+/// neuron n's coefficient on noise-symbol slot s. Which symbol a slot holds
+/// is the caller's business (zonotope_prop.cpp); slot order must be symbol
+/// order. A form without a term on a slot holds ±0.0 there; a layer's output
+/// rows start at +0.0 and never become −0.0. Columns from `width` up to
+/// `stride` are padding; in a layer's output they hold Affine{0}.
+struct ZonotopeForms {
+  std::size_t width = 0;    ///< live neurons
+  std::size_t stride = 0;   ///< padded neuron count, a multiple of kNeuronBlock
+  std::size_t n_slots = 0;  ///< active slot rows
+  /// Sized by the caller to the final slot count times `stride`, so appending
+  /// a slot never reallocates; rows at and past `n_slots` hold no data.
+  std::vector<double> coeffs;
+  std::vector<double> center;  ///< `stride` entries
+  std::vector<double> err;     ///< `stride` entries
+
+  [[nodiscard]] double* slot(std::size_t s) { return coeffs.data() + s * stride; }
+  [[nodiscard]] const double* slot(std::size_t s) const { return coeffs.data() + s * stride; }
+};
+
+/// A layer's weights, transposed and padded for the zonotope sweep:
+/// `weights[c·stride + r]` = W(r, c) and `biases[r]`, both zero for the
+/// padding rows `r >= rows`.
+struct PackedLayer {
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+  std::size_t stride = 0;
+  std::vector<double> weights;
+  std::vector<double> biases;
+};
+
+/// Pack `layer` for a sweep whose forms have neuron stride `stride`
+/// (a multiple of kNeuronBlock, at least the layer's row count).
+[[nodiscard]] PackedLayer pack_layer(const Layer& layer, std::size_t stride);
+
+/// Zonotope affine sweep over one query: per output neuron r, exactly the
+/// scalar `zonotope_propagate` inner loop
+///   acc = Affine{bias_r}; per column c with w = W(r,c) != 0: acc += w * in_c
+/// — `operator*(double, Affine)` then `operator+`, whose two |·| sums run
+/// interleaved per slot (bitwise equal, since they never interact). A block
+/// of kNeuronBlock neurons runs in SIMD. A zero weight still runs the slot
+/// loop, where adding w·x = ±0 to a coefficient that is never −0.0 changes
+/// no bit, but the neuron keeps its center and error term, as the scalar
+/// loop skips that weight; padding neurons thus stay Affine{0}. Weights and
+/// forms must be finite. No ReLU. Sets `out`'s width, stride and slot count;
+/// its buffers must already hold `in.n_slots` rows.
+void zonotope_affine_layer(const PackedLayer& layer, const ZonotopeForms& in,
+                           ZonotopeForms& out, Isa isa);
 
 /// Blocked concrete affine map out = W·x + b: rows are processed in blocks
 /// of four sharing the streamed `x` loads, but each row keeps the scalar

@@ -240,6 +240,8 @@ std::vector<SymbolicBounds> symbolic_propagate_batch(const Network& net,
       const Layer& layer = net.layers()[li];
       const bool is_output = li + 1 == net.num_layers();
       kern::symbolic_affine_layer(layer, current, next, isa);
+      NNCS_COUNT("nn.symbolic_macs",
+                 2 * lanes * layer.weights.rows() * layer.weights.cols() * n_in);
       if (!is_output) {
         // ReLU relaxation per (neuron, lane) on the pre-activation range —
         // cells diverge here, so this stage is per-lane scalar on the SoA.

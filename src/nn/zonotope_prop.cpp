@@ -1,11 +1,13 @@
 #include "nn/zonotope_prop.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <utility>
 
+#include "interval/rounding.hpp"
+#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
 namespace nncs {
@@ -61,193 +63,133 @@ ZonotopeBounds zonotope_propagate(const Network& net, std::vector<Affine> inputs
 
 namespace {
 
-constexpr std::uint32_t kNoSymbol = 0xffffffffu;
-constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+using rnd::kCoeffSlack;
 
-/// Per-lane view of the shared slot layout: which noise-symbol id each slot
-/// column holds for this lane (kNoSymbol where the column belongs to other
-/// lanes only), plus the lane's replayed NoiseSource position. Non-sentinel
-/// ids are strictly increasing in slot order — input ids are scattered
-/// sorted and every fresh ReLU id exceeds all ids the lane allocated before
-/// it — which makes extraction yield sorted term lists for free.
-struct LaneSymbols {
-  std::vector<std::uint32_t> slot_ids;
-  std::uint32_t next_fresh = 0;
-};
+/// Lay `set`'s forms into `forms` (columns 0..dim−1, slot rows zeroed
+/// first) and return the symbol each slot holds: the sorted union of the
+/// forms' term ids.
+std::vector<std::uint32_t> load_set(const AffineSet& set, kern::ZonotopeForms& forms) {
+  std::vector<std::uint32_t> ids;
+  for (const Affine& form : set.components()) {
+    for (const auto& term : form.terms()) {
+      ids.push_back(term.first);
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  forms.width = set.dim();
+  forms.n_slots = ids.size();
+  std::fill_n(forms.coeffs.begin(), ids.size() * forms.stride, 0.0);
+  for (std::size_t d = 0; d < set.dim(); ++d) {
+    const Affine& form = set[d];
+    forms.center[d] = form.center();
+    forms.err[d] = form.error();
+    for (const auto& [id, v] : form.terms()) {
+      forms.slot(std::lower_bound(ids.begin(), ids.end(), id) - ids.begin())[d] = v;
+    }
+  }
+  return ids;
+}
 
-/// Rebuild lane `l`'s form `f` as a scalar Affine (sorted sparse terms).
-/// Sound to skip zero slots: a slot is 0.0 exactly when the scalar form has
-/// no such term (acc slots never hold -0.0 — see kern::AffineFormBatch).
-Affine extract_lane(const kern::AffineFormBatch& batch, std::size_t f, std::size_t l,
-                    const LaneSymbols& lane) {
-  const double* row = batch.form_coeffs(f);
-  std::vector<std::pair<std::uint32_t, double>> terms;
-  for (std::size_t s = 0; s < batch.n_slots; ++s) {
-    if (lane.slot_ids[s] == kNoSymbol) {
+constexpr std::size_t kBlock = kern::kNeuronBlock;
+
+/// `Affine::radius` of every neuron, a block of neurons at a time: the
+/// error term plus |coeff| per slot in slot order (a zero slot adds
+/// nothing), times 1 + kCoeffSlack·(nonzero slots + 1).
+void radii(const kern::ZonotopeForms& forms, double* radius) {
+  for (std::size_t r0 = 0; r0 < forms.width; r0 += kBlock) {
+    double sum[kBlock];
+    double count[kBlock];
+    for (std::size_t j = 0; j < kBlock; ++j) {
+      sum[j] = forms.err[r0 + j];
+      count[j] = 0.0;
+    }
+    for (std::size_t s = 0; s < forms.n_slots; ++s) {
+      const double* row = forms.slot(s) + r0;
+      for (std::size_t j = 0; j < kBlock; ++j) {
+        sum[j] += std::fabs(row[j]);
+        count[j] += row[j] != 0.0 ? 1.0 : 0.0;
+      }
+    }
+    for (std::size_t j = 0; j < kBlock; ++j) {
+      radius[r0 + j] = sum[j] * (1.0 + kCoeffSlack * (count[j] + 1.0));
+    }
+  }
+}
+
+/// ReLU on every neuron of a hidden layer, in place, replaying
+/// `Affine::range` (the radii a block of neurons at a time) and
+/// `Affine::relu` per neuron. Each unstable neuron takes its own fresh slot,
+/// in neuron order, whose symbol is the next id the scalar `NoiseSource`
+/// would hand out (`next_fresh`). Returns the number of unstable neurons.
+std::size_t relu_in_place(kern::ZonotopeForms& forms, std::vector<std::uint32_t>& slot_ids,
+                          std::uint32_t& next_fresh, std::vector<double>& radius) {
+  radii(forms, radius.data());
+  const std::size_t stride = forms.stride;
+  std::size_t unstable = 0;
+  for (std::size_t r = 0; r < forms.width; ++r) {
+    const Interval range{rnd::sub_down(forms.center[r], radius[r]),
+                         rnd::add_up(forms.center[r], radius[r])};
+    const double l = range.lo();
+    const double u = range.hi();
+    if (l >= 0.0) {
       continue;
     }
-    const double v = row[s * batch.lanes + l];
-    if (v != 0.0) {
-      terms.emplace_back(lane.slot_ids[s], v);
+    if (u <= 0.0) {
+      for (std::size_t s = 0; s < forms.n_slots; ++s) {
+        forms.coeffs[s * stride + r] = 0.0;
+      }
+      forms.center[r] = 0.0;
+      forms.err[r] = 0.0;
+      continue;
     }
+    const double lambda = u / (u - l);
+    const double mu = -lambda * l;
+    // λ·form; a product that underflows is a term the scalar code drops, and
+    // the ±0 it leaves adds nothing where the next layer reads it.
+    double center = lambda * forms.center[r];
+    double abs_sum = std::fabs(center);
+    for (std::size_t s = 0; s < forms.n_slots; ++s) {
+      double& coeff = forms.coeffs[s * stride + r];
+      coeff *= lambda;
+      abs_sum += std::fabs(coeff);
+    }
+    double err = std::fabs(lambda) * forms.err[r] + kCoeffSlack * abs_sum;
+    center += mu / 2.0;
+    double* fresh = forms.slot(forms.n_slots);
+    std::fill_n(fresh, stride, 0.0);
+    fresh[r] = mu / 2.0;
+    ++forms.n_slots;
+    slot_ids.push_back(next_fresh++);
+    err += kCoeffSlack * (std::fabs(center) + mu);
+    forms.center[r] = center;
+    forms.err[r] = err;
+    ++unstable;
   }
-  return Affine::from_parts(batch.center[f * batch.lanes + l], std::move(terms),
-                            batch.err[f * batch.lanes + l]);
+  return unstable;
 }
 
-/// Append a zeroed slot column (capacity is preallocated) and a sentinel
-/// entry to every lane's map.
-std::size_t append_slot(kern::AffineFormBatch& batch, std::vector<LaneSymbols>& lanes_sym) {
-  const std::size_t s = batch.n_slots;
-  for (std::size_t f = 0; f < batch.width; ++f) {
-    double* col = batch.form_coeffs(f) + s * batch.lanes;
-    for (std::size_t l = 0; l < batch.lanes; ++l) {
-      col[l] = 0.0;
-    }
-  }
-  ++batch.n_slots;
-  for (auto& lane : lanes_sym) {
-    lane.slot_ids.push_back(kNoSymbol);
-  }
-  return s;
-}
-
-/// Write `form` into lane `l`'s slot row for form `f` (zeros elsewhere).
-/// Two-pointer walk: term ids and non-sentinel slot ids are both ascending.
-void scatter_lane(kern::AffineFormBatch& batch, std::size_t f, std::size_t l,
-                  const LaneSymbols& lane, const Affine& form) {
-  double* row = batch.form_coeffs(f);
-  for (std::size_t s = 0; s < batch.n_slots; ++s) {
-    row[s * batch.lanes + l] = 0.0;
-  }
-  std::size_t s = 0;
-  for (const auto& [id, v] : form.terms()) {
-    while (s < batch.n_slots && lane.slot_ids[s] != id) {
-      ++s;
-    }
-    if (s >= batch.n_slots) {
-      throw std::logic_error("zonotope_propagate_batch: term id without a slot");
-    }
-    row[s * batch.lanes + l] = v;
-    ++s;
-  }
-  batch.center[f * batch.lanes + l] = form.center();
-  batch.err[f * batch.lanes + l] = form.error();
-}
-
-/// Scalar-exact ReLU over the batch: each lane is extracted, run through
-/// `Affine::relu` (the very code the scalar propagator executes), and
-/// scattered back. All unstable lanes of one row share one appended slot
-/// column; each keeps its own fresh symbol id in its map, exactly replaying
-/// the scalar per-state NoiseSource.
-void relu_stage(kern::AffineFormBatch& cur, std::vector<LaneSymbols>& lanes_sym) {
-  const std::size_t lanes = cur.lanes;
-  for (std::size_t r = 0; r < cur.width; ++r) {
-    std::size_t fresh_slot = kNoSlot;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const Affine form = extract_lane(cur, r, l, lanes_sym[l]);
-      const Interval range = form.range();
-      if (range.lo() >= 0.0) {
-        continue;  // scalar relu returns *this — the batch already holds it
-      }
-      if (range.hi() <= 0.0) {
-        double* row = cur.form_coeffs(r);
-        for (std::size_t s = 0; s < cur.n_slots; ++s) {
-          row[s * lanes + l] = 0.0;
-        }
-        cur.center[r * lanes + l] = 0.0;
-        cur.err[r * lanes + l] = 0.0;
-        continue;
-      }
-      const std::uint32_t fresh_id = lanes_sym[l].next_fresh;
-      NoiseSource src{fresh_id};
-      const Affine out = form.relu(src);
-      lanes_sym[l].next_fresh = src.count();
-      if (fresh_slot == kNoSlot) {
-        fresh_slot = append_slot(cur, lanes_sym);
-      }
-      lanes_sym[l].slot_ids[fresh_slot] = fresh_id;
-      scatter_lane(cur, r, l, lanes_sym[l], out);
-    }
-  }
-}
-
-/// Propagate one chunk (<= kern::kMaxLanes lanes): lane l starts from
-/// `sets[l]`'s forms at its NoiseSource position.
-std::vector<ZonotopeBounds> propagate_chunk(const Network& net,
-                                            std::span<const AffineSet* const> sets,
-                                            kern::Isa isa) {
-  const std::size_t lanes = sets.size();
-  const std::size_t in_dim = net.input_dim();
-  NNCS_SPAN_TAGGED("nn.zonotope_prop", "lanes", static_cast<std::int64_t>(lanes));
-
-  // Per-lane slot maps: the sorted union of the lane's input symbol ids.
-  std::vector<LaneSymbols> lanes_sym(lanes);
-  std::size_t n_slots = 0;
-  for (std::size_t l = 0; l < lanes; ++l) {
-    std::vector<std::uint32_t> ids;
-    for (const Affine& form : sets[l]->components()) {
-      for (const auto& term : form.terms()) {
-        ids.push_back(term.first);
+/// The output layer's forms as sparse `Affine`s and their range box.
+ZonotopeBounds extract_outputs(const kern::ZonotopeForms& forms,
+                               const std::vector<std::uint32_t>& slot_ids) {
+  ZonotopeBounds result;
+  result.outputs.reserve(forms.width);
+  std::vector<Interval> dims;
+  dims.reserve(forms.width);
+  for (std::size_t r = 0; r < forms.width; ++r) {
+    std::vector<std::pair<std::uint32_t, double>> terms;
+    for (std::size_t s = 0; s < forms.n_slots; ++s) {
+      const double v = forms.coeffs[s * forms.stride + r];
+      if (v != 0.0) {
+        terms.emplace_back(slot_ids[s], v);
       }
     }
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    lanes_sym[l].slot_ids = std::move(ids);
-    lanes_sym[l].next_fresh = sets[l]->noise().count();
-    n_slots = std::max(n_slots, lanes_sym[l].slot_ids.size());
+    result.outputs.push_back(
+        Affine::from_parts(forms.center[r], std::move(terms), forms.err[r]));
+    dims.push_back(result.outputs.back().range());
   }
-  for (auto& lane : lanes_sym) {
-    lane.slot_ids.resize(n_slots, kNoSymbol);
-  }
-
-  // Preallocate both ping-pong buffers at the final shape: every hidden row
-  // may append one slot column, and any layer (or the input) sets the width.
-  std::size_t width_max = in_dim;
-  std::size_t hidden_rows = 0;
-  for (std::size_t li = 0; li < net.num_layers(); ++li) {
-    const std::size_t rows = net.layers()[li].weights.rows();
-    width_max = std::max(width_max, rows);
-    if (li + 1 < net.num_layers()) {
-      hidden_rows += rows;
-    }
-  }
-  const std::size_t capacity = n_slots + hidden_rows;
-  kern::AffineFormBatch cur;
-  kern::AffineFormBatch nxt;
-  cur.resize(width_max, capacity, lanes);
-  nxt.resize(width_max, capacity, lanes);
-  cur.width = in_dim;
-  cur.n_slots = n_slots;
-  for (std::size_t l = 0; l < lanes; ++l) {
-    for (std::size_t d = 0; d < in_dim; ++d) {
-      scatter_lane(cur, d, l, lanes_sym[l], (*sets[l])[d]);
-    }
-  }
-
-  for (std::size_t li = 0; li < net.num_layers(); ++li) {
-    const Layer& layer = net.layers()[li];
-    kern::affine_form_layer(layer, cur, nxt, isa);
-    std::swap(cur, nxt);
-    if (li + 1 < net.num_layers()) {
-      relu_stage(cur, lanes_sym);
-    }
-  }
-
-  std::vector<ZonotopeBounds> results(lanes);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    std::vector<Affine> outputs;
-    outputs.reserve(cur.width);
-    std::vector<Interval> dims;
-    dims.reserve(cur.width);
-    for (std::size_t r = 0; r < cur.width; ++r) {
-      outputs.push_back(extract_lane(cur, r, l, lanes_sym[l]));
-      dims.push_back(outputs.back().range());
-    }
-    results[l].outputs = std::move(outputs);
-    results[l].output_box = Box{std::move(dims)};
-  }
-  return results;
+  result.output_box = Box{std::move(dims)};
+  return result;
 }
 
 }  // namespace
@@ -260,13 +202,63 @@ std::vector<ZonotopeBounds> zonotope_propagate_batch(
     }
   }
   std::vector<ZonotopeBounds> results;
+  if (inputs.empty()) {
+    return results;
+  }
   results.reserve(inputs.size());
-  const std::span<const AffineSet* const> sets(inputs);
-  for (std::size_t begin = 0; begin < sets.size(); begin += kern::kMaxLanes) {
-    const std::size_t lanes = std::min(kern::kMaxLanes, sets.size() - begin);
-    for (ZonotopeBounds& bounds : propagate_chunk(net, sets.subspan(begin, lanes), isa)) {
-      results.push_back(std::move(bounds));
+
+  // One neuron stride for every layer, and room for one fresh slot per
+  // hidden neuron on top of a query's input slots.
+  std::size_t stride = net.input_dim();
+  std::size_t hidden_rows = 0;
+  for (std::size_t li = 0; li < net.num_layers(); ++li) {
+    const std::size_t rows = net.layers()[li].weights.rows();
+    stride = std::max(stride, rows);
+    if (li + 1 < net.num_layers()) {
+      hidden_rows += rows;
     }
+  }
+  stride = (stride + kern::kNeuronBlock - 1) / kern::kNeuronBlock * kern::kNeuronBlock;
+  std::vector<kern::PackedLayer> layers;
+  layers.reserve(net.num_layers());
+  for (const Layer& layer : net.layers()) {
+    layers.push_back(kern::pack_layer(layer, stride));
+  }
+
+  kern::ZonotopeForms cur;
+  kern::ZonotopeForms nxt;
+  for (kern::ZonotopeForms* forms : {&cur, &nxt}) {
+    forms->stride = stride;
+    forms->center.assign(stride, 0.0);
+    forms->err.assign(stride, 0.0);
+  }
+  std::vector<double> radius(stride);
+  for (const AffineSet* set : inputs) {
+    NNCS_SPAN("nn.zonotope_prop");
+    std::size_t input_slots = 0;
+    for (const Affine& form : set->components()) {
+      input_slots += form.terms().size();
+    }
+    const std::size_t capacity = (input_slots + hidden_rows) * stride;
+    for (kern::ZonotopeForms* forms : {&cur, &nxt}) {
+      if (forms->coeffs.size() < capacity) {
+        forms->coeffs.resize(capacity);
+      }
+    }
+    std::vector<std::uint32_t> slot_ids = load_set(*set, cur);
+    std::uint32_t next_fresh = set->noise().count();
+    std::size_t unstable = 0;
+    for (std::size_t li = 0; li < layers.size(); ++li) {
+      const kern::PackedLayer& layer = layers[li];
+      kern::zonotope_affine_layer(layer, cur, nxt, isa);
+      NNCS_COUNT("nn.zonotope_macs", layer.rows * layer.cols * cur.n_slots);
+      std::swap(cur, nxt);
+      if (li + 1 < layers.size()) {
+        unstable += relu_in_place(cur, slot_ids, next_fresh, radius);
+      }
+    }
+    NNCS_COUNT("nn.relaxed_relus", unstable);
+    results.push_back(extract_outputs(cur, slot_ids));
   }
   return results;
 }

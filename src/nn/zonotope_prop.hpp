@@ -38,23 +38,21 @@ ZonotopeBounds zonotope_propagate(const Network& net, const Box& input);
 ZonotopeBounds zonotope_propagate(const Network& net, std::vector<Affine> inputs,
                                   NoiseSource& source);
 
-/// The zonotope transformer of every controller query: propagate one or
-/// more affine sets through one lane-minor SoA layer sweep
-/// (`kern::AffineFormBatch`), a single set included. Lane i propagates
-/// `inputs[i]`'s affine forms (preserving their correlations), bit-identical
-/// to
+/// The zonotope transformer of every controller query: propagate each
+/// affine set on its own through the neuron-minor layer sweep
+/// (`kern::zonotope_affine_layer`), which runs a block of one query's
+/// neurons in SIMD, so a batch of one fills the vector width as well as a
+/// larger one does. Result i is bit-identical to
 ///   NoiseSource scratch = inputs[i]->noise();
 ///   zonotope_propagate(net, inputs[i]->components(), scratch)
 /// — centers, coefficients, error terms, noise-symbol ids, and output box
-/// alike — because each lane executes the scalar affine-arithmetic
-/// operation sequence in the scalar order (see `kern::affine_form_layer`),
-/// ReLU goes through the scalar `Affine` routine per lane, and per-lane
-/// noise-symbol allocation replays the scalar `NoiseSource`. A box lifted
-/// with `AffineSet::from_box` therefore gets exactly the boxed
-/// `zonotope_propagate`'s bounds. Lanes are fully independent — each keeps
-/// its own slot -> symbol map — so sets with different symbol universes
-/// batch together. Batches larger than `kern::kMaxLanes` are chunked
-/// internally.
+/// alike — because each neuron executes the scalar affine-arithmetic
+/// operation sequence in the scalar order, the ReLU replays `Affine::range`
+/// and `Affine::relu` in place on the neuron's column, and each unstable
+/// neuron's fresh symbol replays the scalar `NoiseSource`. A box lifted with
+/// `AffineSet::from_box` therefore gets exactly the boxed
+/// `zonotope_propagate`'s bounds. Sets in one batch share only the packed
+/// weights, so sets with different symbol universes batch together.
 std::vector<ZonotopeBounds> zonotope_propagate_batch(const Network& net,
                                                      const std::vector<const AffineSet*>& inputs);
 std::vector<ZonotopeBounds> zonotope_propagate_batch(const Network& net,

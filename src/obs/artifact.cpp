@@ -29,8 +29,9 @@ constexpr std::string_view kCanonicalCounters[] = {
     "ode.enclosure_attempts",    "ode.picard_retries",         "ode.picard_failures",
     "ode.step_rejections",       "ode.field_evals",            "ode.affine_boxed_fallbacks",
     "ode.affine_dim_fallbacks",  "ode.affine_tail_fallbacks",  "nn.relaxed_relus",
-    "nn.relational_steps",       "nn.crossed_bounds",          "join.joins",
-    "join.distance_evals",       "core.join_relational_drops",
+    "nn.relational_steps",       "nn.crossed_bounds",          "nn.symbolic_macs",
+    "nn.zonotope_macs",          "join.joins",                 "join.distance_evals",
+    "core.join_relational_drops",
 };
 
 double number_or(const JsonValue* v, double fallback) {

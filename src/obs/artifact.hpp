@@ -54,7 +54,8 @@ struct BenchArtifact {
 /// workload, and therefore belongs in `canonical_counters`: the
 /// engine.cells_* refinement-tree family and the integrator, NN and join
 /// work counts (ode.*, nn.relaxed_relus, nn.relational_steps,
-/// nn.crossed_bounds, join.joins, join.distance_evals,
+/// nn.crossed_bounds, nn.symbolic_macs, nn.zonotope_macs, join.joins,
+/// join.distance_evals,
 /// core.join_relational_drops). Cache hit
 /// counts, by contrast, depend on thread interleaving.
 [[nodiscard]] bool is_canonical_counter(std::string_view name);

@@ -446,12 +446,14 @@ TEST(RunArtifact, CanonicalKeysFromReport) {
   // The work counters the two committed acasxu perf-gate runs increment, on
   // top of the engine.cells_* family; each must land in the canonical
   // section, next to a scheduling-dependent counter that must not.
-  const std::vector<const char*> box_work = {"join.joins",       "join.distance_evals",
-                                             "nn.relaxed_relus", "ode.enclosure_attempts",
-                                             "ode.field_evals",  "ode.substeps"};
+  const std::vector<const char*> box_work = {
+      "join.joins",       "join.distance_evals",    "nn.relaxed_relus",
+      "nn.symbolic_macs", "ode.enclosure_attempts", "ode.field_evals",
+      "ode.substeps"};
   const std::vector<const char*> zonotope_work = {
-      "core.join_relational_drops", "join.joins",      "join.distance_evals",
-      "nn.relational_steps",        "ode.substeps",    "ode.affine_boxed_fallbacks",
+      "core.join_relational_drops", "join.joins",       "join.distance_evals",
+      "nn.relational_steps",        "nn.relaxed_relus", "nn.zonotope_macs",
+      "ode.substeps",               "ode.affine_boxed_fallbacks",
       "ode.enclosure_attempts",     "ode.field_evals"};
   // nncs_verify's scale keys; a non-default domain adds its own.
   const std::map<std::string, double> scale = {

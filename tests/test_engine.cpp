@@ -524,6 +524,35 @@ TEST(Engine, ResumeValidatesCheckpoint) {
     EXPECT_THROW(s.engine().resume(cells, bad_job, s.config()), std::invalid_argument)
         << "job " << cell.box();
   }
+
+  // Cells of one root that overlap: a duplicated leaf would count its
+  // coverage twice, and a frontier job over a finished leaf would verify
+  // the same states again. The split dimension here is y (split_dims {1}).
+  const auto [lower, upper] = cells[0].box().bisect(1);
+  const auto leaf_of = [](const Box& box, int depth) {
+    CellOutcome leaf;
+    leaf.initial = SymbolicState{box, 0};
+    leaf.depth = depth;
+    leaf.outcome = ReachOutcome::kProvedSafe;
+    return leaf;
+  };
+  EngineCheckpoint duplicate_leaf;
+  duplicate_leaf.root_cells = cells.size();
+  duplicate_leaf.leaves = {leaf_of(cells[0].box(), 0), leaf_of(cells[0].box(), 0)};
+  EXPECT_THROW(s.engine().resume(cells, duplicate_leaf, s.config()), std::invalid_argument);
+  EngineCheckpoint job_over_leaf;
+  job_over_leaf.root_cells = cells.size();
+  job_over_leaf.leaves = {leaf_of(lower, 1)};
+  job_over_leaf.frontier = {VerifyJob{cells[0], 0, 0}};
+  EXPECT_THROW(s.engine().resume(cells, job_over_leaf, s.config()), std::invalid_argument);
+  // Bisection halves share only a face, and equal cells of different roots
+  // never meet: both resume.
+  EngineCheckpoint halves;
+  halves.root_cells = cells.size();
+  halves.leaves = {leaf_of(lower, 1)};
+  halves.frontier = {VerifyJob{SymbolicState{upper, 0}, 1, 0}, VerifyJob{cells[1], 0, 1}};
+  const EngineResult resumed = s.engine().resume(cells, halves, s.config());
+  EXPECT_TRUE(resumed.complete());
 }
 
 TEST(Engine, WorkerExceptionReachesTheCaller) {

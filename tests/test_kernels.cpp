@@ -11,7 +11,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/controller.hpp"
@@ -102,9 +104,15 @@ std::vector<kern::Isa> compiled_isas() {
   return isas;
 }
 
+/// ACAS Xu's network shape (5 inputs, three hidden layers of 32, 5 scores).
+const std::vector<std::size_t> kAcasShape = {5, 32, 32, 32, 5};
+/// Cruise control's shape: two hidden layers of 24, so a neuron block of the
+/// zonotope sweep is part padding.
+const std::vector<std::size_t> kCruiseShape = {2, 24, 24, 4};
+
 TEST(Kernels, SymbolicBatchBitwiseEqualsScalar) {
   const std::vector<std::vector<std::size_t>> shapes = {
-      {3, 8, 8, 2}, {2, 5, 5, 5, 3}, {1, 4, 1}, {5, 16, 5}};
+      {3, 8, 8, 2}, {2, 5, 5, 5, 3}, {1, 4, 1}, {5, 16, 5}, kAcasShape, kCruiseShape};
   for (const kern::Isa isa : compiled_isas()) {
     for (std::size_t s = 0; s < shapes.size(); ++s) {
       const Network net = random_network(300 + s, shapes[s]);
@@ -208,98 +216,152 @@ TEST(Kernels, BatchedTransformersContainConcreteSamples) {
   return boxes_bitwise_eq(a.output_box, b.output_box);
 }
 
-/// ACAS Xu's network shape (5 inputs, three hidden layers of 32, 5 scores):
-/// the zonotope loop sends its queries one per advisory network, so most
-/// kernel calls on it have width 1.
-const std::vector<std::size_t> kAcasShape = {5, 32, 32, 32, 5};
+/// Shapes for the zonotope sweep: widths below, at and across its neuron
+/// block, ACAS Xu's (whose per-advisory networks see one query per call),
+/// cruise control's and the pendulum's.
+const std::vector<std::vector<std::size_t>> kZonotopeShapes = {
+    {3, 8, 8, 2}, {2, 5, 5, 5, 3}, {1, 4, 1},    {5, 16, 5},
+    kAcasShape,   kCruiseShape,    {2, 16, 16, 3}, {3, 33, 17, 2}};
 
-TEST(Kernels, ZonotopeBoxBatchBitwiseEqualsScalar) {
-  const std::vector<std::vector<std::size_t>> shapes = {
-      {3, 8, 8, 2}, {2, 5, 5, 5, 3}, {1, 4, 1}, {5, 16, 5}, kAcasShape};
-  for (const kern::Isa isa : compiled_isas()) {
-    for (std::size_t s = 0; s < shapes.size(); ++s) {
-      const Network net = random_network(500 + s, shapes[s]);
-      Rng rng(600 + s);
-      std::vector<Box> inputs;
-      for (int k = 0; k < 19; ++k) {
-        inputs.push_back(random_box(rng, net.input_dim()));
-      }
-      // A within-batch duplicate must not perturb its neighbours' lanes.
-      inputs.push_back(inputs.front());
-      // Boxes enter the batch as `AffineSet::from_box` lifts, which must
-      // reproduce the boxed scalar transformer's own lift exactly.
-      std::vector<AffineSet> lifts;
-      lifts.reserve(inputs.size());
-      std::vector<const AffineSet*> ptrs;
-      for (const Box& input : inputs) {
-        lifts.push_back(AffineSet::from_box(input));
-        ptrs.push_back(&lifts.back());
-      }
-      const std::vector<ZonotopeBounds> batched = zonotope_propagate_batch(net, ptrs, isa);
-      ASSERT_EQ(batched.size(), inputs.size());
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        const ZonotopeBounds scalar = zonotope_propagate(net, inputs[i]);
-        EXPECT_TRUE(zonotopes_bitwise_eq(batched[i], scalar))
-            << "isa=" << to_string(isa) << " shape=" << s << " input=" << i;
-        // A single-set batch runs the same SoA kernel at width 1.
-        const std::vector<ZonotopeBounds> single =
-            zonotope_propagate_batch(net, {ptrs[i]}, isa);
-        ASSERT_EQ(single.size(), 1U);
-        EXPECT_TRUE(zonotopes_bitwise_eq(single.front(), scalar))
-            << "isa=" << to_string(isa) << " shape=" << s << " input=" << i << " width 1";
-        // The command-pruning consumer must agree too (it is a pure
-        // function of the forms, but this pins the end-to-end contract).
-        EXPECT_EQ(possible_argmin(batched[i]), possible_argmin(scalar));
+/// Every hidden neuron is unstable on an input box around [-1, 1]: layer 1
+/// copies ±x and layer 2 recentres each copy's ReLU image on a negative
+/// bias, so each hidden neuron takes a fresh noise symbol and a query's
+/// slot capacity (input slots + hidden neurons) is reached.
+Network all_unstable_network(std::size_t hidden) {
+  Network net = make_zero_network({1, hidden, hidden, 1});
+  for (std::size_t r = 0; r < hidden; ++r) {
+    net.layer(0).weights(r, 0) = r % 2 == 0 ? 1.0 : -1.5;
+    net.layer(1).weights(r, r) = 1.0;
+    net.layer(1).biases[r] = -0.5;
+    net.layer(2).weights(0, r) = 1.0;
+  }
+  return net;
+}
+
+/// A box whose even dimensions span two or four subnormal steps around 0, so
+/// its lift's coefficients are the smallest subnormals: weights or ReLU
+/// slopes below 1/2 round their products to zero, terms the scalar code
+/// drops. The odd dimensions are ordinary, so neurons can still be unstable.
+Box subnormal_box(Rng& rng, std::size_t dim) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  std::vector<Interval> iv;
+  for (std::size_t i = 0; i < dim; ++i) {
+    if (i % 2 == 0) {
+      iv.emplace_back(rng.chance(0.5) ? -2 * tiny : 0.0, 2 * tiny);
+    } else {
+      iv.emplace_back(rng.uniform(-1.0, 0.0), rng.uniform(0.0, 1.0));
+    }
+  }
+  return Box{std::move(iv)};
+}
+
+/// Random boxes for `net`, plus the edge cases: a point box (no noise
+/// symbols at all), subnormal boxes, and a within-batch duplicate.
+std::vector<Box> zonotope_inputs(Rng& rng, const Network& net, std::size_t count) {
+  std::vector<Box> inputs;
+  for (std::size_t k = 0; k < count; ++k) {
+    inputs.push_back(random_box(rng, net.input_dim()));
+  }
+  inputs.emplace_back(net.input_dim(), Interval{0.25});
+  inputs.push_back(subnormal_box(rng, net.input_dim()));
+  inputs.push_back(subnormal_box(rng, net.input_dim()));
+  inputs.push_back(inputs.front());
+  return inputs;
+}
+
+/// `sets` through the batched transformer at once and one at a time must
+/// reproduce `scalar` bit for bit, argmin included.
+void expect_batch_matches(const Network& net, const std::vector<AffineSet>& sets,
+                          const std::vector<ZonotopeBounds>& scalar, kern::Isa isa,
+                          const std::string& what) {
+  std::vector<const AffineSet*> ptrs;
+  for (const AffineSet& set : sets) {
+    ptrs.push_back(&set);
+  }
+  const std::vector<ZonotopeBounds> batched = zonotope_propagate_batch(net, ptrs, isa);
+  ASSERT_EQ(batched.size(), sets.size());
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    EXPECT_TRUE(zonotopes_bitwise_eq(batched[i], scalar[i]))
+        << "isa=" << to_string(isa) << " " << what << " input=" << i;
+    const std::vector<ZonotopeBounds> single = zonotope_propagate_batch(net, {ptrs[i]}, isa);
+    ASSERT_EQ(single.size(), 1U);
+    EXPECT_TRUE(zonotopes_bitwise_eq(single.front(), scalar[i]))
+        << "isa=" << to_string(isa) << " " << what << " input=" << i << " alone";
+    // The command-pruning consumer must agree too (it is a pure function of
+    // the forms, but this pins the end-to-end contract).
+    EXPECT_EQ(possible_argmin(batched[i]), possible_argmin(scalar[i]));
+  }
+}
+
+/// Boxes enter the batch as `AffineSet::from_box` lifts, which must
+/// reproduce the boxed scalar transformer's own lift exactly.
+void expect_box_batch_matches(const Network& net, const std::vector<Box>& inputs, kern::Isa isa,
+                              const std::string& what) {
+  std::vector<AffineSet> lifts;
+  std::vector<ZonotopeBounds> scalar;
+  for (const Box& input : inputs) {
+    lifts.push_back(AffineSet::from_box(input));
+    scalar.push_back(zonotope_propagate(net, input));
+  }
+  expect_batch_matches(net, lifts, scalar, isa, what);
+}
+
+/// Correlated sets: each box's lift mixed through a random interval linear
+/// image, so the forms share noise symbols (the shape the integrator hands
+/// the controller), against the relational scalar transformer.
+void expect_relational_batch_matches(Rng& rng, const Network& net,
+                                     const std::vector<Box>& boxes, kern::Isa isa,
+                                     const std::string& what) {
+  const std::size_t dim = net.input_dim();
+  std::vector<AffineSet> sets;
+  std::vector<ZonotopeBounds> scalar;
+  for (const Box& box : boxes) {
+    IntervalMatrix m(dim, dim);
+    for (std::size_t r = 0; r < dim; ++r) {
+      for (std::size_t c = 0; c < dim; ++c) {
+        const double mid = (r == c) ? 1.0 : rng.uniform(-0.4, 0.4);
+        const double rad = rng.chance(0.5) ? 0.0 : 1e-6;
+        m.at(r, c) = Interval{mid - rad, mid + rad};
       }
     }
+    sets.push_back(AffineSet::from_box(box).linear_image(m));
+    NoiseSource scratch = sets.back().noise();
+    scalar.push_back(zonotope_propagate(net, sets.back().components(), scratch));
+  }
+  expect_batch_matches(net, sets, scalar, isa, what);
+}
+
+TEST(Kernels, ZonotopeBoxBatchBitwiseEqualsScalar) {
+  for (const kern::Isa isa : compiled_isas()) {
+    for (std::size_t s = 0; s < kZonotopeShapes.size(); ++s) {
+      const Network net = random_network(500 + s, kZonotopeShapes[s]);
+      Rng rng(600 + s);
+      expect_box_batch_matches(net, zonotope_inputs(rng, net, 19), isa,
+                               "shape=" + std::to_string(s));
+    }
+    const Network net = all_unstable_network(33);
+    expect_box_batch_matches(net, {Box{Interval{-1.0, 1.0}}, Box{Interval{-0.75, 0.5}}}, isa,
+                             "all unstable");
+    // The output sums every layer-2 neuron, so it carries the input symbol
+    // and one fresh symbol per hidden neuron: all 67 slots.
+    const AffineSet lift = AffineSet::from_box(Box{Interval{-1.0, 1.0}});
+    EXPECT_EQ(zonotope_propagate_batch(net, {&lift}, isa).front().outputs[0].terms().size(),
+              1U + 2U * 33U);
   }
 }
 
 TEST(Kernels, ZonotopeRelationalBatchBitwiseEqualsScalar) {
-  const std::vector<std::vector<std::size_t>> shapes = {
-      {3, 8, 8, 2}, {2, 5, 5, 5, 3}, {5, 16, 5}, kAcasShape};
   for (const kern::Isa isa : compiled_isas()) {
-    for (std::size_t s = 0; s < shapes.size(); ++s) {
-      const Network net = random_network(700 + s, shapes[s]);
+    for (std::size_t s = 0; s < kZonotopeShapes.size(); ++s) {
+      const Network net = random_network(700 + s, kZonotopeShapes[s]);
       Rng rng(800 + s);
-      const std::size_t dim = net.input_dim();
-      std::vector<AffineSet> sets;
-      // More sets than kern::kMaxLanes, so the batch spans two chunks.
-      for (std::size_t k = 0; k < kern::kMaxLanes + 6; ++k) {
-        // Correlated inputs: lift a box, then mix the dimensions through a
-        // random interval linear image so the forms share noise symbols
-        // (the shape the integrator hands the controller).
-        AffineSet set = AffineSet::from_box(random_box(rng, dim));
-        IntervalMatrix m(dim, dim);
-        for (std::size_t r = 0; r < dim; ++r) {
-          for (std::size_t c = 0; c < dim; ++c) {
-            const double mid = (r == c) ? 1.0 : rng.uniform(-0.4, 0.4);
-            const double rad = rng.chance(0.5) ? 0.0 : 1e-6;
-            m.at(r, c) = Interval{mid - rad, mid + rad};
-          }
-        }
-        sets.push_back(set.linear_image(m));
-      }
-      std::vector<const AffineSet*> ptrs;
-      ptrs.reserve(sets.size());
-      for (const AffineSet& set : sets) {
-        ptrs.push_back(&set);
-      }
-      const std::vector<ZonotopeBounds> batched = zonotope_propagate_batch(net, ptrs, isa);
-      ASSERT_EQ(batched.size(), sets.size());
-      for (std::size_t i = 0; i < sets.size(); ++i) {
-        NoiseSource scratch = sets[i].noise();
-        const ZonotopeBounds scalar = zonotope_propagate(net, sets[i].components(), scratch);
-        EXPECT_TRUE(zonotopes_bitwise_eq(batched[i], scalar))
-            << "isa=" << to_string(isa) << " shape=" << s << " input=" << i;
-        const std::vector<ZonotopeBounds> single =
-            zonotope_propagate_batch(net, {ptrs[i]}, isa);
-        ASSERT_EQ(single.size(), 1U);
-        EXPECT_TRUE(zonotopes_bitwise_eq(single.front(), scalar))
-            << "isa=" << to_string(isa) << " shape=" << s << " input=" << i << " width 1";
-        EXPECT_EQ(possible_argmin(batched[i]), possible_argmin(scalar));
-      }
+      expect_relational_batch_matches(rng, net, zonotope_inputs(rng, net, 23), isa,
+                                      "shape=" + std::to_string(s));
     }
+    Rng rng(900);
+    expect_relational_batch_matches(rng, all_unstable_network(33),
+                                    {Box{Interval{-1.0, 1.0}}, Box{Interval{-0.75, 0.5}}}, isa,
+                                    "all unstable");
   }
 }
 

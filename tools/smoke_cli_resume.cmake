@@ -9,9 +9,9 @@
 #   4. --resume from that checkpoint: must exit 0 and reproduce the
 #      reference report byte-for-byte
 #   5. --resume from crafted checkpoints whose leaf depth is -1, 2^32-1,
-#      or deeper than --depth, or whose frontier cell has the wrong
-#      dimension, lies outside its root cell or has an infinite bound: must
-#      exit 1 with a message, not crash
+#      or deeper than --depth, whose frontier cell has the wrong
+#      dimension, lies outside its root cell or has an infinite bound, or
+#      that lists one leaf twice: must exit 1 with a message, not crash
 #
 # Required -D variables: CLI (the nncs_verify binary), NETS (network cache
 # dir), OUT (scratch directory for the generated files).
@@ -89,3 +89,12 @@ endfunction()
 refuse_cell("wrong dimension" "-0.3,0\n")
 refuse_cell("x outside its root cell" "9000,9500,${ROOT0_TAIL}")
 refuse_cell("x = [inf, inf]" "inf,inf,${ROOT0_TAIL}")
+# Root 0's own cell twice as a proved-safe leaf: the cells of one root must
+# not overlap, or one 6.25 % cell would be reported as 12.5 % coverage.
+set(ROOT0_LEAF "0,0,proved-safe,0,0,0,0,0,0,0,0,0,0,9.7971743931788159e-13,8000.0000000000009,")
+set(ROOT0_LEAF "${ROOT0_LEAF}-8000.0000000000009,4.898587196589418e-13,")
+set(ROOT0_LEAF "${ROOT0_LEAF}-1.5707963267948966,-0.39269908169872414,700,700,600,600\n")
+file(WRITE ${OUT}/crafted_overlap.ckpt "nncs-checkpoint v1,16\ninterior,0,0,0,0,0,0,0,0,0\n"
+  "leaves,2\n${ROOT0_LEAF}${ROOT0_LEAF}frontier,0\n")
+run_cli(1 "resume from a checkpoint listing one leaf twice" ${COMMON} --threads 2
+  --resume ${OUT}/crafted_overlap.ckpt)
