@@ -96,15 +96,20 @@ void BM_NetworkSymbolicProp(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkSymbolicProp);
 
-// Batched SoA sweep (nn/kernels.hpp) over `range(0)` slightly-perturbed
-// cells; per-query cost = time / batch. Compare against the scalar symbolic
-// bench above to see the amortization (allocation reuse + SIMD lanes).
+// Batched symbolic transformer (nn/kernels.hpp) over `range(0)` ACAS Xu-like
+// cells per call: rho, theta and psi wide and shifted per cell, v_own a point
+// and v_int exactly 0, as Pre# gives for constant speeds (700 and 600 ft/s
+// normalized). Per-query cost = time / batch; compare against the scalar
+// symbolic bench above.
 std::vector<Box> perturbed_cells(std::size_t count) {
   std::vector<Box> cells;
   cells.reserve(count);
   for (std::size_t k = 0; k < count; ++k) {
     const double shift = 1e-3 * static_cast<double>(k);
-    cells.emplace_back(5, Interval{-0.05 + shift, 0.05 + shift});
+    std::vector<Interval> dims(3, Interval{-0.05 + shift, 0.05 + shift});
+    dims.emplace_back(50.0 / 1100.0);
+    dims.emplace_back(0.0);
+    cells.emplace_back(std::move(dims));
   }
   return cells;
 }

@@ -56,6 +56,48 @@ bool key_less(const CellKey& a, const CellKey& b) {
   return a.cell.command < b.cell.command;
 }
 
+/// Refine a failed cell into child boxes (the §7.1 all-dims scheme or the
+/// §8 widest-dim heuristic, normalized by the root cell's widths). Only
+/// dimensions whose bisection makes progress participate: a thin or
+/// degenerate dimension's midpoint lands on an endpoint, so bisecting it
+/// returns a child identical to the parent and the cell would be re-queued
+/// unchanged until the depth cap. An empty return means no dimension can
+/// make progress — the caller keeps the cell as an undecided leaf. A pure
+/// function of its arguments, so `resume` can rebuild the tree `drive` made.
+std::vector<Box> split_cell(const VerifyConfig& vc, const Box& root, const Box& cell,
+                            int depth) {
+  std::vector<std::size_t> splittable;
+  splittable.reserve(vc.split_dims.size());
+  for (const std::size_t d : vc.split_dims) {
+    if (cell.bisectable(d)) {
+      splittable.push_back(d);
+    }
+  }
+  if (splittable.empty()) {
+    return {};
+  }
+  if (vc.split_strategy == SplitStrategy::kAllDims) {
+    return cell.split(splittable);
+  }
+  const std::size_t k = splittable.size();
+  std::size_t best = splittable[static_cast<std::size_t>(depth) % k];
+  double best_ratio = 0.0;
+  {
+    const double root_width = root[best].width();
+    best_ratio = root_width > 0.0 ? cell[best].width() / root_width : cell[best].width();
+  }
+  for (const std::size_t d : splittable) {
+    const double root_width = root[d].width();
+    const double ratio = root_width > 0.0 ? cell[d].width() / root_width : cell[d].width();
+    if (ratio > best_ratio * 1.000001) {
+      best_ratio = ratio;
+      best = d;
+    }
+  }
+  auto [lower, upper] = cell.bisect(best);
+  return {std::move(lower), std::move(upper)};
+}
+
 }  // namespace
 
 bool cell_outcome_less(const CellOutcome& a, const CellOutcome& b) {
@@ -91,12 +133,10 @@ EngineResult VerificationEngine::resume(const SymbolicSet& initial_cells,
         std::to_string(initial_cells.size()) + ")");
   }
   // A run under this configuration only makes cells of depth
-  // 0..max_refinement_depth; anything else would also index past the
-  // report's proved_by_depth. Refinement bisects a root cell into exact
-  // subsets that keep its command, and bounds round-trip bit for bit, so a
-  // cell outside its root cell was never made by a run: verifying it (or
-  // counting its leaf) would report coverage of states the partition does
-  // not hold.
+  // 0..max_refinement_depth (anything else would also index past the
+  // report's proved_by_depth) under their root cell's command.
+  const VerifyConfig& vc = config.verify;
+  std::vector<std::vector<std::pair<int, const SymbolicState*>>> listed(initial_cells.size());
   auto check_entry = [&](std::size_t root_index, int depth, const SymbolicState& cell,
                          const char* what) {
     const auto refuse = [&](const std::string& why) {
@@ -104,51 +144,64 @@ EngineResult VerificationEngine::resume(const SymbolicSet& initial_cells,
                                   " entry (root " + std::to_string(root_index) + ", depth " +
                                   std::to_string(depth) + "): " + why);
     };
-    if (root_index >= initial_cells.size() || depth < 0 ||
-        depth > config.verify.max_refinement_depth) {
+    if (root_index >= initial_cells.size() || depth < 0 || depth > vc.max_refinement_depth) {
       refuse("this run has " + std::to_string(initial_cells.size()) +
-             " root cells and depths 0.." +
-             std::to_string(config.verify.max_refinement_depth));
+             " root cells and depths 0.." + std::to_string(vc.max_refinement_depth));
     }
-    const SymbolicState& root = initial_cells[root_index];
-    if (cell.command != root.command || !root.box().contains(cell.box())) {
-      refuse("the cell is not inside its root cell");
+    if (cell.command != initial_cells[root_index].command) {
+      refuse("the cell's command is not its root cell's");
     }
+    listed[root_index].emplace_back(depth, &cell);
   };
-  // Bisection children share at most a face, so the cells of one root
-  // (leaves and frontier together) never overlap in a checkpoint a run
-  // wrote. Cells that do would verify, or count as coverage, the same
-  // states twice. Two cells overlap when their intersection has positive
-  // width in every dimension where the root has positive width.
-  std::vector<std::vector<const Box*>> cells_of_root(initial_cells.size());
   for (const VerifyJob& job : checkpoint.frontier) {
     check_entry(job.root_index, job.depth, job.cell, "frontier");
-    cells_of_root[job.root_index].push_back(&job.cell.box());
   }
   for (const CellOutcome& leaf : checkpoint.leaves) {
     check_entry(leaf.root_index, leaf.depth, leaf.initial, "leaf");
-    cells_of_root[leaf.root_index].push_back(&leaf.initial.box());
   }
-  for (std::size_t r = 0; r < cells_of_root.size(); ++r) {
-    const Box& root = initial_cells[r].box();
-    const auto overlap = [&](const Box& a, const Box& b) {
-      for (std::size_t d = 0; d < root.dim(); ++d) {
-        if (root[d].lo() < root[d].hi() &&
-            !(std::max(a[d].lo(), b[d].lo()) < std::min(a[d].hi(), b[d].hi()))) {
-          return false;
-        }
-      }
-      return true;
+  // Refinement bisects a root cell into exact subsets (`split_cell`), and
+  // bounds round-trip bit for bit, so a checkpoint a run wrote lists a cut
+  // of each root's bisection tree: every listed cell is a tree node at its
+  // depth, and every root-to-leaf path meets exactly one listed cell. Walk
+  // each tree from its root, stopping at listed cells. A path that meets
+  // none leaves states unverified yet reported as covered; a listed cell the
+  // walk never meets lies outside the tree, inside another listed cell, or
+  // twice in the list, and would verify or count the same states again.
+  for (std::size_t r = 0; r < initial_cells.size(); ++r) {
+    const auto refuse = [&](const std::string& why) {
+      throw std::invalid_argument("VerificationEngine::resume: corrupt checkpoint: root " +
+                                  std::to_string(r) + ": " + why);
     };
-    const std::vector<const Box*>& cells = cells_of_root[r];
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      for (std::size_t j = i + 1; j < cells.size(); ++j) {
-        if (overlap(*cells[i], *cells[j])) {
-          throw std::invalid_argument(
-              "VerificationEngine::resume: corrupt checkpoint: two cells of root " +
-              std::to_string(r) + " overlap (" + cells[i]->str() + " and " +
-              cells[j]->str() + ")");
-        }
+    const Box& root = initial_cells[r].box();
+    std::vector<bool> met(listed[r].size(), false);
+    std::vector<std::pair<Box, int>> walk{{root, 0}};
+    while (!walk.empty()) {
+      const auto [box, depth] = std::move(walk.back());
+      walk.pop_back();
+      const auto it = std::find_if(listed[r].begin(), listed[r].end(), [&](const auto& entry) {
+        return entry.first == depth && box_compare(entry.second->box(), box) == 0;
+      });
+      if (it != listed[r].end()) {
+        met[static_cast<std::size_t>(it - listed[r].begin())] = true;
+        continue;
+      }
+      std::vector<Box> children;
+      if (depth < vc.max_refinement_depth) {
+        children = split_cell(vc, root, box, depth);
+      }
+      if (children.empty()) {
+        refuse("no listed cell covers " + box.str() + " (depth " + std::to_string(depth) + ")");
+      }
+      for (Box& child : children) {
+        walk.emplace_back(std::move(child), depth + 1);
+      }
+    }
+    for (std::size_t i = 0; i < met.size(); ++i) {
+      if (!met[i]) {
+        refuse("listed cell " + listed[r][i].second->box().str() + " (depth " +
+               std::to_string(listed[r][i].first) +
+               ") is listed twice, lies inside another listed cell or is no node of the "
+               "root's bisection tree");
       }
     }
   }
@@ -202,49 +255,6 @@ EngineResult VerificationEngine::drive(const SymbolicSet& initial_cells, EngineC
     }
   };
 
-  // Refine a failed cell into child boxes (the §7.1 all-dims scheme or the
-  // §8 widest-dim heuristic, normalized by the root cell's widths). Only
-  // dimensions whose bisection makes progress participate: a thin or
-  // degenerate dimension's midpoint lands on an endpoint, so bisecting it
-  // returns a child identical to the parent and the cell would be re-queued
-  // unchanged until the depth cap. An empty return means no dimension can
-  // make progress — the caller keeps the cell as an undecided leaf.
-  auto split_cell = [&](const VerifyJob& job) -> std::vector<Box> {
-    std::vector<std::size_t> splittable;
-    splittable.reserve(vc.split_dims.size());
-    for (const std::size_t d : vc.split_dims) {
-      if (job.cell.box().bisectable(d)) {
-        splittable.push_back(d);
-      }
-    }
-    if (splittable.empty()) {
-      return {};
-    }
-    if (vc.split_strategy == SplitStrategy::kAllDims) {
-      return job.cell.box().split(splittable);
-    }
-    const Box& root = initial_cells[job.root_index].box();
-    const std::size_t k = splittable.size();
-    std::size_t best = splittable[static_cast<std::size_t>(job.depth) % k];
-    double best_ratio = 0.0;
-    {
-      const double root_width = root[best].width();
-      best_ratio = root_width > 0.0 ? job.cell.box()[best].width() / root_width
-                                    : job.cell.box()[best].width();
-    }
-    for (const std::size_t d : splittable) {
-      const double root_width = root[d].width();
-      const double ratio =
-          root_width > 0.0 ? job.cell.box()[d].width() / root_width : job.cell.box()[d].width();
-      if (ratio > best_ratio * 1.000001) {
-        best_ratio = ratio;
-        best = d;
-      }
-    }
-    auto [lower, upper] = job.cell.box().bisect(best);
-    return {std::move(lower), std::move(upper)};
-  };
-
   // One worker: pop the frontier's next job, analyze it outside the lock,
   // then record its leaf or queue its children. With nothing to pop it
   // sleeps while other cells are in flight, since those may still refine
@@ -293,7 +303,8 @@ EngineResult VerificationEngine::drive(const SymbolicSet& initial_cells, EngineC
           config.stop_on_violation && res.outcome == ReachOutcome::kErrorReachable;
       if (!proved && !terminal_violation && job.depth < vc.max_refinement_depth &&
           !vc.split_dims.empty()) {
-        std::vector<Box> children = split_cell(job);
+        std::vector<Box> children = split_cell(vc, initial_cells[job.root_index].box(),
+                                               job.cell.box(), job.depth);
         if (children.empty()) {
           // No split dimension can make progress (all thin/degenerate): keep
           // the cell as an undecided leaf instead of re-queuing it unchanged.

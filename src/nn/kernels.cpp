@@ -11,8 +11,8 @@ namespace nncs::kern {
 #ifdef NNCS_HAVE_AVX2
 // Defined in kernels_avx2.cpp (compiled with -mavx2 -mfma -ffp-contract=off).
 namespace avx2 {
-void symbolic_affine_layer_impl(const Layer& layer, const SymbolicBatch& in,
-                                SymbolicBatch& out);
+void symbolic_affine_layer_impl(const PackedLayer& layer, const SymbolicForms& in,
+                                SymbolicForms& out);
 void zonotope_affine_layer_impl(const PackedLayer& layer, const ZonotopeForms& in,
                                 ZonotopeForms& out);
 }  // namespace avx2
@@ -41,34 +41,6 @@ Isa active_isa() {
   return isa;
 }
 
-void AffineBatch::resize(std::size_t new_width, std::size_t new_n_in, std::size_t new_lanes) {
-  width = new_width;
-  n_in = new_n_in;
-  lanes = new_lanes;
-  coeffs.resize(width * n_in * lanes);
-  constant.resize(width * lanes);
-  err.resize(width * lanes);
-}
-
-void SymbolicBatch::resize(std::size_t width, std::size_t n_in, std::size_t lanes) {
-  lower.resize(width, n_in, lanes);
-  upper.resize(width, n_in, lanes);
-}
-
-void symbolic_affine_layer(const Layer& layer, const SymbolicBatch& in, SymbolicBatch& out,
-                           Isa isa) {
-  out.resize(layer.weights.rows(), in.lower.n_in, in.lower.lanes);
-#ifdef NNCS_HAVE_AVX2
-  if (isa == Isa::kAvx2) {
-    avx2::symbolic_affine_layer_impl(layer, in, out);
-    return;
-  }
-#else
-  (void)isa;
-#endif
-  portable::symbolic_affine_layer_impl(layer, in, out);
-}
-
 PackedLayer pack_layer(const Layer& layer, std::size_t stride) {
   const std::size_t rows = layer.weights.rows();
   const std::size_t cols = layer.weights.cols();
@@ -85,6 +57,30 @@ PackedLayer pack_layer(const Layer& layer, std::size_t stride) {
     packed.biases[r] = layer.biases[r];
   }
   return packed;
+}
+
+void symbolic_affine_layer(const PackedLayer& layer, const SymbolicForms& in,
+                           SymbolicForms& out, Isa isa) {
+  const auto fits = [&](const SymbolicSide& side) {
+    return side.coeffs.size() >= in.n_in * in.stride && side.constant.size() >= in.stride &&
+           side.err.size() >= in.stride;
+  };
+  if (layer.cols != in.width || layer.stride != in.stride || !fits(in.lower) ||
+      !fits(in.upper) || !fits(out.lower) || !fits(out.upper)) {
+    throw std::invalid_argument("symbolic_affine_layer: shape mismatch");
+  }
+  out.width = layer.rows;
+  out.stride = in.stride;
+  out.n_in = in.n_in;
+#ifdef NNCS_HAVE_AVX2
+  if (isa == Isa::kAvx2) {
+    avx2::symbolic_affine_layer_impl(layer, in, out);
+    return;
+  }
+#else
+  (void)isa;
+#endif
+  portable::symbolic_affine_layer_impl(layer, in, out);
 }
 
 void zonotope_affine_layer(const PackedLayer& layer, const ZonotopeForms& in,

@@ -13,25 +13,21 @@
 /// it must execute the exact double-precision operation sequence of
 /// `symbolic_propagate` / `zonotope_propagate`. Each SIMD lane therefore
 /// runs one form's scalar operations in the scalar order, so any vector
-/// width — including the AVX2 path — gives bitwise-identical results. The
-/// two sweeps put different things in a lane:
+/// width — including the AVX2 path — gives bitwise-identical results.
 ///
-/// - The symbolic sweep vectorizes *across cells* (lane = cell): every
-///   cell's forms are over the same n input coefficients, so one query's
-///   neuron rows line up with its batch-mates'. Layout is structure-of-
-///   arrays over the batch, lane-minor (`coeffs[(r·n_in + i)·lanes + l]`).
-/// - The zonotope sweep vectorizes *across one query's neurons* (lane =
-///   neuron): each query carries its own noise symbols, so batch-mates'
-///   coefficient columns do not line up, while one query's neurons all
-///   share its symbol slots. Layout is neuron-minor
-///   (`coeffs[slot·stride + neuron]`), so a query fills the SIMD width on
-///   its own and a batch of one costs nothing extra.
+/// Both sweeps vectorize *across one query's neurons* (lane = neuron) and
+/// store a query's forms neuron-minor (`coeffs[k·stride + neuron]`, k an
+/// input coefficient or a noise-symbol slot), so a query fills the SIMD
+/// width on its own and a batch of one costs nothing extra: ACAS Xu sends
+/// each advisory to its own network, one query per call. The blocks differ
+/// because the per-neuron state differs. A symbolic neuron carries a lower
+/// and an upper form, each with its own |·| sum, and picks their sources by
+/// its weight's sign: a block of 8 keeps weights, sign and zero masks and
+/// four |·| sums in ten ymm registers, and cruise control's 24-wide layers
+/// are exactly three blocks where blocks of 16 would pad them to 32. A
+/// zonotope neuron carries one form and two |·| sums, so its block is 16
+/// (four ymm per accumulator).
 namespace nncs::kern {
-
-/// Hard cap on the number of cells per symbolic kernel call; callers chunk
-/// larger groups. Bounds the SoA working set (keeps a full symbolic layer
-/// sweep inside L2).
-inline constexpr std::size_t kMaxLanes = 64;
 
 /// Instruction-set back end for the kernels. Both produce bitwise-identical
 /// results (see file comment); the CPU alone picks one (`active_isa`), and
@@ -51,50 +47,68 @@ enum class Isa {
 /// portable, detected once on first use.
 [[nodiscard]] Isa active_isa();
 
-/// One side (lower or upper) of a batch of affine bound forms: `width`
-/// neuron rows, each holding `n_in` input coefficients, a constant and a
-/// rounding-error term per lane. Rows are contiguous — all lower-bound rows
-/// live in one buffer, all upper-bound rows in another (`SymbolicBatch`).
-struct AffineBatch {
-  std::size_t width = 0;
-  std::size_t n_in = 0;
-  std::size_t lanes = 0;
-  /// `coeffs[(r * n_in + i) * lanes + l]`: row r, input coefficient i, lane l.
-  std::vector<double> coeffs;
-  /// `constant[r * lanes + l]`, `err[r * lanes + l]`.
-  std::vector<double> constant;
-  std::vector<double> err;
-
-  void resize(std::size_t new_width, std::size_t new_n_in, std::size_t new_lanes);
-
-  [[nodiscard]] double* row_coeffs(std::size_t r) { return coeffs.data() + r * n_in * lanes; }
-  [[nodiscard]] const double* row_coeffs(std::size_t r) const {
-    return coeffs.data() + r * n_in * lanes;
-  }
-};
-
-/// Lower and upper affine-form batches for one layer of activations.
-struct SymbolicBatch {
-  AffineBatch lower;
-  AffineBatch upper;
-
-  void resize(std::size_t width, std::size_t n_in, std::size_t lanes);
-};
-
-/// Batched symbolic affine sweep: per lane and output row r, exactly the
-/// scalar propagator's
-///   lower_r/upper_r = bias_r; then per column c with w = W(r,c) != 0:
-///   axpy(±side, w, in_c side)   (coeffs in index order, then constant,
-///                                then the kCoeffSlack error update)
-/// — the hot loop of the whole verifier. The AVX2 back end runs the lane
-/// loop in 256-bit registers (explicit intrinsics, no value-changing FMA).
-void symbolic_affine_layer(const Layer& layer, const SymbolicBatch& in, SymbolicBatch& out,
-                           Isa isa);
+/// Neurons per block of the symbolic sweep (see file comment): the AVX2
+/// body keeps a block's lower and upper |·| sums in two 256-bit registers
+/// each.
+inline constexpr std::size_t kSymbolicBlock = 8;
 
 /// Neurons per block of the zonotope sweep. A query's neuron columns are
 /// padded to a multiple of this; the AVX2 body keeps each per-neuron
 /// accumulator of one block in four 256-bit registers.
 inline constexpr std::size_t kNeuronBlock = 16;
+static_assert(kNeuronBlock % kSymbolicBlock == 0);
+
+/// A layer's weights, transposed and padded for the neuron-minor sweeps:
+/// `weights[c·stride + r]` = W(r, c) and `biases[r]`, both zero for the
+/// padding rows `r >= rows`.
+struct PackedLayer {
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+  std::size_t stride = 0;
+  std::vector<double> weights;
+  std::vector<double> biases;
+};
+
+/// Pack `layer` for a sweep whose forms have neuron stride `stride`
+/// (a multiple of kNeuronBlock, at least the layer's row count).
+[[nodiscard]] PackedLayer pack_layer(const Layer& layer, std::size_t stride);
+
+/// One side (lower or upper) of a query's symbolic bound forms:
+/// `coeffs[i·stride + n]` is neuron n's coefficient on network input i,
+/// `constant[n]` and `err[n]` its constant and rounding-error term.
+struct SymbolicSide {
+  std::vector<double> coeffs;
+  std::vector<double> constant;
+  std::vector<double> err;
+};
+
+/// One symbolic query's affine bound forms (symbolic_prop's `AffineForm`),
+/// a lower and an upper form per neuron, stored neuron-minor. Coefficients
+/// are never −0.0. Columns from `width` up to `stride` are padding. The
+/// caller sizes every buffer to `n_in·stride` (coeffs) or `stride` entries.
+struct SymbolicForms {
+  std::size_t width = 0;   ///< live neurons
+  std::size_t stride = 0;  ///< padded neuron count, a multiple of kNeuronBlock
+  std::size_t n_in = 0;    ///< network inputs: coefficients per form
+  SymbolicSide lower;
+  SymbolicSide upper;
+};
+
+/// Symbolic affine sweep over one query: per output neuron r, exactly the
+/// scalar `symbolic_propagate` inner loop
+///   lower_r = upper_r = bias_r; per column c with w = W(r,c) != 0:
+///   axpy(lower_r, w, w >= 0 ? lower_c : upper_c), and upper_r likewise
+/// — each axpy running the coefficients in index order (every update
+/// feeding its |·| sum), then the constant, then
+/// `err += |w|·src_err + kCoeffSlack·sum`. A block of kSymbolicBlock
+/// neurons runs in SIMD, each picking its sources by its own weight's sign.
+/// A zero weight multiplies sources masked to 0.0, so it adds ±0 to every
+/// coefficient, which changes no bit of a coefficient that is never −0.0,
+/// even where the source is NaN; and the neuron keeps its constant (a bias
+/// may be −0.0) and error term, as the scalar loop skips that weight. No
+/// ReLU. Sets `out`'s width, stride and input count.
+void symbolic_affine_layer(const PackedLayer& layer, const SymbolicForms& in,
+                           SymbolicForms& out, Isa isa);
 
 /// One zonotope query's affine-arithmetic forms (the zonotope domain's
 /// `Affine`), one per neuron, stored neuron-minor: `coeffs[s·stride + n]` is
@@ -116,21 +130,6 @@ struct ZonotopeForms {
   [[nodiscard]] double* slot(std::size_t s) { return coeffs.data() + s * stride; }
   [[nodiscard]] const double* slot(std::size_t s) const { return coeffs.data() + s * stride; }
 };
-
-/// A layer's weights, transposed and padded for the zonotope sweep:
-/// `weights[c·stride + r]` = W(r, c) and `biases[r]`, both zero for the
-/// padding rows `r >= rows`.
-struct PackedLayer {
-  std::size_t rows = 0;
-  std::size_t cols = 0;
-  std::size_t stride = 0;
-  std::vector<double> weights;
-  std::vector<double> biases;
-};
-
-/// Pack `layer` for a sweep whose forms have neuron stride `stride`
-/// (a multiple of kNeuronBlock, at least the layer's row count).
-[[nodiscard]] PackedLayer pack_layer(const Layer& layer, std::size_t stride);
 
 /// Zonotope affine sweep over one query: per output neuron r, exactly the
 /// scalar `zonotope_propagate` inner loop

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "interval/rounding.hpp"
 #include "obs/span.hpp"
 
 namespace nncs {
@@ -123,80 +124,111 @@ SymbolicBounds symbolic_propagate(const Network& net, const Box& input) {
 
 namespace {
 
-/// Strided view of one lane's affine form inside an `AffineBatch` row:
-/// coefficient i lives at `coeffs[i * lanes]`. The batched ReLU stage works
-/// on these views directly so the stable-neuron cases touch no heap.
-struct LaneForm {
-  double* coeffs;  // stride `lanes`
-  std::size_t lanes;
-  std::size_t n_in;
-  double* constant;
-  double* err;
-};
-
-/// concretize() on a lane view — the exact interval-op sequence of the
-/// scalar concretize above, reading the coefficients through the stride.
-Interval concretize_lane(const LaneForm& form, const Box& input) {
-  Interval acc{*form.constant};
-  for (std::size_t i = 0; i < form.n_in; ++i) {
-    const double c = form.coeffs[i * form.lanes];
-    if (c != 0.0) {
-      acc += Interval{c} * input[i];
+/// One bound of `Interval{c} * x` for a coefficient c != 0: bit for bit
+/// the lower (kUpper false) or upper bound `operator*` gives, in its order
+/// of cases: c == 1 returns x; a degenerate x at 1 returns c; a degenerate x
+/// at 0 returns 0 when c is finite; else the corner products, NaN mapped to
+/// 0, rounded out by one ulp. The two bounds never feed each other.
+template <bool kUpper>
+double product_bound(double c, const Interval& x) {
+  if (c == 1.0) {
+    return kUpper ? x.hi() : x.lo();
+  }
+  if (x.lo() == x.hi()) {
+    if (x.lo() == 1.0) {
+      return c;
+    }
+    if (x.lo() == 0.0 && std::isfinite(c)) {
+      return 0.0;
     }
   }
-  return acc.inflated(*form.err + 1e-12);
+  double p = c * x.lo();
+  double q = c * x.hi();
+  p = std::isnan(p) ? 0.0 : p;
+  q = std::isnan(q) ? 0.0 : q;
+  return kUpper ? rnd::next_up(std::max(p, q)) : rnd::next_down(std::min(p, q));
 }
 
-void zero_lane(LaneForm& form) {
-  for (std::size_t i = 0; i < form.n_in; ++i) {
-    form.coeffs[i * form.lanes] = 0.0;
+/// `concretize(form, input).lo()` (kUpper false) or `.hi()` (true) of
+/// neuron r's form in `side`, bit for bit, without the other bound: the
+/// constant, then `operator+` of each nonzero coefficient's product, then
+/// `inflated(err + 1e-12)`, which throws on a negative or NaN delta.
+template <bool kUpper>
+double concretize_bound(const kern::SymbolicSide& side, std::size_t stride, std::size_t r,
+                        const Box& input) {
+  double acc = side.constant[r];
+  for (std::size_t i = 0; i < input.dim(); ++i) {
+    const double c = side.coeffs[i * stride + r];
+    if (c != 0.0) {
+      const double p = product_bound<kUpper>(c, input[i]);
+      acc = kUpper ? rnd::add_up(acc, p) : rnd::add_down(acc, p);
+    }
   }
-  *form.constant = 0.0;
-  *form.err = 0.0;
+  const double delta = side.err[r] + 1e-12;
+  if (delta < 0.0 || std::isnan(delta)) {
+    throw std::invalid_argument("Interval::inflated: negative delta");
+  }
+  return kUpper ? rnd::add_up(acc, delta) : rnd::sub_down(acc, delta);
 }
 
-/// The unstable-ReLU chord relaxation on a lane view, replicating the
-/// scalar path's `relaxed_upper = zero_form; axpy(relaxed_upper, lambda,
-/// upper); ...` expression by expression — including the `0.0 +` of the
-/// axpy-onto-zero-form updates, which canonicalizes -0.0 products to +0.0
-/// exactly like the scalar code does.
-void relax_lane(LaneForm& lower, LaneForm& upper, double l, double u) {
-  const double lambda = u / (u - l);
-  const double mu = -lambda * l;
-  double abs_sum = 0.0;
-  for (std::size_t i = 0; i < upper.n_in; ++i) {
-    double& uc = upper.coeffs[i * upper.lanes];
-    uc = 0.0 + lambda * uc;
-    abs_sum += std::fabs(uc);
+void zero_neuron(kern::SymbolicSide& side, std::size_t stride, std::size_t n_in,
+                 std::size_t r) {
+  for (std::size_t i = 0; i < n_in; ++i) {
+    side.coeffs[i * stride + r] = 0.0;
   }
-  *upper.constant = 0.0 + lambda * *upper.constant;
-  abs_sum += std::fabs(*upper.constant);
-  *upper.err = 0.0 + (std::fabs(lambda) * *upper.err + kCoeffSlack * abs_sum);
-  *upper.constant += mu;
-  // Cover the double-precision computation of the chord parameters.
-  *upper.err += kCoeffSlack * (std::fabs(mu) + std::fabs(lambda) * (std::fabs(l) + std::fabs(u)));
-  if (!(u >= -l)) {
-    // α = 0: the lower bound collapses to the zero form (α = 1 keeps it).
-    zero_lane(lower);
+  side.constant[r] = 0.0;
+  side.err[r] = 0.0;
+}
+
+/// The ReLU relaxation of every neuron of a hidden layer, in place, as the
+/// scalar path does it. An unstable neuron's chord replays `relaxed_upper =
+/// zero_form; axpy(relaxed_upper, lambda, upper); ...` expression by
+/// expression, including the `0.0 +` of the axpy onto a zero form, which
+/// turns a −0.0 product into +0.0 as the scalar code does.
+void relu_in_place(kern::SymbolicForms& forms, const Box& input) {
+  const std::size_t stride = forms.stride;
+  for (std::size_t r = 0; r < forms.width; ++r) {
+    const double l = concretize_bound<false>(forms.lower, stride, r, input);
+    const double u = concretize_bound<true>(forms.upper, stride, r, input);
+    if (u <= 0.0) {
+      zero_neuron(forms.lower, stride, forms.n_in, r);
+      zero_neuron(forms.upper, stride, forms.n_in, r);
+      continue;
+    }
+    if (l >= 0.0) {
+      continue;  // stable-active: the forms pass through unchanged
+    }
+    NNCS_COUNT("nn.relaxed_relus", 1);
+    const double lambda = u / (u - l);
+    const double mu = -lambda * l;
+    kern::SymbolicSide& upper = forms.upper;
+    double abs_sum = 0.0;
+    for (std::size_t i = 0; i < forms.n_in; ++i) {
+      double& coeff = upper.coeffs[i * stride + r];
+      coeff = 0.0 + lambda * coeff;
+      abs_sum += std::fabs(coeff);
+    }
+    upper.constant[r] = 0.0 + lambda * upper.constant[r];
+    abs_sum += std::fabs(upper.constant[r]);
+    upper.err[r] = 0.0 + (std::fabs(lambda) * upper.err[r] + kCoeffSlack * abs_sum);
+    upper.constant[r] += mu;
+    // Cover the double-precision computation of the chord parameters.
+    upper.err[r] +=
+        kCoeffSlack * (std::fabs(mu) + std::fabs(lambda) * (std::fabs(l) + std::fabs(u)));
+    if (!(u >= -l)) {
+      // α = 0: the lower bound collapses to the zero form (α = 1 keeps it).
+      zero_neuron(forms.lower, stride, forms.n_in, r);
+    }
   }
 }
 
-LaneForm lane_view(kern::AffineBatch& batch, std::size_t r, std::size_t l) {
-  return LaneForm{batch.row_coeffs(r) + l, batch.lanes, batch.n_in,
-                  batch.constant.data() + r * batch.lanes + l,
-                  batch.err.data() + r * batch.lanes + l};
-}
-
-/// Extract lane `l` of row `r` into a heap AffineForm (bit-preserving).
-AffineForm extract_lane(const kern::AffineBatch& batch, std::size_t r, std::size_t l) {
-  AffineForm form;
-  form.coeffs.resize(batch.n_in);
-  const double* c = batch.row_coeffs(r) + l;
-  for (std::size_t i = 0; i < batch.n_in; ++i) {
-    form.coeffs[i] = c[i * batch.lanes];
+/// Neuron r's form in `side` as a heap AffineForm (bit-preserving).
+AffineForm extract(const kern::SymbolicSide& side, std::size_t stride, std::size_t n_in,
+                   std::size_t r) {
+  AffineForm form{Vec(n_in), side.constant[r], side.err[r]};
+  for (std::size_t i = 0; i < n_in; ++i) {
+    form.coeffs[i] = side.coeffs[i * stride + r];
   }
-  form.constant = batch.constant[r * batch.lanes + l];
-  form.err = batch.err[r * batch.lanes + l];
   return form;
 }
 
@@ -210,75 +242,74 @@ std::vector<SymbolicBounds> symbolic_propagate_batch(const Network& net,
 std::vector<SymbolicBounds> symbolic_propagate_batch(const Network& net,
                                                      const std::vector<Box>& inputs,
                                                      kern::Isa isa) {
-  std::vector<SymbolicBounds> results;
-  results.reserve(inputs.size());
   const std::size_t n_in = net.input_dim();
-  kern::SymbolicBatch current;
-  kern::SymbolicBatch next;
-  for (std::size_t begin = 0; begin < inputs.size(); begin += kern::kMaxLanes) {
-    const std::size_t lanes = std::min(inputs.size() - begin, kern::kMaxLanes);
-    NNCS_SPAN_TAGGED("nn.symbolic_prop", "lanes", static_cast<std::int64_t>(lanes));
-    for (std::size_t l = 0; l < lanes; ++l) {
-      if (inputs[begin + l].dim() != n_in) {
-        throw std::invalid_argument("symbolic_propagate_batch: input dimension mismatch");
-      }
-    }
-
-    // Input layer: identity bounds in every lane.
-    current.resize(n_in, n_in, lanes);
-    std::fill(current.lower.coeffs.begin(), current.lower.coeffs.end(), 0.0);
-    std::fill(current.lower.constant.begin(), current.lower.constant.end(), 0.0);
-    std::fill(current.lower.err.begin(), current.lower.err.end(), 0.0);
-    for (std::size_t i = 0; i < n_in; ++i) {
-      for (std::size_t l = 0; l < lanes; ++l) {
-        current.lower.coeffs[(i * n_in + i) * lanes + l] = 1.0;
-      }
-    }
-    current.upper = current.lower;
-
-    for (std::size_t li = 0; li < net.num_layers(); ++li) {
-      const Layer& layer = net.layers()[li];
-      const bool is_output = li + 1 == net.num_layers();
-      kern::symbolic_affine_layer(layer, current, next, isa);
-      NNCS_COUNT("nn.symbolic_macs",
-                 2 * lanes * layer.weights.rows() * layer.weights.cols() * n_in);
-      if (!is_output) {
-        // ReLU relaxation per (neuron, lane) on the pre-activation range —
-        // cells diverge here, so this stage is per-lane scalar on the SoA.
-        for (std::size_t r = 0; r < layer.weights.rows(); ++r) {
-          for (std::size_t l = 0; l < lanes; ++l) {
-            const Box& input = inputs[begin + l];
-            LaneForm lower = lane_view(next.lower, r, l);
-            LaneForm upper = lane_view(next.upper, r, l);
-            const double lo_val = concretize_lane(lower, input).lo();
-            const double up_val = concretize_lane(upper, input).hi();
-            if (up_val <= 0.0) {
-              zero_lane(lower);
-              zero_lane(upper);
-            } else if (lo_val >= 0.0) {
-              // Stable-active: forms pass through unchanged.
-            } else {
-              NNCS_COUNT("nn.relaxed_relus", 1);
-              relax_lane(lower, upper, lo_val, up_val);
-            }
-          }
-        }
-      }
-      std::swap(current, next);
-    }
-
-    for (std::size_t l = 0; l < lanes; ++l) {
-      SymbolicBounds bounds;
-      bounds.input = inputs[begin + l];
-      bounds.outputs.reserve(current.lower.width);
-      for (std::size_t r = 0; r < current.lower.width; ++r) {
-        bounds.outputs.push_back(
-            NeuronBounds{extract_lane(current.lower, r, l), extract_lane(current.upper, r, l)});
-      }
-      bounds.output_box = concretize_output_box(bounds.outputs, bounds.input);
-      results.push_back(std::move(bounds));
+  for (const Box& input : inputs) {
+    if (input.dim() != n_in) {
+      throw std::invalid_argument("symbolic_propagate_batch: input dimension mismatch");
     }
   }
+  std::vector<SymbolicBounds> results;
+  if (inputs.empty()) {
+    return results;
+  }
+  NNCS_SPAN_TAGGED("nn.symbolic_prop", "queries", static_cast<std::int64_t>(inputs.size()));
+  results.reserve(inputs.size());
+
+  // One neuron stride for every layer; the layers are packed once per call.
+  std::size_t stride = n_in;
+  std::size_t macs = 0;
+  for (const Layer& layer : net.layers()) {
+    stride = std::max(stride, layer.weights.rows());
+    macs += 2 * layer.weights.rows() * layer.weights.cols() * n_in;
+  }
+  stride = (stride + kern::kNeuronBlock - 1) / kern::kNeuronBlock * kern::kNeuronBlock;
+  std::vector<kern::PackedLayer> layers;
+  layers.reserve(net.num_layers());
+  for (const Layer& layer : net.layers()) {
+    layers.push_back(kern::pack_layer(layer, stride));
+  }
+
+  kern::SymbolicForms cur;
+  kern::SymbolicForms nxt;
+  for (kern::SymbolicForms* forms : {&cur, &nxt}) {
+    forms->stride = stride;
+    forms->n_in = n_in;
+    for (kern::SymbolicSide* side : {&forms->lower, &forms->upper}) {
+      side->coeffs.resize(n_in * stride);
+      side->constant.resize(stride);
+      side->err.resize(stride);
+    }
+  }
+  for (const Box& input : inputs) {
+    // Input layer: identity bounds.
+    cur.width = n_in;
+    for (kern::SymbolicSide* side : {&cur.lower, &cur.upper}) {
+      std::fill(side->coeffs.begin(), side->coeffs.end(), 0.0);
+      std::fill(side->constant.begin(), side->constant.end(), 0.0);
+      std::fill(side->err.begin(), side->err.end(), 0.0);
+      for (std::size_t i = 0; i < n_in; ++i) {
+        side->coeffs[i * stride + i] = 1.0;
+      }
+    }
+    for (std::size_t li = 0; li < layers.size(); ++li) {
+      kern::symbolic_affine_layer(layers[li], cur, nxt, isa);
+      if (li + 1 < layers.size()) {
+        relu_in_place(nxt, input);
+      }
+      std::swap(cur, nxt);
+    }
+
+    SymbolicBounds bounds;
+    bounds.input = input;
+    bounds.outputs.reserve(cur.width);
+    for (std::size_t r = 0; r < cur.width; ++r) {
+      bounds.outputs.push_back(NeuronBounds{extract(cur.lower, stride, n_in, r),
+                                            extract(cur.upper, stride, n_in, r)});
+    }
+    bounds.output_box = concretize_output_box(bounds.outputs, bounds.input);
+    results.push_back(std::move(bounds));
+  }
+  NNCS_COUNT("nn.symbolic_macs", macs * inputs.size());
   return results;
 }
 

@@ -48,15 +48,13 @@ struct SymbolicBounds {
 /// transformer remains the bitwise-rigorous fallback.
 SymbolicBounds symbolic_propagate(const Network& net, const Box& input);
 
-/// Batched transformer: propagate several cells' input boxes through one
-/// structure-of-arrays layer sweep (`nn/kernels.hpp`; all lower-bound rows
-/// contiguous, then all upper rows). Result i is bit-identical to
+/// Batched transformer: result i is bit-identical to
 /// `symbolic_propagate(net, inputs[i])` — forms, error terms and output box
-/// alike — because the lanes execute the scalar operation sequence in SIMD
-/// across cells while the per-cell order never changes. Beyond the SIMD
-/// width the batch also amortizes allocations: the scalar path builds a
-/// fresh heap `AffineForm` pair per neuron, the batch reuses flat buffers.
-/// Batches larger than `kern::kMaxLanes` are chunked internally.
+/// alike. The layers are packed once per call; each query then runs on its
+/// own through flat neuron-minor buffers that the whole call reuses
+/// (`nn/kernels.hpp`), where the SIMD width covers a block of one query's
+/// neurons and the ReLU stage concretizes only the bound each form needs.
+/// The scalar path instead builds a fresh heap `AffineForm` pair per neuron.
 std::vector<SymbolicBounds> symbolic_propagate_batch(const Network& net,
                                                      const std::vector<Box>& inputs);
 

@@ -346,13 +346,15 @@ void compare_exact(const Map& baseline, const Map& current, CompareRow::Kind kin
     }
     rows.push_back(std::move(row));
   }
+  // A canonical key only the current run records is drift too: a run that
+  // starts counting work its baseline never saw has changed.
   for (const auto& [name, cur_value] : current) {
     if (baseline.find(name) == baseline.end()) {
       CompareRow row;
       row.metric = name;
       row.kind = kind;
       row.current = static_cast<double>(cur_value);
-      row.status = CompareRow::Status::kNew;
+      row.status = CompareRow::Status::kMismatch;
       rows.push_back(std::move(row));
     }
   }

@@ -96,9 +96,9 @@ struct CompareRow {
     kOk,         ///< equal (canonical) or within tolerance (wall)
     kImproved,   ///< wall clock got faster than the tolerance band
     kRegressed,  ///< wall clock exceeded the regression gate
-    kMismatch,   ///< canonical value drifted — correctness change
+    kMismatch,   ///< canonical value drifted, or only current has it
     kMissing,    ///< metric present in the baseline, absent in current
-    kNew,        ///< metric absent in the baseline (zero/new baseline rows too)
+    kNew,        ///< wall row with a zero baseline: reported, never gated
   };
   std::string metric;
   Kind kind = Kind::kWall;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -213,6 +214,26 @@ TEST(ArtifactCompare, MissingCanonicalMetricIsMismatchExit2) {
   const CompareReport report = compare_artifacts(baseline, current);
   EXPECT_TRUE(report.mismatched());
   EXPECT_EQ(report.exit_code(), 2);
+}
+
+TEST(ArtifactCompare, CanonicalKeyOnlyInCandidateFails) {
+  // A run that starts recording a canonical key its baseline lacks has
+  // changed: the row is a mismatch (exit 2), not a harmless "new" row.
+  const BenchArtifact baseline = make_test_artifact();
+  BenchArtifact with_result = baseline;
+  with_result.canonical_results["safe_leaves"] = 3.0;
+  BenchArtifact with_counter = baseline;
+  with_counter.canonical_counters["nn.relaxed_relus"] = 17;
+  for (const BenchArtifact* current : {&with_result, &with_counter}) {
+    const CompareReport report = compare_artifacts(baseline, *current);
+    EXPECT_TRUE(report.mismatched());
+    EXPECT_EQ(report.exit_code(), 2);
+    const auto row = std::find_if(report.rows.begin(), report.rows.end(), [](const auto& r) {
+      return r.metric == "safe_leaves" || r.metric == "nn.relaxed_relus";
+    });
+    ASSERT_NE(row, report.rows.end());
+    EXPECT_EQ(row->status, CompareRow::Status::kMismatch);
+  }
 }
 
 TEST(ArtifactCompare, CanonicalDriftIsMismatchEvenWhenTiny) {

@@ -545,6 +545,18 @@ TEST(Engine, ResumeValidatesCheckpoint) {
   job_over_leaf.leaves = {leaf_of(lower, 1)};
   job_over_leaf.frontier = {VerifyJob{cells[0], 0, 0}};
   EXPECT_THROW(s.engine().resume(cells, job_over_leaf, s.config()), std::invalid_argument);
+  // Cells that do not cover their roots: a root with no cell at all, and a
+  // root that lists only one of its two bisection children. Either would
+  // report the missing states as covered without ever verifying them.
+  EngineCheckpoint missing_root;
+  missing_root.root_cells = cells.size();
+  missing_root.leaves = {leaf_of(lower, 1), leaf_of(upper, 1)};
+  EXPECT_THROW(s.engine().resume(cells, missing_root, s.config()), std::invalid_argument);
+  EngineCheckpoint missing_child;
+  missing_child.root_cells = cells.size();
+  missing_child.leaves = {leaf_of(lower, 1)};
+  missing_child.frontier = {VerifyJob{cells[1], 0, 1}};
+  EXPECT_THROW(s.engine().resume(cells, missing_child, s.config()), std::invalid_argument);
   // Bisection halves share only a face, and equal cells of different roots
   // never meet: both resume.
   EngineCheckpoint halves;

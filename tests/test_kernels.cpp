@@ -110,42 +110,188 @@ const std::vector<std::size_t> kAcasShape = {5, 32, 32, 32, 5};
 /// zonotope sweep is part padding.
 const std::vector<std::size_t> kCruiseShape = {2, 24, 24, 4};
 
-TEST(Kernels, SymbolicBatchBitwiseEqualsScalar) {
-  const std::vector<std::vector<std::size_t>> shapes = {
-      {3, 8, 8, 2}, {2, 5, 5, 5, 3}, {1, 4, 1}, {5, 16, 5}, kAcasShape, kCruiseShape};
-  for (const kern::Isa isa : compiled_isas()) {
-    for (std::size_t s = 0; s < shapes.size(); ++s) {
-      const Network net = random_network(300 + s, shapes[s]);
-      Rng rng(400 + s);
-      std::vector<Box> inputs;
-      for (int k = 0; k < 17; ++k) {
-        inputs.push_back(random_box(rng, net.input_dim()));
+/// Shapes for both sweeps: widths below, at and across their neuron blocks,
+/// ACAS Xu's (whose per-advisory networks see one query per call), cruise
+/// control's and the pendulum's.
+const std::vector<std::vector<std::size_t>> kShapes = {
+    {3, 8, 8, 2}, {2, 5, 5, 5, 3}, {1, 4, 1},    {5, 16, 5},
+    kAcasShape,   kCruiseShape,    {2, 16, 16, 3}, {3, 33, 17, 2}};
+
+/// A box whose even dimensions span two or four subnormal steps around 0, so
+/// its lift's coefficients are the smallest subnormals: weights or ReLU
+/// slopes below 1/2 round their products to zero, terms the scalar code
+/// drops. The odd dimensions are ordinary, so neurons can still be unstable.
+Box subnormal_box(Rng& rng, std::size_t dim) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  std::vector<Interval> iv;
+  for (std::size_t i = 0; i < dim; ++i) {
+    if (i % 2 == 0) {
+      iv.emplace_back(rng.chance(0.5) ? -2 * tiny : 0.0, 2 * tiny);
+    } else {
+      iv.emplace_back(rng.uniform(-1.0, 0.0), rng.uniform(0.0, 1.0));
+    }
+  }
+  return Box{std::move(iv)};
+}
+
+/// A box whose dimensions are degenerate at exactly 0, exactly 1 or another
+/// value, or wide: the cases `operator*` answers by identity.
+Box degenerate_box(Rng& rng, std::size_t dim) {
+  std::vector<Interval> iv;
+  for (std::size_t i = 0; i < dim; ++i) {
+    const double a = rng.uniform(-1.0, 1.0);
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+        iv.emplace_back(0.0);
+        break;
+      case 1:
+        iv.emplace_back(1.0);
+        break;
+      case 2:
+        iv.emplace_back(a);
+        break;
+      default:
+        iv.emplace_back(std::min(a, 0.5), std::max(a, 0.5));
+    }
+  }
+  return Box{std::move(iv)};
+}
+
+/// ACAS Xu's Pre# shape: the first three features wide, v_own a point and
+/// v_int exactly 0 (the last two of five; fewer dimensions keep the rule).
+Box acas_like_box(Rng& rng, std::size_t dim) {
+  std::vector<Interval> iv;
+  for (std::size_t i = 0; i < dim; ++i) {
+    const double a = rng.uniform(-0.5, 0.5);
+    if (i + 1 == dim) {
+      iv.emplace_back(0.0);
+    } else if (i + 2 == dim) {
+      iv.emplace_back(a);
+    } else {
+      iv.emplace_back(a - 0.05, a + 0.05);
+    }
+  }
+  return Box{std::move(iv)};
+}
+
+/// `random_network` with some biases exactly +0.0 and −0.0 and one dead
+/// row (all weights 0, bias −0.0) per layer: a zero weight must keep the
+/// neuron's constant bit for bit, as the scalar loop skips it.
+Network signed_zero_network(std::uint64_t seed, const std::vector<std::size_t>& sizes) {
+  Network net = random_network(seed, sizes);
+  for (std::size_t li = 0; li < net.num_layers(); ++li) {
+    Layer& layer = net.layer(li);
+    for (std::size_t r = 0; r < layer.biases.size(); ++r) {
+      if (r % 3 == 1) {
+        layer.biases[r] = r % 2 == 0 ? 0.0 : -0.0;
       }
-      const std::vector<SymbolicBounds> batched = symbolic_propagate_batch(net, inputs, isa);
-      ASSERT_EQ(batched.size(), inputs.size());
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        const SymbolicBounds scalar = symbolic_propagate(net, inputs[i]);
-        EXPECT_TRUE(boxes_bitwise_eq(batched[i].input, scalar.input));
-        EXPECT_TRUE(boxes_bitwise_eq(batched[i].output_box, scalar.output_box))
-            << "isa=" << to_string(isa) << " shape=" << s << " input=" << i;
-        ASSERT_EQ(batched[i].outputs.size(), scalar.outputs.size());
-        for (std::size_t r = 0; r < scalar.outputs.size(); ++r) {
-          const NeuronBounds& bb = batched[i].outputs[r];
-          const NeuronBounds& sb = scalar.outputs[r];
-          ASSERT_EQ(bb.lower.coeffs.size(), sb.lower.coeffs.size());
-          for (std::size_t c = 0; c < sb.lower.coeffs.size(); ++c) {
-            EXPECT_TRUE(bits_eq(bb.lower.coeffs[c], sb.lower.coeffs[c]))
-                << "lower coeff r=" << r << " c=" << c;
-            EXPECT_TRUE(bits_eq(bb.upper.coeffs[c], sb.upper.coeffs[c]))
-                << "upper coeff r=" << r << " c=" << c;
+    }
+    const std::size_t dead = layer.weights.rows() - 1;
+    for (std::size_t c = 0; c < layer.weights.cols(); ++c) {
+      layer.weights(dead, c) = 0.0;
+    }
+    layer.biases[dead] = -0.0;
+  }
+  return net;
+}
+
+::testing::AssertionResult forms_bitwise_eq(const AffineForm& a, const AffineForm& b) {
+  if (a.coeffs.size() != b.coeffs.size()) {
+    return ::testing::AssertionFailure() << "coefficient count differs";
+  }
+  for (std::size_t i = 0; i < a.coeffs.size(); ++i) {
+    const auto coeff = bits_eq(a.coeffs[i], b.coeffs[i]);
+    if (!coeff) {
+      return ::testing::AssertionFailure() << "coeff " << i << ": " << coeff.message();
+    }
+  }
+  const auto constant = bits_eq(a.constant, b.constant);
+  if (!constant) {
+    return ::testing::AssertionFailure() << "constant: " << constant.message();
+  }
+  const auto err = bits_eq(a.err, b.err);
+  if (!err) {
+    return ::testing::AssertionFailure() << "err: " << err.message();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult symbolic_bitwise_eq(const SymbolicBounds& a,
+                                               const SymbolicBounds& b) {
+  if (a.outputs.size() != b.outputs.size()) {
+    return ::testing::AssertionFailure()
+           << "output count " << a.outputs.size() << " != " << b.outputs.size();
+  }
+  for (std::size_t r = 0; r < a.outputs.size(); ++r) {
+    for (const bool upper : {false, true}) {
+      const auto eq = forms_bitwise_eq(upper ? a.outputs[r].upper : a.outputs[r].lower,
+                                       upper ? b.outputs[r].upper : b.outputs[r].lower);
+      if (!eq) {
+        return ::testing::AssertionFailure()
+               << "output " << r << (upper ? " upper " : " lower ") << eq.message();
+      }
+    }
+  }
+  const auto inputs = boxes_bitwise_eq(a.input, b.input);
+  if (!inputs) {
+    return ::testing::AssertionFailure() << "input: " << inputs.message();
+  }
+  return boxes_bitwise_eq(a.output_box, b.output_box);
+}
+
+TEST(Kernels, SymbolicBatchBitwiseEqualsScalar) {
+  for (const kern::Isa isa : compiled_isas()) {
+    for (std::size_t s = 0; s < kShapes.size(); ++s) {
+      for (const bool signed_zeros : {false, true}) {
+        const Network net = signed_zeros ? signed_zero_network(350 + s, kShapes[s])
+                                         : random_network(300 + s, kShapes[s]);
+        Rng rng(400 + s);
+        const std::size_t dim = net.input_dim();
+        std::vector<Box> inputs;
+        for (int k = 0; k < 5; ++k) {
+          inputs.push_back(random_box(rng, dim));
+          inputs.push_back(degenerate_box(rng, dim));
+          inputs.push_back(acas_like_box(rng, dim));
+        }
+        inputs.emplace_back(dim, Interval{0.25});
+        inputs.push_back(subnormal_box(rng, dim));
+        inputs.push_back(subnormal_box(rng, dim));
+        std::vector<SymbolicBounds> scalar;
+        for (const Box& input : inputs) {
+          scalar.push_back(symbolic_propagate(net, input));
+        }
+        // Every batch size 1–9, and 65, past any fixed batch chunk; each
+        // batch starts at another input, cycling through the list.
+        for (const std::size_t size : {1, 2, 3, 4, 5, 6, 7, 8, 9, 65}) {
+          std::vector<Box> batch;
+          for (std::size_t k = 0; k < size; ++k) {
+            batch.push_back(inputs[(size + k) % inputs.size()]);
           }
-          EXPECT_TRUE(bits_eq(bb.lower.constant, sb.lower.constant)) << "lower constant " << r;
-          EXPECT_TRUE(bits_eq(bb.upper.constant, sb.upper.constant)) << "upper constant " << r;
-          EXPECT_TRUE(bits_eq(bb.lower.err, sb.lower.err)) << "lower err " << r;
-          EXPECT_TRUE(bits_eq(bb.upper.err, sb.upper.err)) << "upper err " << r;
+          const std::vector<SymbolicBounds> batched = symbolic_propagate_batch(net, batch, isa);
+          ASSERT_EQ(batched.size(), size);
+          for (std::size_t k = 0; k < size; ++k) {
+            EXPECT_TRUE(symbolic_bitwise_eq(batched[k], scalar[(size + k) % inputs.size()]))
+                << "isa=" << to_string(isa) << " shape=" << s
+                << " signed_zeros=" << signed_zeros << " batch=" << size << " query=" << k;
+          }
         }
       }
     }
+  }
+  // An unbounded input gives hidden neuron 0 a NaN chord (λ = ∞/∞), which the
+  // next layer reads only through zero weights: the scalar loop skips them,
+  // and the sweep must mask their products rather than add 0·NaN.
+  Network unbounded_net = make_zero_network({1, 2, 2, 1});
+  unbounded_net.layer(0).weights(0, 0) = 1.0;
+  unbounded_net.layer(0).biases[1] = 1.0;
+  unbounded_net.layer(1).weights(0, 1) = 1.0;
+  unbounded_net.layer(2).weights(0, 0) = 1.0;
+  const Box unbounded{Interval::entire()};
+  const SymbolicBounds scalar = symbolic_propagate(unbounded_net, unbounded);
+  for (const kern::Isa isa : compiled_isas()) {
+    const SymbolicBounds batched = symbolic_propagate_batch(unbounded_net, {unbounded}, isa)[0];
+    EXPECT_TRUE(symbolic_bitwise_eq(batched, scalar))
+        << "isa=" << to_string(isa) << " unbounded input";
   }
 }
 
@@ -216,13 +362,6 @@ TEST(Kernels, BatchedTransformersContainConcreteSamples) {
   return boxes_bitwise_eq(a.output_box, b.output_box);
 }
 
-/// Shapes for the zonotope sweep: widths below, at and across its neuron
-/// block, ACAS Xu's (whose per-advisory networks see one query per call),
-/// cruise control's and the pendulum's.
-const std::vector<std::vector<std::size_t>> kZonotopeShapes = {
-    {3, 8, 8, 2}, {2, 5, 5, 5, 3}, {1, 4, 1},    {5, 16, 5},
-    kAcasShape,   kCruiseShape,    {2, 16, 16, 3}, {3, 33, 17, 2}};
-
 /// Every hidden neuron is unstable on an input box around [-1, 1]: layer 1
 /// copies ±x and layer 2 recentres each copy's ReLU image on a negative
 /// bias, so each hidden neuron takes a fresh noise symbol and a query's
@@ -236,23 +375,6 @@ Network all_unstable_network(std::size_t hidden) {
     net.layer(2).weights(0, r) = 1.0;
   }
   return net;
-}
-
-/// A box whose even dimensions span two or four subnormal steps around 0, so
-/// its lift's coefficients are the smallest subnormals: weights or ReLU
-/// slopes below 1/2 round their products to zero, terms the scalar code
-/// drops. The odd dimensions are ordinary, so neurons can still be unstable.
-Box subnormal_box(Rng& rng, std::size_t dim) {
-  const double tiny = std::numeric_limits<double>::denorm_min();
-  std::vector<Interval> iv;
-  for (std::size_t i = 0; i < dim; ++i) {
-    if (i % 2 == 0) {
-      iv.emplace_back(rng.chance(0.5) ? -2 * tiny : 0.0, 2 * tiny);
-    } else {
-      iv.emplace_back(rng.uniform(-1.0, 0.0), rng.uniform(0.0, 1.0));
-    }
-  }
-  return Box{std::move(iv)};
 }
 
 /// Random boxes for `net`, plus the edge cases: a point box (no noise
@@ -333,8 +455,8 @@ void expect_relational_batch_matches(Rng& rng, const Network& net,
 
 TEST(Kernels, ZonotopeBoxBatchBitwiseEqualsScalar) {
   for (const kern::Isa isa : compiled_isas()) {
-    for (std::size_t s = 0; s < kZonotopeShapes.size(); ++s) {
-      const Network net = random_network(500 + s, kZonotopeShapes[s]);
+    for (std::size_t s = 0; s < kShapes.size(); ++s) {
+      const Network net = random_network(500 + s, kShapes[s]);
       Rng rng(600 + s);
       expect_box_batch_matches(net, zonotope_inputs(rng, net, 19), isa,
                                "shape=" + std::to_string(s));
@@ -352,8 +474,8 @@ TEST(Kernels, ZonotopeBoxBatchBitwiseEqualsScalar) {
 
 TEST(Kernels, ZonotopeRelationalBatchBitwiseEqualsScalar) {
   for (const kern::Isa isa : compiled_isas()) {
-    for (std::size_t s = 0; s < kZonotopeShapes.size(); ++s) {
-      const Network net = random_network(700 + s, kZonotopeShapes[s]);
+    for (std::size_t s = 0; s < kShapes.size(); ++s) {
+      const Network net = random_network(700 + s, kShapes[s]);
       Rng rng(800 + s);
       expect_relational_batch_matches(rng, net, zonotope_inputs(rng, net, 23), isa,
                                       "shape=" + std::to_string(s));

@@ -10,8 +10,9 @@
 #      reference report byte-for-byte
 #   5. --resume from crafted checkpoints whose leaf depth is -1, 2^32-1,
 #      or deeper than --depth, whose frontier cell has the wrong
-#      dimension, lies outside its root cell or has an infinite bound, or
-#      that lists one leaf twice: must exit 1 with a message, not crash
+#      dimension, lies outside its root cell or has an infinite bound,
+#      that lists one leaf twice, or whose cells leave roots uncovered:
+#      must exit 1 with a message, not crash
 #
 # Required -D variables: CLI (the nncs_verify binary), NETS (network cache
 # dir), OUT (scratch directory for the generated files).
@@ -98,3 +99,10 @@ file(WRITE ${OUT}/crafted_overlap.ckpt "nncs-checkpoint v1,16\ninterior,0,0,0,0,
   "leaves,2\n${ROOT0_LEAF}${ROOT0_LEAF}frontier,0\n")
 run_cli(1 "resume from a checkpoint listing one leaf twice" ${COMMON} --threads 2
   --resume ${OUT}/crafted_overlap.ckpt)
+# Root 0's cell alone as a proved-safe leaf, with an empty frontier: roots
+# 1-15 never ran, so the cells must cover every root, or the run would
+# report 6.25 % coverage as a complete result.
+file(WRITE ${OUT}/crafted_uncovered.ckpt "nncs-checkpoint v1,16\ninterior,0,0,0,0,0,0,0,0,0\n"
+  "leaves,1\n${ROOT0_LEAF}frontier,0\n")
+run_cli(1 "resume from a checkpoint whose cells do not cover their roots" ${COMMON}
+  --threads 2 --resume ${OUT}/crafted_uncovered.ckpt)
