@@ -1,5 +1,6 @@
 // M1: google-benchmark micro-benchmarks for the computational kernels:
-// interval arithmetic, Taylor steps, network propagation (concrete,
+// interval arithmetic, Taylor steps (ACAS Xu by order, and every registered
+// plant at its default order), network propagation (concrete,
 // interval, symbolic, zonotope), the abstract controller step, one full validated
 // control period and the Algorithm 2 Resize.
 
@@ -53,7 +54,26 @@ void BM_TaylorStepAcas(benchmark::State& state) {
     benchmark::DoNotOptimize(step);
   }
 }
-BENCHMARK(BM_TaylorStepAcas)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(15);
+BENCHMARK(BM_TaylorStepAcas)->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(8)->Arg(15);
+
+/// One validated step (h = 0.1) of a registered scenario's plant at the
+/// scenario's default Taylor order, from its first initial cell under the
+/// zero command every built-in cell starts with.
+void BM_TaylorStep(benchmark::State& state, const char* name) {
+  const scenario::Scenario& scen = scenario::Registry::global().at(name);
+  const auto plant = scen.make_plant();
+  const TaylorIntegrator integrator(TaylorIntegrator::Config{scen.default_taylor_order(), {}});
+  const Box cell = scen.make_cells(scen.default_partition()).front().state.box();
+  const Vec command(plant->command_dim(), 0.0);
+  for (auto _ : state) {
+    auto step = integrator.step(*plant, cell, command, 0.1);
+    benchmark::DoNotOptimize(step);
+  }
+}
+BENCHMARK_CAPTURE(BM_TaylorStep, acasxu, "acasxu");
+BENCHMARK_CAPTURE(BM_TaylorStep, cruise_control, "cruise_control");
+BENCHMARK_CAPTURE(BM_TaylorStep, pendulum, "pendulum");
+BENCHMARK_CAPTURE(BM_TaylorStep, unicycle, "unicycle");
 
 void BM_Rk4StepAcas(benchmark::State& state) {
   const auto plant = ax::make_dynamics();

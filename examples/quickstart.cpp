@@ -34,8 +34,10 @@ constexpr double kBrake = -8.0;
 constexpr double kPeriod = 0.25;
 
 /// 1. The plant, written once, generically over the scalar type: the same
-/// code is evaluated on doubles (simulation), intervals (Picard enclosure)
-/// and Taylor series (validated integration).
+/// code is evaluated on doubles (simulation) and intervals (Picard
+/// enclosure), and called once over the recording scalar `TapeVar` to record
+/// the tape whose sweep gives the Taylor coefficients (validated
+/// integration).
 struct BrakingField {
   template <class S>
   void operator()(std::span<const S> s, std::span<const S> u, std::span<S> out) const {

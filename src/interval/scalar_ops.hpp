@@ -14,7 +14,7 @@ namespace nncs {
 ///
 /// Inside such a functor, unqualified calls to `sin`, `cos`, `sincos`, `sqr`,
 /// ... pick the right overload via ADL for `double`, `Interval` and
-/// `TaylorSeries`.
+/// the Taylor sweep's recording scalar `TapeVar`.
 inline double sin(double x) { return std::sin(x); }
 inline double cos(double x) { return std::cos(x); }
 inline std::pair<double, double> sincos(double x) { return {std::sin(x), std::cos(x)}; }

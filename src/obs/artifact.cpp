@@ -27,11 +27,11 @@ constexpr std::string_view kCanonicalCounters[] = {
     "engine.cells_done",         "engine.cells_proved",        "engine.cells_failed",
     "engine.cells_refined",      "engine.stalled_splits",      "ode.substeps",
     "ode.enclosure_attempts",    "ode.picard_retries",         "ode.picard_failures",
-    "ode.step_rejections",       "ode.field_evals",            "ode.affine_boxed_fallbacks",
-    "ode.affine_dim_fallbacks",  "ode.affine_tail_fallbacks",  "nn.relaxed_relus",
-    "nn.relational_steps",       "nn.crossed_bounds",          "nn.symbolic_macs",
-    "nn.zonotope_macs",          "join.joins",                 "join.distance_evals",
-    "core.join_relational_drops",
+    "ode.step_rejections",       "ode.field_evals",            "ode.series_terms",
+    "ode.affine_boxed_fallbacks", "ode.affine_dim_fallbacks",  "ode.affine_tail_fallbacks",
+    "nn.relaxed_relus",          "nn.relational_steps",        "nn.crossed_bounds",
+    "nn.symbolic_macs",          "nn.zonotope_macs",           "join.joins",
+    "join.distance_evals",       "core.join_relational_drops",
 };
 
 double number_or(const JsonValue* v, double fallback) {

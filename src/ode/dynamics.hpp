@@ -10,7 +10,7 @@
 
 #include "interval/box.hpp"
 #include "interval/scalar_ops.hpp"
-#include "ode/taylor_series.hpp"
+#include "ode/field_tape.hpp"
 
 namespace nncs {
 
@@ -39,10 +39,11 @@ struct LinearPart {
 /// model of §4.2: between two control steps the command is held by the
 /// zero-order hold).
 ///
-/// The same vector field must be evaluable over three scalar types:
-///   * `double`       — concrete simulation and falsification,
-///   * `Interval`     — Picard a-priori enclosures,
-///   * `TaylorSeries` — solution Taylor coefficients for the validated step.
+/// The same vector field serves three uses:
+///   * `double`   — concrete simulation and falsification,
+///   * `Interval` — Picard a-priori enclosures,
+///   * `tape()`   — the field recorded once as series operations, whose
+///     sweep gives the solution Taylor coefficients of the validated step.
 ///
 /// Time-dependent systems can be modelled by adding t as an extra state
 /// variable with derivative 1.
@@ -57,8 +58,7 @@ class Dynamics {
                     std::span<double> out) const = 0;
   virtual void eval(std::span<const Interval> s, std::span<const Interval> u,
                     std::span<Interval> out) const = 0;
-  virtual void eval(std::span<const TaylorSeries> s, std::span<const TaylorSeries> u,
-                    std::span<TaylorSeries> out) const = 0;
+  [[nodiscard]] virtual const FieldTape& tape() const = 0;
 
   /// The linear part of the field, when one is declared (see `LinearPart`).
   /// Null by default: the affine-form integrator step then falls back to a
@@ -70,18 +70,20 @@ class Dynamics {
 /// Adapts a functor templated on the scalar type to the `Dynamics`
 /// interface. `F` must be callable as
 ///   f(std::span<const S> s, std::span<const S> u, std::span<S> out)
-/// for S in {double, Interval, TaylorSeries}.
+/// for S in {double, Interval, TapeVar}; the constructor records the tape
+/// (`FieldTape::record`, which throws on a field it cannot record).
 template <class F>
 class DynamicsModel final : public Dynamics {
  public:
   DynamicsModel(std::size_t state_dim, std::size_t command_dim, F f)
-      : state_dim_(state_dim), command_dim_(command_dim), f_(std::move(f)) {}
-
-  DynamicsModel(std::size_t state_dim, std::size_t command_dim, F f, LinearPart linear)
       : state_dim_(state_dim),
         command_dim_(command_dim),
         f_(std::move(f)),
-        linear_(std::make_unique<LinearPart>(std::move(linear))) {
+        tape_(FieldTape::record(state_dim, command_dim, f_)) {}
+
+  DynamicsModel(std::size_t state_dim, std::size_t command_dim, F f, LinearPart linear)
+      : DynamicsModel(state_dim, command_dim, std::move(f)) {
+    linear_ = std::make_unique<LinearPart>(std::move(linear));
     if (linear_->a.size() != state_dim_ * state_dim_ ||
         linear_->b.size() != state_dim_ * command_dim_) {
       throw std::invalid_argument("DynamicsModel: linear part shape mismatch");
@@ -99,10 +101,7 @@ class DynamicsModel final : public Dynamics {
             std::span<Interval> out) const override {
     f_(s, u, out);
   }
-  void eval(std::span<const TaylorSeries> s, std::span<const TaylorSeries> u,
-            std::span<TaylorSeries> out) const override {
-    f_(s, u, out);
-  }
+  [[nodiscard]] const FieldTape& tape() const override { return tape_; }
 
   [[nodiscard]] const LinearPart* linear_part() const override { return linear_.get(); }
 
@@ -110,6 +109,7 @@ class DynamicsModel final : public Dynamics {
   std::size_t state_dim_;
   std::size_t command_dim_;
   F f_;
+  FieldTape tape_;
   std::unique_ptr<LinearPart> linear_;
 };
 

@@ -1,7 +1,9 @@
 #include "ode/validated_integrator.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -9,22 +11,6 @@
 #include "obs/span.hpp"
 
 namespace nncs {
-
-namespace {
-
-/// img = s0 + [0,h] * f(candidate)  (the interval Picard operator).
-Box picard_image(const Dynamics& f, const Box& s0, const Vec& u, double h, const Box& candidate) {
-  const Interval tau{0.0, h};
-  const Box fc = eval_on_box(f, candidate, u);
-  std::vector<Interval> out;
-  out.reserve(s0.dim());
-  for (std::size_t i = 0; i < s0.dim(); ++i) {
-    out.push_back(s0[i] + tau * fc[i]);
-  }
-  return Box{std::move(out)};
-}
-
-}  // namespace
 
 std::optional<AffineValidatedStep> ValidatedIntegrator::step_affine(const Dynamics& f,
                                                                     const AffineSet& s0,
@@ -50,34 +36,50 @@ std::optional<Box> picard_enclosure(const Dynamics& f, const Box& s0, const Vec&
   }
   NNCS_SPAN("picard");
   NNCS_COUNT("ode.enclosure_attempts", 1);
+  // Per-thread buffers, reused by every iteration; only the result is new.
+  thread_local std::vector<Interval> command;
+  thread_local std::vector<Interval> candidate;
+  thread_local std::vector<Interval> field;
+  command.assign(u.begin(), u.end());
+  candidate.assign(s0.intervals().begin(), s0.intervals().end());
+  field.resize(f.state_dim());
+  std::vector<Interval> image(s0.dim());
+  const Interval tau{0.0, h};
+  // image = s0 + [0,h] * f(candidate)  (the interval Picard operator).
+  const auto apply = [&] {
+    f.eval(candidate, command, field);
+    for (std::size_t i = 0; i < image.size(); ++i) {
+      image[i] = s0[i] + tau * field[i];
+    }
+  };
   // First candidate: one application of the operator to s0 itself, inflated.
-  Box candidate = picard_image(f, s0, u, h, s0).inflated(1e-12, config.initial_inflation);
+  apply();
+  for (std::size_t d = 0; d < image.size(); ++d) {
+    candidate[d] = image[d].inflated(1e-12 + config.initial_inflation * image[d].mag());
+  }
   double escalation = config.growth;
   for (int iter = 0; iter < config.max_iterations; ++iter) {
-    const Box image = picard_image(f, s0, u, h, candidate);
-    if (candidate.contains(image)) {
+    apply();
+    if (std::equal(image.begin(), image.end(), candidate.begin(),
+                   [](const Interval& img, const Interval& c) { return c.contains(img); })) {
       // The operator maps `candidate` into itself, so every solution
       // starting in s0 stays inside `candidate` on [0, h]; the (tighter)
       // image is itself a valid enclosure.
-      return image;
+      return Box{std::move(image)};
     }
     NNCS_COUNT("ode.picard_retries", 1);
     // Violation-driven inflation: grow each bound past its observed
     // violation by an escalating factor. Proportional growth converges in a
     // couple of iterations when h·L < 1 and avoids the knife-edge chase a
     // magnitude-relative inflation runs into when a dimension crosses zero.
-    std::vector<Interval> grown;
-    grown.reserve(candidate.dim());
-    for (std::size_t d = 0; d < candidate.dim(); ++d) {
-      const double lo_violation = std::max(0.0, candidate[d].lo() - image[d].lo());
-      const double hi_violation = std::max(0.0, image[d].hi() - candidate[d].hi());
-      const double lo = std::min(candidate[d].lo(), image[d].lo()) -
-                        escalation * lo_violation - 1e-12;
-      const double hi = std::max(candidate[d].hi(), image[d].hi()) +
-                        escalation * hi_violation + 1e-12;
-      grown.emplace_back(lo, hi);
+    for (std::size_t d = 0; d < image.size(); ++d) {
+      Interval& c = candidate[d];
+      const double lo_violation = std::max(0.0, c.lo() - image[d].lo());
+      const double hi_violation = std::max(0.0, image[d].hi() - c.hi());
+      const double lo = std::min(c.lo(), image[d].lo()) - escalation * lo_violation - 1e-12;
+      const double hi = std::max(c.hi(), image[d].hi()) + escalation * hi_violation + 1e-12;
+      c = Interval{lo, hi};
     }
-    candidate = Box{std::move(grown)};
     escalation *= config.growth;
   }
   NNCS_COUNT("ode.picard_failures", 1);
@@ -90,46 +92,10 @@ TaylorIntegrator::TaylorIntegrator(Config config) : config_(std::move(config)) {
   if (config_.order < 1) {
     throw std::invalid_argument("TaylorIntegrator: order must be >= 1");
   }
-  if (static_cast<std::size_t>(config_.order) > TaylorSeries::kMaxOrder) {
-    throw std::invalid_argument("TaylorIntegrator: order above TaylorSeries::kMaxOrder");
+  if (config_.order > kMaxOrder) {
+    throw std::invalid_argument("TaylorIntegrator: order above kMaxOrder");
   }
 }
-
-namespace {
-
-/// Taylor coefficients 0..last of the ODE solution seeded at `seed`, left in
-/// `s` as order-`last` series: s_0 = seed, s_{k+1} = (f(s))_k / (k+1)
-/// (Picard/Moore recurrence). Pass k evaluates f over order-k series, state
-/// and command alike: coefficient k of f(s) depends only on coefficients
-/// 0..k of s, so a higher order would only compute terms the pass discards.
-/// `u_series` and `fs` are scratch buffers sized to the command and state.
-/// Counts its `last` passes as `ode.field_evals`.
-void solution_coefficients(const Dynamics& f, const Box& seed, const Vec& u, std::size_t last,
-                           std::vector<TaylorSeries>& s, std::vector<TaylorSeries>& u_series,
-                           std::vector<TaylorSeries>& fs) {
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    s[i] = TaylorSeries(0, seed[i]);
-  }
-  for (std::size_t j = 0; j < u_series.size(); ++j) {
-    u_series[j] = TaylorSeries(0, Interval{u[j]});
-  }
-  NNCS_COUNT("ode.field_evals", last);
-  for (std::size_t k = 0; k < last; ++k) {
-    f.eval(s, u_series, fs);
-    const Interval divisor{static_cast<double>(k + 1)};
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      s[i].push_back(fs[i][k] / divisor);
-    }
-    // The command series grows with the state (series arithmetic needs equal
-    // orders); its zero coefficients are exact, and series arithmetic skips
-    // them.
-    for (TaylorSeries& uc : u_series) {
-      uc.push_back(Interval{});
-    }
-  }
-}
-
-}  // namespace
 
 std::optional<ValidatedStep> TaylorIntegrator::step(const Dynamics& f, const Box& s0, const Vec& u,
                                                     double h) const {
@@ -139,33 +105,61 @@ std::optional<ValidatedStep> TaylorIntegrator::step(const Dynamics& f, const Box
   }
   NNCS_SPAN("taylor_tighten");
   const Box& b = *apriori;
-  const std::size_t order = static_cast<std::size_t>(config_.order);
-  const std::size_t dim = f.state_dim();
-  std::vector<TaylorSeries> prefix(dim);
-  std::vector<TaylorSeries> remainder(dim);
-  std::vector<TaylorSeries> u_series(u.size());
-  std::vector<TaylorSeries> fs(dim);
+  const FieldTape& tape = f.tape();
+  const auto order = static_cast<std::size_t>(config_.order);
+  const std::size_t stride = order + 1;
+  const std::size_t dim = tape.state_dim();
+  const std::size_t inputs = dim + tape.command_dim();
+  const std::size_t lane_size = tape.nodes().size() * stride;
+  thread_local std::vector<Interval> lanes;
+  lanes.resize(2 * lane_size);
+  const std::span<Interval> prefix{lanes.data(), lane_size};
+  const std::span<Interval> remainder{lanes.data() + lane_size, lane_size};
   // Prefix coefficients 0..K-1 seeded at the tight initial box; the order-K
   // coefficient seeded at the a-priori enclosure bounds the Lagrange
   // remainder (the K-th solution coefficient along the whole step stays
-  // inside the coefficient computed over B).
-  solution_coefficients(f, s0, u, order - 1, prefix, u_series, fs);
-  solution_coefficients(f, b, u, order, remainder, u_series, fs);
+  // inside the coefficient computed over B). Commands are constant series.
+  for (std::size_t i = 0; i < inputs; ++i) {
+    prefix[i * stride] = i < dim ? s0[i] : Interval{u[i - dim]};
+    remainder[i * stride] = i < dim ? b[i] : Interval{u[i - dim]};
+  }
+  std::size_t passes = 0;
+  std::size_t terms = 0;
+  // Pass k of a lane: coefficient k of every tape node, then the solution's
+  // coefficient k+1 = f_k / (k+1) (the Picard/Moore recurrence).
+  const auto pass = [&](std::span<Interval> lane, std::size_t k) {
+    terms += tape.pass(lane, stride, k);
+    ++passes;
+    const Interval divisor{static_cast<double>(k + 1)};
+    for (std::size_t i = 0; i < inputs; ++i) {
+      lane[i * stride + k + 1] =
+          i < dim ? lane[tape.outputs()[i] * stride + k] / divisor : Interval{};
+    }
+  };
+  for (std::size_t k = 0; k < order; ++k) {
+    pass(remainder, k);
+    if (k + 1 < order) {
+      pass(prefix, k);
+    }
+  }
+  NNCS_COUNT("ode.field_evals", passes);
+  NNCS_COUNT("ode.series_terms", terms);
 
   const Interval t_end{h};
   const Interval t_flow{0.0, h};
-  std::vector<Interval> end_dims;
-  std::vector<Interval> flow_dims;
-  end_dims.reserve(dim);
-  flow_dims.reserve(dim);
+  const Interval end_power = pow(t_end, config_.order);
+  const Interval flow_power = pow(t_flow, config_.order);
+  std::vector<Interval> end_dims(dim);
+  std::vector<Interval> flow_dims(dim);
   for (std::size_t i = 0; i < dim; ++i) {
-    const Interval rem = remainder[i][order];
-    Interval end_i = prefix[i].eval(t_end);
-    Interval flow_i = prefix[i].eval(t_flow);
+    const auto head = prefix.subspan(i * stride, order);
+    const Interval rem = remainder[i * stride + order];
+    Interval end_i = horner(head, t_end);
+    Interval flow_i = horner(head, t_flow);
     // An exactly-zero remainder adds nothing; adding it would round outward.
     if (!rem.is_zero()) {
-      end_i += rem * pow(t_end, config_.order);
-      flow_i += rem * pow(t_flow, config_.order);
+      end_i += rem * end_power;
+      flow_i += rem * flow_power;
     }
     // Both the Taylor form and the a-priori enclosure are sound, so their
     // intersection is too (and is never empty: both contain the true set).
@@ -175,8 +169,8 @@ std::optional<ValidatedStep> TaylorIntegrator::step(const Dynamics& f, const Box
     if (auto tight = intersect(end_i, flow_i)) {
       end_i = *tight;
     }
-    end_dims.push_back(end_i);
-    flow_dims.push_back(flow_i);
+    end_dims[i] = end_i;
+    flow_dims[i] = flow_i;
   }
   return ValidatedStep{Box{std::move(flow_dims)}, Box{std::move(end_dims)}};
 }

@@ -75,13 +75,16 @@ std::optional<Box> picard_enclosure(const Dynamics& f, const Box& s0, const Vec&
 ///  1. find the a-priori enclosure B over [0, h] (Banach fixed point),
 ///  2. tighten with the order-K Taylor expansion whose prefix coefficients
 ///     are seeded at s0 and whose remainder coefficient is evaluated on B,
-///     computing only those coefficients (the prefix stops at order K-1).
+///     by K−1 and K passes of a sweep of the field's tape (`Dynamics::tape`).
 class TaylorIntegrator final : public ValidatedIntegrator {
  public:
+  /// Largest Taylor order a step takes.
+  static constexpr int kMaxOrder = 15;
+
   struct Config {
     /// Taylor order K (local truncation error O(h^{K+1}) inside the
-    /// remainder coefficient; 1 <= K <= TaylorSeries::kMaxOrder, else the
-    /// constructor throws std::invalid_argument).
+    /// remainder coefficient; 1 <= K <= kMaxOrder, else the constructor
+    /// throws std::invalid_argument).
     int order = 4;
     PicardConfig picard;
   };

@@ -470,12 +470,12 @@ TEST(RunArtifact, CanonicalKeysFromReport) {
   const std::vector<const char*> box_work = {
       "join.joins",       "join.distance_evals",    "nn.relaxed_relus",
       "nn.symbolic_macs", "ode.enclosure_attempts", "ode.field_evals",
-      "ode.substeps"};
+      "ode.series_terms", "ode.substeps"};
   const std::vector<const char*> zonotope_work = {
       "core.join_relational_drops", "join.joins",       "join.distance_evals",
       "nn.relational_steps",        "nn.relaxed_relus", "nn.zonotope_macs",
       "ode.substeps",               "ode.affine_boxed_fallbacks",
-      "ode.enclosure_attempts",     "ode.field_evals"};
+      "ode.enclosure_attempts",     "ode.field_evals",  "ode.series_terms"};
   // nncs_verify's scale keys; a non-default domain adds its own.
   const std::map<std::string, double> scale = {
       {"num_arcs", 2.0},         {"num_headings", 1.0},      {"max_depth", 1.0},

@@ -11,6 +11,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <numbers>
 #include <optional>
@@ -24,6 +25,7 @@
 #include "obs/metrics.hpp"
 #include "ode/validated_integrator.hpp"
 #include "scenario/scenario.hpp"
+#include "series_reference.hpp"
 #include "util/rng.hpp"
 
 namespace nncs {
@@ -473,11 +475,14 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& param_info) { return param_info.param.name; });
 
 // ---------------------------------------------------------------------------
-// Truncated recurrence passes and fused sin/cos must not change a bit: the
-// integrator's step against the full-order recurrence it replaced, on every
-// registered scenario's plant plus dual ACAS Xu, and the fused fields
-// against unfused copies for all three scalar types.
+// The tape sweep must not change a bit: the integrator's step against the
+// series arithmetic evaluated at full order on every pass, on every
+// registered scenario's plant plus dual ACAS Xu and a field using every
+// recorded operation; the recording against the functors evaluated over
+// series; and the fused fields against unfused copies.
 // ---------------------------------------------------------------------------
+
+using reference::TaylorSeries;
 
 bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
@@ -511,8 +516,8 @@ bool same_bits(const TaylorSeries& a, const TaylorSeries& b) {
   return true;
 }
 
-/// Reference recurrence: every pass evaluates f over full order-K series
-/// and the series keeps all K+1 coefficients.
+/// Reference recurrence: every pass evaluates the field over full order-K
+/// series and the series keeps all K+1 coefficients.
 std::vector<TaylorSeries> full_order_coefficients(const Dynamics& f, const Box& seed,
                                                   const Vec& u, std::size_t order) {
   std::vector<TaylorSeries> s(f.state_dim(), TaylorSeries(order));
@@ -523,9 +528,8 @@ std::vector<TaylorSeries> full_order_coefficients(const Dynamics& f, const Box& 
   for (const double uc : u) {
     u_series.emplace_back(order, Interval{uc});
   }
-  std::vector<TaylorSeries> fs(f.state_dim(), TaylorSeries(order));
   for (std::size_t k = 0; k < order; ++k) {
-    f.eval(s, u_series, fs);
+    const std::vector<TaylorSeries> fs = reference::eval_tape(f.tape(), s, u_series);
     for (std::size_t i = 0; i < s.size(); ++i) {
       s[i][k + 1] = fs[i][k] / Interval{static_cast<double>(k + 1)};
     }
@@ -535,9 +539,9 @@ std::vector<TaylorSeries> full_order_coefficients(const Dynamics& f, const Box& 
 
 /// Reference step: the full-order prefix seeded at s0, evaluated through
 /// coefficient K-1, plus the order-K coefficient seeded at the a-priori box.
-/// The evaluation applies the series' exact-zero rules (Horner through
-/// `TaylorSeries::eval`, and an exactly-zero remainder adds nothing), so
-/// only the coefficients are under comparison.
+/// The evaluation applies the series' exact-zero rules (Horner skips [0, 0]
+/// sides, and an exactly-zero remainder adds nothing), so only the
+/// coefficients are under comparison.
 std::optional<ValidatedStep> full_order_step(const Dynamics& f, const Box& s0, const Vec& u,
                                              double h, int order) {
   const auto apriori = picard_enclosure(f, s0, u, h);
@@ -557,7 +561,7 @@ std::optional<ValidatedStep> full_order_step(const Dynamics& f, const Box& s0, c
     }
     const Interval rem = remainder[i][k_max];
     const auto taylor_form = [&](const Interval& t) {
-      const Interval poly = head.eval(t);
+      const Interval poly = reference::eval(head, t);
       return rem.is_zero() ? poly : poly + rem * pow(t, order);
     };
     Interval end_i = taylor_form(Interval{h});
@@ -573,6 +577,25 @@ std::optional<ValidatedStep> full_order_step(const Dynamics& f, const Box& s0, c
   }
   return ValidatedStep{Box{std::move(flow_dims)}, Box{std::move(end_dims)}};
 }
+
+/// Every operation the recording scalar supports, on a 3-state plant with
+/// two commands.
+struct AllOpsField {
+  template <class S>
+  void operator()(std::span<const S> s, std::span<const S> u, std::span<S> out) const {
+    const S wave = Interval{0.5} * sin(s[2]) - cos(s[2]) * Interval{0.25};
+    out[0] = s[1] * u[0] + wave - Interval{0.1} + 0.0 * s[0];
+    out[1] = Interval{0.3} - sqr(s[0]) * Interval{0.01} + (Interval{-0.2} + u[1]);
+    out[2] = -(s[0] - s[1]) * Interval{0.05} + Interval{0.5} * u[0] + Interval{0.1, 0.2};
+  }
+  void operator()(std::span<const double> s, std::span<const double> u,
+                  std::span<double> out) const {
+    const double wave = 0.5 * std::sin(s[2]) - std::cos(s[2]) * 0.25;
+    out[0] = s[1] * u[0] + wave - 0.1;
+    out[1] = 0.3 - s[0] * s[0] * 0.01 + (-0.2 + u[1]);
+    out[2] = -(s[0] - s[1]) * 0.05 + 0.5 * u[0] + 0.15;
+  }
+};
 
 /// Angles at which sin or cos attains an extremum.
 constexpr double kTrigExtrema[] = {-std::numbers::pi, -std::numbers::pi / 2.0, 0.0,
@@ -591,13 +614,16 @@ struct StepPlant {
   std::vector<Box> boxes;
 };
 
-/// Every registered scenario's plant plus dual ACAS Xu, each with seeded
-/// start boxes: the scenario's initial cells, their midpoints as point
-/// boxes, random sub-boxes, and the angle dimension (if any) straddling
-/// each sin/cos extremum.
+/// Every registered scenario's plant plus dual ACAS Xu and `AllOpsField`,
+/// each with seeded start boxes: the scenario's initial cells, their
+/// midpoints as point boxes, random sub-boxes, each dimension in turn
+/// exactly [0, 0] or subnormal, and the angle dimension (if any) straddling
+/// each sin/cos extremum or wider than 7, where interval sin/cos give
+/// [-1, 1].
 std::vector<StepPlant> step_plants() {
   const std::map<std::string, std::size_t> angle_dim{{"acasxu", acasxu::kIdxPsi},
                                                      {"acasxu_dual", acasxu::kIdxPsi},
+                                                     {"all_ops", 2},
                                                      {"pendulum", 0},
                                                      {"unicycle", 2}};
   std::vector<StepPlant> plants;
@@ -615,8 +641,13 @@ std::vector<StepPlant> step_plants() {
     }
   }
   plants.push_back(std::move(dual));
+  plants.push_back({"all_ops",
+                    make_dynamics(3, 2, AllOpsField{}),
+                    {Box{Interval{0.1, 0.3}, Interval{-0.5, 0.5}, Interval{0.2, 0.4}},
+                     Box{Interval{-1.0, -0.9}, Interval{2.0, 2.5}, Interval{-3.0, -2.5}}}});
 
   Rng rng(1717);
+  const double tiny = std::numeric_limits<double>::denorm_min();
   for (StepPlant& p : plants) {
     const std::vector<Box> cells = p.boxes;
     for (const Box& cell : cells) {
@@ -631,10 +662,14 @@ std::vector<StepPlant> step_plants() {
       p.boxes.emplace_back(std::move(mid));
       p.boxes.emplace_back(std::move(sub));
     }
+    for (std::size_t d = 0; d < cells.front().dim(); ++d) {
+      p.boxes.push_back(with_dim(cells.front(), d, Interval{}));
+      p.boxes.push_back(with_dim(cells.back(), d, Interval{-tiny, 3.0 * tiny}));
+    }
     const auto angle = angle_dim.find(p.name);
     if (angle != angle_dim.end()) {
       for (const double e : kTrigExtrema) {
-        for (const double w : {1e-3, 0.3}) {
+        for (const double w : {1e-3, 0.3, 3.6}) {
           p.boxes.push_back(with_dim(cells.front(), angle->second, Interval{e - w, e + w}));
         }
         p.boxes.push_back(with_dim(cells.back(), angle->second, Interval{e}));
@@ -648,7 +683,7 @@ TEST(TaylorIntegrator, StepMatchesFullOrderReferenceBitForBit) {
   Rng rng(4711);
   for (const StepPlant& p : step_plants()) {
     int compared = 0;
-    for (int order = 1; order <= 8; ++order) {
+    for (int order = 1; order <= TaylorIntegrator::kMaxOrder; ++order) {
       const TaylorIntegrator integrator(TaylorIntegrator::Config{order, {}});
       for (std::size_t b = 0; b < p.boxes.size(); ++b) {
         Vec u(p.f->command_dim(), 0.0);
@@ -671,7 +706,8 @@ TEST(TaylorIntegrator, StepMatchesFullOrderReferenceBitForBit) {
         ++compared;
       }
     }
-    EXPECT_GE(compared, 8 * 10) << p.name << ": too few steps succeeded to compare";
+    EXPECT_GE(compared, TaylorIntegrator::kMaxOrder * 10)
+        << p.name << ": too few steps succeeded to compare";
   }
 }
 
@@ -755,7 +791,6 @@ TEST(FusedSinCos, FieldsMatchUnfusedCopiesBitForBit) {
 
       const auto order = static_cast<std::size_t>(trial % 9);
       std::vector<TaylorSeries> xt(dim, TaylorSeries(order));
-      std::vector<TaylorSeries> ut;
       for (std::size_t d = 0; d < dim; ++d) {
         xt[d][0] = xi[d];
         for (std::size_t k = 1; k <= order; ++k) {
@@ -763,21 +798,93 @@ TEST(FusedSinCos, FieldsMatchUnfusedCopiesBitForBit) {
         }
       }
       for (std::size_t c = 0; c < cmd; ++c) {
-        ut.emplace_back(order, ui[c]);
+        xt.emplace_back(order, ui[c]);
       }
-      std::vector<TaylorSeries> xt_fused(dim);
-      std::vector<TaylorSeries> xt_unfused(dim);
-      p.fused->eval(xt, ut, xt_fused);
-      p.unfused->eval(xt, ut, xt_unfused);
+      const auto xt_fused = reference::sweep(p.fused->tape(), xt, order);
+      const auto xt_unfused = reference::sweep(p.unfused->tape(), xt, order);
 
       for (std::size_t d = 0; d < dim; ++d) {
         EXPECT_TRUE(same_bits(xd_fused[d], xd_unfused[d])) << p.name << " double dim " << d;
         EXPECT_TRUE(same_bits(xi_fused[d], xi_unfused[d])) << p.name << " Interval dim " << d;
         EXPECT_TRUE(same_bits(xt_fused[d], xt_unfused[d]))
-            << p.name << " TaylorSeries order " << order << " dim " << d;
+            << p.name << " tape order " << order << " dim " << d;
       }
     }
   }
+}
+
+/// Random series coefficient: exactly [0, 0] with probability 0.3, else a
+/// degenerate or narrow interval in [-3, 3].
+Interval random_coefficient(Rng& rng) {
+  if (rng.chance(0.3)) {
+    return Interval{};
+  }
+  const double m = rng.uniform(-3.0, 3.0);
+  return rng.chance(0.3) ? Interval{m} : Interval::centered(m, rng.uniform(0.0, 0.05));
+}
+
+/// The functor evaluated over series, its recorded tape evaluated over the
+/// same series node by node, and the tape's sweep all agree bit for bit.
+template <class F>
+void expect_recorded_faithfully(const char* name, std::size_t dim, std::size_t cmd, const F& f,
+                                Rng& rng) {
+  const auto model = make_dynamics(dim, cmd, f);
+  for (int trial = 0; trial < 32; ++trial) {
+    const auto order = static_cast<std::size_t>(trial % (TaylorIntegrator::kMaxOrder + 1));
+    std::vector<TaylorSeries> inputs(dim + cmd, TaylorSeries(order));
+    for (TaylorSeries& x : inputs) {
+      for (std::size_t k = 0; k <= order; ++k) {
+        x[k] = random_coefficient(rng);
+      }
+    }
+    const std::span<const TaylorSeries> all{inputs};
+    std::vector<TaylorSeries> direct(dim);
+    f(all.first(dim), all.subspan(dim), std::span<TaylorSeries>{direct});
+    const auto recorded = reference::eval_tape(model->tape(), all.first(dim), all.subspan(dim));
+    const auto swept = reference::sweep(model->tape(), all, order);
+    for (std::size_t d = 0; d < dim; ++d) {
+      EXPECT_TRUE(same_bits(direct[d], recorded[d])) << name << " order " << order << " dim " << d;
+      EXPECT_TRUE(same_bits(direct[d], swept[d])) << name << " order " << order << " dim " << d;
+    }
+  }
+}
+
+TEST(FieldTape, RecordingMatchesFunctorOverSeries) {
+  Rng rng(3141);
+  expect_recorded_faithfully("acasxu", 5, 1, acasxu::KinematicsField{}, rng);
+  expect_recorded_faithfully("acasxu_dual", 5, 2, acasxu::DualKinematicsField{}, rng);
+  expect_recorded_faithfully("acasxu_unfused", 5, 1, UnfusedKinematicsField{}, rng);
+  expect_recorded_faithfully("unicycle_unfused", 3, 1, UnfusedUnicycleField{}, rng);
+  expect_recorded_faithfully("decay", 1, 1, DecayField{}, rng);
+  expect_recorded_faithfully("oscillator", 2, 1, OscillatorField{}, rng);
+  expect_recorded_faithfully("double_integrator", 2, 1, DoubleIntegratorField{}, rng);
+  expect_recorded_faithfully("sine", 1, 1, SineField{}, rng);
+  expect_recorded_faithfully("soft_pendulum", 2, 1, SoftPendulumField{}, rng);
+  expect_recorded_faithfully("all_ops", 3, 2, AllOpsField{}, rng);
+}
+
+/// Leaves out[1] unwritten.
+struct UnwrittenOutputField {
+  template <class S>
+  void operator()(std::span<const S> s, std::span<const S> u, std::span<S> out) const {
+    out[0] = s[1] + 0.0 * u[0];
+  }
+};
+
+/// Reads a default-constructed scalar: 0 over double and Interval, but an
+/// operand the tape never recorded.
+struct DefaultVariableField {
+  template <class S>
+  void operator()(std::span<const S> s, std::span<const S> u, std::span<S> out) const {
+    const S zero{};
+    out[0] = s[1] + zero * u[0];
+    out[1] = -s[0];
+  }
+};
+
+TEST(FieldTape, RecordingRejectsUnwrittenOutputsAndUnrecordedOperands) {
+  EXPECT_THROW(make_dynamics(2, 1, UnwrittenOutputField{}), std::invalid_argument);
+  EXPECT_THROW(make_dynamics(2, 1, DefaultVariableField{}), std::invalid_argument);
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 #                                      only gate on the affine ODE step
 #   cruise_control                     scenario defaults, 2 threads: gamma =
 #                                      24, where Resize does the most work
+#   unicycle                           scenario defaults, 2 threads: the
+#                                      sin/cos Taylor path of a third plant
 #
 # ctest `Smoke.PerfGate` runs it with MAX_REGRESS=1000000 (canonical
 # sections only, in every build type); CI's Release perf-gate job and
@@ -55,6 +57,7 @@ leg(pendulum_symbolic ${PENDULUM} --domain symbolic)
 leg(pendulum_zonotope ${PENDULUM} --domain zonotope)
 leg(cruise_control --scenario cruise_control --threads 2
     --nets ${SOURCE}/cruise_control_nets_cache)
+leg(unicycle --scenario unicycle --threads 2 --nets ${SOURCE}/unicycle_nets_cache)
 
 execute_process(COMMAND ${COMPARE} --quiet --max-regress ${MAX_REGRESS}
   --baseline-dir ${SOURCE}/bench/baselines ${artifacts}

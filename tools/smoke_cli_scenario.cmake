@@ -58,7 +58,7 @@ run_cli(4 "cross-scenario resume refused" ${VERIFY} --scenario acasxu --arcs 4 -
   --resume ${OUT}/cruise_checkpoint.csv)
 message(STATUS "cross-scenario resume refused with exit code 4")
 
-# 4. The integrator's Taylor order is capped at TaylorSeries::kMaxOrder.
+# 4. The integrator's Taylor order is capped at TaylorIntegrator::kMaxOrder.
 run_cli(2 "--order 16 refused" ${VERIFY} --scenario cruise_control --order 16
   --nets ${CRUISE_NETS} --quiet)
 message(STATUS "--order 16 refused with exit code 2")

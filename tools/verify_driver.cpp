@@ -24,7 +24,7 @@
 #include "obs/profile.hpp"
 #include "obs/provenance.hpp"
 #include "obs/trace.hpp"
-#include "ode/taylor_series.hpp"
+#include "ode/validated_integrator.hpp"
 #include "scenario/scenario.hpp"
 #include "util/atomic_file.hpp"
 #include "util/env.hpp"
@@ -258,7 +258,7 @@ int verify_driver_main(int argc, char** argv) {
           static_cast<int>(parse_int(argv[0], arg, need_value(i), 1, 1 << 20));
     } else if (!std::strcmp(arg, "--order")) {
       taylor_order = static_cast<int>(parse_int(argv[0], arg, need_value(i), 1,
-                                                static_cast<long>(TaylorSeries::kMaxOrder)));
+                                                TaylorIntegrator::kMaxOrder));
     } else if (!std::strcmp(arg, "--domain")) {
       const auto domain = parse_domain(need_value(i));
       if (!domain) {
