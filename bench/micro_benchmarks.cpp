@@ -8,6 +8,7 @@
 
 #include "acas_bench_common.hpp"
 #include "core/symbolic_state.hpp"
+#include "nn/argmin_analysis.hpp"
 #include "nn/interval_prop.hpp"
 #include "nn/symbolic_prop.hpp"
 #include "nn/zonotope_prop.hpp"
@@ -135,7 +136,9 @@ std::vector<Box> perturbed_cells(std::size_t count) {
 }
 
 void BM_NetworkSymbolicPropBatch(benchmark::State& state) {
-  const auto& net = acas_system().controller->networks().front();
+  // Packed once, as NeuralController does when it is built.
+  const kern::PackedNetwork net =
+      kern::pack_network(acas_system().controller->networks().front());
   const auto cells = perturbed_cells(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     auto bounds = symbolic_propagate_batch(net, cells);
@@ -145,13 +148,25 @@ void BM_NetworkSymbolicPropBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkSymbolicPropBatch)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
 
-// Zonotope transformer over `range(0)` correlated sets per call, drawn in
-// turn from a pool of 256: each is a `from_box` lift of a small random box
-// mixed through a random interval linear image, so its forms share noise
-// symbols as the integrator's sets do. Per-query cost = time / range(0).
-void BM_NetworkZonotopePropBatch(benchmark::State& state) {
-  const auto& net = acas_system().controller->networks().front();
-  const std::size_t dim = net.input_dim();
+// Post# (argmin) on the symbolic bounds of 64 of the ACAS Xu-like cells
+// above through net 0, one query's bounds per iteration.
+void BM_PossibleArgminSymbolic(benchmark::State& state) {
+  const kern::PackedNetwork net =
+      kern::pack_network(acas_system().controller->networks().front());
+  const std::vector<SymbolicBounds> bounds = symbolic_propagate_batch(net, perturbed_cells(64));
+  std::size_t next = 0;
+  for (auto _ : state) {
+    auto commands = possible_argmin(bounds[next]);
+    benchmark::DoNotOptimize(commands);
+    next = (next + 1) % bounds.size();
+  }
+}
+BENCHMARK(BM_PossibleArgminSymbolic);
+
+// A pool of 256 correlated sets over `dim` dimensions: each is a `from_box`
+// lift of a small random box mixed through a random interval linear image,
+// so its forms share noise symbols as the integrator's sets do.
+std::vector<AffineSet> correlated_sets(std::size_t dim) {
   Rng rng(27);
   std::vector<AffineSet> pool;
   for (int k = 0; k < 256; ++k) {
@@ -170,6 +185,16 @@ void BM_NetworkZonotopePropBatch(benchmark::State& state) {
     }
     pool.push_back(AffineSet::from_box(Box{std::move(dims)}).linear_image(m));
   }
+  return pool;
+}
+
+// Zonotope transformer over `range(0)` correlated sets per call, drawn in
+// turn from the pool above. Per-query cost = time / range(0).
+void BM_NetworkZonotopePropBatch(benchmark::State& state) {
+  // Packed once, as NeuralController does when it is built.
+  const kern::PackedNetwork net =
+      kern::pack_network(acas_system().controller->networks().front());
+  const std::vector<AffineSet> pool = correlated_sets(net.input_dim);
   const auto width = static_cast<std::size_t>(state.range(0));
   std::vector<std::vector<const AffineSet*>> calls(pool.size() / width);
   for (std::size_t k = 0; k < calls.size() * width; ++k) {
@@ -184,6 +209,26 @@ void BM_NetworkZonotopePropBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_NetworkZonotopePropBatch)->Arg(1)->Arg(8);
+
+// Post# (argmin) on the zonotope bounds of 64 sets of the pool above
+// through net 0, one query's bounds per iteration.
+void BM_PossibleArgminZonotope(benchmark::State& state) {
+  const kern::PackedNetwork net =
+      kern::pack_network(acas_system().controller->networks().front());
+  const std::vector<AffineSet> pool = correlated_sets(net.input_dim);
+  std::vector<const AffineSet*> sets;
+  for (std::size_t k = 0; k < 64; ++k) {
+    sets.push_back(&pool[k]);
+  }
+  const std::vector<ZonotopeBounds> bounds = zonotope_propagate_batch(net, sets);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    auto commands = possible_argmin(bounds[next]);
+    benchmark::DoNotOptimize(commands);
+    next = (next + 1) % bounds.size();
+  }
+}
+BENCHMARK(BM_PossibleArgminZonotope);
 
 void BM_AbstractControllerStepBatch(benchmark::State& state) {
   const auto& system = acas_system();

@@ -100,6 +100,7 @@ NeuralController::NeuralController(CommandSet commands, std::vector<Network> net
     if (net.input_dim() != pre_->output_dim()) {
       throw std::invalid_argument("NeuralController: network input dim != Pre output dim");
     }
+    packed_.push_back(kern::pack_network(net));
   }
 }
 
@@ -242,7 +243,7 @@ std::vector<AbstractControlStep> NeuralController::step_abstract_batch(
           twins.emplace_back(i, *twin);
         }
       }
-      const Network& net = networks_[net_id];
+      const kern::PackedNetwork& packed = packed_[net_id];
       std::vector<NnQueryCache::Reuse> reuse(lanes.size());
       if (relational) {
         std::vector<const AffineSet*> inputs;
@@ -253,7 +254,7 @@ std::vector<AbstractControlStep> NeuralController::step_abstract_batch(
         std::vector<ZonotopeBounds> all;
         {
           NNCS_SPAN("nn.zonotope");
-          all = zonotope_propagate_batch(net, inputs);
+          all = zonotope_propagate_batch(packed, inputs);
         }
         NNCS_COUNT("nn.relational_steps", lanes.size());
         for (std::size_t k = 0; k < lanes.size(); ++k) {
@@ -267,7 +268,7 @@ std::vector<AbstractControlStep> NeuralController::step_abstract_batch(
         for (const std::size_t i : lanes) {
           inputs.push_back(results[i].network_input);
         }
-        std::vector<SymbolicBounds> all = symbolic_propagate_batch(net, inputs);
+        std::vector<SymbolicBounds> all = symbolic_propagate_batch(packed, inputs);
         for (std::size_t k = 0; k < lanes.size(); ++k) {
           AbstractControlStep& result = results[lanes[k]];
           result.commands = prune(all[k]);
@@ -280,7 +281,8 @@ std::vector<AbstractControlStep> NeuralController::step_abstract_batch(
         // The interval F# is the ablation baseline no workload batches: its
         // lanes run the scalar transformer one by one.
         for (const std::size_t i : lanes) {
-          results[i].network_output = interval_propagate(net, results[i].network_input);
+          results[i].network_output =
+              interval_propagate(networks_[net_id], results[i].network_input);
           results[i].commands = prune(results[i].network_output);
         }
       }

@@ -7,6 +7,7 @@
 #include "core/abstract_state.hpp"
 #include "interval/affine_set.hpp"
 #include "interval/box.hpp"
+#include "nn/kernels.hpp"
 #include "nn/network.hpp"
 #include "nn/query_cache.hpp"
 #include "nn/symbolic_prop.hpp"
@@ -128,6 +129,7 @@ class NeuralController final : public Controller {
   /// `selector[c]` is the index into `networks` of the network executed when
   /// the previous command was c (the λ map). Throws if shapes disagree
   /// (network input dim vs Pre output dim, selector size vs |U|, ...).
+  /// Packs every network once for the batched transformers.
   NeuralController(CommandSet commands, std::vector<Network> networks,
                    std::vector<std::size_t> selector, std::unique_ptr<Preprocessor> pre,
                    NnDomain domain = NnDomain::kSymbolic, NnCacheConfig cache = {});
@@ -167,9 +169,11 @@ class NeuralController final : public Controller {
   /// once, and each group gets one transformer call followed by Post# (and,
   /// for box states with a cache, the insert). Relational states go through
   /// the batched zonotope transformer; box states through the batched
-  /// symbolic one, or lane by lane through the scalar interval one. The
-  /// batched transformers replicate the scalar rounding sequence per lane,
-  /// so every result is bit-identical to the scalar transformer's.
+  /// symbolic one, or lane by lane through the scalar interval one. Both
+  /// batched transformers sweep the network's pack from construction, which
+  /// concurrent calls share read-only, and replicate the scalar rounding
+  /// sequence per lane, so every result is bit-identical to the scalar
+  /// transformer's.
   /// Containment reuse is query-order-dependent (a step may insert the
   /// entry a later query reuses), so with a cache the states run through
   /// this body one at a time.
@@ -185,6 +189,8 @@ class NeuralController final : public Controller {
 
   CommandSet commands_;
   std::vector<Network> networks_;
+  /// `networks_[i]` packed for the batched transformers (read-only).
+  std::vector<kern::PackedNetwork> packed_;
   std::vector<std::size_t> selector_;
   std::unique_ptr<Preprocessor> pre_;
   NnDomain domain_;

@@ -1,6 +1,10 @@
 #include "nn/kernels.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
+
+#include "interval/rounding.hpp"
 
 #define NNCS_KERN_BACKEND portable
 #include "nn/kernels_impl.inl"
@@ -13,6 +17,8 @@ namespace nncs::kern {
 namespace avx2 {
 void symbolic_affine_layer_impl(const PackedLayer& layer, const SymbolicForms& in,
                                 SymbolicForms& out);
+void symbolic_relu_bounds_impl(const SymbolicForms& forms, const Box& input, double* lower,
+                               double* upper);
 void zonotope_affine_layer_impl(const PackedLayer& layer, const ZonotopeForms& in,
                                 ZonotopeForms& out);
 }  // namespace avx2
@@ -41,20 +47,28 @@ Isa active_isa() {
   return isa;
 }
 
-PackedLayer pack_layer(const Layer& layer, std::size_t stride) {
-  const std::size_t rows = layer.weights.rows();
-  const std::size_t cols = layer.weights.cols();
-  if (stride % kNeuronBlock != 0 || stride < rows) {
-    throw std::invalid_argument("pack_layer: stride must be a block multiple >= rows");
+PackedNetwork pack_network(const Network& net) {
+  PackedNetwork packed;
+  packed.input_dim = net.input_dim();
+  std::size_t stride = packed.input_dim;
+  for (const Layer& layer : net.layers()) {
+    stride = std::max(stride, layer.weights.rows());
+    packed.hidden_rows += layer.weights.rows();
+    packed.symbolic_macs += 2 * layer.weights.rows() * layer.weights.cols() * packed.input_dim;
   }
-  PackedLayer packed{rows, cols, stride, std::vector<double>(cols * stride, 0.0),
-                     std::vector<double>(stride, 0.0)};
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double* wrow = layer.weights.row_data(r);
-    for (std::size_t c = 0; c < cols; ++c) {
-      packed.weights[c * stride + r] = wrow[c];
+  packed.hidden_rows -= net.output_dim();
+  packed.stride = stride = (stride + kNeuronBlock - 1) / kNeuronBlock * kNeuronBlock;
+  for (const Layer& layer : net.layers()) {
+    const std::size_t rows = layer.weights.rows();
+    const std::size_t cols = layer.weights.cols();
+    PackedLayer& out = packed.layers.emplace_back(PackedLayer{
+        rows, cols, stride, std::vector<double>(cols * stride, 0.0), layer.biases});
+    out.biases.resize(stride, 0.0);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        out.weights[c * stride + r] = layer.weights(r, c);
+      }
     }
-    packed.biases[r] = layer.biases[r];
   }
   return packed;
 }
@@ -81,6 +95,66 @@ void symbolic_affine_layer(const PackedLayer& layer, const SymbolicForms& in,
   (void)isa;
 #endif
   portable::symbolic_affine_layer_impl(layer, in, out);
+}
+
+namespace {
+
+/// The lower (kUpper false) or upper bound of `Interval{c} * x` for c != 0,
+/// bit for bit, in `operator*`'s order of cases.
+template <bool kUpper>
+double product_bound(double c, const Interval& x) {
+  if (c == 1.0) {
+    return kUpper ? x.hi() : x.lo();
+  }
+  if (x.lo() == x.hi() && x.lo() == 1.0) {
+    return c;
+  }
+  if (x.lo() == x.hi() && x.lo() == 0.0 && std::isfinite(c)) {
+    return 0.0;
+  }
+  const double p = std::isnan(c * x.lo()) ? 0.0 : c * x.lo();
+  const double q = std::isnan(c * x.hi()) ? 0.0 : c * x.hi();
+  return kUpper ? rnd::next_up(std::max(p, q)) : rnd::next_down(std::min(p, q));
+}
+
+}  // namespace
+
+template <bool kUpper>
+double concretize_side(const double* coeffs, std::size_t step, double constant, double err,
+                       const Box& input) {
+  double acc = constant;
+  for (std::size_t i = 0; i < input.dim(); ++i) {
+    const double c = coeffs[i * step];
+    if (c != 0.0) {
+      const double p = product_bound<kUpper>(c, input[i]);
+      acc = kUpper ? rnd::add_up(acc, p) : rnd::add_down(acc, p);
+    }
+  }
+  const double delta = err + 1e-12;
+  if (delta < 0.0 || std::isnan(delta)) {
+    throw std::invalid_argument("Interval::inflated: negative delta");
+  }
+  return kUpper ? rnd::add_up(acc, delta) : rnd::sub_down(acc, delta);
+}
+
+template double concretize_side<false>(const double*, std::size_t, double, double, const Box&);
+template double concretize_side<true>(const double*, std::size_t, double, double, const Box&);
+
+void symbolic_relu_bounds(const SymbolicForms& forms, const Box& input, double* lower,
+                          double* upper, Isa isa) {
+  if (input.dim() != forms.n_in || forms.stride % kNeuronBlock != 0 ||
+      forms.width > forms.stride) {
+    throw std::invalid_argument("symbolic_relu_bounds: shape mismatch");
+  }
+#ifdef NNCS_HAVE_AVX2
+  if (isa == Isa::kAvx2) {
+    avx2::symbolic_relu_bounds_impl(forms, input, lower, upper);
+    return;
+  }
+#else
+  (void)isa;
+#endif
+  portable::symbolic_relu_bounds_impl(forms, input, lower, upper);
 }
 
 void zonotope_affine_layer(const PackedLayer& layer, const ZonotopeForms& in,

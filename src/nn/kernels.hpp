@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "interval/box.hpp"
 #include "nn/network.hpp"
 
 /// Vectorized layer kernels for the NN abstract transformers.
@@ -69,9 +70,23 @@ struct PackedLayer {
   std::vector<double> biases;
 };
 
-/// Pack `layer` for a sweep whose forms have neuron stride `stride`
-/// (a multiple of kNeuronBlock, at least the layer's row count).
-[[nodiscard]] PackedLayer pack_layer(const Layer& layer, std::size_t stride);
+/// A network packed for both batched transformers, once, when the
+/// controller that owns it is built; threads then share it read-only.
+struct PackedNetwork {
+  /// Neuron stride of every layer's forms: the largest of the input
+  /// dimension and every layer's row count, rounded up to kNeuronBlock.
+  std::size_t stride = 0;
+  std::size_t input_dim = 0;
+  /// Rows of every layer but the last: the most fresh noise-symbol slots a
+  /// zonotope query can take.
+  std::size_t hidden_rows = 0;
+  /// Multiply-adds of one symbolic query (`nn.symbolic_macs`).
+  std::size_t symbolic_macs = 0;
+  std::vector<PackedLayer> layers;
+};
+
+/// Pack every layer of `net` at one common stride.
+[[nodiscard]] PackedNetwork pack_network(const Network& net);
 
 /// One side (lower or upper) of a query's symbolic bound forms:
 /// `coeffs[i·stride + n]` is neuron n's coefficient on network input i,
@@ -109,6 +124,25 @@ struct SymbolicForms {
 /// ReLU. Sets `out`'s width, stride and input count.
 void symbolic_affine_layer(const PackedLayer& layer, const SymbolicForms& in,
                            SymbolicForms& out, Isa isa);
+
+/// `concretize(form, input).lo()` (kUpper false) or `.hi()` (symbolic_prop.hpp),
+/// bit for bit, without the other bound, for the form with coefficients
+/// `coeffs[i·step]`: the constant, then each nonzero coefficient's product
+/// bound in index order, then `inflated(err + 1e-12)`, which throws
+/// std::invalid_argument on a negative or NaN delta.
+template <bool kUpper>
+[[nodiscard]] double concretize_side(const double* coeffs, std::size_t step, double constant,
+                                     double err, const Box& input);
+
+/// The ReLU stage's pre-activation bounds: for every neuron r below
+/// `forms.width` rounded up to kSymbolicBlock, lower[r] = `concretize_side`
+/// `<false>` of its lower form and upper[r] = `<true>` of its upper form,
+/// bit for bit, throwing as it does. The AVX2 body bounds four neurons per
+/// vector and takes the product bound's cases per lane, rounding by integer
+/// steps on the bit pattern. The padding columns of the last block must
+/// hold valid forms (the sweep leaves zeros there).
+void symbolic_relu_bounds(const SymbolicForms& forms, const Box& input, double* lower,
+                          double* upper, Isa isa);
 
 /// One zonotope query's affine-arithmetic forms (the zonotope domain's
 /// `Affine`), one per neuron, stored neuron-minor: `coeffs[s·stride + n]` is

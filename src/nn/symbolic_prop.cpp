@@ -1,6 +1,7 @@
 #include "nn/symbolic_prop.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -15,17 +16,23 @@ namespace {
 
 using rnd::kCoeffSlack;
 
-/// result += k * form (component-wise on coefficients and constant), with
-/// the rounding of each fused update bounded into result.err.
-void axpy(AffineForm& result, double k, const AffineForm& form) {
+/// (coeffs, constant, err) += k * form (component-wise on the n
+/// coefficients and the constant), with the rounding of each fused update
+/// bounded into err.
+void axpy(double* coeffs, double& constant, double& err, std::size_t n, double k,
+          const AffineForm& form) {
   double abs_sum = 0.0;
-  for (std::size_t i = 0; i < result.coeffs.size(); ++i) {
-    result.coeffs[i] += k * form.coeffs[i];
-    abs_sum += std::fabs(result.coeffs[i]);
+  for (std::size_t i = 0; i < n; ++i) {
+    coeffs[i] += k * form.coeffs[i];
+    abs_sum += std::fabs(coeffs[i]);
   }
-  result.constant += k * form.constant;
-  abs_sum += std::fabs(result.constant);
-  result.err += std::fabs(k) * form.err + kCoeffSlack * abs_sum;
+  constant += k * form.constant;
+  abs_sum += std::fabs(constant);
+  err += std::fabs(k) * form.err + kCoeffSlack * abs_sum;
+}
+
+void axpy(AffineForm& result, double k, const AffineForm& form) {
+  axpy(result.coeffs.data(), result.constant, result.err, result.coeffs.size(), k, form);
 }
 
 AffineForm zero_form(std::size_t input_dim) { return AffineForm{Vec(input_dim, 0.0), 0.0, 0.0}; }
@@ -124,53 +131,6 @@ SymbolicBounds symbolic_propagate(const Network& net, const Box& input) {
 
 namespace {
 
-/// One bound of `Interval{c} * x` for a coefficient c != 0: bit for bit
-/// the lower (kUpper false) or upper bound `operator*` gives, in its order
-/// of cases: c == 1 returns x; a degenerate x at 1 returns c; a degenerate x
-/// at 0 returns 0 when c is finite; else the corner products, NaN mapped to
-/// 0, rounded out by one ulp. The two bounds never feed each other.
-template <bool kUpper>
-double product_bound(double c, const Interval& x) {
-  if (c == 1.0) {
-    return kUpper ? x.hi() : x.lo();
-  }
-  if (x.lo() == x.hi()) {
-    if (x.lo() == 1.0) {
-      return c;
-    }
-    if (x.lo() == 0.0 && std::isfinite(c)) {
-      return 0.0;
-    }
-  }
-  double p = c * x.lo();
-  double q = c * x.hi();
-  p = std::isnan(p) ? 0.0 : p;
-  q = std::isnan(q) ? 0.0 : q;
-  return kUpper ? rnd::next_up(std::max(p, q)) : rnd::next_down(std::min(p, q));
-}
-
-/// `concretize(form, input).lo()` (kUpper false) or `.hi()` (true) of
-/// neuron r's form in `side`, bit for bit, without the other bound: the
-/// constant, then `operator+` of each nonzero coefficient's product, then
-/// `inflated(err + 1e-12)`, which throws on a negative or NaN delta.
-template <bool kUpper>
-double concretize_bound(const kern::SymbolicSide& side, std::size_t stride, std::size_t r,
-                        const Box& input) {
-  double acc = side.constant[r];
-  for (std::size_t i = 0; i < input.dim(); ++i) {
-    const double c = side.coeffs[i * stride + r];
-    if (c != 0.0) {
-      const double p = product_bound<kUpper>(c, input[i]);
-      acc = kUpper ? rnd::add_up(acc, p) : rnd::add_down(acc, p);
-    }
-  }
-  const double delta = side.err[r] + 1e-12;
-  if (delta < 0.0 || std::isnan(delta)) {
-    throw std::invalid_argument("Interval::inflated: negative delta");
-  }
-  return kUpper ? rnd::add_up(acc, delta) : rnd::sub_down(acc, delta);
-}
-
 void zero_neuron(kern::SymbolicSide& side, std::size_t stride, std::size_t n_in,
                  std::size_t r) {
   for (std::size_t i = 0; i < n_in; ++i) {
@@ -181,15 +141,16 @@ void zero_neuron(kern::SymbolicSide& side, std::size_t stride, std::size_t n_in,
 }
 
 /// The ReLU relaxation of every neuron of a hidden layer, in place, as the
-/// scalar path does it. An unstable neuron's chord replays `relaxed_upper =
-/// zero_form; axpy(relaxed_upper, lambda, upper); ...` expression by
-/// expression, including the `0.0 +` of the axpy onto a zero form, which
-/// turns a −0.0 product into +0.0 as the scalar code does.
-void relu_in_place(kern::SymbolicForms& forms, const Box& input) {
+/// scalar path does it, on the pre-activation ranges [lo[r], hi[r]] that
+/// `kern::symbolic_relu_bounds` gives. An unstable neuron's chord replays
+/// `relaxed_upper = zero_form; axpy(relaxed_upper, lambda, upper); ...`
+/// expression by expression, including the `0.0 +` of the axpy onto a zero
+/// form, which turns a −0.0 product into +0.0 as the scalar code does.
+void relu_in_place(kern::SymbolicForms& forms, const double* lo, const double* hi) {
   const std::size_t stride = forms.stride;
   for (std::size_t r = 0; r < forms.width; ++r) {
-    const double l = concretize_bound<false>(forms.lower, stride, r, input);
-    const double u = concretize_bound<true>(forms.upper, stride, r, input);
+    const double l = lo[r];
+    const double u = hi[r];
     if (u <= 0.0) {
       zero_neuron(forms.lower, stride, forms.n_in, r);
       zero_neuron(forms.upper, stride, forms.n_in, r);
@@ -234,15 +195,10 @@ AffineForm extract(const kern::SymbolicSide& side, std::size_t stride, std::size
 
 }  // namespace
 
-std::vector<SymbolicBounds> symbolic_propagate_batch(const Network& net,
-                                                     const std::vector<Box>& inputs) {
-  return symbolic_propagate_batch(net, inputs, kern::active_isa());
-}
-
-std::vector<SymbolicBounds> symbolic_propagate_batch(const Network& net,
+std::vector<SymbolicBounds> symbolic_propagate_batch(const kern::PackedNetwork& net,
                                                      const std::vector<Box>& inputs,
                                                      kern::Isa isa) {
-  const std::size_t n_in = net.input_dim();
+  const std::size_t n_in = net.input_dim;
   for (const Box& input : inputs) {
     if (input.dim() != n_in) {
       throw std::invalid_argument("symbolic_propagate_batch: input dimension mismatch");
@@ -255,22 +211,12 @@ std::vector<SymbolicBounds> symbolic_propagate_batch(const Network& net,
   NNCS_SPAN_TAGGED("nn.symbolic_prop", "queries", static_cast<std::int64_t>(inputs.size()));
   results.reserve(inputs.size());
 
-  // One neuron stride for every layer; the layers are packed once per call.
-  std::size_t stride = n_in;
-  std::size_t macs = 0;
-  for (const Layer& layer : net.layers()) {
-    stride = std::max(stride, layer.weights.rows());
-    macs += 2 * layer.weights.rows() * layer.weights.cols() * n_in;
-  }
-  stride = (stride + kern::kNeuronBlock - 1) / kern::kNeuronBlock * kern::kNeuronBlock;
-  std::vector<kern::PackedLayer> layers;
-  layers.reserve(net.num_layers());
-  for (const Layer& layer : net.layers()) {
-    layers.push_back(kern::pack_layer(layer, stride));
-  }
-
-  kern::SymbolicForms cur;
-  kern::SymbolicForms nxt;
+  // Per-thread buffers, reused by every call; only the results are new.
+  thread_local kern::SymbolicForms cur;
+  thread_local kern::SymbolicForms nxt;
+  thread_local std::vector<double> lo;
+  thread_local std::vector<double> hi;
+  const std::size_t stride = net.stride;
   for (kern::SymbolicForms* forms : {&cur, &nxt}) {
     forms->stride = stride;
     forms->n_in = n_in;
@@ -280,6 +226,8 @@ std::vector<SymbolicBounds> symbolic_propagate_batch(const Network& net,
       side->err.resize(stride);
     }
   }
+  lo.resize(stride);
+  hi.resize(stride);
   for (const Box& input : inputs) {
     // Input layer: identity bounds.
     cur.width = n_in;
@@ -291,10 +239,11 @@ std::vector<SymbolicBounds> symbolic_propagate_batch(const Network& net,
         side->coeffs[i * stride + i] = 1.0;
       }
     }
-    for (std::size_t li = 0; li < layers.size(); ++li) {
-      kern::symbolic_affine_layer(layers[li], cur, nxt, isa);
-      if (li + 1 < layers.size()) {
-        relu_in_place(nxt, input);
+    for (std::size_t li = 0; li < net.layers.size(); ++li) {
+      kern::symbolic_affine_layer(net.layers[li], cur, nxt, isa);
+      if (li + 1 < net.layers.size()) {
+        kern::symbolic_relu_bounds(nxt, input, lo.data(), hi.data(), isa);
+        relu_in_place(nxt, lo.data(), hi.data());
       }
       std::swap(cur, nxt);
     }
@@ -309,7 +258,7 @@ std::vector<SymbolicBounds> symbolic_propagate_batch(const Network& net,
     bounds.output_box = concretize_output_box(bounds.outputs, bounds.input);
     results.push_back(std::move(bounds));
   }
-  NNCS_COUNT("nn.symbolic_macs", macs * inputs.size());
+  NNCS_COUNT("nn.symbolic_macs", net.symbolic_macs * inputs.size());
   return results;
 }
 
@@ -332,20 +281,45 @@ Box concretize_output_box(const std::vector<NeuronBounds>& outputs, const Box& i
   return Box{std::move(out_dims)};
 }
 
+namespace {
+
+/// `concretize(a − b, input)`'s lower (kUpper false) or upper bound, bit for
+/// bit, where a − b is `zero_form; axpy(+1, a); axpy(−1, b)` built in a
+/// stack buffer (the heap only past kStackInputs inputs).
+template <bool kUpper>
+double difference_side(const AffineForm& a, const AffineForm& b, const Box& input) {
+  constexpr std::size_t kStackInputs = 16;
+  const std::size_t n = input.dim();
+  // Not zeroed, which would cost a third of Post#: entry i is written
+  // before it is read.
+  std::array<double, kStackInputs> stack;
+  std::vector<double> heap(n > kStackInputs ? n : 0);
+  double* coeffs = n > kStackInputs ? heap.data() : stack.data();
+  // axpy(+1, a) onto the zero form, as assignments: 0.0 + 1.0·x turns a
+  // −0.0 into +0.0 as the sum does.
+  double abs_sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    coeffs[i] = 0.0 + 1.0 * a.coeffs[i];
+    abs_sum += std::fabs(coeffs[i]);
+  }
+  double constant = 0.0 + 1.0 * a.constant;
+  abs_sum += std::fabs(constant);
+  double err = 0.0 + (1.0 * a.err + kCoeffSlack * abs_sum);
+  axpy(coeffs, constant, err, n, -1.0, b);
+  return kern::concretize_side<kUpper>(coeffs, 1, constant, err, input);
+}
+
+}  // namespace
+
 Interval output_difference(const SymbolicBounds& bounds, std::size_t i, std::size_t j) {
   if (i >= bounds.outputs.size() || j >= bounds.outputs.size()) {
     throw std::out_of_range("output_difference: index out of range");
   }
-  const std::size_t n_in = bounds.input.dim();
   // y_i − y_j >= lower_i(x) − upper_j(x)  and  <= upper_i(x) − lower_j(x).
-  AffineForm diff_lower = zero_form(n_in);
-  axpy(diff_lower, 1.0, bounds.outputs[i].lower);
-  axpy(diff_lower, -1.0, bounds.outputs[j].upper);
-  AffineForm diff_upper = zero_form(n_in);
-  axpy(diff_upper, 1.0, bounds.outputs[i].upper);
-  axpy(diff_upper, -1.0, bounds.outputs[j].lower);
-  const double lo = concretize(diff_lower, bounds.input).lo();
-  const double hi = concretize(diff_upper, bounds.input).hi();
+  const double lo =
+      difference_side<false>(bounds.outputs[i].lower, bounds.outputs[j].upper, bounds.input);
+  const double hi =
+      difference_side<true>(bounds.outputs[i].upper, bounds.outputs[j].lower, bounds.input);
   return Interval{std::min(lo, hi), std::max(lo, hi)};
 }
 

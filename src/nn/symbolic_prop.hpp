@@ -48,21 +48,16 @@ struct SymbolicBounds {
 /// transformer remains the bitwise-rigorous fallback.
 SymbolicBounds symbolic_propagate(const Network& net, const Box& input);
 
-/// Batched transformer: result i is bit-identical to
-/// `symbolic_propagate(net, inputs[i])` — forms, error terms and output box
-/// alike. The layers are packed once per call; each query then runs on its
-/// own through flat neuron-minor buffers that the whole call reuses
-/// (`nn/kernels.hpp`), where the SIMD width covers a block of one query's
-/// neurons and the ReLU stage concretizes only the bound each form needs.
-/// The scalar path instead builds a fresh heap `AffineForm` pair per neuron.
-std::vector<SymbolicBounds> symbolic_propagate_batch(const Network& net,
-                                                     const std::vector<Box>& inputs);
-
-/// Same, with an explicit kernel back end (tests exercise both dispatch
-/// paths; production callers use the `active_isa()` default above).
-std::vector<SymbolicBounds> symbolic_propagate_batch(const Network& net,
+/// Batched transformer over a network packed once (`kern::pack_network`):
+/// result i is bit-identical to `symbolic_propagate(net, inputs[i])` —
+/// forms, error terms and output box alike. Each query runs on its own in
+/// neuron-minor buffers that the calling thread reuses (`nn/kernels.hpp`);
+/// the SIMD width covers a block of one query's neurons in the layer sweep
+/// and in the ReLU stage's one-sided bounds (`kern::symbolic_relu_bounds`).
+/// Tests pass `isa` to run both kernel back ends.
+std::vector<SymbolicBounds> symbolic_propagate_batch(const kern::PackedNetwork& net,
                                                      const std::vector<Box>& inputs,
-                                                     kern::Isa isa);
+                                                     kern::Isa isa = kern::active_isa());
 
 /// Sound interval enclosure of an affine form over a box (outward-rounded,
 /// slack-inflated).
@@ -80,7 +75,10 @@ Box concretize_output_box(const std::vector<NeuronBounds>& outputs, const Box& i
 
 /// Enclosure of the *difference* output_i − output_j over the input box,
 /// from the affine bounds (tighter than subtracting concretized intervals
-/// because shared input dependencies cancel symbolically).
+/// because shared input dependencies cancel symbolically): the lower form
+/// lower_i − upper_j and the upper form upper_i − lower_j, each built as
+/// `zero_form; axpy(+1, ·); axpy(−1, ·)` in a stack buffer and concretized
+/// on the one side that is read (`kern::concretize_side`).
 Interval output_difference(const SymbolicBounds& bounds, std::size_t i, std::size_t j);
 
 }  // namespace nncs

@@ -1,6 +1,7 @@
 #include "nn/zonotope_prop.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -195,9 +196,9 @@ ZonotopeBounds extract_outputs(const kern::ZonotopeForms& forms,
 }  // namespace
 
 std::vector<ZonotopeBounds> zonotope_propagate_batch(
-    const Network& net, const std::vector<const AffineSet*>& inputs, kern::Isa isa) {
+    const kern::PackedNetwork& net, const std::vector<const AffineSet*>& inputs, kern::Isa isa) {
   for (const AffineSet* set : inputs) {
-    if (set == nullptr || set->dim() != net.input_dim()) {
+    if (set == nullptr || set->dim() != net.input_dim) {
       throw std::invalid_argument("zonotope_propagate: input dimension mismatch");
     }
   }
@@ -207,24 +208,8 @@ std::vector<ZonotopeBounds> zonotope_propagate_batch(
   }
   results.reserve(inputs.size());
 
-  // One neuron stride for every layer, and room for one fresh slot per
-  // hidden neuron on top of a query's input slots.
-  std::size_t stride = net.input_dim();
-  std::size_t hidden_rows = 0;
-  for (std::size_t li = 0; li < net.num_layers(); ++li) {
-    const std::size_t rows = net.layers()[li].weights.rows();
-    stride = std::max(stride, rows);
-    if (li + 1 < net.num_layers()) {
-      hidden_rows += rows;
-    }
-  }
-  stride = (stride + kern::kNeuronBlock - 1) / kern::kNeuronBlock * kern::kNeuronBlock;
-  std::vector<kern::PackedLayer> layers;
-  layers.reserve(net.num_layers());
-  for (const Layer& layer : net.layers()) {
-    layers.push_back(kern::pack_layer(layer, stride));
-  }
-
+  const std::size_t stride = net.stride;
+  const std::vector<kern::PackedLayer>& layers = net.layers;
   kern::ZonotopeForms cur;
   kern::ZonotopeForms nxt;
   for (kern::ZonotopeForms* forms : {&cur, &nxt}) {
@@ -239,7 +224,8 @@ std::vector<ZonotopeBounds> zonotope_propagate_batch(
     for (const Affine& form : set->components()) {
       input_slots += form.terms().size();
     }
-    const std::size_t capacity = (input_slots + hidden_rows) * stride;
+    // Room for one fresh slot per hidden neuron on top of the input slots.
+    const std::size_t capacity = (input_slots + net.hidden_rows) * stride;
     for (kern::ZonotopeForms* forms : {&cur, &nxt}) {
       if (forms->coeffs.size() < capacity) {
         forms->coeffs.resize(capacity);
@@ -263,9 +249,62 @@ std::vector<ZonotopeBounds> zonotope_propagate_batch(
   return results;
 }
 
-std::vector<ZonotopeBounds> zonotope_propagate_batch(
-    const Network& net, const std::vector<const AffineSet*>& inputs) {
-  return zonotope_propagate_batch(net, inputs, kern::active_isa());
+namespace {
+
+/// Calls `visit` with each value of a − b's merged terms, exact zeros
+/// included, in id order, as `operator-` computes them.
+template <class Visit>
+void for_each_difference_term(const Affine& a, const Affine& b, Visit visit) {
+  const auto& x = a.terms();
+  const auto& y = b.terms();
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < x.size() || j < y.size()) {
+    if (j >= y.size() || (i < x.size() && x[i].first < y[j].first)) {
+      visit(1.0 * x[i++].second);
+    } else if (i >= x.size() || y[j].first < x[i].first) {
+      visit(-1.0 * y[j++].second);
+    } else {
+      visit(1.0 * x[i++].second + -1.0 * y[j++].second);
+    }
+  }
+}
+
+}  // namespace
+
+double difference_hi(const Affine& a, const Affine& b) {
+  // The error term sums |center| and every value's |·|; the radius then
+  // adds each nonzero value's |·|, kept on the stack when they fit. Not
+  // zeroed, which would cost a sixth of Post#: kept[t] is written before it
+  // is read.
+  constexpr std::size_t kStackTerms = 256;
+  std::array<double, kStackTerms> kept;
+  const bool fits = a.terms().size() + b.terms().size() <= kStackTerms;
+  const double center = a.center() - b.center();
+  double abs_sum = std::fabs(center);
+  std::size_t terms = 0;
+  for_each_difference_term(a, b, [&](double v) {
+    abs_sum += std::fabs(v);
+    if (v != 0.0) {
+      if (fits) {
+        kept[terms] = std::fabs(v);
+      }
+      ++terms;
+    }
+  });
+  double radius = a.error() + b.error() + kCoeffSlack * abs_sum;
+  for (std::size_t t = 0; fits && t < terms; ++t) {
+    radius += kept[t];
+  }
+  if (!fits) {
+    for_each_difference_term(a, b, [&](double v) {
+      if (v != 0.0) {
+        radius += std::fabs(v);
+      }
+    });
+  }
+  radius *= 1.0 + kCoeffSlack * static_cast<double>(terms + 1);
+  return Interval{rnd::sub_down(center, radius), rnd::add_up(center, radius)}.hi();
 }
 
 std::vector<std::size_t> possible_argmin(const ZonotopeBounds& bounds) {
@@ -281,7 +320,7 @@ std::vector<std::size_t> possible_argmin(const ZonotopeBounds& bounds) {
         continue;
       }
       // Shared noise symbols cancel in the difference.
-      if ((bounds.outputs[j] - bounds.outputs[k]).range().hi() < 0.0) {
+      if (difference_hi(bounds.outputs[j], bounds.outputs[k]) < 0.0) {
         excluded = true;
       }
     }

@@ -38,11 +38,12 @@ ZonotopeBounds zonotope_propagate(const Network& net, const Box& input);
 ZonotopeBounds zonotope_propagate(const Network& net, std::vector<Affine> inputs,
                                   NoiseSource& source);
 
-/// The zonotope transformer of every controller query: propagate each
-/// affine set on its own through the neuron-minor layer sweep
-/// (`kern::zonotope_affine_layer`), which runs a block of one query's
-/// neurons in SIMD, so a batch of one fills the vector width as well as a
-/// larger one does. Result i is bit-identical to
+/// The zonotope transformer of every controller query, over a network
+/// packed once (`kern::pack_network`): propagate each affine set on its own
+/// through the neuron-minor layer sweep (`kern::zonotope_affine_layer`),
+/// which runs a block of one query's neurons in SIMD, so a batch of one
+/// fills the vector width as well as a larger one does. Result i is
+/// bit-identical to
 ///   NoiseSource scratch = inputs[i]->noise();
 ///   zonotope_propagate(net, inputs[i]->components(), scratch)
 /// — centers, coefficients, error terms, noise-symbol ids, and output box
@@ -52,16 +53,20 @@ ZonotopeBounds zonotope_propagate(const Network& net, std::vector<Affine> inputs
 /// neuron's fresh symbol replays the scalar `NoiseSource`. A box lifted with
 /// `AffineSet::from_box` therefore gets exactly the boxed
 /// `zonotope_propagate`'s bounds. Sets in one batch share only the packed
-/// weights, so sets with different symbol universes batch together.
-std::vector<ZonotopeBounds> zonotope_propagate_batch(const Network& net,
-                                                     const std::vector<const AffineSet*>& inputs);
-std::vector<ZonotopeBounds> zonotope_propagate_batch(const Network& net,
+/// weights, so sets with different symbol universes batch together. Tests
+/// pass `isa` to run both kernel back ends.
+std::vector<ZonotopeBounds> zonotope_propagate_batch(const kern::PackedNetwork& net,
                                                      const std::vector<const AffineSet*>& inputs,
-                                                     kern::Isa isa);
+                                                     kern::Isa isa = kern::active_isa());
 
 /// Sound argmin candidates from zonotope bounds: k is excluded when some
 /// output j is provably smaller on the whole zonotope, i.e. the affine
 /// difference y_j − y_k (shared symbols cancel) has range strictly below 0.
 std::vector<std::size_t> possible_argmin(const ZonotopeBounds& bounds);
+
+/// `(a − b).range().hi()`, bit for bit, from one merge walk over the two
+/// sorted term lists (two past 256 terms), without building a − b or
+/// allocating. NaN bounds throw, as `range()`'s checked `Interval` does.
+double difference_hi(const Affine& a, const Affine& b);
 
 }  // namespace nncs

@@ -69,12 +69,15 @@ std::size_t FieldTape::pass(std::span<Interval> coeffs, std::size_t stride, std:
     switch (node.op) {
       case Op::kAdd:
         r[k] = add(a[k], b[k]);
+        ++terms;
         break;
       case Op::kSub:
         r[k] = sub(a[k], b[k]);
+        ++terms;
         break;
       case Op::kNeg:
         r[k] = -a[k];
+        ++terms;
         break;
       case Op::kMul:
         r[k] = Interval{};
@@ -85,12 +88,15 @@ std::size_t FieldTape::pass(std::span<Interval> coeffs, std::size_t stride, std:
         break;
       case Op::kScale:
         r[k] = node.k * a[k];
+        ++terms;
         break;
       case Op::kAddConst:
         r[k] = k == 0 ? add(a[0], node.k) : a[k];
+        ++terms;
         break;
       case Op::kSubConst:
         r[k] = k == 0 ? sub(a[0], node.k) : a[k];
+        ++terms;
         break;
       case Op::kSin: {
         Interval* c = r + stride;  // the kCos partner

@@ -112,7 +112,9 @@ class FieldTape {
 
   /// Pass k of a sweep: sets coefficient k of every non-input node, given
   /// coefficients 0..k of the inputs and 0..k−1 of every node, and writes
-  /// nothing else. Returns the Cauchy and sin/cos product terms it summed.
+  /// nothing else. Returns the terms it computed: the Cauchy and sin/cos
+  /// product terms it summed, plus one per linear node (±, −a, k · a,
+  /// a ± k), whose coefficient k is one term.
   /// Throws `std::invalid_argument` unless k < stride and `coeffs` holds
   /// exactly nodes().size() · stride intervals.
   std::size_t pass(std::span<Interval> coeffs, std::size_t stride, std::size_t k) const;

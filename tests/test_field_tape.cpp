@@ -519,5 +519,20 @@ TEST(FieldTape, PassCountsItsProductTerms) {
   }
 }
 
+TEST(FieldTape, PassCountsOneTermPerLinearNode) {
+  // Every linear operation once (k − a records −a, then + k): a pass
+  // computes one coefficient, one term, of each of the six nodes.
+  const FieldTape tape = FieldTape::record(
+      2, 1, []<class S>(std::span<const S> s, std::span<const S> u, std::span<S> r) {
+        r[0] = (s[0] + s[1]) - Interval{2.0} * u[0];
+        r[1] = (Interval{1.0} - s[1]) - Interval{0.5};
+      });
+  const std::size_t stride = 4;
+  std::vector<Interval> coeffs(tape.nodes().size() * stride, Interval{0.5});
+  for (std::size_t k = 0; k < stride; ++k) {
+    EXPECT_EQ(tape.pass(coeffs, stride, k), 6U) << k;
+  }
+}
+
 }  // namespace
 }  // namespace nncs

@@ -14,10 +14,12 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/controller.hpp"
 #include "interval/affine_set.hpp"
+#include "interval/rounding.hpp"
 #include "nn/argmin_analysis.hpp"
 #include "nn/interval_prop.hpp"
 #include "nn/kernels.hpp"
@@ -245,6 +247,7 @@ TEST(Kernels, SymbolicBatchBitwiseEqualsScalar) {
       for (const bool signed_zeros : {false, true}) {
         const Network net = signed_zeros ? signed_zero_network(350 + s, kShapes[s])
                                          : random_network(300 + s, kShapes[s]);
+        const kern::PackedNetwork packed = kern::pack_network(net);
         Rng rng(400 + s);
         const std::size_t dim = net.input_dim();
         std::vector<Box> inputs;
@@ -267,7 +270,8 @@ TEST(Kernels, SymbolicBatchBitwiseEqualsScalar) {
           for (std::size_t k = 0; k < size; ++k) {
             batch.push_back(inputs[(size + k) % inputs.size()]);
           }
-          const std::vector<SymbolicBounds> batched = symbolic_propagate_batch(net, batch, isa);
+          const std::vector<SymbolicBounds> batched =
+              symbolic_propagate_batch(packed, batch, isa);
           ASSERT_EQ(batched.size(), size);
           for (std::size_t k = 0; k < size; ++k) {
             EXPECT_TRUE(symbolic_bitwise_eq(batched[k], scalar[(size + k) % inputs.size()]))
@@ -289,9 +293,244 @@ TEST(Kernels, SymbolicBatchBitwiseEqualsScalar) {
   const Box unbounded{Interval::entire()};
   const SymbolicBounds scalar = symbolic_propagate(unbounded_net, unbounded);
   for (const kern::Isa isa : compiled_isas()) {
-    const SymbolicBounds batched = symbolic_propagate_batch(unbounded_net, {unbounded}, isa)[0];
+    const SymbolicBounds batched =
+        symbolic_propagate_batch(kern::pack_network(unbounded_net), {unbounded}, isa)[0];
     EXPECT_TRUE(symbolic_bitwise_eq(batched, scalar))
         << "isa=" << to_string(isa) << " unbounded input";
+  }
+}
+
+/// A coefficient for the bound kernel's test: mostly ordinary, else one
+/// of the values `product_bound` treats apart (1, ±0, ±inf, NaN, subnormal,
+/// ±DBL_MAX).
+double bound_test_coefficient(Rng& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double specials[] = {1.0, 0.0, -0.0, kInf, -kInf, kNan, kTiny, -kTiny, kMax, -kMax};
+  if (rng.chance(0.6)) {
+    return rng.uniform(-2.0, 2.0);
+  }
+  return specials[rng.uniform_int(0, 9)];
+}
+
+/// An input box for the bound kernel's test: each dimension degenerate at
+/// 0, at 1 or elsewhere, entire, half-infinite, subnormal or ordinary.
+Box bound_test_input(Rng& rng, std::size_t dim) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  std::vector<Interval> iv;
+  for (std::size_t i = 0; i < dim; ++i) {
+    const double a = rng.uniform(-1.0, 1.0);
+    switch (rng.uniform_int(0, 7)) {
+      case 0:
+        iv.emplace_back(0.0);
+        break;
+      case 1:
+        iv.emplace_back(1.0);
+        break;
+      case 2:
+        iv.emplace_back(a);
+        break;
+      case 3:
+        iv.push_back(Interval::entire());
+        break;
+      case 4:
+        iv.push_back(rng.chance(0.5) ? Interval{a, kInf} : Interval{-kInf, a});
+        break;
+      case 5:
+        iv.emplace_back(-kTiny, 3 * kTiny);
+        break;
+      default:
+        iv.emplace_back(std::min(a, 0.5), std::max(a, 0.5));
+    }
+  }
+  return Box{std::move(iv)};
+}
+
+/// Bit equality, except that any two NaNs match: when a NaN sum (inf − inf)
+/// meets a NaN product (a NaN coefficient on an input degenerate at 1) in
+/// one add, which operand's sign and payload survive depends on the order
+/// in which the compiler emits the commutative add (IEEE 754 leaves it
+/// open), and every later comparison treats both NaNs alike.
+::testing::AssertionResult same_bound(double got, double expected) {
+  if (std::isnan(got) && std::isnan(expected)) {
+    return ::testing::AssertionSuccess();
+  }
+  return bits_eq(got, expected);
+}
+
+/// Neuron r's form in `side` as an `AffineForm`.
+AffineForm form_of(const kern::SymbolicSide& side, std::size_t stride, std::size_t n_in,
+                   std::size_t r) {
+  AffineForm form{Vec(n_in), side.constant[r], side.err[r]};
+  for (std::size_t i = 0; i < n_in; ++i) {
+    form.coeffs[i] = side.coeffs[i * stride + r];
+  }
+  return form;
+}
+
+TEST(Kernels, SymbolicReluBoundsMatchConcretize) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(1000);
+  std::vector<std::size_t> widths;
+  for (std::size_t w = 1; w <= 17; ++w) {
+    widths.push_back(w);
+  }
+  widths.push_back(33);
+  for (const kern::Isa isa : compiled_isas()) {
+    for (const std::size_t width : widths) {
+      for (const std::size_t n_in : {1, 2, 5}) {
+        for (int trial = 0; trial < 6; ++trial) {
+          const std::size_t stride =
+              (width + kern::kNeuronBlock - 1) / kern::kNeuronBlock * kern::kNeuronBlock;
+          const std::size_t padded =
+              (width + kern::kSymbolicBlock - 1) / kern::kSymbolicBlock * kern::kSymbolicBlock;
+          kern::SymbolicForms forms{width, stride, n_in, {}, {}};
+          for (kern::SymbolicSide* side : {&forms.lower, &forms.upper}) {
+            // Past the last block a column is never read: NaN there would
+            // throw or show.
+            side->coeffs.assign(n_in * stride, kNan);
+            side->constant.assign(stride, kNan);
+            side->err.assign(stride, kNan);
+            for (std::size_t r = 0; r < padded; ++r) {
+              const bool live = r < width;
+              for (std::size_t i = 0; i < n_in; ++i) {
+                side->coeffs[i * stride + r] = live ? bound_test_coefficient(rng) : 0.0;
+              }
+              // Constants like coefficients: ±0 and subnormals make the
+              // outward steps of degenerate-input products show.
+              side->constant[r] = live ? bound_test_coefficient(rng) : 0.0;
+              // An error term of −1e-12 makes the inflation delta exactly 0,
+              // so a subnormal step of the sum shows in the bound.
+              const double pick = rng.uniform(0.0, 1.0);
+              side->err[r] = !live || pick < 0.15 ? 0.0
+                             : pick < 0.4         ? -1e-12
+                                                  : rng.uniform(0.0, 1e-9);
+            }
+          }
+          const Box input = bound_test_input(rng, n_in);
+          std::vector<double> lower(stride, kNan);
+          std::vector<double> upper(stride, kNan);
+          kern::symbolic_relu_bounds(forms, input, lower.data(), upper.data(), isa);
+          for (std::size_t r = 0; r < width; ++r) {
+            const Interval lo = concretize(form_of(forms.lower, stride, n_in, r), input);
+            const Interval hi = concretize(form_of(forms.upper, stride, n_in, r), input);
+            EXPECT_TRUE(same_bound(lower[r], lo.lo()))
+                << "isa=" << to_string(isa) << " width=" << width << " n_in=" << n_in
+                << " neuron " << r << " lower";
+            EXPECT_TRUE(same_bound(upper[r], hi.hi()))
+                << "isa=" << to_string(isa) << " width=" << width << " n_in=" << n_in
+                << " neuron " << r << " upper";
+          }
+          // A negative or NaN error term throws, as `Interval::inflated` does.
+          const std::size_t bad = static_cast<std::size_t>(trial) % width;
+          kern::SymbolicSide& side = trial % 2 == 0 ? forms.lower : forms.upper;
+          const double saved = side.err[bad];
+          side.err[bad] = trial % 3 == 0 ? kNan : -2e-12;
+          EXPECT_THROW(kern::symbolic_relu_bounds(forms, input, lower.data(), upper.data(), isa),
+                       std::invalid_argument)
+              << "isa=" << to_string(isa) << " width=" << width;
+          EXPECT_THROW((void)concretize(form_of(side, stride, n_in, bad), input),
+                       std::invalid_argument);
+          side.err[bad] = saved;
+        }
+      }
+    }
+  }
+}
+
+/// `output_difference` as it was before it ran on stack buffers: both
+/// difference forms built on the heap as `zero_form; axpy(+1, ·); axpy(−1,
+/// ·)` and each concretized in full.
+Interval output_difference_reference(const SymbolicBounds& bounds, std::size_t i,
+                                     std::size_t j) {
+  const std::size_t n_in = bounds.input.dim();
+  const auto axpy = [](AffineForm& result, double k, const AffineForm& form) {
+    double abs_sum = 0.0;
+    for (std::size_t d = 0; d < result.coeffs.size(); ++d) {
+      result.coeffs[d] += k * form.coeffs[d];
+      abs_sum += std::fabs(result.coeffs[d]);
+    }
+    result.constant += k * form.constant;
+    abs_sum += std::fabs(result.constant);
+    result.err += std::fabs(k) * form.err + rnd::kCoeffSlack * abs_sum;
+  };
+  AffineForm diff_lower{Vec(n_in, 0.0), 0.0, 0.0};
+  axpy(diff_lower, 1.0, bounds.outputs[i].lower);
+  axpy(diff_lower, -1.0, bounds.outputs[j].upper);
+  AffineForm diff_upper{Vec(n_in, 0.0), 0.0, 0.0};
+  axpy(diff_upper, 1.0, bounds.outputs[i].upper);
+  axpy(diff_upper, -1.0, bounds.outputs[j].lower);
+  const double lo = concretize(diff_lower, bounds.input).lo();
+  const double hi = concretize(diff_upper, bounds.input).hi();
+  return Interval{std::min(lo, hi), std::max(lo, hi)};
+}
+
+/// Every pair's `output_difference` equals the reference's bit for bit,
+/// or both throw.
+void expect_differences_match(const SymbolicBounds& bounds, const std::string& what) {
+  for (std::size_t i = 0; i < bounds.outputs.size(); ++i) {
+    for (std::size_t j = 0; j < bounds.outputs.size(); ++j) {
+      bool reference_threw = false;
+      Interval expected;
+      try {
+        expected = output_difference_reference(bounds, i, j);
+      } catch (const std::invalid_argument&) {
+        reference_threw = true;
+      }
+      if (reference_threw) {
+        EXPECT_THROW((void)output_difference(bounds, i, j), std::invalid_argument)
+            << what << " pair " << i << ", " << j;
+        continue;
+      }
+      const Interval got = output_difference(bounds, i, j);
+      EXPECT_TRUE(bits_eq(got.lo(), expected.lo())) << what << " pair " << i << ", " << j;
+      EXPECT_TRUE(bits_eq(got.hi(), expected.hi())) << what << " pair " << i << ", " << j;
+    }
+  }
+}
+
+TEST(Kernels, OutputDifferenceMatchesHeapReference) {
+  for (std::size_t s = 0; s < kShapes.size(); ++s) {
+    for (const bool signed_zeros : {false, true}) {
+      const Network net = signed_zeros ? signed_zero_network(1150 + s, kShapes[s])
+                                       : random_network(1100 + s, kShapes[s]);
+      Rng rng(1200 + s);
+      const std::size_t dim = net.input_dim();
+      for (const Box& input : {random_box(rng, dim), degenerate_box(rng, dim),
+                               acas_like_box(rng, dim), subnormal_box(rng, dim)}) {
+        expect_differences_match(symbolic_propagate(net, input),
+                                 "shape=" + std::to_string(s) +
+                                     " signed_zeros=" + std::to_string(signed_zeros));
+      }
+    }
+  }
+  // The unbounded-input network of the batch test (a NaN chord on neuron 0).
+  Network unbounded_net = make_zero_network({1, 2, 2, 1});
+  unbounded_net.layer(0).weights(0, 0) = 1.0;
+  unbounded_net.layer(0).biases[1] = 1.0;
+  unbounded_net.layer(1).weights(0, 1) = 1.0;
+  unbounded_net.layer(2).weights(0, 0) = 1.0;
+  expect_differences_match(symbolic_propagate(unbounded_net, Box{Interval::entire()}),
+                           "unbounded");
+  // Crossed bounds (each output's lower form above its upper form), and 20
+  // inputs, past the stack buffer.
+  Rng rng(1300);
+  for (const std::size_t n_in : {2, 20}) {
+    SymbolicBounds crossed;
+    crossed.input = random_box(rng, n_in);
+    for (std::size_t k = 0; k < 3; ++k) {
+      AffineForm lower{Vec(n_in), 5.0 + static_cast<double>(k), 1e-10};
+      AffineForm upper{Vec(n_in), -5.0 - static_cast<double>(k), 0.0};
+      for (std::size_t d = 0; d < n_in; ++d) {
+        lower.coeffs[d] = rng.uniform(-1.0, 1.0);
+        upper.coeffs[d] = rng.chance(0.2) ? 0.0 : rng.uniform(-1.0, 1.0);
+      }
+      crossed.outputs.push_back(NeuronBounds{lower, upper});
+    }
+    expect_differences_match(crossed, "crossed n_in=" + std::to_string(n_in));
   }
 }
 
@@ -303,7 +542,8 @@ TEST(Kernels, BatchedTransformersContainConcreteSamples) {
     for (int k = 0; k < 9; ++k) {
       inputs.push_back(random_box(rng, net.input_dim()));
     }
-    const std::vector<SymbolicBounds> sym = symbolic_propagate_batch(net, inputs, isa);
+    const std::vector<SymbolicBounds> sym =
+        symbolic_propagate_batch(kern::pack_network(net), inputs, isa);
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       const Box iv = interval_propagate(net, inputs[i]);
       for (int sample = 0; sample < 40; ++sample) {
@@ -400,12 +640,13 @@ void expect_batch_matches(const Network& net, const std::vector<AffineSet>& sets
   for (const AffineSet& set : sets) {
     ptrs.push_back(&set);
   }
-  const std::vector<ZonotopeBounds> batched = zonotope_propagate_batch(net, ptrs, isa);
+  const kern::PackedNetwork packed = kern::pack_network(net);
+  const std::vector<ZonotopeBounds> batched = zonotope_propagate_batch(packed, ptrs, isa);
   ASSERT_EQ(batched.size(), sets.size());
   for (std::size_t i = 0; i < sets.size(); ++i) {
     EXPECT_TRUE(zonotopes_bitwise_eq(batched[i], scalar[i]))
         << "isa=" << to_string(isa) << " " << what << " input=" << i;
-    const std::vector<ZonotopeBounds> single = zonotope_propagate_batch(net, {ptrs[i]}, isa);
+    const std::vector<ZonotopeBounds> single = zonotope_propagate_batch(packed, {ptrs[i]}, isa);
     ASSERT_EQ(single.size(), 1U);
     EXPECT_TRUE(zonotopes_bitwise_eq(single.front(), scalar[i]))
         << "isa=" << to_string(isa) << " " << what << " input=" << i << " alone";
@@ -467,7 +708,11 @@ TEST(Kernels, ZonotopeBoxBatchBitwiseEqualsScalar) {
     // The output sums every layer-2 neuron, so it carries the input symbol
     // and one fresh symbol per hidden neuron: all 67 slots.
     const AffineSet lift = AffineSet::from_box(Box{Interval{-1.0, 1.0}});
-    EXPECT_EQ(zonotope_propagate_batch(net, {&lift}, isa).front().outputs[0].terms().size(),
+    EXPECT_EQ(zonotope_propagate_batch(kern::pack_network(net), {&lift}, isa)
+                  .front()
+                  .outputs[0]
+                  .terms()
+                  .size(),
               1U + 2U * 33U);
   }
 }
@@ -770,6 +1015,69 @@ TEST(ControllerBatch, RelationalQueriesBypassTheCache) {
   ASSERT_NE(cached.query_cache(), nullptr);
   EXPECT_EQ(cached.query_cache()->stats().lookups(), 0U);
   EXPECT_EQ(cached.query_cache()->stats().entries, 0U);
+}
+
+TEST(NeuralController, ConcurrentBatchesMatchSequential) {
+  // Four networks, one per previous command, packed once at construction
+  // and swept by every thread at once; each thread also keeps its own
+  // symbolic scratch buffers.
+  std::vector<Vec> command_vectors;
+  std::vector<Network> nets;
+  for (std::size_t c = 0; c < kNumCommands; ++c) {
+    command_vectors.push_back(Vec{static_cast<double>(c)});
+    nets.push_back(random_network(960 + c, {kStateDim, 8 + 8 * c, 8, kNumCommands}));
+  }
+  const NeuralController ctrl(CommandSet{command_vectors}, std::move(nets), {0, 1, 2, 3},
+                              std::make_unique<IdentityPre>(kStateDim), NnDomain::kSymbolic);
+  Rng rng(961);
+  constexpr std::size_t kCalls = 16;
+  std::vector<std::vector<AbstractState>> states(kCalls);
+  std::vector<std::vector<std::size_t>> commands(kCalls);
+  for (std::size_t call = 0; call < kCalls; ++call) {
+    for (int k = 0; k < 6; ++k) {
+      const Box box = random_box(rng, kStateDim);
+      switch (k % 3) {
+        case 0:
+          states[call].emplace_back(box);
+          break;
+        case 1:
+          states[call].push_back(correlated_state(rng, box));
+          break;
+        default:
+          states[call].push_back(lifted_state(box));
+      }
+      commands[call].push_back(static_cast<std::size_t>(rng.uniform_int(0, 3)));
+    }
+  }
+  std::vector<std::vector<AbstractControlStep>> expected;
+  for (std::size_t call = 0; call < kCalls; ++call) {
+    expected.push_back(ctrl.step_abstract_batch(states[call], commands[call]));
+  }
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<std::vector<AbstractControlStep>>> got(
+      kThreads, std::vector<std::vector<AbstractControlStep>>(kCalls));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread runs the list three times, starting at another call.
+      for (std::size_t k = 0; k < 3 * kCalls; ++k) {
+        const std::size_t call = (k + 5 * t) % kCalls;
+        got[t][call] = ctrl.step_abstract_batch(states[call], commands[call]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t call = 0; call < kCalls; ++call) {
+      ASSERT_EQ(got[t][call].size(), expected[call].size());
+      for (std::size_t i = 0; i < expected[call].size(); ++i) {
+        EXPECT_TRUE(steps_bitwise_eq(got[t][call][i], expected[call][i]))
+            << "thread " << t << " call " << call << " state " << i;
+      }
+    }
+  }
 }
 
 TEST(ControllerBatch, BaseDefaultLoopsScalarStep) {

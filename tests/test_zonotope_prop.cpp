@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/controller.hpp"
 #include "nn/argmin_analysis.hpp"
@@ -101,6 +107,71 @@ TEST(ZonotopeArgmin, ExcludesDominatedViaCancellation) {
   const auto cmin = possible_argmin(bounds);
   ASSERT_EQ(cmin.size(), 1u);
   EXPECT_EQ(cmin[0], 0u);
+}
+
+/// An affine form over symbols drawn from `ids` (each kept with
+/// probability `density`), with random center, values and error term.
+Affine random_form(Rng& rng, const std::vector<std::uint32_t>& ids, double density) {
+  std::vector<std::pair<std::uint32_t, double>> terms;
+  for (const std::uint32_t id : ids) {
+    if (rng.chance(density)) {
+      terms.emplace_back(id, rng.uniform(-1.0, 1.0));
+    }
+  }
+  return Affine::from_parts(rng.uniform(-2.0, 2.0), std::move(terms), rng.uniform(0.0, 1e-6));
+}
+
+TEST(ZonotopeArgmin, DifferenceHiMatchesBuiltDifference) {
+  Rng rng(1400);
+  std::vector<std::uint32_t> all;
+  std::vector<std::uint32_t> even;
+  std::vector<std::uint32_t> odd;
+  for (std::uint32_t id = 0; id < 60; ++id) {
+    all.push_back(id);
+    (id % 2 == 0 ? even : odd).push_back(id);
+  }
+  const auto expect_match = [](const Affine& a, const Affine& b, const std::string& what) {
+    const double expected = (a - b).range().hi();
+    const double got = difference_hi(a, b);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(expected))
+        << what << ": " << got << " != " << expected;
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    const Affine a = random_form(rng, all, 0.5);
+    const Affine b = random_form(rng, all, 0.5);
+    expect_match(a, b, "random");
+    // Shared symbols: both forms on every id.
+    expect_match(random_form(rng, all, 1.0), random_form(rng, all, 1.0), "shared");
+    // Disjoint symbols.
+    expect_match(random_form(rng, even, 0.7), random_form(rng, odd, 0.7), "disjoint");
+    // Cancellation to exact zeros: b repeats some of a's terms exactly.
+    std::vector<std::pair<std::uint32_t, double>> terms;
+    for (const auto& term : a.terms()) {
+      terms.emplace_back(term.first, rng.chance(0.6) ? term.second : rng.uniform(-1.0, 1.0));
+    }
+    expect_match(a, Affine::from_parts(a.center(), std::move(terms), a.error()), "cancelling");
+    expect_match(a, a, "self");
+    // Error-only forms, on either side.
+    const Affine e = Affine::from_parts(rng.uniform(-1.0, 1.0), {}, rng.uniform(0.0, 1e-3));
+    expect_match(e, Affine::from_parts(rng.uniform(-1.0, 1.0), {}, 0.0), "error-only");
+    expect_match(e, b, "error-only minus form");
+    expect_match(b, e, "form minus error-only");
+  }
+  // Past the stack buffer (more than 256 terms in the two forms), the
+  // radius takes a second walk.
+  std::vector<std::uint32_t> many;
+  for (std::uint32_t id = 0; id < 400; ++id) {
+    many.push_back(id);
+  }
+  for (int trial = 0; trial < 20; ++trial) {
+    expect_match(random_form(rng, many, 0.6), random_form(rng, many, 0.6), "many terms");
+  }
+  // A NaN value makes the difference's range throw; so does the walk.
+  const Affine nan_form = Affine::from_parts(
+      0.0, {{3, std::numeric_limits<double>::quiet_NaN()}}, 0.0);
+  const Affine plain = random_form(rng, all, 0.5);
+  EXPECT_THROW((void)(nan_form - plain).range(), std::invalid_argument);
+  EXPECT_THROW((void)difference_hi(nan_form, plain), std::invalid_argument);
 }
 
 // Containment property across network shapes.

@@ -28,8 +28,10 @@ case "$mode" in
     # Concurrency-relevant suites (the engine, its worker-pool, verifier,
     # scenario and domain tests drive the threaded engine — the last over
     # the zonotope loop path; the artifact/profile suites snapshot the
-    # sharded registry and heartbeat sink); pass your own -R/-E to override.
-    default_filter=(-R "QueryCache|Engine|ThreadPool|Verifier|Obs|Scenario|Artifact|Profile|BenchCompare|Domain")
+    # sharded registry and heartbeat sink; NeuralController runs one
+    # controller's shared network packs from several threads); pass your
+    # own -R/-E to override.
+    default_filter=(-R "QueryCache|Engine|ThreadPool|Verifier|Obs|Scenario|Artifact|Profile|BenchCompare|Domain|NeuralController")
     ;;
   *)
     echo "usage: $0 [asan|tsan] [extra ctest args...]" >&2
