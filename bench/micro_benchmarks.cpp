@@ -76,6 +76,31 @@ BENCHMARK_CAPTURE(BM_TaylorStep, cruise_control, "cruise_control");
 BENCHMARK_CAPTURE(BM_TaylorStep, pendulum, "pendulum");
 BENCHMARK_CAPTURE(BM_TaylorStep, unicycle, "unicycle");
 
+/// One affine (variation-of-constants) step of a registered scenario's
+/// plant from its first initial cell lifted to an affine set, under the
+/// zero command, at the scenario's default order and the relational loop's
+/// sub-step h = period / M.
+void BM_AffineStep(benchmark::State& state, const char* name) {
+  const scenario::Scenario& scen = scenario::Registry::global().at(name);
+  const auto plant = scen.make_plant();
+  const TaylorIntegrator integrator(TaylorIntegrator::Config{scen.default_taylor_order(), {}});
+  const AffineSet cell =
+      AffineSet::from_box(scen.make_cells(scen.default_partition()).front().state.box());
+  const Vec command(plant->command_dim(), 0.0);
+  double period = 0.0;
+  for (const auto& [key, value] : scen.parameters()) {
+    if (key == "period") {
+      period = std::stod(value);
+    }
+  }
+  const double h = period / scen.default_config().reach.integration_steps;
+  for (auto _ : state) {
+    auto step = integrator.step_affine(*plant, cell, command, h);
+    benchmark::DoNotOptimize(step);
+  }
+}
+BENCHMARK_CAPTURE(BM_AffineStep, pendulum, "pendulum");
+
 void BM_Rk4StepAcas(benchmark::State& state) {
   const auto plant = ax::make_dynamics();
   const Vec s{1000.0, 7000.0, 3.0, 700.0, 600.0};

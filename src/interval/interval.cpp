@@ -27,17 +27,6 @@ bool contains_lattice_point(double lo, double hi, double offset, double period) 
   return offset + k * period <= hi + margin;
 }
 
-/// Unrounded product of two interval bounds under the interval-arithmetic
-/// convention 0 * inf = 0 (a zero factor annihilates regardless of the other
-/// bound): the corners of `operator*`.
-[[gnu::always_inline]] inline double corner_mul(double a, double b) {
-  const double p = a * b;
-  if (std::isnan(p)) {
-    return 0.0;
-  }
-  return p;
-}
-
 }  // namespace
 
 Interval::Interval(double lo, double hi) : lo_(lo), hi_(hi) {
@@ -78,25 +67,6 @@ double Interval::rad() const { return rnd::mul_up(0.5, width()); }
 
 double Interval::mag() const { return std::max(std::fabs(lo_), std::fabs(hi_)); }
 
-bool Interval::is_finite() const { return std::isfinite(lo_) && std::isfinite(hi_); }
-
-Interval& Interval::operator+=(const Interval& rhs) {
-  *this = *this + rhs;
-  return *this;
-}
-Interval& Interval::operator-=(const Interval& rhs) {
-  *this = *this - rhs;
-  return *this;
-}
-Interval& Interval::operator*=(const Interval& rhs) {
-  *this = *this * rhs;
-  return *this;
-}
-Interval& Interval::operator/=(const Interval& rhs) {
-  *this = *this / rhs;
-  return *this;
-}
-
 Interval Interval::inflated(double delta) const {
   if (delta < 0.0 || std::isnan(delta)) {
     throw std::invalid_argument("Interval::inflated: negative delta");
@@ -110,61 +80,8 @@ std::string Interval::str() const {
   return oss.str();
 }
 
-Interval operator+(const Interval& a, const Interval& b) {
-  return make_unchecked(rnd::add_down(a.lo(), b.lo()), rnd::add_up(a.hi(), b.hi()));
-}
-
-Interval operator-(const Interval& a, const Interval& b) {
-  if (a.is_degenerate() && a == b && std::isfinite(a.lo())) {
-    return Interval{};
-  }
-  return make_unchecked(rnd::sub_down(a.lo(), b.hi()), rnd::sub_up(a.hi(), b.lo()));
-}
-
-Interval operator*(const Interval& a, const Interval& b) {
-  // Exact identities: keep multiplications by the degenerate 0 and 1 exact
-  // (no outward rounding). These flow through constantly in network
-  // propagation and polynomial evaluation, and the exactness preserves
-  // invariants like sqr(x) >= 0 through pow().
-  if (a.lo() == a.hi()) {
-    if (a.lo() == 1.0) {
-      return b;
-    }
-    if (a.lo() == 0.0 && b.is_finite()) {
-      return Interval{};
-    }
-  }
-  if (b.lo() == b.hi()) {
-    if (b.lo() == 1.0) {
-      return a;
-    }
-    if (b.lo() == 0.0 && a.is_finite()) {
-      return Interval{};
-    }
-  }
-  const double c1 = corner_mul(a.lo(), b.lo());
-  const double c2 = corner_mul(a.lo(), b.hi());
-  const double c3 = corner_mul(a.hi(), b.lo());
-  const double c4 = corner_mul(a.hi(), b.hi());
-  const double lo = std::min({c1, c2, c3, c4});
-  const double hi = std::max({c1, c2, c3, c4});
-  return make_unchecked(rnd::next_down(lo), rnd::next_up(hi));
-}
-
-Interval operator/(const Interval& a, const Interval& b) {
-  if (b.contains(0.0)) {
-    throw std::domain_error("Interval division by interval containing zero: " + b.str());
-  }
-  if (a.is_zero()) {
-    return Interval{};
-  }
-  const double c1 = a.lo() / b.lo();
-  const double c2 = a.lo() / b.hi();
-  const double c3 = a.hi() / b.lo();
-  const double c4 = a.hi() / b.hi();
-  const double lo = std::min({c1, c2, c3, c4});
-  const double hi = std::max({c1, c2, c3, c4});
-  return make_unchecked(rnd::next_down(lo), rnd::next_up(hi));
+void throw_zero_divisor(const Interval& b) {
+  throw std::domain_error("Interval division by interval containing zero: " + b.str());
 }
 
 Interval hull(const Interval& a, const Interval& b) {

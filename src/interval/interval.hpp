@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <iosfwd>
 #include <optional>
@@ -107,20 +108,113 @@ inline Interval make_unchecked(double lo, double hi) {
   return Interval{lo, hi, Interval::Unchecked{}};
 }
 
+// The arithmetic operators and `is_finite` are always inlined: most calls
+// take an exact-zero or exact-one fast path, cheaper than a call. Always, as
+// rounding.hpp says of `next_up`: the AVX2 kernel unit includes this header
+// under -mavx2 -mfma, and an out-of-line copy emitted there could be the one
+// the linker binds every other caller to.
+
+/// Unrounded product of two interval bounds under the interval-arithmetic
+/// convention 0 * inf = 0 (a zero factor annihilates regardless of the other
+/// bound): the corners of `operator*`.
+[[gnu::always_inline]] inline double corner_mul(double a, double b) {
+  const double p = a * b;
+  if (std::isnan(p)) {
+    return 0.0;
+  }
+  return p;
+}
+
+/// Throws the `std::domain_error` of a division by `b`, which contains zero.
+[[noreturn]] void throw_zero_divisor(const Interval& b);
+
+[[gnu::always_inline]] inline bool Interval::is_finite() const {
+  return std::isfinite(lo_) && std::isfinite(hi_);
+}
+
 /// Sum, rounded outward by one ulp per bound, even when one side is
 /// [0, 0]: this operator has no zero test, because the NN transformers'
 /// accumulations would pay for the branch. Callers that produce exact zeros
 /// (the Taylor series) skip them themselves.
-Interval operator+(const Interval& a, const Interval& b);
+[[gnu::always_inline]] inline Interval operator+(const Interval& a, const Interval& b) {
+  return make_unchecked(rnd::add_down(a.lo(), b.lo()), rnd::add_up(a.hi(), b.hi()));
+}
+
 /// Difference, rounded outward; x - x is exactly [0, 0] when x is
 /// degenerate and finite (a feature normalized at its own mean).
-Interval operator-(const Interval& a, const Interval& b);
+[[gnu::always_inline]] inline Interval operator-(const Interval& a, const Interval& b) {
+  if (a.is_degenerate() && a == b && std::isfinite(a.lo())) {
+    return Interval{};
+  }
+  return make_unchecked(rnd::sub_down(a.lo(), b.hi()), rnd::sub_up(a.hi(), b.lo()));
+}
+
 /// Product, rounded outward; a degenerate 1 returns the other operand and
 /// a degenerate 0 times a finite operand returns [0, 0], both exactly.
-Interval operator*(const Interval& a, const Interval& b);
+[[gnu::always_inline]] inline Interval operator*(const Interval& a, const Interval& b) {
+  // Exact identities: keep multiplications by the degenerate 0 and 1 exact
+  // (no outward rounding). These flow through constantly in network
+  // propagation and polynomial evaluation, and the exactness preserves
+  // invariants like sqr(x) >= 0 through pow().
+  if (a.lo() == a.hi()) {
+    if (a.lo() == 1.0) {
+      return b;
+    }
+    if (a.lo() == 0.0 && b.is_finite()) {
+      return Interval{};
+    }
+  }
+  if (b.lo() == b.hi()) {
+    if (b.lo() == 1.0) {
+      return a;
+    }
+    if (b.lo() == 0.0 && a.is_finite()) {
+      return Interval{};
+    }
+  }
+  const double c1 = corner_mul(a.lo(), b.lo());
+  const double c2 = corner_mul(a.lo(), b.hi());
+  const double c3 = corner_mul(a.hi(), b.lo());
+  const double c4 = corner_mul(a.hi(), b.hi());
+  const double lo = std::min({c1, c2, c3, c4});
+  const double hi = std::max({c1, c2, c3, c4});
+  return make_unchecked(rnd::next_down(lo), rnd::next_up(hi));
+}
+
 /// Quotient, rounded outward; [0, 0] / b is exactly [0, 0]. Throws
 /// `std::domain_error` if `b` contains zero (whatever `a` is).
-Interval operator/(const Interval& a, const Interval& b);
+[[gnu::always_inline]] inline Interval operator/(const Interval& a, const Interval& b) {
+  if (b.contains(0.0)) {
+    throw_zero_divisor(b);
+  }
+  if (a.is_zero()) {
+    return Interval{};
+  }
+  const double c1 = a.lo() / b.lo();
+  const double c2 = a.lo() / b.hi();
+  const double c3 = a.hi() / b.lo();
+  const double c4 = a.hi() / b.hi();
+  const double lo = std::min({c1, c2, c3, c4});
+  const double hi = std::max({c1, c2, c3, c4});
+  return make_unchecked(rnd::next_down(lo), rnd::next_up(hi));
+}
+
+[[gnu::always_inline]] inline Interval& Interval::operator+=(const Interval& rhs) {
+  *this = *this + rhs;
+  return *this;
+}
+[[gnu::always_inline]] inline Interval& Interval::operator-=(const Interval& rhs) {
+  *this = *this - rhs;
+  return *this;
+}
+[[gnu::always_inline]] inline Interval& Interval::operator*=(const Interval& rhs) {
+  *this = *this * rhs;
+  return *this;
+}
+[[gnu::always_inline]] inline Interval& Interval::operator/=(const Interval& rhs) {
+  *this = *this / rhs;
+  return *this;
+}
 
 /// Smallest interval containing both arguments.
 Interval hull(const Interval& a, const Interval& b);

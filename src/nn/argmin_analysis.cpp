@@ -35,7 +35,7 @@ std::vector<std::size_t> possible_argmin(const SymbolicBounds& bounds) {
         continue;
       }
       // If y_j − y_k < 0 everywhere, k can never be the minimum.
-      if (output_difference(bounds, j, k).hi() < 0.0) {
+      if (output_difference_negative(bounds, j, k)) {
         excluded = true;
       }
     }

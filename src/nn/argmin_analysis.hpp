@@ -17,7 +17,8 @@ std::vector<std::size_t> possible_argmin(const Box& outputs);
 /// Refined rule using symbolic bounds: k is excluded as soon as some j is
 /// provably strictly smaller on the whole box (sup (y_j - y_k) < 0); the
 /// symbolic difference cancels shared input dependencies, so this excludes
-/// more candidates than the plain interval rule.
+/// more candidates than the plain interval rule. Pairs are decided by
+/// `output_difference_negative` (a NaN side it computes throws).
 std::vector<std::size_t> possible_argmin(const SymbolicBounds& bounds);
 
 /// Concrete argmin with first-index tie-break (the deterministic Post).

@@ -323,4 +323,20 @@ Interval output_difference(const SymbolicBounds& bounds, std::size_t i, std::siz
   return Interval{std::min(lo, hi), std::max(lo, hi)};
 }
 
+bool output_difference_negative(const SymbolicBounds& bounds, std::size_t i, std::size_t j) {
+  if (i >= bounds.outputs.size() || j >= bounds.outputs.size()) {
+    throw std::out_of_range("output_difference: index out of range");
+  }
+  const double hi =
+      difference_side<true>(bounds.outputs[i].upper, bounds.outputs[j].lower, bounds.input);
+  if (hi >= 0.0) {
+    return false;
+  }
+  // hi < 0 or NaN: the decision is lo < 0, and a NaN side throws from the
+  // Interval as it does in output_difference.
+  const double lo =
+      difference_side<false>(bounds.outputs[i].lower, bounds.outputs[j].upper, bounds.input);
+  return Interval{std::min(lo, hi), std::max(lo, hi)}.hi() < 0.0;
+}
+
 }  // namespace nncs

@@ -81,4 +81,9 @@ Box concretize_output_box(const std::vector<NeuronBounds>& outputs, const Box& i
 /// on the one side that is read (`kern::concretize_side`).
 Interval output_difference(const SymbolicBounds& bounds, std::size_t i, std::size_t j);
 
+/// `output_difference(bounds, i, j).hi() < 0.0` (the larger side), computing
+/// the lower side only when the upper one is negative or NaN. A NaN side
+/// throws std::invalid_argument as there, but only when it is computed.
+bool output_difference_negative(const SymbolicBounds& bounds, std::size_t i, std::size_t j);
+
 }  // namespace nncs

@@ -1,7 +1,10 @@
 #include "ode/validated_integrator.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -175,6 +178,96 @@ std::optional<ValidatedStep> TaylorIntegrator::step(const Dynamics& f, const Box
   return ValidatedStep{Box{std::move(flow_dims)}, Box{std::move(end_dims)}};
 }
 
+namespace {
+
+/// The part of an affine step that depends only on (A, h, K).
+struct AffinePropagators {
+  /// The bit patterns of A's entries, h and K: bits keep −0.0 and NaN
+  /// entries apart, and a plant's address could be reused by another plant.
+  std::vector<std::uint64_t> key;
+  IntervalMatrix a;      ///< A as point intervals
+  bool tail_ok = false;  ///< r = ‖Ah‖∞ <= K + 1, so the tail bound holds
+  IntervalMatrix phi;    ///< Φ_K, tail folded in
+  IntervalMatrix psi;    ///< Ψ_K, tail folded in
+  Interval h_exp_r;      ///< h·e^{[0, r]}, the left factor of the deviation bound
+};
+
+AffinePropagators make_propagators(std::span<const double> a, std::size_t n, double h,
+                                   int k_order) {
+  AffinePropagators p;
+  const auto order = static_cast<std::size_t>(k_order);
+  p.a = IntervalMatrix(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      p.a.at(i, j) = Interval{a[i * n + j]};
+    }
+  }
+  const IntervalMatrix ah = Interval{h} * p.a;
+  const double r = ah.inf_norm();
+  // ‖Ah‖∞ too large for the K-term tail bound (the geometric factor needs
+  // r < K+2): the step boxes instead, which a smaller sub-step would avoid.
+  p.tail_ok = r <= static_cast<double>(order) + 1.0;
+  if (!p.tail_ok) {
+    return p;
+  }
+  // Variation of constants: s(h) = e^{Ah}s(0) + Ψ·B·u + ∫e^{A(h−τ)}g dτ
+  // with Ψ = ∫_0^h e^{Aσ}dσ. Enclose the exponential series by its K-term
+  // interval Taylor prefix:
+  //   Φ_K = Σ_{k<=K} (Ah)^k/k!,   Ψ_K = Σ_{k<=K} (Ah)^k·h/(k+1)!.
+  p.phi = IntervalMatrix::identity(n);
+  p.psi = Interval{h} * IntervalMatrix::identity(n);
+  IntervalMatrix power = IntervalMatrix::identity(n);
+  Interval factorial{1.0};
+  for (std::size_t k = 1; k <= order; ++k) {
+    power = power * ah;
+    factorial *= Interval{static_cast<double>(k)};
+    p.phi = p.phi + (Interval{1.0} / factorial) * power;
+    p.psi = p.psi + (Interval{h} / (factorial * Interval{static_cast<double>(k + 1)})) * power;
+  }
+  // Rigorous tails: every entry of (Ah)^k is within ±r^k, so the dropped
+  // terms are entrywise within ±t for Φ (and ±h·t for Ψ, whose k-th term
+  // carries the extra factor h/(k+1)):
+  //   t = r^{K+1}/(K+1)! · 1/(1 − r/(K+2)),   valid for r < K+2.
+  const Interval r_iv{0.0, r};
+  Interval tail =
+      pow(r_iv, k_order + 1) / (factorial * Interval{static_cast<double>(order + 1)});
+  tail = tail / (Interval{1.0} - r_iv / Interval{static_cast<double>(order + 2)});
+  const double t_phi = tail.mag();
+  p.phi.inflate(t_phi);
+  p.psi.inflate(rnd::mul_up(h, t_phi));
+  p.h_exp_r = Interval{h} * exp(r_iv);
+  return p;
+}
+
+/// The propagators of (A, h, K) from this thread's table of the last 16 keys
+/// (a closed loop needs at most M per plant). Engine workers share one
+/// integrator and each fills its own table, so no lock is needed; the values
+/// are pure functions of the key, so a step reads the bits it would compute.
+const AffinePropagators& propagators(std::span<const double> a, std::size_t n, double h,
+                                     int order) {
+  constexpr std::size_t kSlots = 16;
+  thread_local std::array<AffinePropagators, kSlots> table;  // unused slots: empty key
+  thread_local std::size_t next = 0;  // the oldest slot once all are filled
+  thread_local std::vector<std::uint64_t> key;
+  key.resize(a.size() + 2);
+  std::ranges::transform(a, key.begin(),
+                         [](double v) { return std::bit_cast<std::uint64_t>(v); });
+  key[a.size()] = std::bit_cast<std::uint64_t>(h);
+  key[a.size() + 1] = static_cast<std::uint64_t>(order);
+  for (const AffinePropagators& p : table) {
+    if (p.key == key) {
+      return p;
+    }
+  }
+  AffinePropagators& slot = table[next];
+  slot = make_propagators(a, n, h, order);
+  slot.key = key;
+  next = (next + 1) % kSlots;
+  return slot;
+}
+
+}  // namespace
+
 std::optional<AffineValidatedStep> TaylorIntegrator::step_affine(const Dynamics& f,
                                                                 const AffineSet& s0, const Vec& u,
                                                                 double h) const {
@@ -191,47 +284,11 @@ std::optional<AffineValidatedStep> TaylorIntegrator::step_affine(const Dynamics&
   NNCS_SPAN("affine_step");
   const std::size_t n = f.state_dim();
   const std::size_t cmd_dim = f.command_dim();
-  const std::size_t order = static_cast<std::size_t>(config_.order);
-
-  IntervalMatrix a_mat(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      a_mat.at(i, j) = Interval{lp->a[i * n + j]};
-    }
-  }
-  const IntervalMatrix ah = Interval{h} * a_mat;
-  const double r = ah.inf_norm();
-  if (!(r <= static_cast<double>(order) + 1.0)) {
-    // ‖Ah‖∞ too large for the K-term tail bound (the geometric factor
-    // needs r < K+2); a smaller sub-step would fix it, boxing is sound.
+  const AffinePropagators& prop = propagators({lp->a.data(), n * n}, n, h, config_.order);
+  if (!prop.tail_ok) {
     NNCS_COUNT("ode.affine_tail_fallbacks", 1);
     return ValidatedIntegrator::step_affine(f, s0, u, h);
   }
-
-  // Variation of constants: s(h) = e^{Ah}s(0) + Ψ·B·u + ∫e^{A(h−τ)}g dτ
-  // with Ψ = ∫_0^h e^{Aσ}dσ. Enclose the exponential series by its K-term
-  // interval Taylor prefix:
-  //   Φ_K = Σ_{k<=K} (Ah)^k/k!,   Ψ_K = Σ_{k<=K} (Ah)^k·h/(k+1)!.
-  IntervalMatrix phi = IntervalMatrix::identity(n);
-  IntervalMatrix psi = Interval{h} * IntervalMatrix::identity(n);
-  IntervalMatrix power = IntervalMatrix::identity(n);
-  Interval factorial{1.0};
-  for (std::size_t k = 1; k <= order; ++k) {
-    power = power * ah;
-    factorial *= Interval{static_cast<double>(k)};
-    phi = phi + (Interval{1.0} / factorial) * power;
-    psi = psi + (Interval{h} / (factorial * Interval{static_cast<double>(k + 1)})) * power;
-  }
-  // Rigorous tails: every entry of (Ah)^k is within ±r^k, so the dropped
-  // terms are entrywise within ±t for Φ (and ±h·t for Ψ, whose k-th term
-  // carries the extra factor h/(k+1)):
-  //   t = r^{K+1}/(K+1)! · 1/(1 − r/(K+2)),   valid for r < K+2.
-  const Interval r_iv{0.0, r};
-  Interval tail = pow(r_iv, config_.order + 1) / (factorial * Interval{static_cast<double>(order + 1)});
-  tail = tail / (Interval{1.0} - r_iv / Interval{static_cast<double>(order + 2)});
-  const double t_phi = tail.mag();
-  phi.inflate(t_phi);
-  psi.inflate(rnd::mul_up(h, t_phi));
 
   // Constant drive B·u.
   std::vector<Interval> bu(n);
@@ -255,7 +312,7 @@ std::optional<AffineValidatedStep> TaylorIntegrator::step_affine(const Dynamics&
     for (std::size_t i = 0; i < n; ++i) {
       Interval lin;
       for (std::size_t j = 0; j < n; ++j) {
-        lin += a_mat.at(i, j) * boxed->flow[j];
+        lin += prop.a.at(i, j) * boxed->flow[j];
       }
       w[i] = fb[i] - lin - bu[i];
     }
@@ -272,17 +329,17 @@ std::optional<AffineValidatedStep> TaylorIntegrator::step_affine(const Dynamics&
     w_mid[i] = Interval{m_i};
     rad_inf = std::max(rad_inf, (w[i] - Interval{m_i}).mag());
   }
-  const double deviation = (Interval{h} * exp(r_iv) * Interval{rad_inf}).mag();
+  const double deviation = (prop.h_exp_r * Interval{rad_inf}).mag();
 
   std::vector<Interval> offset(n);
   for (std::size_t i = 0; i < n; ++i) {
     Interval acc{-deviation, deviation};
     for (std::size_t j = 0; j < n; ++j) {
-      acc += psi.at(i, j) * (bu[j] + w_mid[j]);
+      acc += prop.psi.at(i, j) * (bu[j] + w_mid[j]);
     }
     offset[i] = acc;
   }
-  AffineSet end = s0.linear_image(phi, offset);
+  AffineSet end = s0.linear_image(prop.phi, offset);
 
   // Per-dimension floor: the boxed Taylor step is sound too, so intersecting
   // ranges is sound, and a dimension whose affine range is wider than the

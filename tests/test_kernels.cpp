@@ -469,10 +469,18 @@ Interval output_difference_reference(const SymbolicBounds& bounds, std::size_t i
 }
 
 /// Every pair's `output_difference` equals the reference's bit for bit,
-/// or both throw.
+/// or both throw. The one-sided Post# test `output_difference_negative`
+/// decides every pair as `reference.hi() < 0.0` does; where the reference
+/// throws, it throws too or keeps the command (it may decide on the upper
+/// side without computing a NaN lower side). When no pair throws, the
+/// symbolic `possible_argmin` equals the candidates the reference's
+/// decisions leave.
 void expect_differences_match(const SymbolicBounds& bounds, const std::string& what) {
-  for (std::size_t i = 0; i < bounds.outputs.size(); ++i) {
-    for (std::size_t j = 0; j < bounds.outputs.size(); ++j) {
+  const std::size_t p = bounds.outputs.size();
+  bool any_threw = false;
+  std::vector<bool> excluded(p, false);
+  for (std::size_t i = 0; i < p; ++i) {
+    for (std::size_t j = 0; j < p; ++j) {
       bool reference_threw = false;
       Interval expected;
       try {
@@ -481,14 +489,34 @@ void expect_differences_match(const SymbolicBounds& bounds, const std::string& w
         reference_threw = true;
       }
       if (reference_threw) {
+        any_threw = true;
         EXPECT_THROW((void)output_difference(bounds, i, j), std::invalid_argument)
             << what << " pair " << i << ", " << j;
+        try {
+          EXPECT_FALSE(output_difference_negative(bounds, i, j))
+              << what << " pair " << i << ", " << j;
+        } catch (const std::invalid_argument&) {
+        }
         continue;
       }
       const Interval got = output_difference(bounds, i, j);
       EXPECT_TRUE(bits_eq(got.lo(), expected.lo())) << what << " pair " << i << ", " << j;
       EXPECT_TRUE(bits_eq(got.hi(), expected.hi())) << what << " pair " << i << ", " << j;
+      EXPECT_EQ(output_difference_negative(bounds, i, j), expected.hi() < 0.0)
+          << what << " pair " << i << ", " << j;
+      if (i != j && expected.hi() < 0.0) {
+        excluded[j] = true;
+      }
     }
+  }
+  if (!any_threw) {
+    std::vector<std::size_t> candidates;
+    for (std::size_t k = 0; k < p; ++k) {
+      if (!excluded[k]) {
+        candidates.push_back(k);
+      }
+    }
+    EXPECT_EQ(possible_argmin(bounds), candidates) << what;
   }
 }
 

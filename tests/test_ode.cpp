@@ -16,6 +16,7 @@
 #include <numbers>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -885,6 +886,291 @@ struct DefaultVariableField {
 TEST(FieldTape, RecordingRejectsUnwrittenOutputsAndUnrecordedOperands) {
   EXPECT_THROW(make_dynamics(2, 1, UnwrittenOutputField{}), std::invalid_argument);
   EXPECT_THROW(make_dynamics(2, 1, DefaultVariableField{}), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// The affine step reads Φ_K, Ψ_K, their tails and h·e^r from a per-thread
+// table keyed by (A, h, K); it must produce the bits of the step that
+// computed them every time.
+// ---------------------------------------------------------------------------
+
+/// `TaylorIntegrator::step_affine` as it was before the propagators were
+/// kept per (A, h, K): every step builds the interval A, Φ_K, Ψ_K, the tail
+/// and h·e^r itself. Counts its tail fallbacks in `tail_fallbacks`.
+std::optional<AffineValidatedStep> per_step_affine(const TaylorIntegrator& integrator,
+                                                   const Dynamics& f, const AffineSet& s0,
+                                                   const Vec& u, double h, int& tail_fallbacks) {
+  const ValidatedIntegrator& base = integrator;
+  const LinearPart* lp = f.linear_part();
+  if (lp == nullptr) {
+    return base.ValidatedIntegrator::step_affine(f, s0, u, h);
+  }
+  const auto boxed = integrator.step(f, s0.concretize(), u, h);
+  if (!boxed) {
+    return std::nullopt;
+  }
+  const std::size_t n = f.state_dim();
+  const std::size_t cmd_dim = f.command_dim();
+  const int k_order = integrator.config().order;
+  const auto order = static_cast<std::size_t>(k_order);
+  IntervalMatrix a_mat(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      a_mat.at(i, j) = Interval{lp->a[i * n + j]};
+    }
+  }
+  const IntervalMatrix ah = Interval{h} * a_mat;
+  const double r = ah.inf_norm();
+  if (!(r <= static_cast<double>(order) + 1.0)) {
+    ++tail_fallbacks;
+    return base.ValidatedIntegrator::step_affine(f, s0, u, h);
+  }
+  IntervalMatrix phi = IntervalMatrix::identity(n);
+  IntervalMatrix psi = Interval{h} * IntervalMatrix::identity(n);
+  IntervalMatrix power = IntervalMatrix::identity(n);
+  Interval factorial{1.0};
+  for (std::size_t k = 1; k <= order; ++k) {
+    power = power * ah;
+    factorial *= Interval{static_cast<double>(k)};
+    phi = phi + (Interval{1.0} / factorial) * power;
+    psi = psi + (Interval{h} / (factorial * Interval{static_cast<double>(k + 1)})) * power;
+  }
+  const Interval r_iv{0.0, r};
+  Interval tail =
+      pow(r_iv, k_order + 1) / (factorial * Interval{static_cast<double>(order + 1)});
+  tail = tail / (Interval{1.0} - r_iv / Interval{static_cast<double>(order + 2)});
+  const double t_phi = tail.mag();
+  phi.inflate(t_phi);
+  psi.inflate(rnd::mul_up(h, t_phi));
+
+  std::vector<Interval> bu(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    Interval acc;
+    for (std::size_t k = 0; k < cmd_dim; ++k) {
+      acc += Interval{lp->b[i * cmd_dim + k]} * Interval{u[k]};
+    }
+    bu[i] = acc;
+  }
+  std::vector<Interval> w(n);
+  if (lp->residual) {
+    lp->residual(boxed->flow.intervals(), w);
+  } else {
+    const Box fb = eval_on_box(f, boxed->flow, u);
+    for (std::size_t i = 0; i < n; ++i) {
+      Interval lin;
+      for (std::size_t j = 0; j < n; ++j) {
+        lin += a_mat.at(i, j) * boxed->flow[j];
+      }
+      w[i] = fb[i] - lin - bu[i];
+    }
+  }
+  std::vector<Interval> w_mid(n);
+  double rad_inf = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double m_i = w[i].mid();
+    w_mid[i] = Interval{m_i};
+    rad_inf = std::max(rad_inf, (w[i] - Interval{m_i}).mag());
+  }
+  const double deviation = (Interval{h} * exp(r_iv) * Interval{rad_inf}).mag();
+  std::vector<Interval> offset(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    Interval acc{-deviation, deviation};
+    for (std::size_t j = 0; j < n; ++j) {
+      acc += psi.at(i, j) * (bu[j] + w_mid[j]);
+    }
+    offset[i] = acc;
+  }
+  AffineSet end = s0.linear_image(phi, offset);
+  std::vector<Interval> end_dims;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Interval affine_range = end[i].range();
+    Interval tight = boxed->end[i];
+    if (auto isect = intersect(affine_range, boxed->end[i])) {
+      tight = *isect;
+    }
+    end_dims.push_back(tight);
+    if (affine_range.width() > boxed->end[i].width()) {
+      end.replace_component(i, tight);
+    }
+  }
+  return AffineValidatedStep{boxed->flow, std::move(end), Box{std::move(end_dims)}};
+}
+
+bool same_bits(const AffineSet& a, const AffineSet& b) {
+  if (a.dim() != b.dim() || a.noise().count() != b.noise().count()) {
+    return false;
+  }
+  const auto same_term = [](const std::pair<std::uint32_t, double>& x,
+                            const std::pair<std::uint32_t, double>& y) {
+    return x.first == y.first && same_bits(x.second, y.second);
+  };
+  for (std::size_t i = 0; i < a.dim(); ++i) {
+    if (!same_bits(a[i].center(), b[i].center()) || !same_bits(a[i].error(), b[i].error()) ||
+        !std::equal(a[i].terms().begin(), a[i].terms().end(), b[i].terms().begin(),
+                    b[i].terms().end(), same_term)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool same_bits(const std::optional<AffineValidatedStep>& a,
+               const std::optional<AffineValidatedStep>& b) {
+  if (!a || !b) {
+    return a.has_value() == b.has_value();
+  }
+  return same_bits(a->flow, b->flow) && same_bits(a->end, b->end) &&
+         same_bits(a->end_box, b->end_box);
+}
+
+/// x' = 60·v, v' = u: ‖Ah‖∞ = 60h exceeds K + 1 at the larger step sizes
+/// and low orders, while the triangular field keeps the boxed step
+/// enclosing.
+struct FastIntegratorField {
+  template <class S>
+  void operator()(std::span<const S> s, std::span<const S> u, std::span<S> out) const {
+    out[0] = 60.0 * s[1] + 0.0 * s[0];
+    out[1] = u[0] + 0.0 * s[1];
+  }
+};
+
+struct AffinePlant {
+  std::string name;
+  std::unique_ptr<Dynamics> f;
+  std::vector<std::pair<AffineSet, Vec>> starts;
+};
+
+/// The pendulum, plants with other A's (two sharing one A, one of them on
+/// the generic residual branch), the rotation's A with +0.0 and with −0.0
+/// entries, and a plant whose larger steps fail the tail bound; each with
+/// a lifted box under the zero command and a correlated set under another.
+std::vector<AffinePlant> affine_plants() {
+  const auto rotation = [](double zero) {
+    LinearPart lp{{zero, 1.0, -1.0, zero}, {0.0, 0.0}, {}};
+    lp.residual = [](std::span<const Interval>, std::span<Interval> out) {
+      out[0] = Interval{};
+      out[1] = Interval{};
+    };
+    return make_dynamics(2, 1, OscillatorField{}, std::move(lp));
+  };
+  std::vector<AffinePlant> plants;
+  plants.push_back({"pendulum", scenario::Registry::global().at("pendulum").make_plant(), {}});
+  plants.push_back({"soft_pendulum",
+                    make_dynamics(2, 1, SoftPendulumField{}, soft_pendulum_linear(true)), {}});
+  plants.push_back({"soft_pendulum_implicit",
+                    make_dynamics(2, 1, SoftPendulumField{}, soft_pendulum_linear(false)),
+                    {}});
+  plants.push_back({"rotation", rotation(0.0), {}});
+  plants.push_back({"rotation_negative_zero", rotation(-0.0), {}});
+  plants.push_back({"fast_integrator",
+                    make_dynamics(2, 1, FastIntegratorField{},
+                                  LinearPart{{0.0, 60.0, 0.0, 0.0}, {0.0, 1.0}, {}}),
+                    {}});
+  IntervalMatrix shear(2, 2);
+  shear.at(0, 0) = Interval{1.0};
+  shear.at(0, 1) = Interval{0.5};
+  shear.at(1, 0) = Interval{-0.25, -0.2};
+  shear.at(1, 1) = Interval{1.0};
+  const Box box{Interval{-0.3, -0.225}, Interval{0.1, 0.2}};
+  for (AffinePlant& p : plants) {
+    p.starts.emplace_back(AffineSet::from_box(box), Vec{0.0});
+    p.starts.emplace_back(AffineSet::from_box(box).linear_image(shear), Vec{0.5});
+  }
+  return plants;
+}
+
+/// 20 distinct step sizes, visited three times each in an interleaved
+/// order: with six plants (five A's) and 15 orders, far more keys than the
+/// table holds, so it replaces entries throughout.
+std::vector<double> interleaved_step_sizes() {
+  std::vector<double> hs;
+  for (int i = 0; i < 60; ++i) {
+    hs.push_back(0.005 * static_cast<double>((i * 7) % 20 + 1));
+  }
+  return hs;
+}
+
+TEST(AffineStep, PropagatorTableMatchesPerStepReferenceBitForBit) {
+  const std::vector<AffinePlant> plants = affine_plants();
+  std::vector<TaylorIntegrator> integrators;
+  for (int order = 1; order <= TaylorIntegrator::kMaxOrder; ++order) {
+    integrators.emplace_back(TaylorIntegrator::Config{order, {}});
+  }
+  const auto tail_fallbacks = [] {
+    return obs::Registry::instance().snapshot().counter("ode.affine_tail_fallbacks");
+  };
+  obs::set_enabled(true);
+  const std::uint64_t counted_before = tail_fallbacks();
+  int expected_fallbacks = 0;
+  int compared = 0;
+  for (const double h : interleaved_step_sizes()) {
+    for (const AffinePlant& p : plants) {
+      for (const TaylorIntegrator& integrator : integrators) {
+        for (const auto& [s0, u] : p.starts) {
+          const auto want = per_step_affine(integrator, *p.f, s0, u, h, expected_fallbacks);
+          const auto got = integrator.step_affine(*p.f, s0, u, h);
+          EXPECT_TRUE(same_bits(got, want)) << p.name << " order " << integrator.config().order
+                                            << " h " << h;
+          compared += got.has_value() ? 1 : 0;
+        }
+      }
+    }
+  }
+  const std::uint64_t counted = tail_fallbacks() - counted_before;
+  obs::set_enabled(false);
+  EXPECT_GT(expected_fallbacks, 0);
+  EXPECT_EQ(counted, static_cast<std::uint64_t>(expected_fallbacks));
+  EXPECT_GT(compared, 10000);
+}
+
+/// One integrator stepped from four threads, each over the interleaved
+/// step sizes from its own offset, so the threads' tables hold different
+/// keys at any moment.
+TEST(AffineStepThreads, ConcurrentStepsMatchSingleThread) {
+  const std::vector<AffinePlant> plants = affine_plants();
+  const TaylorIntegrator integrator;
+  const std::vector<double> hs = interleaved_step_sizes();
+  struct Job {
+    const AffinePlant* plant;
+    std::size_t start;
+    double h;
+  };
+  std::vector<Job> jobs;
+  for (const double h : hs) {
+    for (const AffinePlant& p : plants) {
+      for (std::size_t s = 0; s < p.starts.size(); ++s) {
+        jobs.push_back({&p, s, h});
+      }
+    }
+  }
+  const auto run = [&](const Job& job) {
+    const auto& [s0, u] = job.plant->starts[job.start];
+    return integrator.step_affine(*job.plant->f, s0, u, job.h);
+  };
+  std::vector<std::optional<AffineValidatedStep>> sequential;
+  for (const Job& job : jobs) {
+    sequential.push_back(run(job));
+  }
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<std::optional<AffineValidatedStep>>> results(
+      kThreads, std::vector<std::optional<AffineValidatedStep>>(jobs.size()));
+  {
+    std::vector<std::jthread> workers;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        for (std::size_t k = 0; k < jobs.size(); ++k) {
+          const std::size_t j = (k + t * jobs.size() / kThreads) % jobs.size();
+          results[t][j] = run(jobs[j]);
+        }
+      });
+    }
+  }
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      EXPECT_TRUE(same_bits(results[t][j], sequential[j]))
+          << "thread " << t << " " << jobs[j].plant->name << " h " << jobs[j].h;
+    }
+  }
 }
 
 }  // namespace

@@ -29,9 +29,11 @@ case "$mode" in
     # scenario and domain tests drive the threaded engine — the last over
     # the zonotope loop path; the artifact/profile suites snapshot the
     # sharded registry and heartbeat sink; NeuralController runs one
-    # controller's shared network packs from several threads); pass your
-    # own -R/-E to override.
-    default_filter=(-R "QueryCache|Engine|ThreadPool|Verifier|Obs|Scenario|Artifact|Profile|BenchCompare|Domain|NeuralController")
+    # controller's shared network packs from several threads;
+    # AffineStepThreads steps one integrator, whose affine steps read
+    # per-thread propagator tables, from several threads); pass your own
+    # -R/-E to override.
+    default_filter=(-R "QueryCache|Engine|ThreadPool|Verifier|Obs|Scenario|Artifact|Profile|BenchCompare|Domain|NeuralController|AffineStepThreads")
     ;;
   *)
     echo "usage: $0 [asan|tsan] [extra ctest args...]" >&2
