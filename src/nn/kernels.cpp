@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "interval/rounding.hpp"
 
@@ -51,7 +52,14 @@ PackedNetwork pack_network(const Network& net) {
   PackedNetwork packed;
   packed.input_dim = net.input_dim();
   std::size_t stride = packed.input_dim;
-  for (const Layer& layer : net.layers()) {
+  for (std::size_t li = 0; li < net.num_layers(); ++li) {
+    const Layer& layer = net.layers()[li];
+    const auto finite = [](double v) { return std::isfinite(v); };
+    if (!std::all_of(layer.weights.data().begin(), layer.weights.data().end(), finite) ||
+        !std::all_of(layer.biases.begin(), layer.biases.end(), finite)) {
+      throw std::invalid_argument("pack_network: layer " + std::to_string(li) +
+                                  " has a weight or bias that is not finite");
+    }
     stride = std::max(stride, layer.weights.rows());
     packed.hidden_rows += layer.weights.rows();
     packed.symbolic_macs += 2 * layer.weights.rows() * layer.weights.cols() * packed.input_dim;
@@ -157,25 +165,48 @@ void symbolic_relu_bounds(const SymbolicForms& forms, const Box& input, double* 
   portable::symbolic_relu_bounds_impl(forms, input, lower, upper);
 }
 
-void zonotope_affine_layer(const PackedLayer& layer, const ZonotopeForms& in,
-                           ZonotopeForms& out, Isa isa) {
-  if (layer.cols != in.width || layer.stride != in.stride ||
+std::size_t zonotope_affine_layer(const PackedLayer& layer, const ZonotopeForms& in,
+                                  ZonotopeForms& out, Isa isa) {
+  if (layer.cols != in.width || layer.stride != in.stride || in.own.size() < in.width ||
       out.coeffs.size() < in.n_slots * in.stride || out.center.size() < in.stride ||
       out.err.size() < in.stride) {
     throw std::invalid_argument("zonotope_affine_layer: shape mismatch");
   }
-  out.width = layer.rows;
-  out.stride = in.stride;
-  out.n_slots = in.n_slots;
+  if (in.shared > in.n_slots) {
+    throw std::invalid_argument("zonotope_affine_layer: shared slots past the slot count");
+  }
+  std::size_t next_own = in.shared;  // the lowest slot the next own slot may be
+  std::size_t slots = 0;             // Σ over the columns that are not dead
+  for (std::size_t c = 0; c < in.width; ++c) {
+    const std::size_t own = in.own[c];
+    if (own == ZonotopeForms::kDead) {
+      continue;
+    }
+    slots += in.shared;
+    if (own != ZonotopeForms::kSharedOnly) {
+      if (own < next_own || own >= in.n_slots) {
+        throw std::invalid_argument("zonotope_affine_layer: own slot out of range or order");
+      }
+      next_own = own + 1;
+      ++slots;
+    }
+  }
 #ifdef NNCS_HAVE_AVX2
   if (isa == Isa::kAvx2) {
     avx2::zonotope_affine_layer_impl(layer, in, out);
-    return;
+  } else {
+    portable::zonotope_affine_layer_impl(layer, in, out);
   }
 #else
   (void)isa;
-#endif
   portable::zonotope_affine_layer_impl(layer, in, out);
+#endif
+  out.width = layer.rows;
+  out.stride = in.stride;
+  out.n_slots = in.n_slots;
+  out.shared = in.n_slots;
+  out.own.assign(layer.rows, ZonotopeForms::kSharedOnly);
+  return layer.rows * slots;
 }
 
 void dense_affine(const Matrix& weights, const Vec& biases, const double* x, double* out) {

@@ -85,7 +85,9 @@ struct PackedNetwork {
   std::vector<PackedLayer> layers;
 };
 
-/// Pack every layer of `net` at one common stride.
+/// Pack every layer of `net` at one common stride. Throws
+/// std::invalid_argument, naming the layer, for a weight or bias that is
+/// not finite: the sweeps rely on w·0 being ±0.
 [[nodiscard]] PackedNetwork pack_network(const Network& net);
 
 /// One side (lower or upper) of a query's symbolic bound forms:
@@ -150,16 +152,31 @@ void symbolic_relu_bounds(const SymbolicForms& forms, const Box& input, double* 
 /// is the caller's business (zonotope_prop.cpp); slot order must be symbol
 /// order. A form without a term on a slot holds ±0.0 there; a layer's output
 /// rows start at +0.0 and never become −0.0. Columns from `width` up to
-/// `stride` are padding; in a layer's output they hold Affine{0}.
+/// `stride` are padding; in a layer's output, those below `width` rounded up
+/// to 4 hold Affine{0} and the rest are never written.
+///
+/// `shared` and `own` record which slots each column can hold, so the sweep
+/// skips the rest. Every column that is not dead may hold the shared slots
+/// [0, shared); `own[c]` is kSharedOnly, kDead (no terms, centre and error
+/// term exactly 0) or the one slot at or past `shared` that column c also
+/// holds. Own slots increase with the column, and every other slot at or
+/// past `shared` is exactly 0 in that column. After a ReLU, the shared slots
+/// are those that existed before it and an own slot is an unstable neuron's
+/// fresh symbol; a layer's output has every column shared over every slot.
 struct ZonotopeForms {
+  static constexpr std::size_t kSharedOnly = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kDead = static_cast<std::size_t>(-2);
+
   std::size_t width = 0;    ///< live neurons
   std::size_t stride = 0;   ///< padded neuron count, a multiple of kNeuronBlock
   std::size_t n_slots = 0;  ///< active slot rows
+  std::size_t shared = 0;   ///< slots every column that is not dead may hold
   /// Sized by the caller to the final slot count times `stride`, so appending
   /// a slot never reallocates; rows at and past `n_slots` hold no data.
   std::vector<double> coeffs;
-  std::vector<double> center;  ///< `stride` entries
-  std::vector<double> err;     ///< `stride` entries
+  std::vector<double> center;    ///< `stride` entries
+  std::vector<double> err;       ///< `stride` entries
+  std::vector<std::size_t> own;  ///< `width` entries: see above
 
   [[nodiscard]] double* slot(std::size_t s) { return coeffs.data() + s * stride; }
   [[nodiscard]] const double* slot(std::size_t s) const { return coeffs.data() + s * stride; }
@@ -170,14 +187,27 @@ struct ZonotopeForms {
 ///   acc = Affine{bias_r}; per column c with w = W(r,c) != 0: acc += w * in_c
 /// — `operator*(double, Affine)` then `operator+`, whose two |·| sums run
 /// interleaved per slot (bitwise equal, since they never interact). A block
-/// of kNeuronBlock neurons runs in SIMD. A zero weight still runs the slot
-/// loop, where adding w·x = ±0 to a coefficient that is never −0.0 changes
-/// no bit, but the neuron keeps its center and error term, as the scalar
-/// loop skips that weight; padding neurons thus stay Affine{0}. Weights and
-/// forms must be finite. No ReLU. Sets `out`'s width, stride and slot count;
-/// its buffers must already hold `in.n_slots` rows.
-void zonotope_affine_layer(const PackedLayer& layer, const ZonotopeForms& in,
-                           ZonotopeForms& out, Isa isa);
+/// of kNeuronBlock neurons runs in SIMD; a layer's last block runs only the
+/// ⌈rows/4⌉ quads of 4 neurons it needs. Per column the block does only the
+/// work `in`'s slot record allows: `acc += w·x` on the shared slots and the
+/// column's own slot; on earlier columns' own slots, which the column holds
+/// as exact zeros, only |acc| into the merged sum; nothing on later slots,
+/// whose acc is still +0; and for a dead column no slot work, its merged sum
+/// being the previous column's, carried bit for bit. Each skipped operation
+/// adds ±0 to a sum that starts at +0 or multiplies a finite weight by an
+/// exact 0, so the results stay the scalar loop's bit for bit. A zero weight
+/// still runs the slot work, where adding w·x = ±0 to a coefficient that is never
+/// −0.0 changes no bit, but the neuron keeps its center and error term, as
+/// the scalar loop skips that weight; padding neurons thus stay Affine{0}.
+/// Weights (see `pack_network`) and forms must be finite. No ReLU. Sets
+/// `out`'s width, stride and slot count, and its record to every column
+/// shared over every slot; its buffers must already hold `in.n_slots` rows.
+/// Throws std::invalid_argument on a shape mismatch or a malformed record
+/// (`shared` past `n_slots`, an own slot out of range or out of order).
+/// Returns the multiply-adds performed: rows × Σ over the columns that are
+/// not dead of (shared slots + own slot).
+std::size_t zonotope_affine_layer(const PackedLayer& layer, const ZonotopeForms& in,
+                                  ZonotopeForms& out, Isa isa);
 
 /// Blocked concrete affine map out = W·x + b: rows are processed in blocks
 /// of four sharing the streamed `x` loads, but each row keeps the scalar

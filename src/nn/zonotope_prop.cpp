@@ -67,10 +67,11 @@ namespace {
 using rnd::kCoeffSlack;
 
 /// Lay `set`'s forms into `forms` (columns 0..dim−1, slot rows zeroed
-/// first) and return the symbol each slot holds: the sorted union of the
-/// forms' term ids.
-std::vector<std::uint32_t> load_set(const AffineSet& set, kern::ZonotopeForms& forms) {
-  std::vector<std::uint32_t> ids;
+/// first, every column shared over every slot) and `ids` the symbol each
+/// slot holds: the sorted union of the forms' term ids.
+void load_set(const AffineSet& set, kern::ZonotopeForms& forms,
+              std::vector<std::uint32_t>& ids) {
+  ids.clear();
   for (const Affine& form : set.components()) {
     for (const auto& term : form.terms()) {
       ids.push_back(term.first);
@@ -80,6 +81,8 @@ std::vector<std::uint32_t> load_set(const AffineSet& set, kern::ZonotopeForms& f
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   forms.width = set.dim();
   forms.n_slots = ids.size();
+  forms.shared = ids.size();
+  forms.own.assign(set.dim(), kern::ZonotopeForms::kSharedOnly);
   std::fill_n(forms.coeffs.begin(), ids.size() * forms.stride, 0.0);
   for (std::size_t d = 0; d < set.dim(); ++d) {
     const Affine& form = set[d];
@@ -89,7 +92,6 @@ std::vector<std::uint32_t> load_set(const AffineSet& set, kern::ZonotopeForms& f
       forms.slot(std::lower_bound(ids.begin(), ids.end(), id) - ids.begin())[d] = v;
     }
   }
-  return ids;
 }
 
 constexpr std::size_t kBlock = kern::kNeuronBlock;
@@ -99,20 +101,21 @@ constexpr std::size_t kBlock = kern::kNeuronBlock;
 /// nothing), times 1 + kCoeffSlack·(nonzero slots + 1).
 void radii(const kern::ZonotopeForms& forms, double* radius) {
   for (std::size_t r0 = 0; r0 < forms.width; r0 += kBlock) {
+    const std::size_t lanes = std::min(kBlock, forms.width - r0);
     double sum[kBlock];
     double count[kBlock];
-    for (std::size_t j = 0; j < kBlock; ++j) {
+    for (std::size_t j = 0; j < lanes; ++j) {
       sum[j] = forms.err[r0 + j];
       count[j] = 0.0;
     }
     for (std::size_t s = 0; s < forms.n_slots; ++s) {
       const double* row = forms.slot(s) + r0;
-      for (std::size_t j = 0; j < kBlock; ++j) {
+      for (std::size_t j = 0; j < lanes; ++j) {
         sum[j] += std::fabs(row[j]);
         count[j] += row[j] != 0.0 ? 1.0 : 0.0;
       }
     }
-    for (std::size_t j = 0; j < kBlock; ++j) {
+    for (std::size_t j = 0; j < lanes; ++j) {
       radius[r0 + j] = sum[j] * (1.0 + kCoeffSlack * (count[j] + 1.0));
     }
   }
@@ -122,11 +125,15 @@ void radii(const kern::ZonotopeForms& forms, double* radius) {
 /// `Affine::range` (the radii a block of neurons at a time) and
 /// `Affine::relu` per neuron. Each unstable neuron takes its own fresh slot,
 /// in neuron order, whose symbol is the next id the scalar `NoiseSource`
-/// would hand out (`next_fresh`). Returns the number of unstable neurons.
+/// would hand out (`next_fresh`). Records the slot structure: the slots
+/// before the ReLU are shared, and the layer output's record of every
+/// column shared is narrowed to dead and own-slot columns. Returns the
+/// number of unstable neurons.
 std::size_t relu_in_place(kern::ZonotopeForms& forms, std::vector<std::uint32_t>& slot_ids,
                           std::uint32_t& next_fresh, std::vector<double>& radius) {
   radii(forms, radius.data());
   const std::size_t stride = forms.stride;
+  forms.shared = forms.n_slots;
   std::size_t unstable = 0;
   for (std::size_t r = 0; r < forms.width; ++r) {
     const Interval range{rnd::sub_down(forms.center[r], radius[r]),
@@ -142,6 +149,7 @@ std::size_t relu_in_place(kern::ZonotopeForms& forms, std::vector<std::uint32_t>
       }
       forms.center[r] = 0.0;
       forms.err[r] = 0.0;
+      forms.own[r] = kern::ZonotopeForms::kDead;
       continue;
     }
     const double lambda = u / (u - l);
@@ -160,7 +168,7 @@ std::size_t relu_in_place(kern::ZonotopeForms& forms, std::vector<std::uint32_t>
     double* fresh = forms.slot(forms.n_slots);
     std::fill_n(fresh, stride, 0.0);
     fresh[r] = mu / 2.0;
-    ++forms.n_slots;
+    forms.own[r] = forms.n_slots++;
     slot_ids.push_back(next_fresh++);
     err += kCoeffSlack * (std::fabs(center) + mu);
     forms.center[r] = center;
@@ -208,16 +216,19 @@ std::vector<ZonotopeBounds> zonotope_propagate_batch(
   }
   results.reserve(inputs.size());
 
+  // Per-thread buffers, reused by every call; only the results are new.
+  thread_local kern::ZonotopeForms cur;
+  thread_local kern::ZonotopeForms nxt;
+  thread_local std::vector<double> radius;
+  thread_local std::vector<std::uint32_t> slot_ids;
   const std::size_t stride = net.stride;
   const std::vector<kern::PackedLayer>& layers = net.layers;
-  kern::ZonotopeForms cur;
-  kern::ZonotopeForms nxt;
   for (kern::ZonotopeForms* forms : {&cur, &nxt}) {
     forms->stride = stride;
-    forms->center.assign(stride, 0.0);
-    forms->err.assign(stride, 0.0);
+    forms->center.resize(stride);
+    forms->err.resize(stride);
   }
-  std::vector<double> radius(stride);
+  radius.resize(stride);
   for (const AffineSet* set : inputs) {
     NNCS_SPAN("nn.zonotope_prop");
     std::size_t input_slots = 0;
@@ -231,13 +242,12 @@ std::vector<ZonotopeBounds> zonotope_propagate_batch(
         forms->coeffs.resize(capacity);
       }
     }
-    std::vector<std::uint32_t> slot_ids = load_set(*set, cur);
+    load_set(*set, cur, slot_ids);
     std::uint32_t next_fresh = set->noise().count();
     std::size_t unstable = 0;
     for (std::size_t li = 0; li < layers.size(); ++li) {
-      const kern::PackedLayer& layer = layers[li];
-      kern::zonotope_affine_layer(layer, cur, nxt, isa);
-      NNCS_COUNT("nn.zonotope_macs", layer.rows * layer.cols * cur.n_slots);
+      const std::size_t macs = kern::zonotope_affine_layer(layers[li], cur, nxt, isa);
+      NNCS_COUNT("nn.zonotope_macs", macs);
       std::swap(cur, nxt);
       if (li + 1 < layers.size()) {
         unstable += relu_in_place(cur, slot_ids, next_fresh, radius);

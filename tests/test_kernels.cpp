@@ -8,13 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/controller.hpp"
@@ -722,13 +725,102 @@ void expect_relational_batch_matches(Rng& rng, const Network& net,
   expect_batch_matches(net, sets, scalar, isa, what);
 }
 
+/// Its second hidden layer (40 neurons) is dead wherever the first is: its
+/// biases are negative, and neurons 0–19 stay dead on any input in
+/// [-1, 1]², so the third layer sweeps a run of at least 20 dead columns
+/// from its first column on, and all 40 where the input is negative.
+Network dead_block_network(std::uint64_t seed) {
+  Rng rng(seed);
+  Network net = make_zero_network({2, 8, 40, 21, 3});
+  for (std::size_t r = 0; r < 8; ++r) {
+    for (std::size_t c = 0; c < 2; ++c) {
+      net.layer(0).weights(r, c) = rng.uniform(0.5, 1.5);
+    }
+    net.layer(0).biases[r] = rng.uniform(-0.1, 0.1);
+  }
+  for (std::size_t r = 0; r < 40; ++r) {
+    for (std::size_t c = 0; c < 8; ++c) {
+      net.layer(1).weights(r, c) = r < 20 ? rng.uniform(-0.1, 0.1) : rng.uniform(-1.0, 1.0);
+    }
+    net.layer(1).biases[r] = r < 20 ? -3.0 : rng.uniform(-0.6, -0.1);
+  }
+  for (const std::size_t li : {2, 3}) {
+    for (double& w : net.layer(li).weights.data()) {
+      w = rng.uniform(-1.0, 1.0);
+    }
+    for (double& b : net.layer(li).biases) {
+      b = rng.uniform(-0.5, 0.5);
+    }
+  }
+  return net;
+}
+
+/// On inputs in [-1, 1]², hidden neuron r of both hidden layers (24 each) is
+/// dead when r % 3 == 0, stable-active when r % 3 == 1 and unstable when
+/// r % 3 == 2: the layer after each ReLU sweeps columns that cycle through
+/// all three kinds, with an own slot every third column.
+Network cycling_network(std::uint64_t seed) {
+  Rng rng(seed);
+  Network net = make_zero_network({2, 24, 24, 4});
+  const double kind_bias[] = {-10.0, 10.0, -0.3};
+  for (std::size_t r = 0; r < 24; ++r) {
+    net.layer(0).weights(r, 0) = r % 3 == 2 ? 1.0 : 0.5;
+    net.layer(0).weights(r, 1) = rng.uniform(-0.01, 0.01);
+    net.layer(0).biases[r] = r % 3 == 2 ? 0.0 : kind_bias[r % 3] / 5.0;
+    for (std::size_t c = 0; c < 24; ++c) {
+      net.layer(1).weights(r, c) = rng.uniform(-0.01, 0.01);
+    }
+    // An unstable neuron follows one unstable neuron of the first layer.
+    if (r % 3 == 2) {
+      net.layer(1).weights(r, (r + 3) % 24) = 1.0;
+    }
+    net.layer(1).biases[r] = kind_bias[r % 3];
+  }
+  for (double& w : net.layer(2).weights.data()) {
+    w = rng.uniform(-1.0, 1.0);
+  }
+  return net;
+}
+
+/// Networks for the zonotope sweep: every shape random and with signed-zero
+/// biases and a dead row per layer, a dead run across a block, the cycling
+/// dead / stable-active / unstable columns, and output widths 1–5, so a
+/// layer's last block runs one to four quads.
+std::vector<std::pair<std::string, Network>> zonotope_networks(std::uint64_t seed) {
+  std::vector<std::pair<std::string, Network>> nets;
+  for (std::size_t s = 0; s < kShapes.size(); ++s) {
+    nets.emplace_back("shape=" + std::to_string(s), random_network(seed + s, kShapes[s]));
+    nets.emplace_back("signed zeros shape=" + std::to_string(s),
+                      signed_zero_network(seed + 50 + s, kShapes[s]));
+  }
+  nets.emplace_back("dead block", dead_block_network(seed + 100));
+  nets.emplace_back("cycling", cycling_network(seed + 101));
+  for (std::size_t outputs = 1; outputs <= 5; ++outputs) {
+    nets.emplace_back("outputs=" + std::to_string(outputs),
+                      random_network(seed + 110 + outputs, {3, 20, 20, outputs}));
+  }
+  return nets;
+}
+
+/// `zonotope_inputs` plus boxes inside [-1, 1]² that are negative, straddle
+/// 0 or are positive, for the two-input networks built to go dead there.
+std::vector<Box> zonotope_test_inputs(Rng& rng, const Network& net, std::size_t count) {
+  std::vector<Box> inputs = zonotope_inputs(rng, net, count);
+  if (net.input_dim() == 2) {
+    for (const double lo : {-1.0, -0.6, -0.2, 0.3}) {
+      const double hi = lo + rng.uniform(0.05, 0.7);
+      inputs.push_back(Box{{Interval{lo, hi}, Interval{lo, lo + rng.uniform(0.0, 0.7)}}});
+    }
+  }
+  return inputs;
+}
+
 TEST(Kernels, ZonotopeBoxBatchBitwiseEqualsScalar) {
   for (const kern::Isa isa : compiled_isas()) {
-    for (std::size_t s = 0; s < kShapes.size(); ++s) {
-      const Network net = random_network(500 + s, kShapes[s]);
-      Rng rng(600 + s);
-      expect_box_batch_matches(net, zonotope_inputs(rng, net, 19), isa,
-                               "shape=" + std::to_string(s));
+    std::uint64_t seed = 600;
+    for (const auto& [what, net] : zonotope_networks(500)) {
+      Rng rng(seed++);
+      expect_box_batch_matches(net, zonotope_test_inputs(rng, net, 19), isa, what);
     }
     const Network net = all_unstable_network(33);
     expect_box_batch_matches(net, {Box{Interval{-1.0, 1.0}}, Box{Interval{-0.75, 0.5}}}, isa,
@@ -747,16 +839,124 @@ TEST(Kernels, ZonotopeBoxBatchBitwiseEqualsScalar) {
 
 TEST(Kernels, ZonotopeRelationalBatchBitwiseEqualsScalar) {
   for (const kern::Isa isa : compiled_isas()) {
-    for (std::size_t s = 0; s < kShapes.size(); ++s) {
-      const Network net = random_network(700 + s, kShapes[s]);
-      Rng rng(800 + s);
-      expect_relational_batch_matches(rng, net, zonotope_inputs(rng, net, 23), isa,
-                                      "shape=" + std::to_string(s));
+    std::uint64_t seed = 800;
+    for (const auto& [what, net] : zonotope_networks(700)) {
+      Rng rng(seed++);
+      expect_relational_batch_matches(rng, net, zonotope_test_inputs(rng, net, 23), isa, what);
     }
     Rng rng(900);
     expect_relational_batch_matches(rng, all_unstable_network(33),
                                     {Box{Interval{-1.0, 1.0}}, Box{Interval{-0.75, 0.5}}}, isa,
                                     "all unstable");
+  }
+}
+
+/// The test networks really sweep the column kinds they are built for:
+/// counted on the scalar transformer's hidden layers over the test inputs.
+TEST(Kernels, ZonotopeTestNetworksHaveTheirColumnKinds) {
+  // Per hidden layer, the kind of each neuron on one input: 0 dead,
+  // 1 stable-active, 2 unstable, as `Affine::relu` decides.
+  const auto kinds = [](const Network& net, const Box& input) {
+    std::vector<std::vector<int>> out;
+    NoiseSource source;
+    std::vector<Affine> current;
+    for (std::size_t i = 0; i < input.dim(); ++i) {
+      current.push_back(Affine::variable(input[i].lo(), input[i].hi(), source));
+    }
+    for (std::size_t li = 0; li + 1 < net.num_layers(); ++li) {
+      const Layer& layer = net.layers()[li];
+      std::vector<Affine> next;
+      std::vector<int>& k = out.emplace_back();
+      for (std::size_t r = 0; r < layer.weights.rows(); ++r) {
+        Affine acc{layer.biases[r]};
+        for (std::size_t c = 0; c < layer.weights.cols(); ++c) {
+          if (layer.weights(r, c) != 0.0) {
+            acc += layer.weights(r, c) * current[c];
+          }
+        }
+        const Interval range = acc.range();
+        k.push_back(range.lo() >= 0.0 ? 1 : range.hi() <= 0.0 ? 0 : 2);
+        next.push_back(acc.relu(source));
+      }
+      current = std::move(next);
+    }
+    return out;
+  };
+  const Network dead = dead_block_network(600);
+  const Box negative{{Interval{-1.0, -0.5}, Interval{-0.9, -0.2}}};
+  const Box positive{{Interval{0.3, 0.9}, Interval{0.2, 0.6}}};
+  EXPECT_EQ(kinds(dead, negative)[1], std::vector<int>(40, 0));
+  const std::vector<int> mixed = kinds(dead, positive)[1];
+  EXPECT_EQ(std::vector<int>(mixed.begin(), mixed.begin() + 20), std::vector<int>(20, 0));
+  EXPECT_NE(std::count(mixed.begin(), mixed.end(), 0), 40);
+
+  const Network cycling = cycling_network(601);
+  for (const Box& input : {Box{{Interval{-1.0, 1.0}, Interval{-1.0, 1.0}}},
+                           Box{{Interval{-0.4, 0.5}, Interval{0.0, 0.3}}}}) {
+    for (const std::vector<int>& layer : kinds(cycling, input)) {
+      for (std::size_t r = 0; r < layer.size(); ++r) {
+        EXPECT_EQ(layer[r], static_cast<int>(r % 3)) << "neuron " << r;
+      }
+    }
+  }
+}
+
+TEST(Kernels, ZonotopeMalformedSlotRecordThrows) {
+  const kern::PackedNetwork packed = kern::pack_network(random_network(950, {3, 5, 2}));
+  const kern::PackedLayer& layer = packed.layers.front();
+  for (const kern::Isa isa : compiled_isas()) {
+    // Three columns over four slots: one shared, then own slots.
+    const auto forms = [&](std::size_t shared, std::vector<std::size_t> own) {
+      kern::ZonotopeForms f;
+      f.width = 3;
+      f.stride = packed.stride;
+      f.n_slots = 4;
+      f.shared = shared;
+      f.coeffs.assign(4 * f.stride, 0.0);
+      f.center.assign(f.stride, 0.0);
+      f.err.assign(f.stride, 0.0);
+      f.own = std::move(own);
+      return f;
+    };
+    const std::size_t kShared = kern::ZonotopeForms::kSharedOnly;
+    const std::size_t kDead = kern::ZonotopeForms::kDead;
+    kern::ZonotopeForms out = forms(0, {});
+    kern::ZonotopeForms ok = forms(1, {1, kDead, 3});
+    EXPECT_EQ(kern::zonotope_affine_layer(layer, ok, out, isa), 5U * (2U + 2U));
+    EXPECT_EQ(out.shared, 4U);
+    EXPECT_EQ(out.own, std::vector<std::size_t>(5, kShared));
+    ok = forms(4, {kShared, kShared, kShared});
+    EXPECT_EQ(kern::zonotope_affine_layer(layer, ok, out, isa), 5U * 3U * 4U);
+    std::vector<kern::ZonotopeForms> bad;
+    bad.push_back(forms(5, {kShared, kShared, kShared}));  // shared past n_slots
+    bad.push_back(forms(1, {0, kShared, kShared}));        // own slot below the shared ones
+    bad.push_back(forms(1, {kShared, 4, kShared}));        // own slot past n_slots
+    bad.push_back(forms(1, {2, 2, kShared}));              // two columns own one slot
+    bad.push_back(forms(1, {3, kDead, 2}));                // own slots out of order
+    bad.push_back(forms(1, {kShared, kShared}));           // shorter than the width
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+      EXPECT_THROW((void)kern::zonotope_affine_layer(layer, bad[i], out, isa),
+                   std::invalid_argument)
+          << "isa=" << to_string(isa) << " record " << i;
+    }
+  }
+}
+
+TEST(Kernels, PackNetworkRefusesNonFiniteWeights) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Network weight = random_network(960, {3, 4, 2});
+    weight.layer(1).weights(1, 2) = bad;
+    try {
+      (void)kern::pack_network(weight);
+      ADD_FAILURE() << "weight " << bad << " packed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("layer 1"), std::string::npos) << e.what();
+    }
+    Network bias = random_network(961, {3, 4, 2});
+    bias.layer(0).biases[3] = bad;
+    EXPECT_THROW((void)kern::pack_network(bias), std::invalid_argument) << "bias " << bad;
   }
 }
 

@@ -91,6 +91,21 @@ TEST(NnetIo, GarbageWhereNumberExpectedThrows) {
   EXPECT_THROW(load_network(buffer), NnetFormatError);
 }
 
+TEST(NnetIo, NonFiniteValueThrows) {
+  // The kernels need finite weights; the stream refuses these spellings.
+  for (const char* bad : {"nan", "inf", "-inf", "1e999"}) {
+    std::stringstream bias(std::string("NNCS-NET 1\nlayers 2\nsizes 2 1\nbias ") + bad +
+                           "\nrow 1 2\n");
+    EXPECT_THROW(load_network(bias), NnetFormatError) << "bias " << bad;
+    std::stringstream weight(std::string("NNCS-NET 1\nlayers 2\nsizes 2 1\nbias 0.5\nrow 1 ") +
+                             bad + "\n");
+    EXPECT_THROW(load_network(weight), NnetFormatError) << "weight " << bad;
+  }
+  // The same file with finite values loads.
+  std::stringstream good("NNCS-NET 1\nlayers 2\nsizes 2 1\nbias 0.5\nrow 1 2\n");
+  EXPECT_EQ(load_network(good).layers()[0].weights(0, 1), 2.0);
+}
+
 TEST(NnetIo, SingleLayerNetwork) {
   Network net = make_zero_network({4, 3});
   net.layer(0).weights(2, 1) = -0.125;  // exactly representable

@@ -8,7 +8,8 @@
 # Each mode uses its own build tree (build-asan / build-tsan) so sanitized
 # objects never mix with the regular build. The TSan mode runs the
 # concurrency-heavy suites (engine, verifier, obs, NN query cache) by default;
-# ASan/UBSan runs everything.
+# ASan/UBSan runs everything, with UBSan findings fatal (a report fails its
+# test) and libstdc++'s bounds and precondition assertions on.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -20,11 +21,13 @@ case "$mode" in
   asan)
     build=build-asan
     sanitize="address,undefined"
+    cxx_flags="-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS"
     default_filter=()
     ;;
   tsan)
     build=build-tsan
     sanitize="thread"
+    cxx_flags=""
     # Concurrency-relevant suites (the engine, its worker-pool, verifier,
     # scenario and domain tests drive the threaded engine — the last over
     # the zonotope loop path; the artifact/profile suites snapshot the
@@ -41,7 +44,8 @@ case "$mode" in
     ;;
 esac
 
-cmake -B "$build" -S . -DNNCS_SANITIZE="$sanitize" -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake -B "$build" -S . -DNNCS_SANITIZE="$sanitize" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS="$cxx_flags"
 cmake --build "$build" -j"$(nproc)"
 
 filter=("${default_filter[@]}")
